@@ -1,4 +1,4 @@
-"""Affine group arithmetic on complete Edwards curves over prime fields.
+"""Group arithmetic on complete Edwards curves over prime fields.
 
 A curve is the solution set of x^2 + y^2 = 1 + d*x^2*y^2 over GF(p) with d a
 quadratic non-residue, which makes the addition law complete: the denominators
@@ -7,6 +7,15 @@ and no points at infinity. The neutral element is (0, 1), the inverse of
 (x, y) is (-x, y), (0, -1) has order two and (+-1, 0) have order four, so the
 group order is always divisible by four and scalars live modulo the prime
 order q of the chosen base point.
+
+Public points are affine. Inside an operation the arithmetic runs in
+extended coordinates (X:Y:Z:T) with x = X/Z, y = Y/Z, T = XY/Z (Hisil, Wong,
+Carter, Dawson, "Twisted Edwards curves revisited", 2008), using the unified
+addition add-2008-hwcd and the doubling dbl-2008-hwcd with a = 1. Their Z
+denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
+2 - x^2 - y^2 for a doubling, so they are as complete as the affine law. Each
+scalar multiplication, addition or doubling pays one field inversion, at the
+end, to return to affine form.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -75,6 +84,9 @@ class OpCounter:
     one scalar_mults tick per k*P regardless of how the ladder runs, one
     point_adds tick per explicit addition. The ladder's internal steps land
     in inner_adds / inner_doubles and stay out of the headline numbers.
+    inversions counts field inversions mod p: one per nonzero k*P, addition
+    or doubling (the return to affine form), one per ladder build and one
+    per x that enumerate_points solves for.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -88,6 +100,7 @@ class OpCounter:
         "point_doubles",
         "inner_adds",
         "inner_doubles",
+        "inversions",
         "_token",
     )
 
@@ -101,6 +114,7 @@ class OpCounter:
         self.point_doubles = 0
         self.inner_adds = 0
         self.inner_doubles = 0
+        self.inversions = 0
 
     def __enter__(self) -> "OpCounter":
         self._token = _active_counter.set(self)
@@ -117,6 +131,7 @@ class OpCounter:
             "point_doubles": self.point_doubles,
             "inner_adds": self.inner_adds,
             "inner_doubles": self.inner_doubles,
+            "inversions": self.inversions,
         }
 
     def __repr__(self):
@@ -127,30 +142,47 @@ class OpCounter:
 
 
 # ---------------------------------------------------------------------------
-# raw affine formulas on int pairs
+# extended-coordinate formulas on int tuples (a = 1)
+#
+# A point in extended form is (X, Y, Z, T). The second operand of an addition
+# is always affine, in the cached form (x, y, x + y, d*x*y) that _cache
+# builds, so the addition is the mixed case Z2 = 1 of add-2008-hwcd.
 
-def _add_xy(p, d, x1, y1, x2, y2):
-    # One shared inversion covers both denominators: with
-    # t = d*x1*x2*y1*y2, inv((1+t)(1-t)) recovers each via one extra mul.
-    t = d * x1 % p * x2 % p * y1 % p * y2 % p
-    a = (1 + t) % p
-    b = (1 - t) % p
-    inv_ab = pow(a * b % p, -1, p)
-    x3 = (x1 * y2 + x2 * y1) % p * (inv_ab * b % p) % p
-    y3 = (y1 * y2 - x1 * x2) % p * (inv_ab * a % p) % p
-    return x3, y3
+def _cache(p, d, x, y):
+    return x, y, (x + y) % p, d * x % p * y % p
 
 
-def _dbl_xy(p, x, y):
-    # 2(x,y) = (2xy/(x^2+y^2), (y^2-x^2)/(2-x^2-y^2)); d drops out on curve.
-    xx = x * x % p
-    yy = y * y % p
-    a = (xx + yy) % p
-    b = (2 - xx - yy) % p
-    inv_ab = pow(a * b % p, -1, p)
-    x3 = 2 * x * y % p * (inv_ab * b % p) % p
-    y3 = (yy - xx) % p * (inv_ab * a % p) % p
-    return x3, y3
+def _add(p, X1, Y1, Z1, T1, x2, y2, s2, u2):
+    # add-2008-hwcd, Z2 = 1: 8 multiplications. F and G are
+    # Z1*(1 -+ d*x1*x2*y1*y2), never zero on curve points.
+    A = X1 * x2 % p
+    B = Y1 * y2 % p
+    C = T1 * u2 % p
+    E = ((X1 + Y1) * s2 - A - B) % p
+    F = Z1 - C
+    G = Z1 + C
+    H = B - A
+    return E * F % p, G * H % p, F * G % p, E * H % p
+
+
+def _dbl(p, X, Y, Z):
+    # dbl-2008-hwcd: 8 multiplications, T not read. G and F are
+    # Z^2*(x^2+y^2) and -Z^2*(2-x^2-y^2), never zero on curve points.
+    A = X * X % p
+    B = Y * Y % p
+    E = 2 * X * Y % p
+    G = A + B
+    F = G - 2 * Z * Z
+    H = A - B
+    return E * F % p, G * H % p, F * G % p, E * H % p
+
+
+def _affine(curve, X, Y, Z, ctr) -> "Point":
+    p = curve.p
+    zi = pow(Z, -1, p)
+    if ctr is not None:
+        ctr.inversions += 1
+    return Point(X * zi % p, Y * zi % p, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +310,10 @@ class Point:
         if ctr is not None:
             ctr.point_adds += 1
         c = self.curve
-        x, y = _add_xy(c.p, c.d, self.x, self.y, other.x, other.y)
-        return Point(x, y, c)
+        p = c.p
+        x, y = self.x, self.y
+        X, Y, Z, _ = _add(p, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
+        return _affine(c, X, Y, Z, ctr)
 
     def __neg__(self):
         return Point(-self.x % self.curve.p, self.y, self.curve)
@@ -294,20 +328,43 @@ class Point:
         if ctr is not None:
             ctr.point_doubles += 1
         c = self.curve
-        x, y = _dbl_xy(c.p, self.x, self.y)
-        return Point(x, y, c)
+        X, Y, Z, _ = _dbl(c.p, self.x, self.y, 1)
+        return _affine(c, X, Y, Z, ctr)
 
     def precompute(self) -> "Point":
         """Cache the doubling ladder so repeated multiples cost only adds.
+
+        Entry i is 2^i * self in the cached form (x, y, x + y, d*x*y), so
+        each ladder step is one 8-multiplication mixed addition. The
+        doublings run in extended coordinates and share one inversion
+        (Montgomery's trick) to come back to affine form.
 
         Worth it for long-lived bases (the generator, a public key); a point
         multiplied once gains nothing.
         """
         if self._ladder is None:
             c = self.curve
-            lad = [(self.x, self.y)]
+            p, d = c.p, c.d
+            ext = [(self.x, self.y, 1)]
             for _ in range(c.q.bit_length() - 1):
-                lad.append(_dbl_xy(c.p, *lad[-1]))
+                ext.append(_dbl(p, *ext[-1])[:3])
+            # prefix[i] = Z_0 * ... * Z_i; walking back from the inverse of
+            # the full product peels off one 1/Z_i per entry
+            prefix = []
+            acc = 1
+            for _, _, Z in ext:
+                acc = acc * Z % p
+                prefix.append(acc)
+            inv = pow(acc, -1, p)
+            ctr = _active_counter.get()
+            if ctr is not None:
+                ctr.inversions += 1
+            lad = [None] * len(ext)
+            for i in range(len(ext) - 1, -1, -1):
+                X, Y, Z = ext[i]
+                zi = inv * prefix[i - 1] % p if i else inv
+                inv = inv * Z % p
+                lad[i] = _cache(p, d, X * zi % p, Y * zi % p)
             self._ladder = lad
         return self
 
@@ -330,7 +387,7 @@ class Point:
         c = self.curve
         if k == 0:
             return c.neutral()
-        p, d = c.p, c.d
+        p = c.p
         if self._ladder is not None:
             lad = self._ladder
             acc = None
@@ -339,28 +396,30 @@ class Point:
             while k:
                 if k & 1:
                     if acc is None:
-                        acc = lad[i]
+                        x, y = lad[i][0], lad[i][1]
+                        acc = (x, y, 1, x * y % p)
                     else:
-                        acc = _add_xy(p, d, acc[0], acc[1], *lad[i])
+                        acc = _add(p, *acc, *lad[i])
                         adds += 1
                 k >>= 1
                 i += 1
             if ctr is not None:
                 ctr.inner_adds += adds
-            return Point(acc[0], acc[1], c)
+            return _affine(c, acc[0], acc[1], acc[2], ctr)
         # plain left-to-right double-and-add
-        ax, ay = self.x, self.y
+        q2 = _cache(p, c.d, self.x, self.y)
+        X, Y, Z, T = self.x, self.y, 1, self.x * self.y % p
         dbls = adds = 0
         for bit in bin(k)[3:]:
-            ax, ay = _dbl_xy(p, ax, ay)
+            X, Y, Z, T = _dbl(p, X, Y, Z)
             dbls += 1
             if bit == "1":
-                ax, ay = _add_xy(p, d, ax, ay, self.x, self.y)
+                X, Y, Z, T = _add(p, X, Y, Z, T, *q2)
                 adds += 1
         if ctr is not None:
             ctr.inner_doubles += dbls
             ctr.inner_adds += adds
-        return Point(ax, ay, c)
+        return _affine(c, X, Y, Z, ctr)
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -568,6 +627,9 @@ def enumerate_points(curve: CurveParams) -> list[Point]:
     roots: dict[int, list[int]] = {}
     for y in range(p):
         roots.setdefault(y * y % p, []).append(y)
+    ctr = _active_counter.get()
+    if ctr is not None:
+        ctr.inversions += p
     pts = []
     for x in range(p):
         num = (1 - x * x) % p
@@ -589,11 +651,15 @@ def dlp_bruteforce(target: Point, base: Point) -> Scalar:
     if curve.p > MAX_ENUMERABLE_P:
         raise ValueError(f"brute force capped at p <= {MAX_ENUMERABLE_P}")
     target._same_curve(base)
-    ax, ay = 0, 1
+    p = curve.p
+    tx, ty = target.x, target.y
+    step = _cache(p, curve.d, base.x, base.y)
+    X, Y, Z, T = 0, 1, 1, 0
     for k in range(curve.q):
-        if ax == target.x and ay == target.y:
+        # (X:Y:Z) == (tx, ty) compared by cross-multiplying, no inversion
+        if X == tx * Z % p and Y == ty * Z % p:
             return Scalar(k, curve.q)
-        ax, ay = _add_xy(curve.p, curve.d, ax, ay, base.x, base.y)
+        X, Y, Z, T = _add(p, X, Y, Z, T, *step)
     raise ValueError("target is not in the subgroup generated by base")
 
 

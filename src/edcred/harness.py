@@ -111,21 +111,6 @@ def simulate_issue(h_i: Scalar, params: SystemParams, rng) -> tuple[Point, Scala
     return r_i, s_i
 
 
-class RandomOracle:
-    """Recording map from attribute labels to hash values, the bookkeeping
-    device of the forgery game."""
-
-    def __init__(self, params: SystemParams, rng):
-        self._params = params
-        self._rng = rng
-        self.seen: dict = {}
-
-    def query(self, label) -> Scalar:
-        if label not in self.seen:
-            self.seen[label] = self._params.curve.random_nonzero(self._rng)
-        return self.seen[label]
-
-
 def attempt_master_binding(h_i: Scalar, r_point: Point, params: SystemParams, rng) -> bool:
     """Do what a keyless forger can: pick a fresh witness, commit to it and
     prove knowledge. The proof always verifies; what never holds is the

@@ -214,6 +214,66 @@ def test_dlp_bruteforce_roundtrip(toy):
         assert dlp_bruteforce(k * toy.base, toy.base) == Scalar(k, toy.q)
 
 
+# -- extended-coordinate paths -----------------------------------------------
+
+def affine_mul(k, pt):
+    """Left-to-right double-and-add with the textbook affine law."""
+    c = pt.curve
+    if k == 0:
+        return c.neutral()
+    acc = pt
+    for bit in bin(k)[3:]:
+        acc = oracle_add(c, acc, acc)
+        if bit == "1":
+            acc = oracle_add(c, acc, pt)
+    return acc
+
+
+def test_plain_mul_every_toy_point(toy):
+    # all 1048 points, torsion parts included: Point.decode accepts them
+    rng = make_rng("everypoint")
+    for pt in enumerate_points(toy):
+        k = rng.randrange(0, toy.q)
+        assert k * pt == oracle_mul(k, pt)
+
+
+def test_ladder_mul_non_base_toy_points(toy):
+    rng = make_rng("ladderpoints")
+    pts = enumerate_points(toy)
+    chosen = [Point(1, 0, toy), Point(0, toy.p - 1, toy), toy.neutral()]
+    chosen += [rng.choice(pts) for _ in range(4)]
+    for pt in chosen:
+        lad = Point(pt.x, pt.y, toy).precompute()
+        for k in range(toy.q):
+            assert k * lad == oracle_mul(k, pt)
+
+
+def test_production_edge_scalars_both_paths(prod):
+    rng = make_rng("edgescalars")
+    q = prod.q
+    scalars = [1, 2, q - 1, 2**248 % q, (2**249 - 1) % q]
+    scalars += [rng.randrange(1, q) for _ in range(3)]
+    other = rng.randrange(1, q) * prod.base
+    for base in (prod.base, other):
+        plain = Point(base.x, base.y, prod)
+        ladder = Point(base.x, base.y, prod).precompute()
+        for k in scalars:
+            expect = affine_mul(k, base)
+            assert k * plain == expect
+            assert k * ladder == expect
+
+
+def test_ladder_entries_are_repeated_doublings(toy, prod):
+    for c in (toy, prod):
+        p, d = c.p, c.d
+        lad = c.base.precompute()._ladder
+        assert len(lad) == c.q.bit_length()
+        cur = c.base
+        for entry in lad:
+            assert entry == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
+            cur = oracle_add(c, cur, cur)
+
+
 # -- Scalar ------------------------------------------------------------------
 
 def test_scalar_field_arithmetic(toy):
@@ -298,6 +358,30 @@ def test_opcounter_ladder_internals_do_not_leak(toy):
     assert ops.scalar_mults == 1
     assert ops.point_adds == 0 and ops.point_doubles == 0
     assert ops.inner_doubles > 0
+
+
+def test_opcounter_one_inversion_per_operation(toy, prod):
+    for c in (toy, prod):
+        k = c.q - 2
+        plain = Point(c.base.x, c.base.y, c)
+        for pt in (c.base, plain):
+            with OpCounter() as ops:
+                _ = k * pt
+            assert ops.inversions == 1 and ops.scalar_mults == 1
+        with OpCounter() as ops:
+            _ = 0 * c.base
+        assert ops.inversions == 0
+        with OpCounter() as ops:
+            plain.precompute()
+            plain.precompute()  # cached: no second build
+        assert ops.inversions == 1 and ops.scalar_mults == 0
+        with OpCounter() as ops:
+            _ = c.base + plain
+        assert ops.inversions == 1 and ops.point_adds == 1
+        with OpCounter() as ops:
+            _ = c.base.double()
+        assert ops.inversions == 1 and ops.point_doubles == 1
+        assert ops.as_dict()["inversions"] == 1
 
 
 def test_opcounter_nesting_redirects(toy):
