@@ -13,9 +13,19 @@ extended coordinates (X:Y:Z:T) with x = X/Z, y = Y/Z, T = XY/Z (Hisil, Wong,
 Carter, Dawson, "Twisted Edwards curves revisited", 2008), using the unified
 addition add-2008-hwcd and the doubling dbl-2008-hwcd with a = 1. Their Z
 denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
-2 - x^2 - y^2 for a doubling, so they are as complete as the affine law. Each
-scalar multiplication, addition or doubling pays one field inversion, at the
+2 - x^2 - y^2 for a doubling, so they are as complete as the affine law.
+Each scalar multiplication or addition pays one field inversion, at the
 end, to return to affine form.
+
+Scalar multiplication takes one of two paths. A long-lived base (the
+generator, a public key) calls precompute() once and is then multiplied by
+a signed radix-16 comb over four interleaved levels (Lim and Lee, CRYPTO
+1994): about 59 mixed additions and 12 doublings per multiple. Any other
+point is multiplied by a width-4 wNAF (Hankerson, Menezes, Vanstone, "Guide
+to Elliptic Curve Cryptography", Alg. 3.36): about 250 doublings and 50
+additions. Both only add and double with the complete formulas, so
+neither needs a case for the neutral point, a torsion point or an addition
+whose two operands are equal.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -80,13 +90,17 @@ def is_probable_prime(n: int) -> bool:
 class OpCounter:
     """Tallies group operations while installed via ``with``.
 
-    scalar_mults, point_adds and point_doubles count protocol-level calls:
-    one scalar_mults tick per k*P regardless of how the ladder runs, one
-    point_adds tick per explicit addition. The ladder's internal steps land
-    in inner_adds / inner_doubles and stay out of the headline numbers.
-    inversions counts field inversions mod p: one per nonzero k*P, addition
-    or doubling (the return to affine form), one per ladder build and one
-    per x that enumerate_points solves for.
+    scalar_mults and point_adds count protocol-level calls: one
+    scalar_mults tick per k*P however the multiplication runs, one
+    point_adds tick per explicit addition. The internal steps of a
+    multiplication land in inner_adds / inner_doubles and stay out of the
+    headline numbers: a multiple of a precomputed base adds one table entry
+    per nonzero comb digit and doubles between levels; any other multiple
+    doubles once per wNAF digit and adds once per nonzero digit, plus one
+    doubling and three additions for its table of odd multiples.
+    inversions counts field inversions mod p: one per nonzero k*P or
+    addition (the return to affine form), one per precompute() and one per
+    x that enumerate_points solves for.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -97,7 +111,6 @@ class OpCounter:
     __slots__ = (
         "scalar_mults",
         "point_adds",
-        "point_doubles",
         "inner_adds",
         "inner_doubles",
         "inversions",
@@ -111,7 +124,6 @@ class OpCounter:
     def reset(self) -> None:
         self.scalar_mults = 0
         self.point_adds = 0
-        self.point_doubles = 0
         self.inner_adds = 0
         self.inner_doubles = 0
         self.inversions = 0
@@ -128,53 +140,170 @@ class OpCounter:
         return {
             "scalar_mults": self.scalar_mults,
             "point_adds": self.point_adds,
-            "point_doubles": self.point_doubles,
             "inner_adds": self.inner_adds,
             "inner_doubles": self.inner_doubles,
             "inversions": self.inversions,
         }
 
     def __repr__(self):
-        return (
-            f"OpCounter(Ms={self.scalar_mults}, Ap={self.point_adds}, "
-            f"Dp={self.point_doubles})"
-        )
+        return f"OpCounter(Ms={self.scalar_mults}, Ap={self.point_adds})"
 
 
 # ---------------------------------------------------------------------------
 # extended-coordinate formulas on int tuples (a = 1)
 #
 # A point in extended form is (X, Y, Z, T). The second operand of an addition
-# is always affine, in the cached form (x, y, x + y, d*x*y) that _cache
-# builds, so the addition is the mixed case Z2 = 1 of add-2008-hwcd.
+# is cached: (x, y, x + y, d*x*y) for an affine point, which _cache builds,
+# or (X, Y, X + Y, d*T, Z) for an extended one, which _cache_ext builds.
+# Only an addition reads T, so a step whose result is next doubled or
+# returned to affine form passes need_t=False and skips that product.
+
+# Fixed-base comb: radix 2^_W digits, _LEVELS interleaved levels. Digit i
+# of k weighs 2^(_W*i); row j of a table holds m * 2^(_W*_LEVELS*j) * B for
+# m = 1..2^(_W-1), so digit _LEVELS*j + level is row j's entry at that level.
+_W = 4
+_LEVELS = 4
+# Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
+_WNAF = 4
+
 
 def _cache(p, d, x, y):
     return x, y, (x + y) % p, d * x % p * y % p
 
 
-def _add(p, X1, Y1, Z1, T1, x2, y2, s2, u2):
-    # add-2008-hwcd, Z2 = 1: 8 multiplications. F and G are
-    # Z1*(1 -+ d*x1*x2*y1*y2), never zero on curve points.
+def _cache_ext(p, d, X, Y, Z, T):
+    return X, Y, (X + Y) % p, d * T % p, Z
+
+
+def _neg(p, x, y, s, u, z=1):
+    # the cached form of -(x, y) = (-x, y); reduced by the next product
+    return p - x, y, y - x, p - u, z
+
+
+def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, s2, u2, z2=1):
+    # add-2008-hwcd: 9 multiplications, 8 when the second operand is affine,
+    # one fewer without T. F and G are Z1*Z2*(1 -+ d*x1*x2*y1*y2), never
+    # zero on curve points.
     A = X1 * x2 % p
     B = Y1 * y2 % p
     C = T1 * u2 % p
+    D = Z1 if z2 == 1 else Z1 * z2 % p
     E = ((X1 + Y1) * s2 - A - B) % p
-    F = Z1 - C
-    G = Z1 + C
+    F = D - C
+    G = D + C
     H = B - A
-    return E * F % p, G * H % p, F * G % p, E * H % p
+    return E * F % p, G * H % p, F * G % p, E * H % p if need_t else None
 
 
-def _dbl(p, X, Y, Z):
-    # dbl-2008-hwcd: 8 multiplications, T not read. G and F are
-    # Z^2*(x^2+y^2) and -Z^2*(2-x^2-y^2), never zero on curve points.
+def _dbl(p, need_t, X, Y, Z):
+    # dbl-2008-hwcd: 8 multiplications, 7 without T; the input's T is not
+    # read. G and F are Z^2*(x^2+y^2) and -Z^2*(2-x^2-y^2), never zero on
+    # curve points.
     A = X * X % p
     B = Y * Y % p
     E = 2 * X * Y % p
     G = A + B
     F = G - 2 * Z * Z
     H = A - B
-    return E * F % p, G * H % p, F * G % p, E * H % p
+    return E * F % p, G * H % p, F * G % p, E * H % p if need_t else None
+
+
+def _signed_digits(k, n):
+    """k as n digits in [1 - 2^(_W-1), 2^(_W-1)], least significant first.
+
+    A digit above 2^(_W-1) becomes digit - 2^_W and carries one into the
+    next. k < 2^b needs b // _W + 1 digits: the top digit and its carry
+    stay within 2^(_W-1).
+    """
+    half, mask = 1 << (_W - 1), (1 << _W) - 1
+    out = []
+    for _ in range(n):
+        dgt = k & mask
+        if dgt > half:
+            dgt -= 1 << _W
+        out.append(dgt)
+        k = (k - dgt) >> _W
+    return out
+
+
+def _wnaf(k):
+    """Width-_WNAF NAF of k > 0, least significant first.
+
+    Nonzero digits are odd and at least _WNAF positions apart; the top
+    digit is positive.
+    """
+    half, mask = 1 << (_WNAF - 1), (1 << _WNAF) - 1
+    out = []
+    while k:
+        if k & 1:
+            dgt = k & mask
+            if dgt > half:
+                dgt -= 1 << _WNAF
+            k -= dgt
+        else:
+            dgt = 0
+        out.append(dgt)
+        k >>= 1
+    return out
+
+
+def _mul_table(p, table, k):
+    """k*B from B's comb table, 0 < k < q; returns (X, Y, Z, doubles, adds).
+
+    Horner over the levels: at each level from the top down, multiply the
+    sum so far by 2^_W, then add one row entry per nonzero digit of that
+    level, negated for a negative digit.
+    """
+    digits = _signed_digits(k, len(table) * _LEVELS)
+    X = None
+    dbls = adds = 0
+    for level in range(_LEVELS - 1, -1, -1):
+        if X is not None:
+            for i in range(1, _W + 1):
+                X, Y, Z, T = _dbl(p, i == _W, X, Y, Z)
+            dbls += _W
+        for dgt, row in zip(digits[level::_LEVELS], table):
+            if not dgt:
+                continue
+            e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
+            if X is None:
+                X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
+            else:
+                X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
+                adds += 1
+    return X, Y, Z, dbls, adds
+
+
+def _mul_wnaf(p, d, x, y, k):
+    """k*(x, y) for k > 0 by the width-_WNAF NAF; returns (X, Y, Z, doubles, adds).
+
+    The odd multiples Q, 3Q, ... stay extended, so they are added with the
+    general Z2 and the whole multiplication still inverts once.
+    """
+    X, Y, Z, T = _dbl(p, True, x, y, 1)
+    two = _cache_ext(p, d, X, Y, Z, T)
+    odd = [(x, y, 1, x * y % p)]
+    for _ in range((1 << (_WNAF - 2)) - 1):
+        odd.append(_add(p, True, *odd[-1], *two))
+    # indexed by digit; a negative digit indexes from the end
+    lut = [None] * (1 << _WNAF)
+    for i, pt in enumerate(odd):
+        e = _cache_ext(p, d, *pt)
+        lut[2 * i + 1] = e
+        lut[-2 * i - 1] = _neg(p, *e)
+    naf = _wnaf(k)
+    X, Y, Z, T = odd[naf.pop() >> 1]
+    adds = len(odd) - 1
+    # nonzero digits are _WNAF apart, so an addition is always followed by
+    # a doubling and never needs its T
+    for dgt in reversed(naf):
+        if dgt:
+            X, Y, Z, T = _dbl(p, True, X, Y, Z)
+            X, Y, Z, T = _add(p, False, X, Y, Z, T, *lut[dgt])
+            adds += 1
+        else:
+            X, Y, Z, T = _dbl(p, False, X, Y, Z)
+    return X, Y, Z, len(naf) + 1, adds
 
 
 def _affine(curve, X, Y, Z, ctr) -> "Point":
@@ -278,13 +407,13 @@ class Scalar:
 class Point:
     """An affine point bound to its curve. Treat instances as immutable."""
 
-    __slots__ = ("x", "y", "curve", "_ladder")
+    __slots__ = ("x", "y", "curve", "_table")
 
     def __init__(self, x: int, y: int, curve: "CurveParams"):
         self.x = x
         self.y = y
         self.curve = curve
-        self._ladder = None
+        self._table = None
 
     def on_curve(self) -> bool:
         p = self.curve.p
@@ -312,7 +441,7 @@ class Point:
         c = self.curve
         p = c.p
         x, y = self.x, self.y
-        X, Y, Z, _ = _add(p, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
+        X, Y, Z, _ = _add(p, False, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
         return _affine(c, X, Y, Z, ctr)
 
     def __neg__(self):
@@ -323,49 +452,60 @@ class Point:
             return NotImplemented
         return self.__add__(-other)
 
-    def double(self) -> "Point":
-        ctr = _active_counter.get()
-        if ctr is not None:
-            ctr.point_doubles += 1
-        c = self.curve
-        X, Y, Z, _ = _dbl(c.p, self.x, self.y, 1)
-        return _affine(c, X, Y, Z, ctr)
-
     def precompute(self) -> "Point":
-        """Cache the doubling ladder so repeated multiples cost only adds.
+        """Build the comb table so repeated multiples cost few additions.
 
-        Entry i is 2^i * self in the cached form (x, y, x + y, d*x*y), so
-        each ladder step is one 8-multiplication mixed addition. The
-        doublings run in extended coordinates and share one inversion
-        (Montgomery's trick) to come back to affine form.
+        Row j holds m * 2^(16j) * self for m = 1..8 in the cached form
+        (x, y, x + y, d*x*y): 16 rows, 128 entries on curve1174, enough
+        rows for every digit of a scalar below q. A negative digit uses the
+        negated entry, so each nonzero digit of k costs one 8-multiplication
+        mixed addition. The rows are built in extended coordinates, with
+        additions for m = 2..8 and 13 doublings from 8 * 2^(16j) * self to
+        the next row, and share one inversion (Montgomery's trick) to come
+        back to affine form.
 
         Worth it for long-lived bases (the generator, a public key); a point
         multiplied once gains nothing.
         """
-        if self._ladder is None:
+        if self._table is None:
             c = self.curve
             p, d = c.p, c.d
-            ext = [(self.x, self.y, 1)]
-            for _ in range(c.q.bit_length() - 1):
-                ext.append(_dbl(p, *ext[-1])[:3])
+            half = 1 << (_W - 1)
+            rows = -(-(c.q.bit_length() // _W + 1) // _LEVELS)
+            # the next row's base, 2^(_W*_LEVELS) times this one's, is
+            # `shift` doublings from this row's last entry, half times it
+            shift = _W * _LEVELS - (_W - 1)
+            X, Y, Z, T = self.x, self.y, 1, self.x * self.y % p
+            ext = []
+            for j in range(rows):
+                if j:
+                    X, Y, Z, _ = ext[-1]
+                    for i in range(1, shift + 1):
+                        X, Y, Z, T = _dbl(p, i == shift, X, Y, Z)
+                step = _cache_ext(p, d, X, Y, Z, T)
+                pt = (X, Y, Z, T)
+                ext.append(pt)
+                for _ in range(half - 1):
+                    pt = _add(p, True, *pt, *step)
+                    ext.append(pt)
             # prefix[i] = Z_0 * ... * Z_i; walking back from the inverse of
             # the full product peels off one 1/Z_i per entry
             prefix = []
             acc = 1
-            for _, _, Z in ext:
-                acc = acc * Z % p
+            for e in ext:
+                acc = acc * e[2] % p
                 prefix.append(acc)
             inv = pow(acc, -1, p)
             ctr = _active_counter.get()
             if ctr is not None:
                 ctr.inversions += 1
-            lad = [None] * len(ext)
+            flat = [None] * len(ext)
             for i in range(len(ext) - 1, -1, -1):
-                X, Y, Z = ext[i]
+                X, Y, Z, _ = ext[i]
                 zi = inv * prefix[i - 1] % p if i else inv
                 inv = inv * Z % p
-                lad[i] = _cache(p, d, X * zi % p, Y * zi % p)
-            self._ladder = lad
+                flat[i] = _cache(p, d, X * zi % p, Y * zi % p)
+            self._table = [flat[i:i + half] for i in range(0, len(flat), half)]
         return self
 
     def __rmul__(self, k):
@@ -384,38 +524,21 @@ class Point:
         return self._mul_reduced(k, ctr)
 
     def _mul_reduced(self, k: int, ctr) -> "Point":
+        """k * self for 0 <= k < q, with one inversion when k is nonzero.
+
+        A precomputed base recodes k into signed radix-16 digits in [-7, 8]
+        and walks its comb table; any other point recodes k as a width-4
+        wNAF over its odd multiples. Both sum with the complete formulas
+        alone, so the neutral point, torsion points and intermediate sums
+        that meet a table entry need no special case.
+        """
         c = self.curve
         if k == 0:
             return c.neutral()
-        p = c.p
-        if self._ladder is not None:
-            lad = self._ladder
-            acc = None
-            i = 0
-            adds = 0
-            while k:
-                if k & 1:
-                    if acc is None:
-                        x, y = lad[i][0], lad[i][1]
-                        acc = (x, y, 1, x * y % p)
-                    else:
-                        acc = _add(p, *acc, *lad[i])
-                        adds += 1
-                k >>= 1
-                i += 1
-            if ctr is not None:
-                ctr.inner_adds += adds
-            return _affine(c, acc[0], acc[1], acc[2], ctr)
-        # plain left-to-right double-and-add
-        q2 = _cache(p, c.d, self.x, self.y)
-        X, Y, Z, T = self.x, self.y, 1, self.x * self.y % p
-        dbls = adds = 0
-        for bit in bin(k)[3:]:
-            X, Y, Z, T = _dbl(p, X, Y, Z)
-            dbls += 1
-            if bit == "1":
-                X, Y, Z, T = _add(p, X, Y, Z, T, *q2)
-                adds += 1
+        if self._table is not None:
+            X, Y, Z, dbls, adds = _mul_table(c.p, self._table, k)
+        else:
+            X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, self.x, self.y, k)
         if ctr is not None:
             ctr.inner_doubles += dbls
             ctr.inner_adds += adds
@@ -659,7 +782,7 @@ def dlp_bruteforce(target: Point, base: Point) -> Scalar:
         # (X:Y:Z) == (tx, ty) compared by cross-multiplying, no inversion
         if X == tx * Z % p and Y == ty * Z % p:
             return Scalar(k, curve.q)
-        X, Y, Z, T = _add(p, X, Y, Z, T, *step)
+        X, Y, Z, T = _add(p, True, X, Y, Z, T, *step)
     raise ValueError("target is not in the subgroup generated by base")
 
 

@@ -134,7 +134,7 @@ def test_group_laws_sampled(toy):
         assert (a + b) + c == a + (b + c)
         assert a + toy.neutral() == a
         assert a + (-a) == toy.neutral()
-        assert a.double() == a + a
+        assert 2 * Point(a.x, a.y, toy) == a + a
 
 
 def test_completeness_no_exceptional_denominators(toy):
@@ -171,8 +171,8 @@ def test_scalar_mul_small_k_oracle(toy):
 
 def test_scalar_mul_random_k_both_paths(toy):
     rng = make_rng("mulpaths")
-    plain = Point(toy.base.x, toy.base.y, toy)  # no ladder attached
-    assert plain._ladder is None and toy.base._ladder is not None
+    plain = Point(toy.base.x, toy.base.y, toy)  # no table attached
+    assert plain._table is None and toy.base._table is not None
     for _ in range(100):
         k = rng.randrange(0, toy.q)
         expect = oracle_mul(k, plain)
@@ -252,6 +252,12 @@ def test_production_edge_scalars_both_paths(prod):
     rng = make_rng("edgescalars")
     q = prod.q
     scalars = [1, 2, q - 1, 2**248 % q, (2**249 - 1) % q]
+    # comb recoding: every hex digit 8, which stays 8; every hex digit 9,
+    # which carries; 0x88...89, whose signed digits are all -7 with a
+    # carry; 2^248 - 1, whose carry runs into the top digit
+    scalars += [int("8" * 62, 16), int("9" * 62, 16), int("8" * 61 + "9", 16), 2**248 - 1]
+    # wNAF recoding: alternating bit patterns
+    scalars += [int("5" * 63, 16) % q, int("A" * 63, 16) % q]
     scalars += [rng.randrange(1, q) for _ in range(3)]
     other = rng.randrange(1, q) * prod.base
     for base in (prod.base, other):
@@ -263,15 +269,22 @@ def test_production_edge_scalars_both_paths(prod):
             assert k * ladder == expect
 
 
-def test_ladder_entries_are_repeated_doublings(toy, prod):
-    for c in (toy, prod):
+def test_table_entries_are_comb_multiples(toy, prod):
+    # row j holds m * 2^(16j) * B for m = 1..8, enough rows for the
+    # b // 4 + 1 radix-16 digits of a b-bit scalar, four digits per row
+    for c, rows in ((toy, 1), (prod, 16)):
         p, d = c.p, c.d
-        lad = c.base.precompute()._ladder
-        assert len(lad) == c.q.bit_length()
-        cur = c.base
-        for entry in lad:
-            assert entry == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
-            cur = oracle_add(c, cur, cur)
+        table = c.base.precompute()._table
+        assert len(table) == rows == -(-(c.q.bit_length() // 4 + 1) // 4)
+        row_base = c.base
+        for row in table:
+            assert len(row) == 8
+            cur = row_base
+            for entry in row:
+                assert entry == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
+                cur = oracle_add(c, cur, row_base)
+            for _ in range(16):
+                row_base = oracle_add(c, row_base, row_base)
 
 
 # -- Scalar ------------------------------------------------------------------
@@ -339,25 +352,35 @@ def test_opcounter_basic(toy):
     with OpCounter() as ops:
         _ = 5 * toy.base
         _ = toy.base + toy.base
-        _ = toy.base.double()
     assert ops.scalar_mults == 1
     assert ops.point_adds == 1
-    assert ops.point_doubles == 1
 
 
-def test_opcounter_ladder_internals_do_not_leak(toy):
-    with OpCounter() as ops:
-        _ = 100 * toy.base  # ladder path: inner adds only
-    assert ops.scalar_mults == 1
-    assert ops.point_adds == 0 and ops.point_doubles == 0
-    assert ops.inner_adds > 0 and ops.inner_doubles == 0
-
+def test_opcounter_internal_steps_do_not_leak(toy):
     plain = Point(toy.base.x, toy.base.y, toy)
+    for pt in (toy.base, plain):  # comb table, then wNAF
+        with OpCounter() as ops:
+            _ = 100 * pt
+        assert ops.scalar_mults == 1
+        assert ops.point_adds == 0
+        assert ops.inner_adds > 0 and ops.inner_doubles > 0
+
+
+def test_opcounter_inner_steps_for_q_minus_1(prod):
+    # q - 1 = 2^249 - c with c < 2^124, so its top bits are ones, which
+    # recode to zero digits and one carry.
+    # Comb: 29 nonzero radix-16 digits, the first loaded rather than added,
+    # and 4 doublings before each of the levels 2, 1, 0.
+    k = prod.q - 1
     with OpCounter() as ops:
-        _ = 100 * plain  # plain path: inner doubles too
-    assert ops.scalar_mults == 1
-    assert ops.point_adds == 0 and ops.point_doubles == 0
-    assert ops.inner_doubles > 0
+        _ = k * prod.base
+    assert (ops.inner_adds, ops.inner_doubles) == (28, 12)
+    # wNAF: 250 digits, 27 nonzero: 249 doublings and 26 additions after
+    # the top digit, plus one doubling and three additions for 3Q, 5Q, 7Q.
+    plain = Point(prod.base.x, prod.base.y, prod)
+    with OpCounter() as ops:
+        _ = k * plain
+    assert (ops.inner_adds, ops.inner_doubles) == (29, 250)
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):
@@ -378,9 +401,6 @@ def test_opcounter_one_inversion_per_operation(toy, prod):
         with OpCounter() as ops:
             _ = c.base + plain
         assert ops.inversions == 1 and ops.point_adds == 1
-        with OpCounter() as ops:
-            _ = c.base.double()
-        assert ops.inversions == 1 and ops.point_doubles == 1
         assert ops.as_dict()["inversions"] == 1
 
 
