@@ -14,99 +14,44 @@ Typical round trip:
     assert check_equation(signature_of(cred), params)
 """
 
-from .curve import (
-    CurveParams,
-    OpCounter,
-    Point,
-    Scalar,
-    curve_by_name,
-    production_curve,
-    toy_curve,
-)
-from .credential import (
-    PresentationToken,
-    check_equation,
-    make_presentation,
-    randomize,
-    signature_of,
-    verify_presentation,
-    verify_signature,
-)
-from .disclosure import DisclosureToken, present, verify_disclosure
-from .errors import (
-    InvalidProofError,
-    IssuerMisbehavior,
-    ProtocolError,
-    RngError,
-    SessionError,
-    WireError,
-)
-from .harness import blindness_crosscheck, opcount_bench, render_table, simulate_issue
-from .hashing import attr_to_scalar, hash_block, hash_points
-from .issuance import (
-    Credential,
-    issuer_start,
-    user_blind,
-    user_unblind,
-)
-from .params import IssuerKey, SystemParams, setup, validate_params
-from .protocol import IssuerEngine, UserEngine, request_issuance, run_issuance, serve_issuance
-from .schnorr import fs_prove, fs_verify, pk_commit, pk_respond, pk_verify
-from .wire import Transcript, WireMessage, decode_message, encode_message
+from importlib import import_module
+
+# Every public name and the submodule that defines it. They load on first
+# use (PEP 562), so `from edcred.params import setup` compiles the modules
+# set-up needs and not the protocol, harness or command line.
+_EXPORTS = {
+    "curve": ("CurveParams", "OpCounter", "Point", "Scalar", "curve_by_name",
+              "production_curve", "toy_curve"),
+    "credential": ("PresentationToken", "check_equation", "make_presentation", "randomize",
+                   "signature_of", "verify_presentation", "verify_signature"),
+    "disclosure": ("DisclosureToken", "present", "verify_disclosure"),
+    "errors": ("InvalidProofError", "IssuerMisbehavior", "ProtocolError", "RngError",
+               "SessionError", "WireError"),
+    "harness": ("blindness_crosscheck", "opcount_bench", "render_table", "simulate_issue"),
+    "hashing": ("attr_to_scalar", "hash_block", "hash_points"),
+    "issuance": ("Credential", "issuer_start", "user_blind", "user_unblind"),
+    "params": ("IssuerKey", "SystemParams", "setup", "validate_params"),
+    "protocol": ("IssuerEngine", "UserEngine", "request_issuance", "run_issuance",
+                 "serve_issuance"),
+    "schnorr": ("fs_prove", "fs_verify", "pk_commit", "pk_respond", "pk_verify"),
+    "wire": ("Transcript", "WireMessage", "decode_message", "encode_message"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurveParams",
-    "Credential",
-    "DisclosureToken",
-    "InvalidProofError",
-    "IssuerEngine",
-    "IssuerKey",
-    "IssuerMisbehavior",
-    "OpCounter",
-    "Point",
-    "PresentationToken",
-    "ProtocolError",
-    "RngError",
-    "Scalar",
-    "SessionError",
-    "SystemParams",
-    "Transcript",
-    "UserEngine",
-    "WireError",
-    "WireMessage",
-    "attr_to_scalar",
-    "blindness_crosscheck",
-    "check_equation",
-    "curve_by_name",
-    "decode_message",
-    "encode_message",
-    "fs_prove",
-    "fs_verify",
-    "hash_block",
-    "hash_points",
-    "issuer_start",
-    "make_presentation",
-    "opcount_bench",
-    "pk_commit",
-    "pk_respond",
-    "pk_verify",
-    "present",
-    "production_curve",
-    "randomize",
-    "render_table",
-    "request_issuance",
-    "run_issuance",
-    "serve_issuance",
-    "setup",
-    "signature_of",
-    "simulate_issue",
-    "toy_curve",
-    "user_blind",
-    "user_unblind",
-    "validate_params",
-    "verify_disclosure",
-    "verify_presentation",
-    "verify_signature",
-]
+__all__ = sorted(_HOME)

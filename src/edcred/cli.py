@@ -28,7 +28,6 @@ from .credential import PresentationToken, make_presentation, verify_presentatio
 from .curve import Scalar, curve_by_name
 from .disclosure import DisclosureToken, present as build_disclosure, verify_disclosure
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
-from .harness import opcount_bench, render_table
 from .hashing import attr_to_scalar
 from .issuance import Credential
 from .params import IssuerKey, SystemParams, setup, validate_params
@@ -56,8 +55,9 @@ def _load_params(dirpath) -> SystemParams:
     return SystemParams.load(os.path.join(dirpath, PARAMS_FILE))
 
 
-def _load_issuer(dirpath):
-    return IssuerKey.load(os.path.join(dirpath, ISSUER_KEY_FILE))
+def _load_issuer(dirpath, params) -> IssuerKey:
+    # checked against params.txt, not parsed a second time
+    return IssuerKey.load(os.path.join(dirpath, ISSUER_KEY_FILE), params)[1]
 
 
 def _read_labels(path) -> list:
@@ -125,7 +125,7 @@ def cmd_issue(args) -> int:
                 conn, params, attrs, user_rng, interactive=args.interactive
             )
     else:
-        _, key = _load_issuer(args.params)
+        key = _load_issuer(args.params, params)
         issuer_rng = _rng(args.seed, "issuer")
         cred, transcript = run_issuance(
             params, key, attrs, issuer_rng, user_rng, interactive=args.interactive
@@ -142,7 +142,7 @@ def cmd_issue(args) -> int:
 
 def cmd_serve(args) -> int:
     params = _load_params(args.params)
-    _, key = _load_issuer(args.params)
+    key = _load_issuer(args.params, params)
     rng = _rng(args.seed, "issuer")
     if os.path.exists(args.listen):
         os.unlink(args.listen)
@@ -217,6 +217,8 @@ def cmd_present(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .harness import opcount_bench, render_table
+
     rng = _rng(args.seed, "bench")
     params, key = setup(curve_by_name(args.curve), rng)
     rows = []

@@ -19,8 +19,8 @@ end, to return to affine form.
 
 Scalar multiplication takes one of two paths. A long-lived base (the
 generator, a public key) calls precompute() once and is then multiplied by
-a signed radix-16 comb over four interleaved levels (Lim and Lee, CRYPTO
-1994): about 59 mixed additions and 12 doublings per multiple. Any other
+a signed radix-64 comb over three interleaved levels (Lim and Lee, CRYPTO
+1994): about 41 mixed additions and 12 doublings per multiple. Any other
 point is multiplied by a width-4 wNAF (Hankerson, Menezes, Vanstone, "Guide
 to Elliptic Curve Cryptography", Alg. 3.36): about 250 doublings and 50
 additions. Both only add and double with the complete formulas, so
@@ -36,7 +36,6 @@ silent modulus mixup would be the expensive bug.
 from __future__ import annotations
 
 import contextvars
-from importlib import resources
 
 from .errors import RngError
 
@@ -161,8 +160,8 @@ class OpCounter:
 # Fixed-base comb: radix 2^_W digits, _LEVELS interleaved levels. Digit i
 # of k weighs 2^(_W*i); row j of a table holds m * 2^(_W*_LEVELS*j) * B for
 # m = 1..2^(_W-1), so digit _LEVELS*j + level is row j's entry at that level.
-_W = 4
-_LEVELS = 4
+_W = 6
+_LEVELS = 3
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
 
@@ -198,12 +197,13 @@ def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, s2, u2, z2=1):
 def _dbl(p, need_t, X, Y, Z):
     # dbl-2008-hwcd: 8 multiplications, 7 without T; the input's T is not
     # read. G and F are Z^2*(x^2+y^2) and -Z^2*(2-x^2-y^2), never zero on
-    # curve points.
+    # curve points. F is reduced so that E*F and F*G multiply field-sized
+    # operands, not the ~2*bits(p) Z*Z.
     A = X * X % p
     B = Y * Y % p
     E = 2 * X * Y % p
     G = A + B
-    F = G - 2 * Z * Z
+    F = (G - 2 * Z * Z) % p
     H = A - B
     return E * F % p, G * H % p, F * G % p, E * H % p if need_t else None
 
@@ -455,14 +455,14 @@ class Point:
     def precompute(self) -> "Point":
         """Build the comb table so repeated multiples cost few additions.
 
-        Row j holds m * 2^(16j) * self for m = 1..8 in the cached form
-        (x, y, x + y, d*x*y): 16 rows, 128 entries on curve1174, enough
+        Row j holds m * 2^(18j) * self for m = 1..32 in the cached form
+        (x, y, x + y, d*x*y): 14 rows, 448 entries on curve1174, enough
         rows for every digit of a scalar below q. A negative digit uses the
         negated entry, so each nonzero digit of k costs one 8-multiplication
         mixed addition. The rows are built in extended coordinates, with
-        additions for m = 2..8 and 13 doublings from 8 * 2^(16j) * self to
-        the next row, and share one inversion (Montgomery's trick) to come
-        back to affine form.
+        additions for m = 2..32 and 13 doublings from 32 * 2^(18j) * self
+        to the next row, and share one inversion (Montgomery's trick) to
+        come back to affine form.
 
         Worth it for long-lived bases (the generator, a public key); a point
         multiplied once gains nothing.
@@ -526,9 +526,9 @@ class Point:
     def _mul_reduced(self, k: int, ctr) -> "Point":
         """k * self for 0 <= k < q, with one inversion when k is nonzero.
 
-        A precomputed base recodes k into signed radix-16 digits in [-7, 8]
-        and walks its comb table; any other point recodes k as a width-4
-        wNAF over its odd multiples. Both sum with the complete formulas
+        A precomputed base recodes k into signed radix-64 digits in
+        [-31, 32] and walks its comb table; any other point recodes k as a
+        width-4 wNAF over its odd multiples. Both sum with the complete formulas
         alone, so the neutral point, torsion points and intermediate sums
         that meet a table entry need no special case.
         """
@@ -720,6 +720,10 @@ def toy_curve() -> CurveParams:
     non-residue whose curve has a prime-order subgroup of at least 100.
     """
     if "toy" not in _singletons:
+        # imported here: importlib.resources pulls in pathlib, zipfile and
+        # more, which no curve1174 process needs
+        from importlib import resources
+
         text = resources.files("edcred").joinpath("data/toy_curve.txt").read_text()
         c = CurveParams.parse_file(text)
         c.base.precompute()

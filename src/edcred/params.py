@@ -95,11 +95,21 @@ class IssuerKey:
             fh.write(self.format_file(params))
 
     @classmethod
-    def load(cls, path) -> tuple[SystemParams, "IssuerKey"]:
+    def load(cls, path, params: SystemParams | None = None) -> tuple[SystemParams, "IssuerKey"]:
+        """Read a key file, which repeats its deployment's params.
+
+        Given params already loaded (the deployment's params.txt), the
+        file's copy must state the same values, and is checked against them
+        rather than parsed into a second SystemParams, whose Ppub table
+        would be built again.
+        """
         with open(path) as fh:
             text = fh.read()
-        params = SystemParams.parse_file(text)
         fields = parse_kv(text, required=("x",))
+        if params is None:
+            params = SystemParams.parse_file(text)
+        elif any(fields.get(k) != v for k, v in parse_kv(params.format_file()).items()):
+            raise ValueError("key file: params differ from the deployment's")
         x = Scalar(int(fields["x"]), params.curve.q)
         if x.v == 0:
             raise ValueError("key file: x must be nonzero")

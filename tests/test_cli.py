@@ -65,6 +65,18 @@ def test_issue_reruns_byte_identical(deploy, tmp_path):
     assert (deploy[0] / "user.key").exists()
 
 
+def test_issue_refuses_params_of_another_deployment(deploy, tmp_path, capsys):
+    # params.txt and issuer.key must describe the same deployment
+    out, _ = deploy
+    other = tmp_path / "other"
+    assert main(["setup", "--curve", "toy", "--out", str(other), "--seed", "12"]) == 0
+    (out / "params.txt").write_bytes((other / "params.txt").read_bytes())
+    cred_file = tmp_path / "c.bin"
+    assert issue(deploy, cred_file) == 2
+    assert "params differ" in capsys.readouterr().err
+    assert not cred_file.exists()
+
+
 def test_issue_records_transcript(deploy, tmp_path):
     t_file = tmp_path / "t.bin"
     assert issue(deploy, tmp_path / "c.bin", extra=["--transcript", str(t_file)]) == 0

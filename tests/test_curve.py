@@ -252,10 +252,16 @@ def test_production_edge_scalars_both_paths(prod):
     rng = make_rng("edgescalars")
     q = prod.q
     scalars = [1, 2, q - 1, 2**248 % q, (2**249 - 1) % q]
-    # comb recoding: every hex digit 8, which stays 8; every hex digit 9,
-    # which carries; 0x88...89, whose signed digits are all -7 with a
-    # carry; 2^248 - 1, whose carry runs into the top digit
+    # radix-16 recodings: every hex digit 8, which stays 8; every hex digit
+    # 9, which carries; 0x88...89, all signed digits -7 with a carry;
+    # 2^248 - 1, whose carry runs into the top digit
     scalars += [int("8" * 62, 16), int("9" * 62, 16), int("8" * 61 + "9", 16), 2**248 - 1]
+    # radix-64 comb recodings: every digit 32, which stays 32 (the last
+    # entry of every row); every digit 33, which carries at each digit;
+    # 32...33, all signed digits -31 with the carry into the top digit;
+    # 2^246 - 1, whose -1 starts a carry chain through 40 zero digits
+    all32 = sum(32 << (6 * i) for i in range(41))
+    scalars += [all32, sum(33 << (6 * i) for i in range(41)), all32 + 1, 2**246 - 1]
     # wNAF recoding: alternating bit patterns
     scalars += [int("5" * 63, 16) % q, int("A" * 63, 16) % q]
     scalars += [rng.randrange(1, q) for _ in range(3)]
@@ -270,20 +276,20 @@ def test_production_edge_scalars_both_paths(prod):
 
 
 def test_table_entries_are_comb_multiples(toy, prod):
-    # row j holds m * 2^(16j) * B for m = 1..8, enough rows for the
-    # b // 4 + 1 radix-16 digits of a b-bit scalar, four digits per row
-    for c, rows in ((toy, 1), (prod, 16)):
+    # row j holds m * 2^(18j) * B for m = 1..32, enough rows for the
+    # b // 6 + 1 radix-64 digits of a b-bit scalar, three digits per row
+    for c, rows in ((toy, 1), (prod, 14)):
         p, d = c.p, c.d
         table = c.base.precompute()._table
-        assert len(table) == rows == -(-(c.q.bit_length() // 4 + 1) // 4)
+        assert len(table) == rows == -(-(c.q.bit_length() // 6 + 1) // 3)
         row_base = c.base
         for row in table:
-            assert len(row) == 8
+            assert len(row) == 32
             cur = row_base
             for entry in row:
                 assert entry == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
                 cur = oracle_add(c, cur, row_base)
-            for _ in range(16):
+            for _ in range(18):
                 row_base = oracle_add(c, row_base, row_base)
 
 
@@ -369,12 +375,14 @@ def test_opcounter_internal_steps_do_not_leak(toy):
 def test_opcounter_inner_steps_for_q_minus_1(prod):
     # q - 1 = 2^249 - c with c < 2^124, so its top bits are ones, which
     # recode to zero digits and one carry.
-    # Comb: 29 nonzero radix-16 digits, the first loaded rather than added,
-    # and 4 doublings before each of the levels 2, 1, 0.
+    # Comb: the 42 radix-64 digits are nonzero at 0..20 and at the top,
+    # 41, which the carry through the zero digits 21..40 takes from 7 to
+    # 8; 22 entries, the first loaded rather than added, and 6 doublings
+    # before each of the levels 1 and 0.
     k = prod.q - 1
     with OpCounter() as ops:
         _ = k * prod.base
-    assert (ops.inner_adds, ops.inner_doubles) == (28, 12)
+    assert (ops.inner_adds, ops.inner_doubles) == (21, 12)
     # wNAF: 250 digits, 27 nonzero: 249 doublings and 26 additions after
     # the top digit, plus one doubling and three additions for 3Q, 5Q, 7Q.
     plain = Point(prod.base.x, prod.base.y, prod)

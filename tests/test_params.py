@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import edcred
 from edcred.curve import Point, Scalar
 from edcred.params import IssuerKey, SystemParams, setup, validate_params
 
@@ -43,6 +48,18 @@ def test_issuer_key_file_roundtrip(tmp_path, toy_deploy):
     params2, key2 = IssuerKey.load(path)
     assert key2.x == key.x
     assert params2.digest() == params.digest()
+    # given the params, the file's copy is checked and the params reused
+    params3, key3 = IssuerKey.load(path, params)
+    assert params3 is params and key3.x == key.x
+
+
+def test_issuer_key_file_rejects_other_deployment(tmp_path, toy_deploy):
+    params, key = toy_deploy
+    other = setup(params.curve, make_rng("otherdeploy"))[0]
+    path = tmp_path / "issuer.key"
+    key.save(path, params)
+    with pytest.raises(ValueError, match="params differ"):
+        IssuerKey.load(path, other)
 
 
 def test_issuer_key_file_rejects_mismatched_x(tmp_path, toy_deploy):
@@ -100,3 +117,23 @@ def test_security_level_autofill(toy_deploy, prod_deploy):
     # generic-group estimate: half the subgroup bit length
     assert toy_deploy[0].k == toy_deploy[0].curve.q.bit_length() // 2
     assert prod_deploy[0].k == 124
+
+
+def test_params_import_is_lean():
+    # package exports load on first use, so set-up in a fresh process
+    # compiles neither the protocol engines nor the harness; every
+    # exported name still resolves
+    code = (
+        "import sys, edcred.params\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('edcred'))))\n"
+        "import edcred\n"
+        "assert all(getattr(edcred, n) is not None for n in edcred.__all__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(edcred.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "edcred.params" in loaded
+    assert "edcred.harness" not in loaded and "edcred.protocol" not in loaded
