@@ -23,7 +23,7 @@ _EXPORTS = {
     "curve": ("CurveParams", "OpCounter", "Point", "Scalar", "curve_by_name",
               "production_curve", "toy_curve"),
     "credential": ("PresentationToken", "check_equation", "make_presentation", "randomize",
-                   "signature_of", "verify_presentation", "verify_signature"),
+                   "signature_of", "verify_credential", "verify_presentation"),
     "disclosure": ("DisclosureToken", "present", "verify_disclosure"),
     "errors": ("InvalidProofError", "IssuerMisbehavior", "ProtocolError", "RngError",
                "SessionError", "WireError"),

@@ -3,9 +3,10 @@
 A signature triple (R, s, h) verifies through s * P == h * Ppub + R. Anyone
 holding one can re-randomize it: pick r, set s^ = s + r and R^ = R + r * P;
 the triple (R^, s^, h) verifies again and is unlinkable to the original as
-a pair, while h deliberately stays fixed. Verifiers always use the h they
-were handed and never recompute it, which is what keeps randomized triples
-verifiable.
+a pair, while h deliberately stays fixed. Verifiers of a triple use the h
+they were handed, which is what keeps randomized triples verifiable. Only
+whoever holds the attributes, as with a raw credential, can recompute
+h = prod H(m_i * P, R) and so tell an issued triple from a keyless one.
 
 A presentation token carries the triple, the master-secret commitment P_0
 and a proof of knowledge for it, all bound under one hash context so none
@@ -14,15 +15,14 @@ of the parts can be swapped out individually.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .curve import OpCounter, Point, Scalar
+from .curve import Point, Scalar
+from .hashing import hash_block
 from .issuance import Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify, transcript_size
-
-SESSION_ID_BYTES = 16
+from .wire import SESSION_ID_LEN
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,16 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
     return sig.s * curve.base == sig.h * params.p_pub + sig.r_point
 
 
-def verify_signature(
-    sig: PresentationSignature,
-    proof: SchnorrTranscript,
-    params: SystemParams,
-    *,
-    context: bytes = b"",
-    pk_ops: OpCounter | None = None,
-) -> bool:
-    """Equation plus master-secret proof; both must hold."""
-    if not check_equation(sig, params):
+def verify_credential(cred: Credential, params: SystemParams) -> bool:
+    """A raw credential: the equation and the binding h == prod H(m_i * P, R).
+
+    The equation alone accepts keyless triples (harness.simulate_issue);
+    the binding is what only an issued credential satisfies.
+    """
+    if not check_equation(signature_of(cred), params):
         return False
-    with pk_ops if pk_ops is not None else nullcontext():
-        return fs_verify(proof, context)
+    base = params.curve.base
+    return hash_block([m * base for m in cred.attrs], cred.r_point) == cred.h
 
 
 def randomize(
@@ -153,7 +150,7 @@ def make_presentation(
 ) -> PresentationToken:
     """Build a token from a credential, randomizing the triple by default."""
     if session_id is None:
-        session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "big")
+        session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
     sig = signature_of(cred)
     if fresh:
         sig = randomize(sig, params, rng)
@@ -163,11 +160,9 @@ def make_presentation(
     return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
 
 
-def verify_presentation(
-    token: PresentationToken,
-    params: SystemParams,
-    *,
-    pk_ops: OpCounter | None = None,
-) -> bool:
-    ctx = presentation_context(params, token.session_id, token.sig)
-    return verify_signature(token.sig, token.proof, params, context=ctx, pk_ops=pk_ops)
+def verify_presentation(token: PresentationToken, params: SystemParams) -> bool:
+    """Equation plus master-secret proof under the token's context; both
+    must hold."""
+    if not check_equation(token.sig, params):
+        return False
+    return fs_verify(token.proof, presentation_context(params, token.session_id, token.sig))

@@ -22,15 +22,15 @@ body, so a commitment and its proof cannot be swapped into another token.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .curve import OpCounter, Point, Scalar
+from .curve import Point, Scalar
 from .errors import WireError
 from .hashing import hash_points
 from .issuance import MAX_ATTRIBUTES, Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove_batch, fs_verify_batch
+from .wire import SESSION_ID_LEN
 
 _BITMAP_BYTES = 8  # one bit per attribute index, MAX_ATTRIBUTES = 64
 
@@ -153,14 +153,7 @@ class DisclosureToken:
         )
 
 
-def present(
-    cred: Credential,
-    disclose,
-    params: SystemParams,
-    rng,
-    *,
-    session_id: bytes | None = None,
-) -> DisclosureToken:
+def present(cred: Credential, disclose, params: SystemParams, rng) -> DisclosureToken:
     """Build a disclosure token revealing exactly the given indices.
 
     disclose may be empty (everything stays hidden); it may never contain
@@ -171,8 +164,7 @@ def present(
     for i in disclose:
         if not isinstance(i, int) or not 1 <= i < n:
             raise ValueError(f"cannot disclose index {i!r}")
-    if session_id is None:
-        session_id = rng.getrandbits(128).to_bytes(16, "big")
+    session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
     token = DisclosureToken(
@@ -197,12 +189,7 @@ def present(
     return token
 
 
-def verify_disclosure(
-    token: DisclosureToken,
-    params: SystemParams,
-    *,
-    pk_ops: OpCounter | None = None,
-) -> bool:
+def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     """Check the split product equation and every hidden-index proof."""
     curve = params.curve
     n = token.n_attrs
@@ -241,5 +228,4 @@ def verify_disclosure(
     for i in sorted(hidden):
         if token.proofs[i].statement != token.hidden_points[i]:
             return False
-    with pk_ops if pk_ops is not None else nullcontext():
-        return fs_verify_batch(transcripts, token.body_prefix(params))
+    return fs_verify_batch(transcripts, token.body_prefix(params))

@@ -16,9 +16,8 @@ The credential (attrs, R, s, h) satisfies s * P == h * Ppub + R. The first
 attribute m_0 is the user's master secret: it is never revealed, and the
 proof of knowledge for P_0 is what the issuer requires before signing.
 
-By default only P_0 crosses the wire (the issuer does not even learn how
-many attributes the credential carries); reveal_all switches to sending
-every commitment for deployments where the issuer must see them.
+Of the commitments only P_0 crosses the wire: the issuer does not even
+learn how many attributes the credential carries.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class IssuanceRequest:
     """What the user sends to be signed."""
 
     h_bar: Scalar
-    commitments: tuple
+    commitment0: Point
     proof: SchnorrTranscript | None = None
     pk_commitment: Point | None = None
 
@@ -149,12 +148,9 @@ class IssuerSession:
             raise InvalidProofError("blinded hash is not a scalar mod q")
         if request.h_bar.v == 0:
             raise InvalidProofError("blinded hash is zero")
-        if not request.commitments:
-            raise InvalidProofError("request carries no commitment")
-        for pt in request.commitments:
-            if not isinstance(pt, Point) or not pt.on_curve():
-                raise InvalidProofError("commitment not on curve")
-        p0 = request.commitments[0]
+        p0 = request.commitment0
+        if not isinstance(p0, Point) or not p0.on_curve():
+            raise InvalidProofError("commitment not on curve")
 
         with pk_ops if pk_ops is not None else nullcontext():
             if self.state == _CHALLENGED:
@@ -171,7 +167,7 @@ class IssuerSession:
                 if request.proof is None:
                     raise InvalidProofError("request carries no proof")
                 if request.proof.statement != p0:
-                    raise InvalidProofError("proof is not about the first commitment")
+                    raise InvalidProofError("proof is not about the master commitment")
                 ok = fs_verify(request.proof, context)
         if not ok:
             raise InvalidProofError("proof of knowledge for the master secret failed")
@@ -204,7 +200,6 @@ class UserBlindState:
     h: Scalar
     h_bar: Scalar
     attrs: tuple
-    commitments: tuple
     pk_nonce: Scalar | None = None
     pk_commitment: Point | None = None
 
@@ -217,7 +212,6 @@ def user_blind(
     *,
     interactive: bool = False,
     context: bytes = b"",
-    reveal_all: bool = False,
     pk_ops: OpCounter | None = None,
 ) -> tuple[UserBlindState, IssuanceRequest]:
     """Blind the issuer nonce and build the signing request.
@@ -245,18 +239,16 @@ def user_blind(
         h=h,
         h_bar=h_bar,
         attrs=attrs,
-        commitments=commitments,
     )
-    sent = commitments if reveal_all else commitments[:1]
     with pk_ops if pk_ops is not None else nullcontext():
         if interactive:
             w, a = pk_commit(curve, rng)
             state.pk_nonce = w
             state.pk_commitment = a
-            request = IssuanceRequest(h_bar=h_bar, commitments=sent, pk_commitment=a)
+            request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], pk_commitment=a)
         else:
             proof = fs_prove(attrs[0], commitments[0], context, rng)
-            request = IssuanceRequest(h_bar=h_bar, commitments=sent, proof=proof)
+            request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], proof=proof)
     return state, request
 
 

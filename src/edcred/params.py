@@ -24,6 +24,7 @@ from .curve import (
 )
 
 _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
+_HASH = "sha256"  # the only hash hashing.py implements; named in the file
 
 
 def _security_bits(q: int) -> int:
@@ -37,14 +38,11 @@ class SystemParams:
 
     curve: CurveParams
     p_pub: Point
-    hash_name: str = "sha256"
     k: int = 0
 
     def __post_init__(self):
         if self.k == 0:
             self.k = _security_bits(self.curve.q)
-        if self.hash_name != "sha256":
-            raise ValueError(f"unsupported hash {self.hash_name!r}")
         self.p_pub.precompute()
 
     def format_file(self) -> str:
@@ -52,7 +50,7 @@ class SystemParams:
             self.curve.format_file()
             + f"Ppubx={self.p_pub.x}\n"
             + f"Ppuby={self.p_pub.y}\n"
-            + f"hash={self.hash_name}\n"
+            + f"hash={_HASH}\n"
             + f"k={self.k}\n"
         )
 
@@ -65,10 +63,12 @@ class SystemParams:
     def parse_file(cls, text: str) -> "SystemParams":
         curve = CurveParams.parse_file(text)
         fields = parse_kv(text, required=_PARAMS_KEYS)
+        if fields["hash"] != _HASH:
+            raise ValueError(f"params file: unsupported hash {fields['hash']!r}")
         p_pub = Point(int(fields["Ppubx"]), int(fields["Ppuby"]), curve)
         if not p_pub.on_curve():
             raise ValueError("params file: public key not on curve")
-        return cls(curve=curve, p_pub=p_pub, hash_name=fields["hash"], k=int(fields["k"]))
+        return cls(curve=curve, p_pub=p_pub, k=int(fields["k"]))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

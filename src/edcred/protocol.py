@@ -8,7 +8,7 @@ Message flow, with CHAL only present for the interactive proof:
 
     issuer                          user
       ISS1 {R'}             ->
-                            <-      ISS2 {h', commitments, proof or A}
+                            <-      ISS2 {h', P_0, proof or A}
       CHAL {c}              ->
                             <-      CHAL {response}
       ISS3 {s'}             ->
@@ -19,8 +19,6 @@ tests pin down by scanning these bytes.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .curve import Point, Scalar
 from .errors import ProtocolError, SessionError, WireError
@@ -49,7 +47,6 @@ from .wire import (
 )
 
 _FLAG_INTERACTIVE = 0x01
-_FLAG_REVEAL_ALL = 0x02
 
 
 def issuance_context(params: SystemParams, session_id: bytes) -> bytes:
@@ -61,14 +58,12 @@ def issuance_context(params: SystemParams, session_id: bytes) -> bytes:
 # -- ISS2 body ---------------------------------------------------------------
 
 def encode_request(req: IssuanceRequest, params: SystemParams) -> bytes:
+    """flags(1) | h'(w) | count(2) | P_0 | proof, or the proof commitment A
+    under the interactive flag. P_0 is the only commitment sent, so count
+    is always 1 and decode_request refuses any other value."""
     w = params.curve.coord_bytes
-    flags = 0
-    if req.pk_commitment is not None:
-        flags |= _FLAG_INTERACTIVE
-    if len(req.commitments) > 1:
-        flags |= _FLAG_REVEAL_ALL
-    parts = [bytes((flags,)), req.h_bar.to_bytes(w), len(req.commitments).to_bytes(2, "big")]
-    parts += [pt.encode() for pt in req.commitments]
+    flags = _FLAG_INTERACTIVE if req.pk_commitment is not None else 0
+    parts = [bytes((flags,)), req.h_bar.to_bytes(w), b"\x00\x01", req.commitment0.encode()]
     if req.pk_commitment is not None:
         parts.append(req.pk_commitment.encode())
     else:
@@ -81,22 +76,22 @@ def decode_request(body: bytes, params: SystemParams) -> IssuanceRequest:
     w = curve.coord_bytes
     try:
         flags = body[0]
+        if flags & ~_FLAG_INTERACTIVE:
+            raise ValueError(f"unknown flags 0x{flags:02x}")
         h_bar = Scalar.from_bytes(body[1 : 1 + w], curve.q)
         count = int.from_bytes(body[1 + w : 3 + w], "big")
-        if count < 1:
-            raise ValueError("no commitments")
+        if count != 1:
+            raise ValueError(f"{count} commitments, expected 1")
         off = 3 + w
-        commitments = []
-        for _ in range(count):
-            commitments.append(Point.decode(body[off : off + 2 * w], curve))
-            off += 2 * w
+        commitment0 = Point.decode(body[off : off + 2 * w], curve)
+        off += 2 * w
         if flags & _FLAG_INTERACTIVE:
             pk_commitment = Point.decode(body[off : off + 2 * w], curve)
             off += 2 * w
             proof = None
         else:
             proof = SchnorrTranscript.from_bytes(
-                body[off : off + transcript_size(curve)], commitments[0]
+                body[off : off + transcript_size(curve)], commitment0
             )
             off += transcript_size(curve)
             pk_commitment = None
@@ -106,7 +101,7 @@ def decode_request(body: bytes, params: SystemParams) -> IssuanceRequest:
         raise WireError(f"bad issuance request: {exc}") from exc
     return IssuanceRequest(
         h_bar=h_bar,
-        commitments=tuple(commitments),
+        commitment0=commitment0,
         proof=proof,
         pk_commitment=pk_commitment,
     )
@@ -138,13 +133,11 @@ def _point_body(body: bytes, params: SystemParams) -> Point:
 class IssuerEngine:
     """Issuer side of one session, driven by incoming messages."""
 
-    def __init__(self, params: SystemParams, key: IssuerKey, rng, session_id: bytes | None = None):
+    def __init__(self, params: SystemParams, key: IssuerKey, rng):
         self._params = params
         self._key = key
         self._rng = rng
-        self.session_id = session_id or rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(
-            SESSION_ID_LEN, "big"
-        )
+        self.session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
         self._session: IssuerSession | None = None
         self._request: IssuanceRequest | None = None
         self.state = "new"
@@ -184,20 +177,11 @@ class IssuerEngine:
 class UserEngine:
     """User side of one session; .credential is set once ISS3 checks out."""
 
-    def __init__(
-        self,
-        params: SystemParams,
-        attrs,
-        rng,
-        *,
-        interactive: bool = False,
-        reveal_all: bool = False,
-    ):
+    def __init__(self, params: SystemParams, attrs, rng, *, interactive: bool = False):
         self._params = params
         self._attrs = attrs
         self._rng = rng
         self._interactive = interactive
-        self._reveal_all = reveal_all
         self._blind = None
         self.session_id = None
         self.credential = None
@@ -218,7 +202,6 @@ class UserEngine:
                 self._rng,
                 interactive=self._interactive,
                 context=issuance_context(self._params, self.session_id),
-                reveal_all=self._reveal_all,
             )
             self.state = "await_challenge" if self._interactive else "await_signature"
             return WireMessage(MSG_ISS2, self.session_id, encode_request(request, self._params))
@@ -260,7 +243,6 @@ def run_issuance(
     user_rng,
     *,
     interactive: bool = False,
-    reveal_all: bool = False,
 ):
     """Drive one full issuance in-process. Returns (credential, transcript).
 
@@ -268,7 +250,7 @@ def run_issuance(
     the message.
     """
     issuer = IssuerEngine(params, key, issuer_rng)
-    user = UserEngine(params, attrs, user_rng, interactive=interactive, reveal_all=reveal_all)
+    user = UserEngine(params, attrs, user_rng, interactive=interactive)
     transcript = Transcript()
     msg = issuer.open()
     transcript.record(ISSUER_TO_USER, msg)
@@ -304,19 +286,11 @@ def serve_issuance(conn, params: SystemParams, key: IssuerKey, rng) -> Transcrip
     return transcript
 
 
-def request_issuance(
-    conn,
-    params: SystemParams,
-    attrs,
-    rng,
-    *,
-    interactive: bool = False,
-    reveal_all: bool = False,
-):
+def request_issuance(conn, params: SystemParams, attrs, rng, *, interactive: bool = False):
     """Run the user side over a connected socket. Returns (credential,
     transcript)."""
     stream = conn.makefile("rwb")
-    engine = UserEngine(params, attrs, rng, interactive=interactive, reveal_all=reveal_all)
+    engine = UserEngine(params, attrs, rng, interactive=interactive)
     transcript = Transcript()
     try:
         while engine.credential is None:
@@ -332,40 +306,3 @@ def request_issuance(
         stream.close()
     return engine.credential, transcript
 
-
-# -- recordable randomness ---------------------------------------------------
-
-class RecordingRandom:
-    """Wraps an rng and logs every value drawn, for exact replay."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.log = []
-
-    def randrange(self, *args):
-        v = self._inner.randrange(*args)
-        self.log.append(v)
-        return v
-
-    def getrandbits(self, k):
-        v = self._inner.getrandbits(k)
-        self.log.append(v)
-        return v
-
-
-class ReplayRandom:
-    """Feeds back a RecordingRandom log, value for value."""
-
-    def __init__(self, log):
-        self._values = deque(log)
-
-    def _next(self):
-        if not self._values:
-            raise SessionError("replay log exhausted")
-        return self._values.popleft()
-
-    def randrange(self, *args):
-        return self._next()
-
-    def getrandbits(self, k):
-        return self._next()

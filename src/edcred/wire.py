@@ -42,7 +42,7 @@ class WireMessage:
         if self.msg_type not in _KNOWN_TYPES:
             raise WireError(f"unknown message type 0x{self.msg_type:02x}")
         if len(self.session_id) != SESSION_ID_LEN:
-            raise WireError("session id must be 16 bytes")
+            raise WireError(f"session id must be {SESSION_ID_LEN} bytes")
         if len(self.body) > _MAX_BODY:
             raise WireError("body too large")
 

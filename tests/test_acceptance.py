@@ -24,7 +24,6 @@ from edcred.credential import (
 from edcred.curve import OpCounter, Point, Scalar, dlp_bruteforce, enumerate_points, hasse_holds
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.harness import (
-    UserOutput,
     attempt_master_binding,
     issuer_view_from_transcript,
     opcount_bench,
@@ -179,7 +178,7 @@ def test_criterion_04_blindness_crossed_pairs(toy_deploy):
         attrs = quick_attrs(params, rng_u, 3)
         cred, transcript = run_issuance(params, key, attrs, rng_i, rng_u)
         views.append(issuer_view_from_transcript(transcript, params))
-        outputs.append(UserOutput(cred.r_point, cred.s, cred.h))
+        outputs.append(signature_of(cred))
     consistent = sum(
         1
         for view in views

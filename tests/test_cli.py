@@ -1,6 +1,8 @@
 """The command line surface: files in, files out, exit codes honest."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -10,6 +12,7 @@ import pytest
 
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
+from edcred.harness import simulate_issue
 from edcred.issuance import Credential
 from edcred.params import SystemParams
 from edcred.wire import Transcript
@@ -131,6 +134,37 @@ def test_verify_semantic_reject_is_exit_1(deploy, tmp_path, capsys):
     assert "reject" in capsys.readouterr().out
 
 
+def test_verify_refuses_forged_raw_credential(tmp_path, capsys):
+    # a triple made without the issuer key satisfies the curve equation,
+    # and so does an issued triple filed with other attributes; as
+    # credential files both must be refused, because h is not the hash of
+    # their attributes under R
+    out, attrs = tmp_path / "deploy", tmp_path / "attrs.txt"
+    attrs.write_text("master\nage:30\n")
+    assert main(["setup", "--curve", "prod", "--out", str(out), "--seed", "61"]) == 0
+    cred_file = tmp_path / "c.bin"
+    assert main(["issue", "--params", str(out), "--attrs", str(attrs),
+                 "--out", str(cred_file), "--seed", "62"]) == 0
+    assert main(["verify", "--params", str(out), "--token", str(cred_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "accept"
+
+    params = SystemParams.load(out / "params.txt")
+    cred = Credential.from_bytes(cred_file.read_bytes(), params)
+    rng = random.Random("keyless")
+    h = params.curve.random_nonzero(rng)
+    r_point, s = simulate_issue(h, params, rng)
+    keyless = Credential(attrs=cred.attrs, r_point=r_point, s=s, h=h)
+    # the issued triple with an attribute it was not issued for
+    relabelled = Credential(attrs=(cred.attrs[0], cred.attrs[1] + 1), r_point=cred.r_point,
+                            s=cred.s, h=cred.h)
+    for forged in (keyless, relabelled):
+        assert check_equation(signature_of(forged), params)
+        forged_file = tmp_path / "forged.bin"
+        forged_file.write_bytes(forged.to_bytes(params))
+        assert main(["verify", "--params", str(out), "--token", str(forged_file)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "reject"
+
+
 def test_verify_malformed_is_exit_2(deploy, tmp_path):
     out, _ = deploy
     junk = tmp_path / "junk.bin"
@@ -183,3 +217,52 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "toy1009" in result.stdout
+
+
+# SHA-256 of every artifact of a seeded run (setup 77, issue 78 plain and
+# interactive, randomize 79, present 80 revealing index 2): the wire and
+# file formats and the order of every random draw, pinned against fixed
+# values rather than against a second run of the same code
+GOLDEN = {
+    "toy": {
+        "deploy/params.txt": "f13a82733d32790069ae7c60dbbc032601551f30dc3715f1bf77eb078e4d2a92",
+        "deploy/issuer.key": "1e752187dbda720db0a95fbf483f8d6674f431cb865eb8ba8380a0afad23be35",
+        "deploy/user.key": "a1a63169b0de8bbdad77ada9906ff47b16b02afed28079cf7eaed9cd6d9beef7",
+        "cred.bin": "38a30eb393a45d43af08fc8acdeceaea77bdcc4949c571d8150f9833f1f2afe8",
+        "t.bin": "da503829bc24dcbd6cd61cb37d7eb913d309ed9fb29bd649a872a143693ee9b0",
+        "ti.bin": "0d91cf7d1e5abe67c36c7f5677ef07d842e95551846e8a4080e96c5a0d454e79",
+        "p.tok": "97aae63b991850e920e6ef85d8aa09a24fa2a15003a192273f9f3c5fa3efd7ac",
+        "d.tok": "ba2503642cc2ce38ab475e62858886a09b2dc1a1301cd2f30354f05979a12aa7",
+    },
+    "prod": {
+        "deploy/params.txt": "cef1fbe984db823c483c14d512e28c506728ac6d47bbdfc32412e3809bb09e82",
+        "deploy/issuer.key": "4f350aa4427b89e518ee5f787a363caff48fdb379c53b69576b1a7edaeaf6105",
+        "deploy/user.key": "261b5e1ea3a9cf2bfd31f73dbd9f0d9310ce279d6d6dd08025c9c3ec877e2d4c",
+        "cred.bin": "a7ea4921c6edde3e8933d2a804ce58e2611ff14a24fae8a932ddf7a5623341af",
+        "t.bin": "a93f8878ac6f09cc1bdc2424a989cbc648c745d025744fd5c81cf11d82e8da4b",
+        "ti.bin": "66e894bdb87593df6ddc1779a9137d5494b7ce3fb591e8427e80550b85fd7f19",
+        "p.tok": "9b6b7cdc0994556b24e5e75d3c14e431dd0aa883d0619b6c02fdcad709fd9109",
+        "d.tok": "0c27999d6925a65042c39874a9d838b52b4ee460c452fceac384873aa1f0366d",
+    },
+}
+
+
+@pytest.mark.parametrize("curve", sorted(GOLDEN))
+def test_seeded_artifacts_match_golden_digests(curve, tmp_path):
+    deploy, attrs = tmp_path / "deploy", tmp_path / "attrs.txt"
+    attrs.write_text("master\nage:30\ncountry:FR\n")
+    issue_cmd = ["issue", "--params", str(deploy), "--attrs", str(attrs), "--seed", "78"]
+    assert main(["setup", "--curve", curve, "--out", str(deploy), "--seed", "77"]) == 0
+    assert main(issue_cmd + ["--out", str(tmp_path / "cred.bin"),
+                             "--transcript", str(tmp_path / "t.bin")]) == 0
+    assert main(issue_cmd + ["--interactive", "--out", str(tmp_path / "ci.bin"),
+                             "--transcript", str(tmp_path / "ti.bin")]) == 0
+    assert main(["randomize", "--params", str(deploy), "--cred", str(tmp_path / "cred.bin"),
+                 "--out", str(tmp_path / "p.tok"), "--seed", "79"]) == 0
+    assert main(["present", "--params", str(deploy), "--cred", str(tmp_path / "cred.bin"),
+                 "--disclose", "2", "--out", str(tmp_path / "d.tok"), "--seed", "80"]) == 0
+    # the interactive proof changes the transcript, not the credential
+    assert (tmp_path / "ci.bin").read_bytes() == (tmp_path / "cred.bin").read_bytes()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN[curve]}
+    assert digests == GOLDEN[curve]

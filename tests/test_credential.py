@@ -11,7 +11,6 @@ from edcred.credential import (
     randomize,
     signature_of,
     verify_presentation,
-    verify_signature,
 )
 from edcred.curve import Scalar
 from edcred.hashing import attr_to_scalar
@@ -70,14 +69,20 @@ def test_randomize_requires_some_randomness(toy_deploy, toy_cred):
         randomize(signature_of(toy_cred), params)
 
 
-def test_verify_signature_includes_master_proof(toy_deploy, toy_cred):
+def test_verify_presentation_includes_master_proof(toy_deploy, toy_cred):
+    # each half fails on its own: a broken triple with a proof that is
+    # valid for its context, and an intact triple with a broken proof
     params, _ = toy_deploy
     rng = make_rng("vsig")
-    sig = signature_of(toy_cred)
-    proof = fs_prove(toy_cred.attrs[0], toy_cred.attrs[0] * params.curve.base, b"ctx", rng)
-    assert verify_signature(sig, proof, params, context=b"ctx")
+    token = make_presentation(toy_cred, params, rng, fresh=True)
+    assert verify_presentation(token, params)
+    sig, p0, sid = token.sig, token.commitment0, token.session_id
     broken = PresentationSignature(sig.r_point, sig.s + 1, sig.h)
-    assert not verify_signature(broken, proof, params, context=b"ctx")
+    reproved = fs_prove(toy_cred.attrs[0], p0, presentation_context(params, sid, broken), rng)
+    assert not verify_presentation(PresentationToken(broken, p0, reproved, sid), params)
+    proof = token.proof
+    bad = SchnorrTranscript(proof.commitment, proof.challenge, proof.response + 1, p0)
+    assert not verify_presentation(PresentationToken(sig, p0, bad, sid), params)
 
 
 def test_check_equation_rejects_degenerate(toy_deploy, toy_cred):

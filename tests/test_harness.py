@@ -7,7 +7,6 @@ from edcred.curve import Scalar
 from edcred.errors import ProtocolError
 from edcred.harness import (
     IssuerView,
-    UserOutput,
     attempt_master_binding,
     blindness_crosscheck,
     issuer_view_from_transcript,
@@ -45,7 +44,7 @@ def test_matching_pair_is_consistent(toy_deploy):
     params, key = toy_deploy
     cred, transcript = one_issuance(params, key, "match")
     view = issuer_view_from_transcript(transcript, params)
-    output = UserOutput(cred.r_point, cred.s, cred.h)
+    output = signature_of(cred)
     pairing = pair_blinding(view, output, params)
     assert pairing.consistent
     assert blindness_crosscheck(view, output, params)
@@ -62,7 +61,7 @@ def test_crossed_pairs_also_consistent(toy_deploy):
         views.append(issuer_view_from_transcript(transcript, params))
     for view in views:
         for cred in creds:
-            output = UserOutput(cred.r_point, cred.s, cred.h)
+            output = signature_of(cred)
             assert blindness_crosscheck(view, output, params)
 
 
@@ -71,10 +70,10 @@ def test_pair_blinding_rejects_invalid_inputs(toy_deploy):
     cred, transcript = one_issuance(params, key, "invalid")
     view = issuer_view_from_transcript(transcript, params)
     bad_view = IssuerView(view.r_bar, view.h_bar, view.s_bar + 1)
-    output = UserOutput(cred.r_point, cred.s, cred.h)
+    output = signature_of(cred)
     with pytest.raises(ValueError):
         pair_blinding(bad_view, output, params)
-    bad_out = UserOutput(cred.r_point, cred.s + 1, cred.h)
+    bad_out = signature_of_triple(cred.r_point, cred.s + 1, cred.h)
     with pytest.raises(ValueError):
         pair_blinding(view, bad_out, params)
 

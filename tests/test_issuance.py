@@ -94,10 +94,12 @@ def test_strict_request_carries_only_master_commitment(toy_deploy):
     attrs = sample_attrs(params, rng, n=5)
     _, r_bar = issuer_start(key, params, rng)
     _, request = user_blind(r_bar, attrs, params, rng)
-    assert len(request.commitments) == 1
-    assert request.commitments[0] == attrs[0] * params.curve.base
-    _, request = user_blind(r_bar, attrs, params, rng, reveal_all=True)
-    assert len(request.commitments) == 5
+    assert request.commitment0 == attrs[0] * params.curve.base
+    # the request's bytes do not depend on how many attributes there are
+    from edcred.protocol import encode_request
+
+    _, single = user_blind(r_bar, attrs[:1], params, rng)
+    assert len(encode_request(request, params)) == len(encode_request(single, params))
 
 
 def test_blinded_hash_hides_h(toy_deploy):
@@ -163,7 +165,7 @@ def test_sign_rejects_wrong_proof_statement(toy_deploy):
     attrs = sample_attrs(params, rng)
     _, request = user_blind(r_bar, attrs, params, rng)
     other = 99 * params.curve.base
-    forged = IssuanceRequest(h_bar=request.h_bar, commitments=(other,), proof=request.proof)
+    forged = IssuanceRequest(h_bar=request.h_bar, commitment0=other, proof=request.proof)
     with pytest.raises(InvalidProofError):
         session.sign(forged)
 
@@ -177,8 +179,8 @@ def test_sign_rejects_proof_for_unknown_secret(toy_deploy):
     session, r_bar = issuer_start(key, params, rng)
     attrs = sample_attrs(params, rng)
     state, request = user_blind(r_bar, attrs, params, rng)
-    lie = fs_prove(attrs[0] + 1, request.commitments[0], b"", rng)
-    forged = IssuanceRequest(h_bar=request.h_bar, commitments=request.commitments, proof=lie)
+    lie = fs_prove(attrs[0] + 1, request.commitment0, b"", rng)
+    forged = IssuanceRequest(h_bar=request.h_bar, commitment0=request.commitment0, proof=lie)
     with pytest.raises(InvalidProofError):
         session.sign(forged)
 
@@ -190,10 +192,10 @@ def test_sign_rejects_malformed_requests(toy_deploy):
     session, r_bar = issuer_start(key, params, rng)
     _, good = user_blind(r_bar, sample_attrs(params, rng), params, rng)
     cases = [
-        IssuanceRequest(h_bar=Scalar(0, c.q), commitments=good.commitments, proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitments=(), proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitments=(Point(2, 3, c),), proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitments=good.commitments, proof=None),
+        IssuanceRequest(h_bar=Scalar(0, c.q), commitment0=good.commitment0, proof=good.proof),
+        IssuanceRequest(h_bar=good.h_bar, commitment0=None, proof=good.proof),
+        IssuanceRequest(h_bar=good.h_bar, commitment0=Point(2, 3, c), proof=good.proof),
+        IssuanceRequest(h_bar=good.h_bar, commitment0=good.commitment0, proof=None),
     ]
     for bad in cases:
         with pytest.raises(InvalidProofError):

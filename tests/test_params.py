@@ -80,8 +80,10 @@ def test_params_file_rejects_off_curve_key(tmp_path, toy_deploy):
 
 def test_unsupported_hash_rejected(toy_deploy):
     params, _ = toy_deploy
-    with pytest.raises(ValueError):
-        SystemParams(curve=params.curve, p_pub=params.p_pub, hash_name="md5")
+    text = params.format_file()
+    assert "hash=sha256\n" in text
+    with pytest.raises(ValueError, match="unsupported hash"):
+        SystemParams.parse_file(text.replace("hash=sha256", "hash=md5"))
 
 
 def test_validate_params_accepts_good(toy_deploy, prod_deploy):
@@ -95,7 +97,7 @@ def test_validate_params_flags_bad_subgroup(toy_deploy):
     c = params.curve
     outside = Point(0, c.p - 1, c)  # order 2, not in the q-subgroup
     bad = SystemParams.__new__(SystemParams)
-    bad.curve, bad.p_pub, bad.hash_name, bad.k = c, outside, "sha256", params.k
+    bad.curve, bad.p_pub, bad.k = c, outside, params.k
     check = validate_params(bad)
     assert not check.ok
     assert any("subgroup" in p for p in check.problems)
@@ -108,7 +110,7 @@ def test_validate_params_flags_composite_modulus(toy_deploy):
 
     broken = CurveParams("bad", 1007, c.d, c.base.x, c.base.y, c.q, c.cofactor)
     bad = SystemParams.__new__(SystemParams)
-    bad.curve, bad.p_pub, bad.hash_name, bad.k = broken, broken.base, "sha256", params.k
+    bad.curve, bad.p_pub, bad.k = broken, broken.base, params.k
     problems = validate_params(bad).problems
     assert any("p is not prime" in p for p in problems)
 

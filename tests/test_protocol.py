@@ -2,6 +2,7 @@
 
 import socket
 import threading
+from collections import deque
 
 import pytest
 
@@ -11,8 +12,6 @@ from edcred.errors import InvalidProofError, SessionError, WireError
 from edcred.hashing import attr_to_scalar
 from edcred.protocol import (
     IssuerEngine,
-    RecordingRandom,
-    ReplayRandom,
     UserEngine,
     decode_request,
     encode_request,
@@ -23,6 +22,42 @@ from edcred.protocol import (
 from edcred.wire import MSG_ISS2, MSG_ISS3, WireMessage
 
 from conftest import make_rng
+
+
+class RecordingRandom:
+    """Wraps an rng and logs every value drawn, for exact replay."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.log = []
+
+    def randrange(self, *args):
+        v = self._inner.randrange(*args)
+        self.log.append(v)
+        return v
+
+    def getrandbits(self, k):
+        v = self._inner.getrandbits(k)
+        self.log.append(v)
+        return v
+
+
+class ReplayRandom:
+    """Feeds back a RecordingRandom log, value for value."""
+
+    def __init__(self, log):
+        self._values = deque(log)
+
+    def _next(self):
+        if not self._values:
+            raise SessionError("replay log exhausted")
+        return self._values.popleft()
+
+    def randrange(self, *args):
+        return self._next()
+
+    def getrandbits(self, k):
+        return self._next()
 
 
 def attrs_for(params, rng, n=3):
@@ -74,12 +109,37 @@ def test_request_codec_roundtrip(toy_deploy):
     body = encode_request(req, params)
     again = decode_request(body, params)
     assert again.h_bar == req.h_bar
-    assert again.commitments == req.commitments
+    assert again.commitment0 == req.commitment0
     assert again.proof == req.proof
     with pytest.raises(WireError):
         decode_request(body[:-1], params)
     with pytest.raises(WireError):
         decode_request(body + b"\x00", params)
+
+
+def test_request_decode_refuses_other_layouts(toy_deploy):
+    # ISS2 carries P_0 and nothing else: a second commitment, none at all,
+    # or a flag bit other than the interactive one is malformed, even
+    # where the lengths add up
+    params, key = toy_deploy
+    rng = make_rng("codec-strict")
+    from edcred.issuance import issuer_start, user_blind
+
+    _, r_bar = issuer_start(key, params, rng)
+    attrs = attrs_for(params, rng)
+    _, req = user_blind(r_bar, attrs, params, rng)
+    body = encode_request(req, params)
+    w = params.curve.coord_bytes
+    head, rest = body[: 1 + w], body[3 + 3 * w :]
+    count, p0 = body[1 + w : 3 + w], body[3 + w : 3 + 3 * w]
+    assert count == b"\x00\x01" and p0 == req.commitment0.encode()
+    p1 = (attrs[1] * params.curve.base).encode()
+    two = head + b"\x00\x02" + p0 + p1 + rest
+    none = head + b"\x00\x00" + rest
+    flagged = bytes((body[0] | 0x02,)) + body[1:]
+    for bad in (two, none, flagged):
+        with pytest.raises(WireError):
+            decode_request(bad, params)
 
 
 def test_engines_enforce_session_id(toy_deploy):
@@ -118,7 +178,7 @@ def test_tampered_blinded_hash_caught_at_unblind(toy_deploy):
     request = user.handle(issuer.open())
     req = decode_request(request.body, params)
     wrong = Scalar((req.h_bar.v % (params.curve.q - 1)) + 1, params.curve.q)
-    forged_req = IssuanceRequest(h_bar=wrong, commitments=req.commitments, proof=req.proof)
+    forged_req = IssuanceRequest(h_bar=wrong, commitment0=req.commitment0, proof=req.proof)
     forged = WireMessage(MSG_ISS2, issuer.session_id, encode_request(forged_req, params))
     response = issuer.handle(forged)  # blind: no way to notice
     with pytest.raises(IssuerMisbehavior) as exc:
@@ -138,7 +198,7 @@ def test_tampered_proof_rejected_by_issuer(toy_deploy):
     bad = SchnorrTranscript(
         req.proof.commitment, req.proof.challenge, req.proof.response + 1, req.proof.statement
     )
-    forged_req = IssuanceRequest(h_bar=req.h_bar, commitments=req.commitments, proof=bad)
+    forged_req = IssuanceRequest(h_bar=req.h_bar, commitment0=req.commitment0, proof=bad)
     forged = WireMessage(MSG_ISS2, issuer.session_id, encode_request(forged_req, params))
     with pytest.raises(InvalidProofError):
         issuer.handle(forged)
