@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import socket
 import sys
 
 from .credential import (
@@ -124,6 +123,8 @@ def cmd_issue(args) -> int:
     attrs = _attr_scalars(labels, args.params, params.curve, args.seed)
 
     if args.connect:
+        import socket  # only here and in serve: most commands never need it
+
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
             conn.connect(args.connect)
             cred, transcript = request_issuance(
@@ -146,6 +147,8 @@ def cmd_issue(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import socket
+
     params = _load_params(args.params)
     key = _load_issuer(args.params, params)
     rng = _rng(args.seed, "issuer")

@@ -17,15 +17,23 @@ denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
 Each scalar multiplication or addition pays one field inversion, at the
 end, to return to affine form.
 
-Scalar multiplication takes one of two paths. A long-lived base (the
-generator, a public key) calls precompute() once and is then multiplied by
-a signed radix-64 comb over three interleaved levels (Lim and Lee, CRYPTO
-1994): about 41 mixed additions and 12 doublings per multiple. Any other
-point is multiplied by a width-4 wNAF (Hankerson, Menezes, Vanstone, "Guide
-to Elliptic Curve Cryptography", Alg. 3.36): about 250 doublings and 50
-additions. Both only add and double with the complete formulas, so
-neither needs a case for the neutral point, a torsion point or an addition
-whose two operands are equal.
+Scalar multiplication takes one of two paths. A base with a comb table is
+multiplied by a signed radix-64 comb over three interleaved levels (Lim and
+Lee, CRYPTO 1994): about 41 mixed additions and 12 doublings per multiple.
+Any other point is multiplied by a width-4 wNAF (Hankerson, Menezes,
+Vanstone, "Guide to Elliptic Curve Cryptography", Alg. 3.36): about 250
+doublings and 50 additions. Both only add and double with the complete
+formulas, so neither needs a case for the neutral point, a torsion point or
+an addition whose two operands are equal.
+
+A process pays only for the tables it uses. curve1174's generator P ships
+its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
+base-point table (Bernstein et al., CHES 2011), and a parsed curve1174 is
+the built-in one, so it shares that table. The toy curve builds its
+one-row table for P on load. Every other point builds its table at its
+_COMB_AT-th multiple, once the table has paid for itself, so a one-shot
+command never builds one and a long-lived base (a public key) has one
+within its first few multiples.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -36,6 +44,8 @@ silent modulus mixup would be the expensive bug.
 from __future__ import annotations
 
 import contextvars
+import hashlib
+import os
 
 from .errors import RngError
 
@@ -99,7 +109,8 @@ class OpCounter:
     doubling and three additions for its table of odd multiples.
     inversions counts field inversions mod p: one per nonzero k*P or
     addition (the return to affine form), one per precompute() and one per
-    x that enumerate_points solves for.
+    x that enumerate_points solves for. The multiple at which a point
+    builds its table books the build's inversion too, so it counts two.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -164,6 +175,11 @@ _W = 6
 _LEVELS = 3
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
+# A point without a table builds one at its _COMB_AT-th multiple, once a
+# build would have paid for itself: ceil(build / (wNAF Ms - comb Ms)) on
+# curve1174, medians of 15 rounds in one process (2 vCPU, Python 3.11):
+# 8.38 / (2.33 - 0.52) = 4.6 and 6.52 / (1.84 - 0.42) = 4.6 in two runs.
+_COMB_AT = 5
 
 
 def _cache(p, d, x, y):
@@ -306,6 +322,12 @@ def _mul_wnaf(p, d, x, y, k):
     return X, Y, Z, len(naf) + 1, adds
 
 
+def _rows(flat):
+    """A comb table's entries, row by row, as its list of rows."""
+    half = 1 << (_W - 1)
+    return [flat[i:i + half] for i in range(0, len(flat), half)]
+
+
 def _affine(curve, X, Y, Z, ctr) -> "Point":
     p = curve.p
     zi = pow(Z, -1, p)
@@ -413,7 +435,11 @@ class Point:
         self.x = x
         self.y = y
         self.curve = curve
-        self._table = None
+        # the comb table (a list) or, until it is built, the number of
+        # multiples taken without one (an int). One slot, not two: a fifth
+        # slot enlarges every Point, and perfbench `show` measured 1-3 %
+        # slower with one (2 vCPU, Python 3.11).
+        self._table = 0
 
     def on_curve(self) -> bool:
         p = self.curve.p
@@ -464,10 +490,11 @@ class Point:
         to the next row, and share one inversion (Montgomery's trick) to
         come back to affine form.
 
-        Worth it for long-lived bases (the generator, a public key); a point
-        multiplied once gains nothing.
+        The build costs about 3.5 wNAF multiples, so nothing calls it
+        eagerly on curve1174: P ships its table, and k * B calls this at
+        B's _COMB_AT-th multiple.
         """
-        if self._table is None:
+        if type(self._table) is int:
             c = self.curve
             p, d = c.p, c.d
             half = 1 << (_W - 1)
@@ -505,10 +532,15 @@ class Point:
                 zi = inv * prefix[i - 1] % p if i else inv
                 inv = inv * Z % p
                 flat[i] = _cache(p, d, X * zi % p, Y * zi % p)
-            self._table = [flat[i:i + half] for i in range(0, len(flat), half)]
+            self._table = _rows(flat)
         return self
 
     def __rmul__(self, k):
+        """k * self, k an int or a Scalar mod q.
+
+        A point without a table counts its multiples and builds its table
+        at the _COMB_AT-th, which then runs on the comb.
+        """
         c = self.curve
         if isinstance(k, Scalar):
             if k.q != c.q:
@@ -521,6 +553,14 @@ class Point:
         ctr = _active_counter.get()
         if ctr is not None:
             ctr.scalar_mults += 1
+        n = self._table
+        if type(n) is int:
+            # Unlocked: a count lost to another thread only delays the
+            # build, hence >= rather than ==, and a count written over a
+            # table another thread just built only costs a rebuild.
+            self._table = n + 1
+            if n + 1 >= _COMB_AT:
+                self.precompute()
         return self._mul_reduced(k, ctr)
 
     def _mul_reduced(self, k: int, ctr) -> "Point":
@@ -535,7 +575,7 @@ class Point:
         c = self.curve
         if k == 0:
             return c.neutral()
-        if self._table is not None:
+        if type(self._table) is list:
             X, Y, Z, dbls, adds = _mul_table(c.p, self._table, k)
         else:
             X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, self.x, self.y, k)
@@ -659,6 +699,10 @@ class CurveParams:
         )
         if not curve.base.on_curve():
             raise ValueError("curve file: base point not on curve")
+        # curve1174 is the built-in curve, with P's shipped table. The name
+        # must match too: format_file, and so SystemParams.digest, has it.
+        if curve.name == _CURVE1174["name"] and curve == production_curve():
+            return production_curve()
         return curve
 
 
@@ -702,13 +746,42 @@ _CURVE1174 = dict(
     cofactor=4,
 )
 
+# SHA-256 of data/curve1174_comb.bin: x || y, 32 bytes each, big-endian,
+# of the 448 entries of Point(P).precompute()._table on curve1174, row by
+# row. tools/write_comb_table.py writes the file, and
+# tools/check_production_curve.py compares it with a fresh build.
+_CURVE1174_COMB_SHA256 = "fd9a19f92f732cac7fe074f2346703faa10fa3dc6d659a61c1edcc1956128ec9"
+
 _singletons: dict = {}
 
 
+def _read_data(name: str) -> bytes:
+    # a plain open next to this file: importing importlib.resources costs
+    # more than reading either data file
+    with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
+        return fh.read()
+
+
+def _curve1174_comb(curve: CurveParams, data: bytes) -> list:
+    """curve1174's comb table for P from the shipped x || y entries.
+
+    Refuses any data but the pinned file with ValueError: the entries are
+    trusted as they are, with no on-curve or multiple-of-P check.
+    """
+    if hashlib.sha256(data).hexdigest() != _CURVE1174_COMB_SHA256:
+        raise ValueError("curve1174 comb table does not match its pinned hash")
+    p, d, w = curve.p, curve.d, curve.coord_bytes
+    return _rows([
+        _cache(p, d, int.from_bytes(data[i:i + w], "big"), int.from_bytes(data[i + w:i + 2 * w], "big"))
+        for i in range(0, len(data), 2 * w)
+    ])
+
+
 def production_curve() -> CurveParams:
+    """curve1174, with the comb table for P loaded from the package."""
     if "production" not in _singletons:
         c = CurveParams(**_CURVE1174)
-        c.base.precompute()
+        c.base._table = _curve1174_comb(c, _read_data("curve1174_comb.bin"))
         _singletons["production"] = c
     return _singletons["production"]
 
@@ -720,12 +793,7 @@ def toy_curve() -> CurveParams:
     non-residue whose curve has a prime-order subgroup of at least 100.
     """
     if "toy" not in _singletons:
-        # imported here: importlib.resources pulls in pathlib, zipfile and
-        # more, which no curve1174 process needs
-        from importlib import resources
-
-        text = resources.files("edcred").joinpath("data/toy_curve.txt").read_text()
-        c = CurveParams.parse_file(text)
+        c = CurveParams.parse_file(_read_data("toy_curve.txt").decode())
         c.base.precompute()
         _singletons["toy"] = c
     return _singletons["toy"]

@@ -43,7 +43,6 @@ class SystemParams:
     def __post_init__(self):
         if self.k == 0:
             self.k = _security_bits(self.curve.q)
-        self.p_pub.precompute()
 
     def format_file(self) -> str:
         return (
@@ -100,8 +99,8 @@ class IssuerKey:
 
         Given params already loaded (the deployment's params.txt), the
         file's copy must state the same values, and is checked against them
-        rather than parsed into a second SystemParams, whose Ppub table
-        would be built again.
+        rather than parsed into a second SystemParams, so the process keeps
+        one Ppub, whose multiples count toward one table.
         """
         with open(path) as fh:
             text = fh.read()

@@ -6,10 +6,14 @@ oracle for scalar multiplication is plain repeated addition.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
+from edcred import curve as curve_mod
 from edcred.curve import (
+    _COMB_AT,
     CurveParams,
     OpCounter,
     Point,
@@ -171,12 +175,14 @@ def test_scalar_mul_small_k_oracle(toy):
 
 def test_scalar_mul_random_k_both_paths(toy):
     rng = make_rng("mulpaths")
-    plain = Point(toy.base.x, toy.base.y, toy)  # no table attached
-    assert plain._table is None and toy.base._table is not None
+    assert isinstance(toy.base._table, list)
     for _ in range(100):
         k = rng.randrange(0, toy.q)
+        # a fresh copy per multiple: a reused one would build its table
+        # at its _COMB_AT-th multiple and leave the wNAF untested
+        plain = Point(toy.base.x, toy.base.y, toy)
         expect = oracle_mul(k, plain)
-        assert k * plain == expect
+        assert k * plain == expect and plain._table == 1  # a count, not a table
         assert k * toy.base == expect
 
 
@@ -267,11 +273,12 @@ def test_production_edge_scalars_both_paths(prod):
     scalars += [rng.randrange(1, q) for _ in range(3)]
     other = rng.randrange(1, q) * prod.base
     for base in (prod.base, other):
-        plain = Point(base.x, base.y, prod)
         ladder = Point(base.x, base.y, prod).precompute()
         for k in scalars:
             expect = affine_mul(k, base)
-            assert k * plain == expect
+            # fresh per multiple, so that every one runs on the wNAF
+            plain = Point(base.x, base.y, prod)
+            assert k * plain == expect and plain._table == 1  # a count, not a table
             assert k * ladder == expect
 
 
@@ -291,6 +298,59 @@ def test_table_entries_are_comb_multiples(toy, prod):
                 cur = oracle_add(c, cur, row_base)
             for _ in range(18):
                 row_base = oracle_add(c, row_base, row_base)
+
+
+def test_shipped_comb_table_is_a_fresh_build(prod):
+    fresh = Point(prod.base.x, prod.base.y, prod).precompute()._table
+    assert prod.base._table == fresh
+    data = curve_mod._read_data("curve1174_comb.bin")
+    assert len(data) == 448 * 64
+    assert curve_mod._curve1174_comb(prod, data) == fresh
+    flipped = bytearray(data)
+    flipped[1000] ^= 0x01
+    with pytest.raises(ValueError, match="pinned hash"):
+        curve_mod._curve1174_comb(prod, bytes(flipped))
+
+
+def test_table_built_at_the_nth_multiple(prod):
+    rng = make_rng("combat")
+    base = rng.randrange(1, prod.q) * prod.base
+    pt = Point(base.x, base.y, prod)
+    fresh = Point(base.x, base.y, prod).precompute()._table
+    for i in range(1, _COMB_AT + 3):
+        k = rng.randrange(1, prod.q)
+        with OpCounter() as ops:
+            got = k * pt
+        assert got == affine_mul(k, base)
+        # wNAF up to the (N-1)th multiple, the comb from the Nth on
+        assert pt._table == (fresh if i >= _COMB_AT else i)
+        assert (ops.inner_doubles == 12) == (i >= _COMB_AT)
+
+
+def test_table_built_under_threads(toy):
+    # threads share one table-less point: a race may delay the build or
+    # cost a rebuild, but every result stays exact
+    pt = Point(toy.base.x, toy.base.y, toy)
+    ks = list(range(1, toy.q))
+    results = {}
+
+    def work(t):
+        for k in ks[t::4]:
+            results[k] = k * pt
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert isinstance(pt._table, list)
+    assert all(results[k] == k * toy.base for k in ks)
 
 
 # -- Scalar ------------------------------------------------------------------
@@ -392,6 +452,8 @@ def test_opcounter_inner_steps_for_q_minus_1(prod):
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):
+    # one per operation, except that the multiple at which a point builds
+    # its comb table books the build's inversion too (the last case)
     for c in (toy, prod):
         k = c.q - 2
         plain = Point(c.base.x, c.base.y, c)
@@ -410,6 +472,11 @@ def test_opcounter_one_inversion_per_operation(toy, prod):
             _ = c.base + plain
         assert ops.inversions == 1 and ops.point_adds == 1
         assert ops.as_dict()["inversions"] == 1
+        fresh = Point(c.base.x, c.base.y, c)
+        for i in range(1, _COMB_AT + 1):
+            with OpCounter() as ops:
+                _ = k * fresh
+            assert ops.inversions == (2 if i == _COMB_AT else 1)
 
 
 def test_opcounter_nesting_redirects(toy):
@@ -450,8 +517,18 @@ def test_random_nonzero_broken_source():
 
 def test_curve_file_roundtrip(toy):
     again = CurveParams.parse_file(toy.format_file())
-    assert again == toy
+    assert again == toy and again is not toy
     assert again.base == toy.base
+
+
+def test_parsed_curve1174_is_the_builtin_one(prod):
+    assert CurveParams.parse_file(prod.format_file()) is prod
+    with OpCounter() as ops:
+        _ = (prod.q - 2) * CurveParams.parse_file(prod.format_file()).base
+    assert ops.inner_doubles == 12  # the comb, not ~250 wNAF doublings
+    # the name is in every params digest, so another name is another curve
+    renamed = CurveParams.parse_file(prod.format_file().replace("name=curve1174", "name=c1174"))
+    assert renamed == prod and renamed is not prod and renamed.base._table == 0
 
 
 def test_parse_kv_strictness():

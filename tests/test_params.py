@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import edcred
-from edcred.curve import Point, Scalar
+from edcred.curve import OpCounter, Point, Scalar, production_curve
 from edcred.params import IssuerKey, SystemParams, setup, validate_params
 
 from conftest import make_rng
@@ -32,6 +32,20 @@ def test_params_file_roundtrip(tmp_path, toy_deploy):
     assert again.p_pub == params.p_pub
     assert again.curve == params.curve
     assert again.digest() == params.digest()
+
+
+def test_loaded_prod_params_use_the_shipped_table(tmp_path, prod_deploy):
+    params, _ = prod_deploy
+    path = tmp_path / "params.txt"
+    params.save(path)
+    again = SystemParams.load(path)
+    assert again.curve is production_curve()
+    assert again.digest() == params.digest()
+    with OpCounter() as ops:
+        _ = 12345 * again.curve.base
+    assert ops.inner_doubles == 12  # the comb, not ~250 wNAF doublings
+    # loading builds no table: Ppub gets one at its _COMB_AT-th multiple
+    assert again.p_pub._table == 0
 
 
 def test_digest_distinguishes_deployments(toy_deploy, prod_deploy):

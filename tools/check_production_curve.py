@@ -3,15 +3,18 @@
 
 Checks, from p and d alone: p and q prime, d a quadratic non-residue (the
 completeness condition), cofactor * q inside the Hasse window around p + 1,
-the base point on curve and of exact order q. Exits nonzero on any failure.
+the base point on curve and of exact order q. Also checks that the comb
+table for the base point shipped in data/curve1174_comb.bin equals a fresh
+build. Exits nonzero on any failure.
 """
 
 import math
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from edcred.curve import is_probable_prime, production_curve
+from edcred.curve import Point, in_prime_subgroup, is_probable_prime, production_curve  # noqa: E402
 
 
 def main():
@@ -24,7 +27,11 @@ def main():
         "group order in Hasse window": abs(c.cofactor * c.q - (c.p + 1)) <= 2 * math.isqrt(c.p) + 1,
         "base on curve": c.base.on_curve(),
         "base not neutral": not c.base.is_neutral(),
-        "q * base is neutral": (c.q * c.base).is_neutral(),
+        # q prime and base not neutral: order exactly q. (q * base) would
+        # reduce q to 0 and call any point neutral.
+        "base in order-q subgroup": in_prime_subgroup(c.base),
+        "shipped comb table is a fresh build":
+            c.base._table == Point(c.base.x, c.base.y, c).precompute()._table,
     }
     width = max(len(k) for k in checks)
     failed = False
