@@ -26,6 +26,12 @@ doublings and 50 additions. Both only add and double with the complete
 formulas, so neither needs a case for the neutral point, a torsion point or
 an addition whose two operands are equal.
 
+A proof check needs no multiple in affine form, only whether an equation
+holds. cofactored_equal checks k*P == sum k_i*Q_i with k*P on the comb and
+every Q_i on one shared wNAF doubling chain, multiplies the difference by
+the cofactor and compares it with the neutral point in projective form,
+so a whole batch of proofs pays for one chain and no inversion.
+
 A process pays only for the tables it uses. curve1174's generator P ships
 its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
 base-point table (Bernstein et al., CHES 2011), and a parsed curve1174 is
@@ -48,9 +54,6 @@ import hashlib
 import os
 
 from .errors import RngError
-
-# Hard cap for the exhaustive helpers; anything bigger is not a toy curve.
-MAX_ENUMERABLE_P = 10_000
 
 _DRAW_ATTEMPTS = 100
 
@@ -108,9 +111,10 @@ class OpCounter:
     doubles once per wNAF digit and adds once per nonzero digit, plus one
     doubling and three additions for its table of odd multiples.
     inversions counts field inversions mod p: one per nonzero k*P or
-    addition (the return to affine form), one per precompute() and one per
-    x that enumerate_points solves for. The multiple at which a point
-    builds its table books the build's inversion too, so it counts two.
+    addition (the return to affine form) and one per precompute(). The
+    multiple at which a point builds its table books the build's inversion
+    too, so it counts two. cofactored_equal books the operations its one
+    equation stands for, and no inversion.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -243,28 +247,29 @@ def _signed_digits(k, n):
 
 
 def _wnaf(k):
-    """Width-_WNAF NAF of k > 0, least significant first.
+    """The nonzero digits of the width-_WNAF NAF of k > 0, as (position,
+    digit) pairs, least significant first.
 
-    Nonzero digits are odd and at least _WNAF positions apart; the top
-    digit is positive.
+    Digits are odd and at least _WNAF positions apart; the top digit is
+    positive. A run of zero digits is skipped in one step.
     """
     half, mask = 1 << (_WNAF - 1), (1 << _WNAF) - 1
     out = []
+    pos = 0
     while k:
-        if k & 1:
-            dgt = k & mask
-            if dgt > half:
-                dgt -= 1 << _WNAF
-            k -= dgt
-        else:
-            dgt = 0
-        out.append(dgt)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        dgt = k & mask
+        if dgt > half:
+            dgt -= 1 << _WNAF
+        out.append((pos, dgt))
+        k -= dgt
     return out
 
 
 def _mul_table(p, table, k):
-    """k*B from B's comb table, 0 < k < q; returns (X, Y, Z, doubles, adds).
+    """k*B from B's comb table, 0 < k < q; returns (X, Y, Z, T, doubles, adds).
 
     Horner over the levels: at each level from the top down, multiply the
     sum so far by 2^_W, then add one row entry per nonzero digit of that
@@ -287,39 +292,66 @@ def _mul_table(p, table, k):
             else:
                 X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
                 adds += 1
-    return X, Y, Z, dbls, adds
+    return X, Y, Z, T, dbls, adds
 
 
-def _mul_wnaf(p, d, x, y, k):
-    """k*(x, y) for k > 0 by the width-_WNAF NAF; returns (X, Y, Z, doubles, adds).
+def _mul_wnaf(p, d, terms, addend=None):
+    """The sum of k*(x, y) over terms of (x, y, k), each k > 0, plus addend.
+
+    Every term is recoded as a width-_WNAF NAF and all of them share one
+    doubling chain (Straus's trick, as interleaving with NAFs in Hankerson,
+    Menezes, Vanstone), so n terms cost about 250 doublings in all and 50
+    additions each. addend, a point in the cached extended form, is
+    added at the last position. Returns (X, Y, Z, doubles, adds).
 
     The odd multiples Q, 3Q, ... stay extended, so they are added with the
-    general Z2 and the whole multiplication still inverts once.
+    general Z2 and the whole sum still inverts at most once. A term builds
+    no multiple beyond k: a digit never exceeds k.
     """
-    X, Y, Z, T = _dbl(p, True, x, y, 1)
-    two = _cache_ext(p, d, X, Y, Z, T)
-    odd = [(x, y, 1, x * y % p)]
-    for _ in range((1 << (_WNAF - 2)) - 1):
-        odd.append(_add(p, True, *odd[-1], *two))
-    # indexed by digit; a negative digit indexes from the end
-    lut = [None] * (1 << _WNAF)
-    for i, pt in enumerate(odd):
-        e = _cache_ext(p, d, *pt)
-        lut[2 * i + 1] = e
-        lut[-2 * i - 1] = _neg(p, *e)
-    naf = _wnaf(k)
-    X, Y, Z, T = odd[naf.pop() >> 1]
-    adds = len(odd) - 1
-    # nonzero digits are _WNAF apart, so an addition is always followed by
-    # a doubling and never needs its T
-    for dgt in reversed(naf):
-        if dgt:
+    dbls = adds = 0
+    odds, luts, steps = [], [], []
+    for j, (x, y, k) in enumerate(terms):
+        odd = [(x, y, 1, x * y % p)]
+        n_odd = min(1 << (_WNAF - 2), (k + 1) >> 1)
+        if n_odd > 1:
+            two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
+            for _ in range(n_odd - 1):
+                odd.append(_add(p, True, *odd[-1], *two))
+            dbls += 1
+            adds += n_odd - 1
+        # indexed by digit; a negative digit indexes from the end
+        lut = [None] * (1 << _WNAF)
+        for i, pt in enumerate(odd):
+            e = _cache_ext(p, d, *pt)
+            lut[2 * i + 1] = e
+            lut[-2 * i - 1] = _neg(p, *e)
+        odds.append(odd)
+        luts.append(lut)
+        steps += [(pos, dgt, j) for pos, dgt in _wnaf(k)]
+    if addend is not None:
+        # a digit 0 at position 0 of a term whose only entry is addend
+        luts.append([addend])
+        steps.append((0, 0, len(luts) - 1))
+    # every nonzero digit of every term, top position first; the chain
+    # starts from the first, a top digit, which is positive
+    steps.sort(reverse=True)
+    top, dgt, j = steps[0]
+    X, Y, Z, T = odds[j][dgt >> 1]
+    at = top
+    n = len(steps)
+    for i in range(1, n):
+        pos, dgt, j = steps[i]
+        if pos < at:
+            for _ in range(at - pos - 1):
+                X, Y, Z, T = _dbl(p, False, X, Y, Z)
             X, Y, Z, T = _dbl(p, True, X, Y, Z)
-            X, Y, Z, T = _add(p, False, X, Y, Z, T, *lut[dgt])
-            adds += 1
-        else:
-            X, Y, Z, T = _dbl(p, False, X, Y, Z)
-    return X, Y, Z, len(naf) + 1, adds
+            at = pos
+        # only a next addition at the same position reads T
+        more = i + 1 < n and steps[i + 1][0] == pos
+        X, Y, Z, T = _add(p, more, X, Y, Z, T, *luts[j][dgt])
+    for _ in range(at):
+        X, Y, Z, T = _dbl(p, False, X, Y, Z)
+    return X, Y, Z, dbls + top, adds + n - 1
 
 
 def _rows(flat):
@@ -576,9 +608,9 @@ class Point:
         if k == 0:
             return c.neutral()
         if type(self._table) is list:
-            X, Y, Z, dbls, adds = _mul_table(c.p, self._table, k)
+            X, Y, Z, _, dbls, adds = _mul_table(c.p, self._table, k)
         else:
-            X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, self.x, self.y, k)
+            X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, [(self.x, self.y, k)])
         if ctr is not None:
             ctr.inner_doubles += dbls
             ctr.inner_adds += adds
@@ -807,57 +839,6 @@ def curve_by_name(name: str) -> CurveParams:
     raise ValueError(f"unknown curve {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# exhaustive helpers, usable only at toy scale
-
-def enumerate_points(curve: CurveParams) -> list[Point]:
-    """Every affine point of the curve, sorted by (x, y).
-
-    Walks x and solves y^2 = (1-x^2)/(1-d*x^2) with a square-root table,
-    so the cost is O(p) rather than O(p^2). Refuses non-toy fields.
-    """
-    p, d = curve.p, curve.d
-    if p > MAX_ENUMERABLE_P:
-        raise ValueError(f"enumeration capped at p <= {MAX_ENUMERABLE_P}")
-    roots: dict[int, list[int]] = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
-    ctr = _active_counter.get()
-    if ctr is not None:
-        ctr.inversions += p
-    pts = []
-    for x in range(p):
-        num = (1 - x * x) % p
-        den = (1 - d * x * x) % p
-        # d is a non-residue, so den vanishes for no x
-        t = num * inv_mod(den, p) % p
-        for y in roots.get(t, ()):
-            pts.append(Point(x, y, curve))
-    return pts
-
-
-def dlp_bruteforce(target: Point, base: Point) -> Scalar:
-    """Smallest k with k*base == target, by walking the subgroup.
-
-    Only defined for toy curves and for base points of order dividing q;
-    raises ValueError when target is not a multiple of base.
-    """
-    curve = base.curve
-    if curve.p > MAX_ENUMERABLE_P:
-        raise ValueError(f"brute force capped at p <= {MAX_ENUMERABLE_P}")
-    target._same_curve(base)
-    p = curve.p
-    tx, ty = target.x, target.y
-    step = _cache(p, curve.d, base.x, base.y)
-    X, Y, Z, T = 0, 1, 1, 0
-    for k in range(curve.q):
-        # (X:Y:Z) == (tx, ty) compared by cross-multiplying, no inversion
-        if X == tx * Z % p and Y == ty * Z % p:
-            return Scalar(k, curve.q)
-        X, Y, Z, T = _add(p, True, X, Y, Z, T, *step)
-    raise ValueError("target is not in the subgroup generated by base")
-
-
 def in_prime_subgroup(pt: Point) -> bool:
     """True when pt lies in the order-q subgroup.
 
@@ -868,6 +849,53 @@ def in_prime_subgroup(pt: Point) -> bool:
     if not pt.on_curve():
         return False
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
+
+
+def cofactored_equal(curve: CurveParams, k, terms, ms: int, ap: int) -> bool:
+    """k*P == sum of k_i*Q_i over terms (Q_i, k_i), up to a torsion point.
+
+    Checks [cofactor]*(k*P - sum k_i*Q_i) == O in one pass and with no
+    inversion: k*P on P's comb (or as one more term if P has no table),
+    every -Q_i on one wNAF doubling chain, then the cofactor's doublings,
+    and the result compared with the neutral point in projective form,
+    X == 0 and Y == Z. A difference of prime order never vanishes, so the
+    only accepts the per-term check would refuse are those whose
+    difference is pure torsion. The cofactor is applied by doubling, so it
+    must be a power of two; validate_params notes any other.
+
+    Scalars are ints, and some k_i is nonzero mod q.
+    Books ms scalar multiplications and ap additions, the operations the
+    equation stands for, and its inner steps.
+    """
+    p, d, q = curve.p, curve.d, curve.q
+    base = curve.base
+    parts = []
+    for pt, ki in terms:
+        base._same_curve(pt)
+        ki %= q
+        if ki:
+            parts.append((-pt.x % p, pt.y, ki))
+    k %= q
+    addend = None
+    dbls = adds = 0
+    if k and type(base._table) is list:
+        X, Y, Z, T, dbls, adds = _mul_table(p, base._table, k)
+        addend = _cache_ext(p, d, X, Y, Z, T)
+    elif k:
+        parts.append((base.x, base.y, k))
+    X, Y, Z, more_dbls, more_adds = _mul_wnaf(p, d, parts, addend)
+    dbls += more_dbls
+    adds += more_adds
+    for _ in range(curve.cofactor.bit_length() - 1):
+        X, Y, Z, _ = _dbl(p, False, X, Y, Z)
+        dbls += 1
+    ctr = _active_counter.get()
+    if ctr is not None:
+        ctr.scalar_mults += ms
+        ctr.point_adds += ap
+        ctr.inner_doubles += dbls
+        ctr.inner_adds += adds
+    return X % p == 0 and (Y - Z) % p == 0
 
 
 def hasse_holds(order: int, p: int) -> bool:
@@ -882,8 +910,7 @@ __all__ = [
     "Point",
     "Scalar",
     "curve_by_name",
-    "dlp_bruteforce",
-    "enumerate_points",
+    "cofactored_equal",
     "hasse_holds",
     "in_prime_subgroup",
     "inv_mod",
@@ -891,5 +918,4 @@ __all__ = [
     "parse_kv",
     "production_curve",
     "toy_curve",
-    "MAX_ENUMERABLE_P",
 ]

@@ -18,6 +18,11 @@ here and tokens from the same credential share R by construction.
 
 All hidden-index proofs share one challenge that hashes the whole token
 body, so a commitment and its proof cannot be swapped into another token.
+The verifier checks them all with one cofactored equation
+(schnorr.fs_verify_batch): one multiple on P's comb and one doubling chain
+over every commitment and hidden point, instead of a variable-base
+multiple per proof. A bad proof makes the whole token fail; the verdict
+does not say which index it was.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from .curve import CurveParams, Point, Scalar
 TAG_ATTRIBUTE = b"ATTR"
 TAG_POINT_PAIR = b"HPOINT"
 TAG_CHALLENGE = b"FSCHAL"
+TAG_BATCH_WEIGHT = b"FSBATCH"
 
 
 def _to_scalar(tag: bytes, payload: bytes, curve: CurveParams) -> Scalar:
@@ -78,3 +79,25 @@ def challenge_scalar(
     parts.append(len(context).to_bytes(4, "big"))
     parts.append(context)
     return _to_scalar(TAG_CHALLENGE, b"".join(parts), curve)
+
+
+def batch_weights(challenge: Scalar, responses: list[Scalar], curve: CurveParams) -> list[int]:
+    """Weights z_1 = 1, z_2, ..., z_k that check k transcripts as one
+    random linear combination (Bellare, Garay, Rabin, EUROCRYPT 1998).
+
+    Every z_i after the first is the top 128 bits of SHA-256 over a seed
+    and i, reduced mod q with zero remapped to 1, so each weight is in
+    [1, q-1]: one bad transcript always shows, and bad ones cancel each
+    other with probability about 2^-128 (1/q on the toy curve). The seed
+    hashes the challenge, which binds every commitment, every statement and
+    the context, and every response, so the weights fall out only once the
+    whole batch is fixed.
+    """
+    w = curve.coord_bytes
+    payload = challenge.to_bytes(w) + b"".join(r.to_bytes(w) for r in responses)
+    seed = hashlib.sha256(TAG_BATCH_WEIGHT + b":" + payload).digest()
+    weights = [1]
+    for i in range(1, len(responses)):
+        digest = hashlib.sha256(seed + i.to_bytes(2, "big")).digest()
+        weights.append(int.from_bytes(digest[:16], "big") % curve.q or 1)
+    return weights

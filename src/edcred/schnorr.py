@@ -10,14 +10,27 @@ session it was made for.
 Several statements can be proven at once under one shared challenge; the
 challenge then hashes every commitment and every statement, which ties the
 individual transcripts into a single conjunction.
+
+Every check, of one transcript or of a batch, is one cofactored equation
+
+    [cofactor] * ((sum z_i*r_i) * P - sum z_i*A_i - sum (c*z_i)*Q_i) == O
+
+with z_1 = 1 and 128-bit weights z_i hashed from the challenge and every
+response (hashing.batch_weights): one multiple on P's comb and one doubling
+chain over every A_i and Q_i (curve.cofactored_equal), however many
+transcripts there are. One bad transcript always makes it fail. Multiplying
+by the cofactor accepts a transcript whose error r*P - A - c*Q is a torsion
+point, which the plain equation refuses; only the holder of the witness can
+make one, since the challenge hashes every point. A transcript still books
+the 2 Ms + 1 Ap of its plain equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveParams, Point, Scalar
-from .hashing import challenge_scalar
+from .curve import CurveParams, Point, Scalar, cofactored_equal
+from .hashing import batch_weights, challenge_scalar
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,23 @@ def pk_respond(secret: Scalar, nonce: Scalar, challenge: Scalar) -> Scalar:
 
 
 def pk_verify(t: SchnorrTranscript) -> bool:
-    curve = t.statement.curve
-    if not (t.commitment.on_curve() and t.statement.on_curve()):
-        return False
-    return t.response * curve.base == t.commitment + t.challenge * t.statement
+    return _check([t])
+
+
+def _check(transcripts: list[SchnorrTranscript]) -> bool:
+    """The cofactored equation over transcripts that share one challenge."""
+    curve = transcripts[0].statement.curve
+    for t in transcripts:
+        if not (t.commitment.on_curve() and t.statement.on_curve()):
+            return False
+    c = transcripts[0].challenge
+    weights = batch_weights(c, [t.response for t in transcripts], curve)
+    q = curve.q
+    k = sum(z * t.response.v for z, t in zip(weights, transcripts))
+    terms = [(t.commitment, z) for z, t in zip(weights, transcripts)]
+    terms += [(t.statement, z * c.v % q) for z, t in zip(weights, transcripts)]
+    n = len(transcripts)
+    return cofactored_equal(curve, k, terms, ms=2 * n, ap=n)
 
 
 def fs_prove_batch(
@@ -96,6 +122,8 @@ def fs_prove_batch(
 
 
 def fs_verify_batch(transcripts: list[SchnorrTranscript], context: bytes) -> bool:
+    """Accept when every transcript carries the challenge hashed over all of
+    them and the context, and the one cofactored equation holds."""
     if not transcripts:
         return False
     curve = transcripts[0].statement.curve
@@ -105,10 +133,9 @@ def fs_verify_batch(transcripts: list[SchnorrTranscript], context: bytes) -> boo
         context,
         curve,
     )
-    for t in transcripts:
-        if t.challenge != c or not pk_verify(t):
-            return False
-    return True
+    if any(t.challenge != c for t in transcripts):
+        return False
+    return _check(transcripts)
 
 
 def fs_prove(secret: Scalar, statement: Point, context: bytes, rng) -> SchnorrTranscript:

@@ -21,7 +21,7 @@ from edcred.credential import (
     signature_of,
     verify_presentation,
 )
-from edcred.curve import OpCounter, Point, Scalar, dlp_bruteforce, enumerate_points, hasse_holds
+from edcred.curve import OpCounter, Point, Scalar, hasse_holds
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.harness import (
     attempt_master_binding,
@@ -36,6 +36,7 @@ from edcred.protocol import run_issuance
 from edcred.schnorr import SchnorrTranscript, extract_witness, pk_commit, pk_respond, pk_verify
 
 from conftest import make_rng
+from oracles import dlp_bruteforce, enumerate_points
 
 
 def report(num, desc, ok, detail=""):

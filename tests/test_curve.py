@@ -19,8 +19,6 @@ from edcred.curve import (
     Point,
     Scalar,
     curve_by_name,
-    dlp_bruteforce,
-    enumerate_points,
     hasse_holds,
     in_prime_subgroup,
     inv_mod,
@@ -32,6 +30,7 @@ from edcred.curve import (
 from edcred.errors import RngError
 
 from conftest import make_rng
+from oracles import dlp_bruteforce, enumerate_points
 
 
 def oracle_add(c, a, b):
@@ -449,6 +448,63 @@ def test_opcounter_inner_steps_for_q_minus_1(prod):
     with OpCounter() as ops:
         _ = k * plain
     assert (ops.inner_adds, ops.inner_doubles) == (29, 250)
+
+
+def test_mul_wnaf_terms_share_one_chain(toy, prod):
+    # one term: the counts above, now from the joint routine directly
+    k = prod.q - 1
+    _, _, _, dbls, adds = curve_mod._mul_wnaf(prod.p, prod.d, [(prod.base.x, prod.base.y, k)])
+    assert (adds, dbls) == (29, 250)
+    toy_pts = enumerate_points(toy)
+    for c in (toy, prod):
+        rng = make_rng(f"straus:{c.name}")
+        for n in (1, 2, 3, 6):
+            pts = [rng.choice(toy_pts) if c is toy else rng.randrange(1, c.q) * c.base
+                   for _ in range(n)]
+            ks = [rng.choice([1, 2, 3, 5, rng.randrange(1, c.q)]) for _ in range(n)]
+            X, Y, Z, dbls, adds = curve_mod._mul_wnaf(
+                c.p, c.d, [(pt.x, pt.y, k) for pt, k in zip(pts, ks)])
+            expect = c.neutral()
+            for pt, k in zip(pts, ks):
+                expect = expect + affine_mul(k, pt)
+            zi = pow(Z, -1, c.p)
+            assert Point(X * zi % c.p, Y * zi % c.p, c) == expect
+            # one chain from the top digit of the longest NAF, plus one
+            # doubling for each term with a 3Q
+            top = max(curve_mod._wnaf(k)[-1][0] for k in ks)
+            assert dbls == top + sum(k >= 3 for k in ks)
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_cofactored_equal_accepts_exactly_torsion(name, request):
+    """k*P - sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral,
+    with no inversion and the booked counts."""
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"cofactored:{name}")
+    torsion = [c.neutral(), Point(0, c.p - 1, c), Point(1, 0, c), Point(c.p - 1, 0, c)]
+    if c.cofactor == 8:
+        torsion += [pt for pt in enumerate_points(c) if (8 * pt).is_neutral()
+                    and not (4 * pt).is_neutral()][:2]
+    prime = rng.randrange(1, c.q) * c.base
+    for d in torsion + [prime, prime + torsion[1], prime + torsion[2]]:
+        k = rng.randrange(1, c.q)
+        terms = [(rng.randrange(1, c.q) * c.base + torsion[rng.randrange(4)], rng.randrange(1, c.q))
+                 for _ in range(3)]
+        rest = k * c.base - d
+        for pt, ki in terms:
+            rest = rest - ki * pt
+        terms.append((rest, 1))  # now k*P - sum k_i*Q_i == d exactly
+        with OpCounter() as ops:
+            got = curve_mod.cofactored_equal(c, k, terms, ms=7, ap=3)
+        assert got == (c.cofactor * d).is_neutral() == (d in torsion), d
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (7, 3, 0)
+        # a base without a table takes k*P as one more chain term
+        plain = curve_mod.CurveParams(c.name, c.p, c.d, c.base.x, c.base.y, c.q, c.cofactor)
+        moved = [(Point(pt.x, pt.y, plain), ki) for pt, ki in terms]
+        assert curve_mod.cofactored_equal(plain, k, moved, ms=0, ap=0) == got
+    assert curve_mod.cofactored_equal(c, 5, [(5 * c.base, 1), (c.base, 0)], ms=0, ap=0)
+    assert curve_mod.cofactored_equal(c, 0, [(c.base, c.q - 1), (c.base, 1)], ms=0, ap=0)
+    assert not curve_mod.cofactored_equal(c, 0, [(c.base, 1)], ms=0, ap=0)
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):

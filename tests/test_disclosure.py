@@ -9,6 +9,7 @@ from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
+from edcred.schnorr import SchnorrTranscript
 
 from conftest import make_rng
 
@@ -21,6 +22,17 @@ def issue(params, key, n, label, rng=None):
     session, r_bar = issuer_start(key, params, rng)
     state, request = user_blind(r_bar, attrs, params, rng)
     return user_unblind(state, session.sign(request), params), rng
+
+
+def bump_response(token, i):
+    """token with hidden index i's proof response moved by one; the shared
+    challenge does not hash responses, so only the proof check sees it."""
+    t = token.proofs[i]
+    proofs = {**token.proofs,
+              i: SchnorrTranscript(t.commitment, t.challenge, t.response + 1, t.statement)}
+    return DisclosureToken(
+        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
+        token.disclosed, token.hidden_points, proofs, token.session_id)
 
 
 def test_every_partition_verifies(toy_deploy):
@@ -109,6 +121,21 @@ def test_mutated_tokens_rejected_production(prod_deploy):
         token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
         token.disclosed, token.hidden_points, token.proofs, b"Z" * 16)
     assert not verify_disclosure(resession, params)
+
+    for i in token.hidden_indices():
+        assert not verify_disclosure(bump_response(token, i), params)
+
+
+def test_bumped_hidden_response_rejected_toy(toy_deploy):
+    # one bad proof in the batch always shows, even with 131 possible weights
+    params, key = toy_deploy
+    cred, rng = issue(params, key, 5, "bump")
+    for k in range(4):
+        for subset in itertools.combinations(range(1, 5), k):
+            token = present(cred, list(subset), params, rng)
+            assert verify_disclosure(token, params)
+            for i in token.hidden_indices():
+                assert not verify_disclosure(bump_response(token, i), params), (subset, i)
 
 
 def test_partition_audit_rejects_overlap_and_gaps(toy_deploy):

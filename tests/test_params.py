@@ -129,6 +129,21 @@ def test_validate_params_flags_composite_modulus(toy_deploy):
     assert any("p is not prime" in p for p in problems)
 
 
+def test_validate_params_flags_cofactor_not_power_of_two(tmp_path, toy_deploy):
+    # proof checks clear torsion by doubling, which needs a power of two
+    params, _ = toy_deploy
+    path = tmp_path / "params.txt"
+    params.save(path)
+    text = path.read_text()
+    assert "cofactor=8\n" in text
+    path.write_text(text.replace("cofactor=8\n", "cofactor=6\n"))
+    odd = SystemParams.load(path)
+    assert odd.curve.cofactor == 6
+    problems = validate_params(odd).problems
+    assert "cofactor is not a power of two" in problems
+    assert "cofactor is not a power of two" not in validate_params(params).problems
+
+
 def test_security_level_autofill(toy_deploy, prod_deploy):
     # generic-group estimate: half the subgroup bit length
     assert toy_deploy[0].k == toy_deploy[0].curve.q.bit_length() // 2

@@ -2,7 +2,8 @@
 
 import pytest
 
-from edcred.curve import Scalar
+from edcred.curve import OpCounter, Point, Scalar
+from edcred.hashing import batch_weights, challenge_scalar
 from edcred.schnorr import (
     SchnorrTranscript,
     extract_witness,
@@ -171,3 +172,132 @@ def test_nonce_reuse_leaks_witness(toy):
     r1, r2 = pk_respond(mu, w, c1), pk_respond(mu, w, c2)
     recovered = (r1 - r2) * (c1 - c2).inverse()
     assert recovered == mu
+
+
+# -- the one cofactored equation ----------------------------------------------
+
+def per_proof(ts, context):
+    """Reference verdict: the shared challenge, then r*P == A + c*Q for
+    each transcript on its own, through Point operations."""
+    curve = ts[0].statement.curve
+    c = challenge_scalar([t.commitment for t in ts], [t.statement for t in ts], context, curve)
+    return all(
+        t.challenge == c and t.response * curve.base == t.commitment + t.challenge * t.statement
+        for t in ts
+    )
+
+
+def corrupt(t, kind, curve):
+    a, c, r, q = t.commitment, t.challenge, t.response, t.statement
+    if kind == "response":
+        r = r + 1
+    elif kind == "commitment":
+        a = a + curve.base
+    elif kind == "statement":
+        q = q + curve.base
+    else:
+        c = c + 1
+    return SchnorrTranscript(a, c, r, q)
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_batch_verdict_equals_per_proof_reference(name, request):
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"reference:{name}")
+    sizes = [1, 16] + [rng.randrange(2, 16) for _ in range(3)]
+    for k in sizes:
+        secrets = [c.random_nonzero(rng) for _ in range(k)]
+        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"ref", c, rng)
+        assert fs_verify_batch(ts, b"ref") == per_proof(ts, b"ref") is True
+        for kind in ("response", "commitment", "statement", "challenge"):
+            j = rng.randrange(k)
+            bad = ts[:j] + [corrupt(ts[j], kind, c)] + ts[j + 1:]
+            assert fs_verify_batch(bad, b"ref") == per_proof(bad, b"ref") is False, (k, kind)
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_compensating_responses_rejected(name, request):
+    # r_1 + delta and r_2 - delta leave the unweighted sum of the two
+    # equations intact; the weights z_2 != z_1 = 1 break it
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"compensate:{name}")
+    secrets = [c.random_nonzero(rng) for _ in range(3)]
+    ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"pair", c, rng)
+    delta = c.random_nonzero(rng)
+    a, b = ts[0], ts[1]
+    bad = [SchnorrTranscript(a.commitment, a.challenge, a.response + delta, a.statement),
+           SchnorrTranscript(b.commitment, b.challenge, b.response - delta, b.statement),
+           ts[2]]
+    lhs = (bad[0].response + bad[1].response) * c.base
+    rhs = a.commitment + b.commitment + a.challenge * (a.statement + b.statement)
+    assert lhs == rhs  # what an unweighted sum would accept
+    assert not fs_verify_batch(bad, b"pair")
+    assert not fs_verify_batch(bad[:2], b"pair")
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_torsion_policy(name, request):
+    """Cofactored verification: an error that is pure torsion is accepted,
+    an error with a prime-order part is not."""
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"torsion:{name}")
+    two = Point(0, c.p - 1, c)  # order 2
+    mu = c.random_nonzero(rng)
+    stmt = mu * c.base
+    w = c.random_nonzero(rng)
+    a = w * c.base + two
+    ch = challenge_scalar([a], [stmt], b"tor", c)  # re-challenged over the new A
+    t = SchnorrTranscript(a, ch, pk_respond(mu, w, ch), stmt)
+    assert t.response * c.base != t.commitment + t.challenge * t.statement
+    assert pk_verify(t) and fs_verify(t, b"tor")
+    off = SchnorrTranscript(a, ch, t.response + 1, stmt)  # error P - (0, p-1)
+    assert not pk_verify(off) and not fs_verify(off, b"tor")
+    # the same holds for a member of a batch, whatever its weight
+    secrets = [c.random_nonzero(rng) for _ in range(2)] + [mu]
+    stmts = [m * c.base for m in secrets]
+    nonces = [c.random_nonzero(rng) for _ in range(3)]
+    commits = [n * c.base for n in nonces]
+    commits[2] = commits[2] + two
+    ch = challenge_scalar(commits, stmts, b"tor", c)
+    ts = [SchnorrTranscript(A, ch, pk_respond(m, n, ch), s)
+          for A, m, n, s in zip(commits, secrets, nonces, stmts)]
+    assert fs_verify_batch(ts, b"tor") and not per_proof(ts, b"tor")
+    ts[2] = SchnorrTranscript(ts[2].commitment, ch, ts[2].response + 1, ts[2].statement)
+    assert not fs_verify_batch(ts, b"tor")
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_batch_books_its_plain_equations(name, request):
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"book:{name}")
+    for k in (1, 2, 5, 16):
+        secrets = [c.random_nonzero(rng) for _ in range(k)]
+        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"ops", c, rng)
+        with OpCounter() as ops:
+            assert fs_verify_batch(ts, b"ops")
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2 * k, k, 0)
+    with OpCounter() as ops:
+        assert pk_verify(ts[0])
+    assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
+
+
+def test_batch_weights(prod, toy):
+    rng = make_rng("weights")
+    for c in (prod, toy):
+        ch = c.random_nonzero(rng)
+        rs = [c.random_nonzero(rng) for _ in range(16)]
+        z = batch_weights(ch, rs, c)
+        assert z[0] == 1 and len(z) == 16
+        assert all(1 <= v < min(c.q, 1 << 128) for v in z)
+        assert batch_weights(ch, rs, c) == z  # deterministic
+        assert batch_weights(ch, rs[:1], c) == [1]
+    # the challenge and every response move every weight after the first
+    ch = prod.random_nonzero(rng)
+    rs = [prod.random_nonzero(rng) for _ in range(4)]
+    z = batch_weights(ch, rs, prod)
+    assert z[1] > 1 << 100  # 128 bits, not a small exponent
+    for j in range(4):
+        bumped = rs[:j] + [rs[j] + 1] + rs[j + 1:]
+        other = batch_weights(ch, bumped, prod)
+        assert all(u != v for u, v in zip(z[1:], other[1:]))
+    assert all(u != v for u, v in zip(z[1:], batch_weights(ch + 1, rs, prod)[1:]))

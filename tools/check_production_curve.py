@@ -3,7 +3,8 @@
 
 Checks, from p and d alone: p and q prime, d a quadratic non-residue (the
 completeness condition), cofactor * q inside the Hasse window around p + 1,
-the base point on curve and of exact order q. Also checks that the comb
+the base point on curve and of exact order q, and a cofactor that is a
+power of two, which proof checks clear by doubling. Also checks that the comb
 table for the base point shipped in data/curve1174_comb.bin equals a fresh
 build. Exits nonzero on any failure.
 """
@@ -25,6 +26,7 @@ def main():
         "d not 0 or 1": c.d % c.p not in (0, 1),
         "d non-residue": pow(c.d, (c.p - 1) // 2, c.p) == c.p - 1,
         "group order in Hasse window": abs(c.cofactor * c.q - (c.p + 1)) <= 2 * math.isqrt(c.p) + 1,
+        "cofactor a power of two": c.cofactor > 0 and c.cofactor & (c.cofactor - 1) == 0,
         "base on curve": c.base.on_curve(),
         "base not neutral": not c.base.is_neutral(),
         # q prime and base not neutral: order exactly q. (q * base) would
