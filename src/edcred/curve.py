@@ -27,10 +27,11 @@ formulas, so neither needs a case for the neutral point, a torsion point or
 an addition whose two operands are equal.
 
 A proof check needs no multiple in affine form, only whether an equation
-holds. cofactored_equal checks k*P == sum k_i*Q_i with k*P on the comb and
-every Q_i on one shared wNAF doubling chain, multiplies the difference by
-the cofactor and compares it with the neutral point in projective form,
-so a whole batch of proofs pays for one chain and no inversion.
+holds. cofactored_equal checks sum k_i*Q_i == O with every Q_i that has a
+comb table on its comb and every other Q_i on one shared wNAF doubling
+chain, multiplies the sum by the cofactor and compares it with the neutral
+point in projective form, so a whole batch of proofs pays for one chain
+and no inversion.
 
 A process pays only for the tables it uses. curve1174's generator P ships
 its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
@@ -268,14 +269,15 @@ def _wnaf(k):
     return out
 
 
-def _mul_table(p, table, k):
-    """k*B from B's comb table, 0 < k < q; returns (X, Y, Z, T, doubles, adds).
+def _mul_table(p, pairs):
+    """The sum of k*B over pairs of (B's comb table, k), each 0 < k < q;
+    returns (X, Y, Z, T, doubles, adds).
 
     Horner over the levels: at each level from the top down, multiply the
     sum so far by 2^_W, then add one row entry per nonzero digit of that
-    level, negated for a negative digit.
+    level, negated for a negative digit. Several bases share the doublings.
     """
-    digits = _signed_digits(k, len(table) * _LEVELS)
+    recoded = [(_signed_digits(k, len(table) * _LEVELS), table) for table, k in pairs]
     X = None
     dbls = adds = 0
     for level in range(_LEVELS - 1, -1, -1):
@@ -283,15 +285,16 @@ def _mul_table(p, table, k):
             for i in range(1, _W + 1):
                 X, Y, Z, T = _dbl(p, i == _W, X, Y, Z)
             dbls += _W
-        for dgt, row in zip(digits[level::_LEVELS], table):
-            if not dgt:
-                continue
-            e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
-            if X is None:
-                X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
-            else:
-                X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
-                adds += 1
+        for digits, table in recoded:
+            for dgt, row in zip(digits[level::_LEVELS], table):
+                if not dgt:
+                    continue
+                e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
+                if X is None:
+                    X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
+                else:
+                    X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
+                    adds += 1
     return X, Y, Z, T, dbls, adds
 
 
@@ -608,7 +611,7 @@ class Point:
         if k == 0:
             return c.neutral()
         if type(self._table) is list:
-            X, Y, Z, _, dbls, adds = _mul_table(c.p, self._table, k)
+            X, Y, Z, _, dbls, adds = _mul_table(c.p, [(self._table, k)])
         else:
             X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, [(self.x, self.y, k)])
         if ctr is not None:
@@ -851,41 +854,53 @@ def in_prime_subgroup(pt: Point) -> bool:
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
 
 
-def cofactored_equal(curve: CurveParams, k, terms, ms: int, ap: int) -> bool:
-    """k*P == sum of k_i*Q_i over terms (Q_i, k_i), up to a torsion point.
+def cofactored_equal(curve: CurveParams, terms, ms: int, ap: int) -> bool:
+    """sum of k_i*Q_i over terms (Q_i, k_i) == O, up to a torsion point.
 
-    Checks [cofactor]*(k*P - sum k_i*Q_i) == O in one pass and with no
-    inversion: k*P on P's comb (or as one more term if P has no table),
-    every -Q_i on one wNAF doubling chain, then the cofactor's doublings,
-    and the result compared with the neutral point in projective form,
-    X == 0 and Y == Z. A difference of prime order never vanishes, so the
-    only accepts the per-term check would refuse are those whose
-    difference is pure torsion. The cofactor is applied by doubling, so it
-    must be a power of two; validate_params notes any other.
+    Checks [cofactor]*(sum k_i*Q_i) == O in one pass and with no inversion.
+    Terms on equal points are summed first. Every point with a comb table
+    (P, and a public key once it has built one) is multiplied on its comb,
+    the combs sharing their doublings; every other point joins one wNAF
+    doubling chain, as -Q_i times q - k_i when that is the smaller scalar,
+    so a term -R costs one addition. Then come the cofactor's doublings, and
+    the result is compared with the neutral point in projective form,
+    X == 0 and Y == Z. A sum of prime order never vanishes, so the only
+    accepts the per-term check would refuse are those whose sum is pure
+    torsion. The cofactor is applied by doubling, so it must be a power of
+    two; validate_params notes any other.
 
-    Scalars are ints, and some k_i is nonzero mod q.
-    Books ms scalar multiplications and ap additions, the operations the
-    equation stands for, and its inner steps.
+    Scalars are ints. Books ms scalar multiplications and ap additions, the
+    operations the equation stands for, and its inner steps.
     """
     p, d, q = curve.p, curve.d, curve.q
-    base = curve.base
-    parts = []
-    for pt, ki in terms:
-        base._same_curve(pt)
-        ki %= q
-        if ki:
-            parts.append((-pt.x % p, pt.y, ki))
-    k %= q
+    merged = {}
+    for pt, k in terms:
+        curve.base._same_curve(pt)
+        key = (pt.x, pt.y)
+        if key in merged:
+            merged[key][1] += k
+        else:
+            merged[key] = [pt, k]
+    combs, chain = [], []
+    for pt, k in merged.values():
+        k %= q
+        if not k:
+            continue
+        if type(pt._table) is list:
+            combs.append((pt._table, k))
+        elif 2 * k > q:
+            chain.append((-pt.x % p, pt.y, q - k))
+        else:
+            chain.append((pt.x, pt.y, k))
+    X, Y, Z, dbls, adds = 0, 1, 1, 0, 0
     addend = None
-    dbls = adds = 0
-    if k and type(base._table) is list:
-        X, Y, Z, T, dbls, adds = _mul_table(p, base._table, k)
+    if combs:
+        X, Y, Z, T, dbls, adds = _mul_table(p, combs)
         addend = _cache_ext(p, d, X, Y, Z, T)
-    elif k:
-        parts.append((base.x, base.y, k))
-    X, Y, Z, more_dbls, more_adds = _mul_wnaf(p, d, parts, addend)
-    dbls += more_dbls
-    adds += more_adds
+    if chain:
+        X, Y, Z, more_dbls, more_adds = _mul_wnaf(p, d, chain, addend)
+        dbls += more_dbls
+        adds += more_adds
     for _ in range(curve.cofactor.bit_length() - 1):
         X, Y, Z, _ = _dbl(p, False, X, Y, Z)
         dbls += 1

@@ -82,16 +82,17 @@ def challenge_scalar(
 
 
 def batch_weights(challenge: Scalar, responses: list[Scalar], curve: CurveParams) -> list[int]:
-    """Weights z_1 = 1, z_2, ..., z_k that check k transcripts as one
+    """Weights z_1 = 1, z_2, ..., z_k that check k equations as one
     random linear combination (Bellare, Garay, Rabin, EUROCRYPT 1998).
 
     Every z_i after the first is the top 128 bits of SHA-256 over a seed
-    and i, reduced mod q with zero remapped to 1, so each weight is in
-    [1, q-1]: one bad transcript always shows, and bad ones cancel each
-    other with probability about 2^-128 (1/q on the toy curve). The seed
-    hashes the challenge, which binds every commitment, every statement and
-    the context, and every response, so the weights fall out only once the
-    whole batch is fixed.
+    and i, reduced mod q, with 0 and 1 moved up by two, so each weight is
+    in [2, q-1]: one bad equation always shows, no later equation shares
+    the first one's weight, and bad ones cancel each other with probability
+    about 2^-128 (1/q on the toy curve). The seed hashes the challenge,
+    which binds every commitment, every statement and the context, and
+    every response, so the weights fall out only once the whole batch is
+    fixed.
     """
     w = curve.coord_bytes
     payload = challenge.to_bytes(w) + b"".join(r.to_bytes(w) for r in responses)
@@ -99,5 +100,6 @@ def batch_weights(challenge: Scalar, responses: list[Scalar], curve: CurveParams
     weights = [1]
     for i in range(1, len(responses)):
         digest = hashlib.sha256(seed + i.to_bytes(2, "big")).digest()
-        weights.append(int.from_bytes(digest[:16], "big") % curve.q or 1)
+        z = int.from_bytes(digest[:16], "big") % curve.q
+        weights.append(z if z > 1 else z + 2)
     return weights

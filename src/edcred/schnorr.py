@@ -15,14 +15,20 @@ Every check, of one transcript or of a batch, is one cofactored equation
 
     [cofactor] * ((sum z_i*r_i) * P - sum z_i*A_i - sum (c*z_i)*Q_i) == O
 
-with z_1 = 1 and 128-bit weights z_i hashed from the challenge and every
-response (hashing.batch_weights): one multiple on P's comb and one doubling
-chain over every A_i and Q_i (curve.cofactored_equal), however many
+with z_1 = 1 and 128-bit weights z_i >= 2 hashed from the challenge and
+every response (hashing.batch_weights): one multiple on P's comb and one
+doubling chain over every A_i and Q_i (curve.cofactored_equal), however many
 transcripts there are. One bad transcript always makes it fail. Multiplying
 by the cofactor accepts a transcript whose error r*P - A - c*Q is a torsion
 point, which the plain equation refuses; only the holder of the witness can
 make one, since the challenge hashes every point. A transcript still books
 the 2 Ms + 1 Ap of its plain equation.
+
+A caller can fold one more equation sum k_j*X_j == O into the same check
+(fs_verify_batch's equation): it takes weight 1, and every transcript then
+takes a weight z_i >= 2 hashed over the equation's scalars too. A weight of
+1 on both would let an error in the equation cancel the opposite error in a
+proof. The disclosure verifier folds its signature equation in this way.
 """
 
 from __future__ import annotations
@@ -82,20 +88,27 @@ def pk_verify(t: SchnorrTranscript) -> bool:
     return _check([t])
 
 
-def _check(transcripts: list[SchnorrTranscript]) -> bool:
-    """The cofactored equation over transcripts that share one challenge."""
+def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
+    """The cofactored equation over transcripts that share one challenge,
+    plus the caller's equation (terms, ms, ap) at weight 1. The weights
+    hash the equation's scalars ahead of the responses, and the
+    transcripts take those after the equation's, so a transcript gets
+    weight 1 only when there is no equation."""
     curve = transcripts[0].statement.curve
     for t in transcripts:
         if not (t.commitment.on_curve() and t.statement.on_curve()):
             return False
     c = transcripts[0].challenge
-    weights = batch_weights(c, [t.response for t in transcripts], curve)
     q = curve.q
-    k = sum(z * t.response.v for z, t in zip(weights, transcripts))
-    terms = [(t.commitment, z) for z, t in zip(weights, transcripts)]
-    terms += [(t.statement, z * c.v % q) for z, t in zip(weights, transcripts)]
+    terms, ms, ap = equation
+    seed = [curve.scalar(k) for _, k in terms] + [t.response for t in transcripts]
+    weights = batch_weights(c, seed, curve)[len(terms):]
+    terms = list(terms)
+    terms.append((curve.base, sum(z * t.response.v for z, t in zip(weights, transcripts))))
+    terms += [(t.commitment, -z) for z, t in zip(weights, transcripts)]
+    terms += [(t.statement, -z * c.v % q) for z, t in zip(weights, transcripts)]
     n = len(transcripts)
-    return cofactored_equal(curve, k, terms, ms=2 * n, ap=n)
+    return cofactored_equal(curve, terms, ms=ms + 2 * n, ap=ap + n)
 
 
 def fs_prove_batch(
@@ -121,9 +134,18 @@ def fs_prove_batch(
     ]
 
 
-def fs_verify_batch(transcripts: list[SchnorrTranscript], context: bytes) -> bool:
+def fs_verify_batch(
+    transcripts: list[SchnorrTranscript], context: bytes, equation=((), 0, 0)
+) -> bool:
     """Accept when every transcript carries the challenge hashed over all of
-    them and the context, and the one cofactored equation holds."""
+    them and the context, and the one cofactored equation holds.
+
+    equation, when given, is (terms, ms, ap): one more equation
+    sum k_j*X_j == O over terms (X_j, k_j) with int scalars, checked at
+    weight 1 in the same pass, and the Ms and Ap it books. The weights hash
+    its scalars but not its points, so the context must bind those, and
+    the caller must have checked that they are on the curve.
+    """
     if not transcripts:
         return False
     curve = transcripts[0].statement.curve
@@ -135,7 +157,7 @@ def fs_verify_batch(transcripts: list[SchnorrTranscript], context: bytes) -> boo
     )
     if any(t.challenge != c for t in transcripts):
         return False
-    return _check(transcripts)
+    return _check(transcripts, equation)
 
 
 def fs_prove(secret: Scalar, statement: Point, context: bytes, rng) -> SchnorrTranscript:

@@ -1,10 +1,14 @@
-"""Exhaustive oracles for the toy curve: every point, brute-force logs.
+"""Reference oracles for the tests; the package does not use them.
 
-They walk the whole field or the whole subgroup, so they refuse any field
-above MAX_ENUMERABLE_P. Only the tests use them; the package does not.
+Exhaustive ones for the toy curve, every point and brute-force logs, walk
+the whole field or the whole subgroup, so they refuse any field above
+MAX_ENUMERABLE_P. The reference disclosure verifier checks the plain,
+uncofactored equations one by one through Point operations.
 """
 
 from edcred.curve import Point, Scalar, _add, _cache, inv_mod
+from edcred.hashing import challenge_scalar, hash_block
+from edcred.issuance import MAX_ATTRIBUTES
 
 # Hard cap for the exhaustive helpers; anything bigger is not a toy curve.
 MAX_ENUMERABLE_P = 10_000
@@ -54,3 +58,31 @@ def dlp_bruteforce(target: Point, base: Point) -> Scalar:
             return Scalar(k, curve.q)
         X, Y, Z, T = _add(p, True, X, Y, Z, T, *step)
     raise ValueError("target is not in the subgroup generated by base")
+
+
+def reference_verify_disclosure(token, params) -> bool:
+    """verify_disclosure's verdict by the exact equations: the partition
+    audit, s*P == h*Ppub + R with h = prod H(P_i, R), then the shared
+    challenge and r*P == A + c*Q for each hidden-index proof on its own."""
+    curve = params.curve
+    n = token.n_attrs
+    hidden, disclosed = set(token.hidden_points), set(token.disclosed)
+    if not 1 <= n <= MAX_ATTRIBUTES or 0 not in hidden or hidden & disclosed:
+        return False
+    if hidden | disclosed != set(range(n)) or set(token.proofs) != hidden:
+        return False
+    if token.sig_h.v == 0 or any(m.v == 0 for m in token.disclosed.values()):
+        return False
+    if not all(pt.on_curve() for pt in [token.sig_r, *token.hidden_points.values()]):
+        return False
+    points = {**token.hidden_points, **{i: m * curve.base for i, m in token.disclosed.items()}}
+    h = hash_block([points[i] for i in range(n)], token.sig_r)
+    if token.sig_s * curve.base != h * params.p_pub + token.sig_r:
+        return False
+    ts = [token.proofs[i] for i in sorted(hidden)]
+    if any(t.statement != token.hidden_points[i] for i, t in zip(sorted(hidden), ts)):
+        return False
+    c = challenge_scalar([t.commitment for t in ts], [t.statement for t in ts],
+                         token.body_prefix(params), curve)
+    return all(t.challenge == c and t.response * curve.base == t.commitment + c * t.statement
+               for t in ts)

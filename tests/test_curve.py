@@ -477,8 +477,8 @@ def test_mul_wnaf_terms_share_one_chain(toy, prod):
 
 @pytest.mark.parametrize("name", ["toy", "prod"])
 def test_cofactored_equal_accepts_exactly_torsion(name, request):
-    """k*P - sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral,
-    with no inversion and the booked counts."""
+    """sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral, with no
+    inversion and the booked counts, on combs and on the chain alike."""
     c = request.getfixturevalue(name)
     rng = make_rng(f"cofactored:{name}")
     torsion = [c.neutral(), Point(0, c.p - 1, c), Point(1, 0, c), Point(c.p - 1, 0, c)]
@@ -486,25 +486,33 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
         torsion += [pt for pt in enumerate_points(c) if (8 * pt).is_neutral()
                     and not (4 * pt).is_neutral()][:2]
     prime = rng.randrange(1, c.q) * c.base
+    # a second base with a comb table, as a public key has once it built one
+    key = (rng.randrange(1, c.q) * c.base).precompute()
     for d in torsion + [prime, prime + torsion[1], prime + torsion[2]]:
         k = rng.randrange(1, c.q)
-        terms = [(rng.randrange(1, c.q) * c.base + torsion[rng.randrange(4)], rng.randrange(1, c.q))
-                 for _ in range(3)]
-        rest = k * c.base - d
+        terms = [(c.base, k), (key, rng.randrange(1, c.q))]
+        terms += [(rng.randrange(1, c.q) * c.base + torsion[rng.randrange(4)], rng.randrange(1, c.q))
+                  for _ in range(3)]
+        terms.append((c.base, rng.randrange(1, c.q)))  # summed with P's first term
+        rest = -d
         for pt, ki in terms:
-            rest = rest - ki * pt
-        terms.append((rest, 1))  # now k*P - sum k_i*Q_i == d exactly
+            rest = rest + ki * pt
+        terms.append((rest, -1))  # now sum k_i*Q_i == d exactly
         with OpCounter() as ops:
-            got = curve_mod.cofactored_equal(c, k, terms, ms=7, ap=3)
+            got = curve_mod.cofactored_equal(c, terms, ms=7, ap=3)
         assert got == (c.cofactor * d).is_neutral() == (d in torsion), d
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (7, 3, 0)
-        # a base without a table takes k*P as one more chain term
+        # on a curve whose points have no table, every term joins the chain
         plain = curve_mod.CurveParams(c.name, c.p, c.d, c.base.x, c.base.y, c.q, c.cofactor)
         moved = [(Point(pt.x, pt.y, plain), ki) for pt, ki in terms]
-        assert curve_mod.cofactored_equal(plain, k, moved, ms=0, ap=0) == got
-    assert curve_mod.cofactored_equal(c, 5, [(5 * c.base, 1), (c.base, 0)], ms=0, ap=0)
-    assert curve_mod.cofactored_equal(c, 0, [(c.base, c.q - 1), (c.base, 1)], ms=0, ap=0)
-    assert not curve_mod.cofactored_equal(c, 0, [(c.base, 1)], ms=0, ap=0)
+        assert type(plain.base._table) is int
+        assert curve_mod.cofactored_equal(plain, moved, ms=0, ap=0) == got
+    assert curve_mod.cofactored_equal(c, [(c.base, 5), (5 * c.base, -1), (c.base, 0)], ms=0, ap=0)
+    assert curve_mod.cofactored_equal(c, [(c.base, 0), (c.base, 1 - c.q), (c.base, -1)], ms=0, ap=0)
+    assert curve_mod.cofactored_equal(c, [(key, 2), (2 * key, c.q - 1)], ms=0, ap=0)
+    assert curve_mod.cofactored_equal(c, [(c.base, 3), (key, 1), (3 * c.base + key, -1)], ms=0, ap=0)
+    assert not curve_mod.cofactored_equal(c, [(c.base, 1)], ms=0, ap=0)
+    assert not curve_mod.cofactored_equal(c, [(key, 1), (c.base, 1)], ms=0, ap=0)
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):

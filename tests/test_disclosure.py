@@ -1,17 +1,19 @@
 """Selective disclosure: reveal some attributes, prove the rest in place."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from edcred.curve import Scalar
+from edcred.curve import OpCounter, Point, Scalar
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.errors import WireError
-from edcred.hashing import attr_to_scalar
+from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.schnorr import SchnorrTranscript
 
 from conftest import make_rng
+from oracles import reference_verify_disclosure
 
 
 def issue(params, key, n, label, rng=None):
@@ -33,6 +35,45 @@ def bump_response(token, i):
     return DisclosureToken(
         token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
         token.disclosed, token.hidden_points, proofs, token.session_id)
+
+
+def signed_token(params, attrs, r_point, s, disclose, rng, first=None):
+    """A token on the signature (R, s) over attrs, its proofs made for its
+    own body. first, if given, is (A, response from c) for index 0's proof
+    in place of an honest one."""
+    curve = params.curve
+    points = [m * curve.base for m in attrs]
+    hidden = [i for i in range(len(attrs)) if i not in disclose]
+    token = DisclosureToken(
+        r_point, s, hash_block(points, r_point), len(attrs),
+        {i: attrs[i] for i in disclose}, {i: points[i] for i in hidden}, {}, b"S" * 16)
+    nonces = {i: curve.random_nonzero(rng) for i in hidden}
+    commits = {i: nonces[i] * curve.base for i in hidden}
+    if first is not None:
+        commits[0] = first[0]
+    c = challenge_scalar([commits[i] for i in hidden], [points[i] for i in hidden],
+                         token.body_prefix(params), curve)
+    for i in hidden:
+        r = first[1](c) if first is not None and i == 0 else c * attrs[i] + nonces[i]
+        token.proofs[i] = SchnorrTranscript(commits[i], c, r, points[i])
+    return token
+
+
+def mutations(token, params, rng):
+    """The token with each criterion-7 mutation, then with each hidden
+    index's response bumped."""
+    c = params.curve
+    bump = c.random_nonzero(rng)
+    if token.disclosed:
+        i = rng.choice(token.disclosed_indices())
+        yield replace(token, disclosed={**token.disclosed, i: token.disclosed[i] + bump})
+    moved = token.hidden_points[0] + bump.v * c.base
+    yield replace(token, hidden_points={**token.hidden_points, 0: moved})
+    yield replace(token, sig_s=token.sig_s + bump)
+    yield replace(token, sig_h=token.sig_h + bump)
+    yield replace(token, session_id=b"M" * 16)
+    for i in token.hidden_indices():
+        yield bump_response(token, i)
 
 
 def test_every_partition_verifies(toy_deploy):
@@ -200,3 +241,83 @@ def test_all_hidden_token_is_smallest_valid(toy_deploy):
     assert token.disclosed == {}
     assert set(token.hidden_points) == {0, 1}
     assert verify_disclosure(token, params)
+
+
+def check_against_reference(token, params, rng):
+    assert verify_disclosure(token, params) == reference_verify_disclosure(token, params) is True
+    for bad in mutations(token, params, rng):
+        assert verify_disclosure(bad, params) == reference_verify_disclosure(bad, params) is False
+
+
+def test_verdict_equals_reference_toy(toy_deploy):
+    params, key = toy_deploy
+    cred, rng = issue(params, key, 4, "reference")
+    for k in range(4):
+        for subset in itertools.combinations(range(1, 4), k):
+            check_against_reference(present(cred, list(subset), params, rng), params, rng)
+
+
+def test_verdict_equals_reference_production(prod_deploy):
+    params, key = prod_deploy
+    cred, rng = issue(params, key, 8, "reference")
+    for k in (0, 3, 7):
+        subset = sorted(rng.sample(range(1, 8), k))
+        check_against_reference(present(cred, subset, params, rng), params, rng)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_keyless_fold_forgery_rejected(deploy, request):
+    """A token made without the issuer key whose signature error
+    (s - rho)*P - h*Ppub is cancelled by its first proof's error. Checked
+    with the signature and that proof both at weight 1, it would verify."""
+    params, _ = request.getfixturevalue(deploy)
+    c = params.curve
+    rng = make_rng(f"fold:{deploy}")
+    attrs = [c.random_nonzero(rng) for _ in range(2)]
+    rho, a, s = (c.random_nonzero(rng) for _ in range(3))
+    r_point = rho * c.base
+    h = hash_block([m * c.base for m in attrs], r_point)
+    first = (a * c.base - h * params.p_pub, lambda ch: rho + a + ch * attrs[0] - s)
+    for disclose in ([], [1]):
+        token = signed_token(params, attrs, r_point, s, disclose, rng, first)
+        sig_err = s * c.base - h * params.p_pub - r_point
+        t = token.proofs[0]
+        proof_err = t.response * c.base - t.commitment - t.challenge * t.statement
+        assert not sig_err.is_neutral() and (sig_err + proof_err).is_neutral()
+        assert not verify_disclosure(token, params)
+        assert not reference_verify_disclosure(token, params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_signature_torsion_policy(deploy, request):
+    """With the issuer key, R = rho*P + (0, p-1) and s = h*x + rho leave a
+    signature error of order two: the cofactored check accepts it, the
+    exact equation does not, and s + 1 is refused."""
+    params, key = request.getfixturevalue(deploy)
+    c = params.curve
+    rng = make_rng(f"sigtorsion:{deploy}")
+    attrs = [c.random_nonzero(rng) for _ in range(3)]
+    rho = c.random_nonzero(rng)
+    r_point = rho * c.base + Point(0, c.p - 1, c)
+    h = hash_block([m * c.base for m in attrs], r_point)
+    s = h * key.x + rho
+    for disclose in ([], [2]):
+        token = signed_token(params, attrs, r_point, s, disclose, rng)
+        assert verify_disclosure(token, params)
+        assert not reference_verify_disclosure(token, params)
+        off = signed_token(params, attrs, r_point, s + 1, disclose, rng)
+        assert not verify_disclosure(off, params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_verify_books_split_equation_and_proofs(deploy, request):
+    """3 Ms + 1 Ap for the signature's split form, 2 Ms + 1 Ap per hidden
+    proof, one Ms per disclosed m_i*P, and an inversion only for those."""
+    params, key = request.getfixturevalue(deploy)
+    cred, rng = issue(params, key, 6, f"book:{deploy}")
+    for subset in ([], [3], [1, 4, 5], [1, 2, 3, 4, 5]):
+        token = present(cred, subset, params, rng)
+        with OpCounter() as ops:
+            assert verify_disclosure(token, params)
+        r, h = len(subset), 6 - len(subset)
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (3 + r + 2 * h, h + 1, r)

@@ -281,6 +281,28 @@ def test_batch_books_its_plain_equations(name, request):
     assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
 
 
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_batch_folds_one_equation(name, request):
+    """An extra equation sum k_j*X_j == O rides in the same check at weight
+    1, books what its caller says, and any error in it or in a proof
+    fails the whole check unless the error is pure torsion."""
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"fold:{name}")
+    for k in (1, 4):
+        secrets = [c.random_nonzero(rng) for _ in range(k)]
+        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"eq", c, rng)
+        x = c.random_nonzero(rng)
+        big_x = x * c.base
+        with OpCounter() as ops:
+            assert fs_verify_batch(ts, b"eq", ([(c.base, x.v), (big_x, -1)], 3, 1))
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (3 + 2 * k, 1 + k, 0)
+        assert not fs_verify_batch(ts, b"eq", ([(c.base, x.v + 1), (big_x, -1)], 0, 0))
+        two = Point(0, c.p - 1, c)
+        assert fs_verify_batch(ts, b"eq", ([(c.base, x.v), (big_x + two, -1)], 0, 0))
+        bad = ts[:-1] + [corrupt(ts[-1], "response", c)]
+        assert not fs_verify_batch(bad, b"eq", ([(c.base, x.v), (big_x, -1)], 0, 0))
+
+
 def test_batch_weights(prod, toy):
     rng = make_rng("weights")
     for c in (prod, toy):
@@ -288,7 +310,7 @@ def test_batch_weights(prod, toy):
         rs = [c.random_nonzero(rng) for _ in range(16)]
         z = batch_weights(ch, rs, c)
         assert z[0] == 1 and len(z) == 16
-        assert all(1 <= v < min(c.q, 1 << 128) for v in z)
+        assert all(2 <= v < min(c.q, 1 << 128) for v in z[1:])
         assert batch_weights(ch, rs, c) == z  # deterministic
         assert batch_weights(ch, rs[:1], c) == [1]
     # the challenge and every response move every weight after the first
