@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Point, Scalar
+from .curve import Point, Scalar, sum_is_neutral
 from .hashing import hash_block
 from .issuance import Credential
 from .params import SystemParams
@@ -58,11 +58,17 @@ def signature_of(cred: Credential) -> PresentationSignature:
 
 
 def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
-    """The bare curve-equation check, two multiplications and one addition."""
+    """The bare curve equation s*P == h*Ppub + R, booked as the two
+    multiplications and one addition it stands for.
+
+    Checked exactly, as s*P - h*Ppub - R == O in one projective sum with
+    no inversion: a torsion error in R is refused.
+    """
     if not sig.r_point.on_curve() or sig.h.v == 0:
         return False
     curve = params.curve
-    return sig.s * curve.base == sig.h * params.p_pub + sig.r_point
+    terms = [(curve.base, sig.s.v), (params.p_pub, -sig.h.v), (sig.r_point, -1)]
+    return sum_is_neutral(curve, terms, ms=2, ap=1, cofactored=False)
 
 
 def verify_credential(cred: Credential, params: SystemParams) -> bool:

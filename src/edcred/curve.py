@@ -26,21 +26,24 @@ doublings and 50 additions. Both only add and double with the complete
 formulas, so neither needs a case for the neutral point, a torsion point or
 an addition whose two operands are equal.
 
-A proof check needs no multiple in affine form, only whether an equation
-holds. cofactored_equal checks sum k_i*Q_i == O with every Q_i that has a
-comb table on its comb and every other Q_i on one shared wNAF doubling
-chain, multiplies the sum by the cofactor and compares it with the neutral
-point in projective form, so a whole batch of proofs pays for one chain
-and no inversion.
+A check needs no multiple in affine form, only whether an equation holds.
+sum_is_neutral checks sum k_i*Q_i == O with every Q_i that has a comb
+table on its comb and every other Q_i on one shared wNAF doubling chain,
+and compares the sum with the neutral point in projective form, so a
+whole batch of proofs pays for one chain and no inversion. Its required
+keyword names the policy at each call: cofactored (the sum is first
+multiplied by the cofactor, so a pure-torsion sum passes), as the proof
+checks are, or exact, as the signature checks are.
 
 A process pays only for the tables it uses. curve1174's generator P ships
 its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
 base-point table (Bernstein et al., CHES 2011), and a parsed curve1174 is
 the built-in one, so it shares that table. The toy curve builds its
 one-row table for P on load. Every other point builds its table at its
-_COMB_AT-th multiple, once the table has paid for itself, so a one-shot
-command never builds one and a long-lived base (a public key) has one
-within its first few multiples.
+_COMB_AT-th use, a multiple k*Q or a term of a sum_is_neutral equation,
+once the table has paid for itself, so a one-shot command never builds
+one and a long-lived base (a public key) has one within its first few
+uses.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -112,10 +115,11 @@ class OpCounter:
     doubles once per wNAF digit and adds once per nonzero digit, plus one
     doubling and three additions for its table of odd multiples.
     inversions counts field inversions mod p: one per nonzero k*P or
-    addition (the return to affine form) and one per precompute(). The
-    multiple at which a point builds its table books the build's inversion
-    too, so it counts two. cofactored_equal books the operations its one
-    equation stands for, and no inversion.
+    addition (the return to affine form) and one per precompute().
+    sum_is_neutral books the operations its one equation stands for, and
+    no inversion. The multiple or equation at which a point builds its
+    table books the build's inversion too, so a multiple then counts two
+    and an equation one.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -180,10 +184,13 @@ _W = 6
 _LEVELS = 3
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
-# A point without a table builds one at its _COMB_AT-th multiple, once a
-# build would have paid for itself: ceil(build / (wNAF Ms - comb Ms)) on
-# curve1174, medians of 15 rounds in one process (2 vCPU, Python 3.11):
-# 8.38 / (2.33 - 0.52) = 4.6 and 6.52 / (1.84 - 0.42) = 4.6 in two runs.
+# A point without a table builds one at its _COMB_AT-th use, a multiple
+# or a sum_is_neutral term, once a build would have paid for itself in
+# multiples: ceil(build / (wNAF Ms - comb Ms)) on curve1174, medians of 15
+# rounds in one process (2 vCPU, Python 3.11): 8.38 / (2.33 - 0.52) = 4.6
+# and 6.52 / (1.84 - 0.42) = 4.6 in two runs. A term that shares its
+# chain with other terms saves only its additions on the comb, so there
+# the build pays off later; one count serves both.
 _COMB_AT = 5
 
 
@@ -526,8 +533,8 @@ class Point:
         come back to affine form.
 
         The build costs about 3.5 wNAF multiples, so nothing calls it
-        eagerly on curve1174: P ships its table, and k * B calls this at
-        B's _COMB_AT-th multiple.
+        eagerly on curve1174: P ships its table, and B's _COMB_AT-th use,
+        in k * B or in sum_is_neutral, calls this.
         """
         if type(self._table) is int:
             c = self.curve
@@ -573,8 +580,8 @@ class Point:
     def __rmul__(self, k):
         """k * self, k an int or a Scalar mod q.
 
-        A point without a table counts its multiples and builds its table
-        at the _COMB_AT-th, which then runs on the comb.
+        A point without a table counts its uses and builds its table at
+        the _COMB_AT-th, which then runs on the comb.
         """
         c = self.curve
         if isinstance(k, Scalar):
@@ -588,6 +595,12 @@ class Point:
         ctr = _active_counter.get()
         if ctr is not None:
             ctr.scalar_mults += 1
+        self._count_use()
+        return self._mul_reduced(k, ctr)
+
+    def _count_use(self) -> None:
+        """Count one use without a comb table, and build the table at the
+        _COMB_AT-th."""
         n = self._table
         if type(n) is int:
             # Unlocked: a count lost to another thread only delays the
@@ -596,7 +609,6 @@ class Point:
             self._table = n + 1
             if n + 1 >= _COMB_AT:
                 self.precompute()
-        return self._mul_reduced(k, ctr)
 
     def _mul_reduced(self, k: int, ctr) -> "Point":
         """k * self for 0 <= k < q, with one inversion when k is nonzero.
@@ -854,23 +866,32 @@ def in_prime_subgroup(pt: Point) -> bool:
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
 
 
-def cofactored_equal(curve: CurveParams, terms, ms: int, ap: int) -> bool:
-    """sum of k_i*Q_i over terms (Q_i, k_i) == O, up to a torsion point.
+def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: bool) -> bool:
+    """sum of k_i*Q_i over terms (Q_i, k_i) == O; with cofactored, up to a
+    torsion point.
 
-    Checks [cofactor]*(sum k_i*Q_i) == O in one pass and with no inversion.
-    Terms on equal points are summed first. Every point with a comb table
-    (P, and a public key once it has built one) is multiplied on its comb,
-    the combs sharing their doublings; every other point joins one wNAF
-    doubling chain, as -Q_i times q - k_i when that is the smaller scalar,
-    so a term -R costs one addition. Then come the cofactor's doublings, and
-    the result is compared with the neutral point in projective form,
-    X == 0 and Y == Z. A sum of prime order never vanishes, so the only
-    accepts the per-term check would refuse are those whose sum is pure
-    torsion. The cofactor is applied by doubling, so it must be a power of
-    two; validate_params notes any other.
+    Checks the sum in one pass and with no inversion. Terms on equal points
+    are summed first. A term whose scalar is +-1 is an addition: it joins
+    the chain below, so a term -R costs one addition. Every other term
+    counts one use of its point toward the point's table, as k*Q does;
+    a point with a comb table (P, and a public key once it has built one)
+    is multiplied on its comb, the combs sharing their doublings, and any
+    other point joins one wNAF doubling chain, as -Q_i times q - k_i when
+    that is the smaller scalar. The result is compared with the neutral
+    point in projective form, X == 0 and Y == Z.
 
-    Scalars are ints. Books ms scalar multiplications and ap additions, the
-    operations the equation stands for, and its inner steps.
+    Scalars are ints and count mod q, and the chain may run a term as
+    -Q_i*(q - k_i). Neither moves k_i*Q_i for a point of order q, nor for
+    k_i = +-1, so the sum is exact for the signature checks' terms s*P,
+    -h*Ppub and -R even when R carries torsion: with cofactored=False a
+    pure-torsion sum is refused. With cofactored=True the sum is first
+    multiplied by the cofactor, by doubling, so the cofactor must be a
+    power of two (validate_params notes any other); a sum of prime order
+    never vanishes, so the only accepts the exact check would refuse are
+    those whose sum is pure torsion.
+
+    Books ms scalar multiplications and ap additions, the operations the
+    equation stands for, and its inner steps.
     """
     p, d, q = curve.p, curve.d, curve.q
     merged = {}
@@ -886,9 +907,12 @@ def cofactored_equal(curve: CurveParams, terms, ms: int, ap: int) -> bool:
         k %= q
         if not k:
             continue
-        if type(pt._table) is list:
-            combs.append((pt._table, k))
-        elif 2 * k > q:
+        if 1 < k < q - 1:
+            pt._count_use()
+            if type(pt._table) is list:
+                combs.append((pt._table, k))
+                continue
+        if 2 * k > q:
             chain.append((-pt.x % p, pt.y, q - k))
         else:
             chain.append((pt.x, pt.y, k))
@@ -901,9 +925,10 @@ def cofactored_equal(curve: CurveParams, terms, ms: int, ap: int) -> bool:
         X, Y, Z, more_dbls, more_adds = _mul_wnaf(p, d, chain, addend)
         dbls += more_dbls
         adds += more_adds
-    for _ in range(curve.cofactor.bit_length() - 1):
-        X, Y, Z, _ = _dbl(p, False, X, Y, Z)
-        dbls += 1
+    if cofactored:
+        for _ in range(curve.cofactor.bit_length() - 1):
+            X, Y, Z, _ = _dbl(p, False, X, Y, Z)
+            dbls += 1
     ctr = _active_counter.get()
     if ctr is not None:
         ctr.scalar_mults += ms
@@ -925,12 +950,12 @@ __all__ = [
     "Point",
     "Scalar",
     "curve_by_name",
-    "cofactored_equal",
     "hasse_holds",
     "in_prime_subgroup",
     "inv_mod",
     "is_probable_prime",
     "parse_kv",
     "production_curve",
+    "sum_is_neutral",
     "toy_curve",
 ]

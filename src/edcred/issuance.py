@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .curve import OpCounter, Point, Scalar
+from .curve import OpCounter, Point, Scalar, sum_is_neutral
 from .errors import InvalidProofError, IssuerMisbehavior, SessionError
 from .hashing import hash_block
 from .params import IssuerKey, SystemParams
@@ -262,11 +262,17 @@ def user_pk_respond(state: UserBlindState, challenge: Scalar) -> Scalar:
 
 def user_unblind(state: UserBlindState, s_bar: Scalar, params: SystemParams) -> Credential:
     """Check the issuer's response against its nonce, then strip the blinding:
-    s = alpha * s' + beta. Raises IssuerMisbehavior when the check fails."""
+    s = alpha * s' + beta. Raises IssuerMisbehavior when the check fails.
+
+    The check s' * P == h' * Ppub + R' is exact, one projective sum
+    s'*P - h'*Ppub - R' == O booked as 2 Ms + 1 Ap, so a torsion error in
+    R' is refused.
+    """
     curve = params.curve
     if s_bar.q != curve.q:
         raise ValueError("response is not a scalar mod q")
-    if s_bar * curve.base != state.h_bar * params.p_pub + state.r_bar:
+    terms = [(curve.base, s_bar.v), (params.p_pub, -state.h_bar.v), (state.r_bar, -1)]
+    if not sum_is_neutral(curve, terms, ms=2, ap=1, cofactored=False):
         raise IssuerMisbehavior("blinded response fails the check equation")
     s = state.alpha * s_bar + state.beta
     return Credential(attrs=state.attrs, r_point=state.r_point, s=s, h=state.h)

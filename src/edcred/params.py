@@ -174,7 +174,7 @@ def validate_params(params: SystemParams) -> ParamsCheck:
     if not hasse_holds(c.cofactor * c.q, c.p):
         check.note("cofactor * q outside the Hasse window")
     if c.cofactor < 1 or c.cofactor & (c.cofactor - 1):
-        # proof checks clear torsion by doubling (curve.cofactored_equal)
+        # proof checks clear torsion by doubling (curve.sum_is_neutral)
         check.note("cofactor is not a power of two")
     if not params.p_pub.on_curve():
         check.note("public key not on curve")

@@ -15,14 +15,24 @@ Every check, of one transcript or of a batch, is one cofactored equation
 
     [cofactor] * ((sum z_i*r_i) * P - sum z_i*A_i - sum (c*z_i)*Q_i) == O
 
-with z_1 = 1 and 128-bit weights z_i >= 2 hashed from the challenge and
-every response (hashing.batch_weights): one multiple on P's comb and one
-doubling chain over every A_i and Q_i (curve.cofactored_equal), however many
-transcripts there are. One bad transcript always makes it fail. Multiplying
-by the cofactor accepts a transcript whose error r*P - A - c*Q is a torsion
-point, which the plain equation refuses; only the holder of the witness can
-make one, since the challenge hashes every point. A transcript still books
-the 2 Ms + 1 Ap of its plain equation.
+with 128-bit weights z_i >= 2 hashed from the challenge and every response
+(hashing.batch_weights) for every transcript after the first: one multiple
+on P's comb and one doubling chain over every A_i and Q_i
+(curve.sum_is_neutral), however many transcripts there are. One bad
+transcript always makes it fail. Multiplying by the cofactor accepts a
+transcript whose error r*P - A - c*Q is a torsion point, which the plain
+equation refuses; only the holder of the witness can make one, since the
+challenge hashes every point. A transcript still books the 2 Ms + 1 Ap of
+its plain equation.
+
+The first transcript's weight is the short multiplier z_1 = a of the
+challenge (short_multiplier): a*c == b (mod q) with |a| and |b| below
+sqrt(q) (Antipa, Brown, Gallant, Lambert, Struik, Vanstone, SAC 2005;
+Pornin, ePrint 2020/454). A_1 and Q_1 then take the ~125-bit scalars -a
+and -b, so a single proof (pk_verify, fs_verify) runs a chain of about 125
+doublings, not the ~250 that z_1 = 1 and the full scalar c would cost.
+a is nonzero mod q, so [cofactor]*a*E == O exactly when [cofactor]*E == O:
+the verdict is the one z_1 = 1 gives.
 
 A caller can fold one more equation sum k_j*X_j == O into the same check
 (fs_verify_batch's equation): it takes weight 1, and every transcript then
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveParams, Point, Scalar, cofactored_equal
+from .curve import CurveParams, Point, Scalar, sum_is_neutral
 from .hashing import batch_weights, challenge_scalar
 
 
@@ -88,12 +98,31 @@ def pk_verify(t: SchnorrTranscript) -> bool:
     return _check([t])
 
 
+def short_multiplier(c: int, q: int) -> tuple[int, int]:
+    """(a, b) with a*c == b (mod q), a != 0 and |a|, b <= sqrt(q).
+
+    The extended Euclidean algorithm on (q, c), stopped at the first
+    remainder below sqrt(q). Every step keeps r_i == t_i*c (mod q), and
+    |t_i|*r_(i-1) + |t_(i-1)|*r_i == q bounds |t_i| by q over the previous
+    remainder, which is still at least sqrt(q). t_i is never 0: the t_i
+    alternate in sign and grow from t_1 = 1.
+    """
+    r0, r1 = q, c % q
+    t0, t1 = 0, 1
+    while r1 * r1 >= q:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    return t1, r1
+
+
 def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
     """The cofactored equation over transcripts that share one challenge,
     plus the caller's equation (terms, ms, ap) at weight 1. The weights
     hash the equation's scalars ahead of the responses, and the
-    transcripts take those after the equation's, so a transcript gets
-    weight 1 only when there is no equation."""
+    transcripts take those after the equation's; with no equation, the
+    first transcript takes the challenge's short multiplier in place of
+    batch_weights' z_1 = 1."""
     curve = transcripts[0].statement.curve
     for t in transcripts:
         if not (t.commitment.on_curve() and t.statement.on_curve()):
@@ -103,12 +132,14 @@ def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
     terms, ms, ap = equation
     seed = [curve.scalar(k) for _, k in terms] + [t.response for t in transcripts]
     weights = batch_weights(c, seed, curve)[len(terms):]
+    if not terms:
+        weights[0] = short_multiplier(c.v, q)[0]
     terms = list(terms)
     terms.append((curve.base, sum(z * t.response.v for z, t in zip(weights, transcripts))))
     terms += [(t.commitment, -z) for z, t in zip(weights, transcripts)]
     terms += [(t.statement, -z * c.v % q) for z, t in zip(weights, transcripts)]
     n = len(transcripts)
-    return cofactored_equal(curve, terms, ms=ms + 2 * n, ap=ap + n)
+    return sum_is_neutral(curve, terms, ms=ms + 2 * n, ap=ap + n, cofactored=True)
 
 
 def fs_prove_batch(

@@ -12,9 +12,10 @@ from edcred.credential import (
     signature_of,
     verify_presentation,
 )
-from edcred.curve import Scalar
+from edcred.curve import OpCounter, Point, Scalar
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
+from edcred.params import SystemParams
 from edcred.schnorr import SchnorrTranscript, fs_prove
 
 from conftest import make_rng
@@ -90,6 +91,29 @@ def test_check_equation_rejects_degenerate(toy_deploy, toy_cred):
     sig = signature_of(toy_cred)
     assert not check_equation(PresentationSignature(sig.r_point, sig.s, Scalar(0, params.curve.q)), params)
     assert not check_equation(PresentationSignature(sig.r_point, sig.s + 1, sig.h), params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_check_equation_is_exact(deploy, request):
+    """R = rho*P + (0, p-1) with s = h*x + rho leaves an error of order two,
+    which is refused, and R = rho*P is accepted: one projective sum booked
+    as 2 Ms + 1 Ap with no inversion, Ppub on the chain or on its comb.
+    A term -R is an addition even when R has a comb table, whose multiple
+    (q - 1)*R would drop R's torsion."""
+    params, key = request.getfixturevalue(deploy)
+    c = params.curve
+    rng = make_rng(f"exact:{deploy}")
+    two = Point(0, c.p - 1, c)
+    for p_pub in (Point(params.p_pub.x, params.p_pub.y, c),
+                  Point(params.p_pub.x, params.p_pub.y, c).precompute()):
+        verifier = SystemParams(c, p_pub)
+        rho, h = c.random_nonzero(rng), c.random_nonzero(rng)
+        s = h * key.x + rho
+        with_table = (rho * c.base + two).precompute()
+        for r_point, ok in ((rho * c.base, True), (rho * c.base + two, False), (with_table, False)):
+            with OpCounter() as ops:
+                assert check_equation(PresentationSignature(r_point, s, h), verifier) is ok
+            assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
 
 
 def test_presentation_roundtrip(toy_deploy, toy_cred):

@@ -477,8 +477,9 @@ def test_mul_wnaf_terms_share_one_chain(toy, prod):
 
 @pytest.mark.parametrize("name", ["toy", "prod"])
 def test_cofactored_equal_accepts_exactly_torsion(name, request):
-    """sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral, with no
-    inversion and the booked counts, on combs and on the chain alike."""
+    """sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral, or with
+    the exact policy when D is, with no inversion and the booked counts, on
+    combs and on the chain alike."""
     c = request.getfixturevalue(name)
     rng = make_rng(f"cofactored:{name}")
     torsion = [c.neutral(), Point(0, c.p - 1, c), Point(1, 0, c), Point(c.p - 1, 0, c)]
@@ -499,20 +500,35 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
             rest = rest + ki * pt
         terms.append((rest, -1))  # now sum k_i*Q_i == d exactly
         with OpCounter() as ops:
-            got = curve_mod.cofactored_equal(c, terms, ms=7, ap=3)
+            got = curve_mod.sum_is_neutral(c, terms, ms=7, ap=3, cofactored=True)
         assert got == (c.cofactor * d).is_neutral() == (d in torsion), d
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (7, 3, 0)
         # on a curve whose points have no table, every term joins the chain
         plain = curve_mod.CurveParams(c.name, c.p, c.d, c.base.x, c.base.y, c.q, c.cofactor)
         moved = [(Point(pt.x, pt.y, plain), ki) for pt, ki in terms]
         assert type(plain.base._table) is int
-        assert curve_mod.cofactored_equal(plain, moved, ms=0, ap=0) == got
-    assert curve_mod.cofactored_equal(c, [(c.base, 5), (5 * c.base, -1), (c.base, 0)], ms=0, ap=0)
-    assert curve_mod.cofactored_equal(c, [(c.base, 0), (c.base, 1 - c.q), (c.base, -1)], ms=0, ap=0)
-    assert curve_mod.cofactored_equal(c, [(key, 2), (2 * key, c.q - 1)], ms=0, ap=0)
-    assert curve_mod.cofactored_equal(c, [(c.base, 3), (key, 1), (3 * c.base + key, -1)], ms=0, ap=0)
-    assert not curve_mod.cofactored_equal(c, [(c.base, 1)], ms=0, ap=0)
-    assert not curve_mod.cofactored_equal(c, [(key, 1), (c.base, 1)], ms=0, ap=0)
+        assert curve_mod.sum_is_neutral(plain, moved, ms=0, ap=0, cofactored=True) == got
+        # the exact policy over points of order q and -1 times one that
+        # carries d's torsion: true exactly when d is neutral. A fresh
+        # copy of prime, so that no use builds its table.
+        fresh = Point(prime.x, prime.y, c)
+        exact = [(c.base, k), (key, rng.randrange(1, c.q)), (fresh, rng.randrange(2, c.q - 1))]
+        rest = -d
+        for pt, ki in exact:
+            rest = rest + ki * pt
+        exact.append((rest, -1))
+        with OpCounter() as ops:
+            assert curve_mod.sum_is_neutral(c, exact, ms=2, ap=1, cofactored=False) == d.is_neutral(), d
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
+        assert curve_mod.sum_is_neutral(c, exact, ms=0, ap=0, cofactored=True) == got
+        moved = [(Point(pt.x, pt.y, plain), ki) for pt, ki in exact]
+        assert curve_mod.sum_is_neutral(plain, moved, ms=0, ap=0, cofactored=False) == d.is_neutral()
+    assert curve_mod.sum_is_neutral(c, [(c.base, 5), (5 * c.base, -1), (c.base, 0)], ms=0, ap=0, cofactored=True)
+    assert curve_mod.sum_is_neutral(c, [(c.base, 0), (c.base, 1 - c.q), (c.base, -1)], ms=0, ap=0, cofactored=True)
+    assert curve_mod.sum_is_neutral(c, [(key, 2), (2 * key, c.q - 1)], ms=0, ap=0, cofactored=True)
+    assert curve_mod.sum_is_neutral(c, [(c.base, 3), (key, 1), (3 * c.base + key, -1)], ms=0, ap=0, cofactored=True)
+    assert not curve_mod.sum_is_neutral(c, [(c.base, 1)], ms=0, ap=0, cofactored=True)
+    assert not curve_mod.sum_is_neutral(c, [(key, 1), (c.base, 1)], ms=0, ap=0, cofactored=True)
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):

@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import pytest
 
-from edcred.curve import OpCounter, Point, Scalar
+from edcred.credential import PresentationSignature, check_equation
+from edcred.curve import _COMB_AT, OpCounter, Point, Scalar
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block
 from edcred.issuance import issuer_start, user_blind, user_unblind
+from edcred.params import SystemParams
 from edcred.schnorr import SchnorrTranscript
 
 from conftest import make_rng
@@ -315,9 +317,38 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
     proof, one Ms per disclosed m_i*P, and an inversion only for those."""
     params, key = request.getfixturevalue(deploy)
     cred, rng = issue(params, key, 6, f"book:{deploy}")
+    # Ppub with its table, as a verifier has it after its first checks;
+    # the build's inversion is pinned by test_public_key_table_at_fifth_check
+    params.p_pub.precompute()
     for subset in ([], [3], [1, 4, 5], [1, 2, 3, 4, 5]):
         token = present(cred, subset, params, rng)
         with OpCounter() as ops:
             assert verify_disclosure(token, params)
         r, h = len(subset), 6 - len(subset)
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (3 + r + 2 * h, h + 1, r)
+
+
+@pytest.mark.parametrize("check", ["verify_disclosure", "check_equation"])
+def test_public_key_table_at_fifth_check(check, prod_deploy):
+    """A verifier that only checks tokens builds Ppub's comb table at its
+    fifth check, which books the build's one inversion; four build none."""
+    params, key = prod_deploy
+    cred, rng = issue(params, key, 4, "ppub-table")
+    shown = present(cred, [2], params, rng)
+    data = shown.to_bytes(params)
+    verifier = SystemParams.parse_file(params.format_file())
+    assert verifier.p_pub == params.p_pub and verifier.p_pub._table == 0
+    table = Point(params.p_pub.x, params.p_pub.y, params.curve).precompute()._table
+    for i in range(1, _COMB_AT + 3):
+        # a token parsed afresh for each check, as a verifier gets it
+        token = DisclosureToken.from_bytes(data, verifier, shown.session_id)
+        with OpCounter() as ops:
+            if check == "verify_disclosure":
+                assert verify_disclosure(token, verifier)
+            else:
+                sig = PresentationSignature(token.sig_r, token.sig_s, token.sig_h)
+                assert check_equation(sig, verifier)
+        # one inversion for the revealed m_2*P, one for the build
+        revealed = int(check == "verify_disclosure")
+        assert ops.inversions == revealed + (i == _COMB_AT), i
+        assert verifier.p_pub._table == (table if i >= _COMB_AT else i)

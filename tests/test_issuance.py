@@ -3,7 +3,7 @@
 import pytest
 
 from edcred.credential import check_equation, signature_of
-from edcred.curve import Point, Scalar
+from edcred.curve import OpCounter, Point, Scalar
 from edcred.errors import InvalidProofError, IssuerMisbehavior, SessionError
 from edcred.hashing import attr_to_scalar, hash_block
 from edcred.issuance import (
@@ -16,6 +16,7 @@ from edcred.issuance import (
     user_pk_respond,
     user_unblind,
 )
+from edcred.params import SystemParams
 
 from conftest import make_rng
 
@@ -215,6 +216,34 @@ def test_unblind_detects_issuer_misbehavior(toy_deploy):
     # and the honest response still goes through afterwards
     cred = user_unblind(state, s_bar, params)
     assert check_equation(signature_of(cred), params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_unblind_check_is_exact(deploy, request):
+    """An issuer nonce R' = k*P + (0, p-1) answered with s' = h'*x + k
+    leaves an error of order two: IssuerMisbehavior, where R' = k*P goes
+    through. One projective sum booked as 2 Ms + 1 Ap with no inversion,
+    Ppub on the chain or on its comb."""
+    params, key = request.getfixturevalue(deploy)
+    c = params.curve
+    rng = make_rng(f"unblind-exact:{deploy}")
+    two = Point(0, c.p - 1, c)
+    for p_pub in (Point(params.p_pub.x, params.p_pub.y, c),
+                  Point(params.p_pub.x, params.p_pub.y, c).precompute()):
+        user = SystemParams(c, p_pub)
+        for torsion in (False, True):
+            k = c.random_nonzero(rng)
+            r_bar = k * c.base + two if torsion else k * c.base
+            state, req = user_blind(r_bar, sample_attrs(params, rng), user, rng)
+            s_bar = sign_response(req.h_bar, key.x, k)
+            with OpCounter() as ops:
+                if torsion:
+                    with pytest.raises(IssuerMisbehavior):
+                        user_unblind(state, s_bar, user)
+                else:
+                    cred = user_unblind(state, s_bar, user)
+            assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
+        assert check_equation(signature_of(cred), user)
 
 
 def test_user_blind_input_validation(toy_deploy):

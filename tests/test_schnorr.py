@@ -1,5 +1,7 @@
 """Discrete-log proofs: completeness, soundness, extraction."""
 
+import math
+
 import pytest
 
 from edcred.curve import OpCounter, Point, Scalar
@@ -14,6 +16,7 @@ from edcred.schnorr import (
     pk_commit,
     pk_respond,
     pk_verify,
+    short_multiplier,
     transcript_size,
 )
 
@@ -323,3 +326,33 @@ def test_batch_weights(prod, toy):
         other = batch_weights(ch, bumped, prod)
         assert all(u != v for u, v in zip(z[1:], other[1:]))
     assert all(u != v for u, v in zip(z[1:], batch_weights(ch + 1, rs, prod)[1:]))
+
+
+def test_short_multiplier(toy, prod):
+    """a*c == b (mod q) with a != 0 and |a|, b of at most half q's bits:
+    every c on the toy curve, seeded and edge values on curve1174."""
+    rng = make_rng("short")
+    root = math.isqrt(prod.q)
+    edges = [1, 2, prod.q - 1, prod.q - 2, root, root + 1]
+    for c, values in ((toy, range(1, toy.q)),
+                      (prod, edges + [rng.randrange(1, prod.q) for _ in range(10_000)])):
+        q = c.q
+        half = -(-q.bit_length() // 2)
+        for v in values:
+            a, b = short_multiplier(v, q)
+            assert a % q != 0 and (a * v - b) % q == 0, v
+            assert abs(a).bit_length() <= half and abs(b).bit_length() <= half, v
+
+
+def test_one_proof_runs_a_half_length_chain(prod):
+    """fs_verify on curve1174: P's comb, a chain of about 125 doublings for
+    A and Q under the short multiplier, and the cofactor's two."""
+    rng = make_rng("halfchain")
+    for _ in range(20):
+        mu = prod.random_nonzero(rng)
+        t = fs_prove(mu, mu * prod.base, b"half", rng)
+        with OpCounter() as ops:
+            assert fs_verify(t, b"half")
+        # 12 comb doublings, a chain from a top wNAF digit at bit 125 or
+        # below, one doubling each for the 3A and 3Q tables, cofactor 4
+        assert ops.inner_doubles <= 12 + 125 + 2 + 2
