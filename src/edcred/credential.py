@@ -25,6 +25,7 @@ from .schnorr import SchnorrTranscript, fs_prove, fs_verify, transcript_size
 from .wire import SESSION_ID_LEN
 
 
+# a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class PresentationSignature:
     """The public part of a credential: the triple (R, s, h)."""
@@ -109,6 +110,7 @@ def randomize(
     )
 
 
+# a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class PresentationToken:
     """A full show: randomized triple, P_0 and its proof of knowledge."""

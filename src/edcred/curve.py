@@ -735,14 +735,19 @@ class CurveParams:
     @classmethod
     def parse_file(cls, text: str) -> "CurveParams":
         fields = parse_kv(text, required=_CURVE_FILE_KEYS)
+        p, q, cofactor = int(fields["p"]), int(fields["q"]), int(fields["cofactor"])
+        # arithmetic mod p or q breaks below these; primality is
+        # validate_params' audit
+        if p < 3 or q < 2 or cofactor < 1:
+            raise ValueError("curve file: needs p >= 3, q >= 2 and cofactor >= 1")
         curve = cls(
             name=fields["name"],
-            p=int(fields["p"]),
+            p=p,
             d=int(fields["d"]),
             gx=int(fields["Px"]),
             gy=int(fields["Py"]),
-            q=int(fields["q"]),
-            cofactor=int(fields["cofactor"]),
+            q=q,
+            cofactor=cofactor,
         )
         if not curve.base.on_curve():
             raise ValueError("curve file: base point not on curve")

@@ -45,6 +45,7 @@ from .wire import SESSION_ID_LEN
 _BITMAP_BYTES = 8  # one bit per attribute index, MAX_ATTRIBUTES = 64
 
 
+# a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class DisclosureToken:
     sig_r: Point

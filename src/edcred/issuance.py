@@ -23,7 +23,6 @@ learn how many attributes the credential carries.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from .curve import OpCounter, Point, Scalar, sum_is_neutral
 from .errors import InvalidProofError, IssuerMisbehavior, SessionError
@@ -51,17 +50,25 @@ def _check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Credential:
     """What the user walks away with: attribute scalars and the signature
     triple (R, s, h) satisfying s * P == h * Ppub + R."""
 
-    attrs: tuple
-    r_point: Point
-    s: Scalar
-    h: Scalar
+    __slots__ = ("attrs", "r_point", "s", "h")
 
     MAGIC = b"CRD1"
+
+    def __init__(self, attrs: tuple, r_point: Point, s: Scalar, h: Scalar):
+        self.attrs = attrs
+        self.r_point = r_point
+        self.s = s
+        self.h = h
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.attrs, self.r_point, self.s, self.h) == (
+            other.attrs, other.r_point, other.s, other.h)
 
     def to_bytes(self, params: SystemParams) -> bytes:
         w = params.curve.coord_bytes
@@ -97,14 +104,22 @@ class Credential:
         return cred
 
 
-@dataclass
 class IssuanceRequest:
     """What the user sends to be signed."""
 
-    h_bar: Scalar
-    commitment0: Point
-    proof: SchnorrTranscript | None = None
-    pk_commitment: Point | None = None
+    __slots__ = ("h_bar", "commitment0", "proof", "pk_commitment")
+
+    def __init__(
+        self,
+        h_bar: Scalar,
+        commitment0: Point,
+        proof: SchnorrTranscript | None = None,
+        pk_commitment: Point | None = None,
+    ):
+        self.h_bar = h_bar
+        self.commitment0 = commitment0
+        self.proof = proof
+        self.pk_commitment = pk_commitment
 
 
 class IssuerSession:
@@ -189,19 +204,33 @@ def issuer_start(key: IssuerKey, params: SystemParams, rng) -> tuple[IssuerSessi
     return session, session.r_bar
 
 
-@dataclass
 class UserBlindState:
     """Everything the user must remember between blinding and unblinding."""
 
-    alpha: Scalar
-    beta: Scalar
-    r_bar: Point
-    r_point: Point
-    h: Scalar
-    h_bar: Scalar
-    attrs: tuple
-    pk_nonce: Scalar | None = None
-    pk_commitment: Point | None = None
+    __slots__ = ("alpha", "beta", "r_bar", "r_point", "h", "h_bar", "attrs",
+                 "pk_nonce", "pk_commitment")
+
+    def __init__(
+        self,
+        alpha: Scalar,
+        beta: Scalar,
+        r_bar: Point,
+        r_point: Point,
+        h: Scalar,
+        h_bar: Scalar,
+        attrs: tuple,
+        pk_nonce: Scalar | None = None,
+        pk_commitment: Point | None = None,
+    ):
+        self.alpha = alpha
+        self.beta = beta
+        self.r_bar = r_bar
+        self.r_point = r_point
+        self.h = h
+        self.h_bar = h_bar
+        self.attrs = attrs
+        self.pk_nonce = pk_nonce
+        self.pk_commitment = pk_commitment
 
 
 def user_blind(

@@ -10,7 +10,6 @@ text lines as curve fixtures.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .curve import (
     CurveParams,
@@ -32,17 +31,16 @@ def _security_bits(q: int) -> int:
     return q.bit_length() // 2
 
 
-@dataclass
 class SystemParams:
-    """Public issuance parameters: curve plus issuer public key."""
+    """Public issuance parameters: curve plus issuer public key. k = 0
+    means the curve's generic security level."""
 
-    curve: CurveParams
-    p_pub: Point
-    k: int = 0
+    __slots__ = ("curve", "p_pub", "k")
 
-    def __post_init__(self):
-        if self.k == 0:
-            self.k = _security_bits(self.curve.q)
+    def __init__(self, curve: CurveParams, p_pub: Point, k: int = 0):
+        self.curve = curve
+        self.p_pub = p_pub
+        self.k = k if k != 0 else _security_bits(curve.q)
 
     def format_file(self) -> str:
         return (
@@ -79,12 +77,14 @@ class SystemParams:
             return cls.parse_file(fh.read())
 
 
-@dataclass
 class IssuerKey:
     """The issuer secret x with its public counterpart."""
 
-    x: Scalar
-    p_pub: Point
+    __slots__ = ("x", "p_pub")
+
+    def __init__(self, x: Scalar, p_pub: Point):
+        self.x = x
+        self.p_pub = p_pub
 
     def format_file(self, params: SystemParams) -> str:
         return params.format_file() + f"x={self.x.v}\n"
@@ -132,11 +132,13 @@ def setup(curve="toy", rng=None) -> tuple[SystemParams, IssuerKey]:
     return params, IssuerKey(x=x, p_pub=params.p_pub)
 
 
-@dataclass
 class ParamsCheck:
     """Boolean verdict that remembers why it is false."""
 
-    problems: list = field(default_factory=list)
+    __slots__ = ("problems",)
+
+    def __init__(self, problems: list | None = None):
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:

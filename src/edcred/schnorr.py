@@ -49,6 +49,7 @@ from .curve import CurveParams, Point, Scalar, sum_is_neutral
 from .hashing import batch_weights, challenge_scalar
 
 
+# a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class SchnorrTranscript:
     """One accepted or offered proof: (A, c, r) for a statement."""

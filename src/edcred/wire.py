@@ -9,8 +9,6 @@ direction keeps the two apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import WireError
 
 WIRE_VERSION = 1
@@ -32,19 +30,25 @@ ISSUER_TO_USER = 0
 USER_TO_ISSUER = 1
 
 
-@dataclass(frozen=True)
 class WireMessage:
-    msg_type: int
-    session_id: bytes
-    body: bytes
+    __slots__ = ("msg_type", "session_id", "body")
 
-    def __post_init__(self):
-        if self.msg_type not in _KNOWN_TYPES:
-            raise WireError(f"unknown message type 0x{self.msg_type:02x}")
-        if len(self.session_id) != SESSION_ID_LEN:
+    def __init__(self, msg_type: int, session_id: bytes, body: bytes):
+        if msg_type not in _KNOWN_TYPES:
+            raise WireError(f"unknown message type 0x{msg_type:02x}")
+        if len(session_id) != SESSION_ID_LEN:
             raise WireError(f"session id must be {SESSION_ID_LEN} bytes")
-        if len(self.body) > _MAX_BODY:
+        if len(body) > _MAX_BODY:
             raise WireError("body too large")
+        self.msg_type = msg_type
+        self.session_id = session_id
+        self.body = body
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.msg_type, self.session_id, self.body) == (
+            other.msg_type, other.session_id, other.body)
 
 
 def encode_message(msg: WireMessage) -> bytes:
@@ -94,17 +98,21 @@ def read_message(stream) -> WireMessage | None:
     return decode_message(header + body)
 
 
-@dataclass(frozen=True)
 class TranscriptEntry:
-    direction: int  # ISSUER_TO_USER or USER_TO_ISSUER
-    message: WireMessage
+    __slots__ = ("direction", "message")
+
+    def __init__(self, direction: int, message: WireMessage):
+        self.direction = direction  # ISSUER_TO_USER or USER_TO_ISSUER
+        self.message = message
 
 
-@dataclass
 class Transcript:
     """Ordered record of one protocol run, replayable byte for byte."""
 
-    entries: list = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
 
     def record(self, direction: int, message: WireMessage) -> None:
         if direction not in (ISSUER_TO_USER, USER_TO_ISSUER):

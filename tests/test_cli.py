@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import edcred
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
 from edcred.harness import simulate_issue
@@ -171,6 +172,35 @@ def test_verify_malformed_is_exit_2(deploy, tmp_path):
     junk.write_bytes(b"this is not a token")
     assert main(["verify", "--params", str(out), "--token", str(junk)]) == 2
     assert main(["verify", "--params", str(out), "--token", str(tmp_path / "absent")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("p", 0), ("q", 1), ("cofactor", 0)])
+def test_degenerate_params_file_is_exit_2(deploy, tmp_path, key, value):
+    # a size that breaks the arithmetic is malformed input: exit 2 and a
+    # message, not a traceback with exit 1, which means reject. Real
+    # processes, so that a crash shows as the interpreter reports it.
+    out, attrs = deploy
+    cred_file = tmp_path / "c.bin"
+    assert issue(deploy, cred_file) == 0
+    for name in ("params.txt", "issuer.key"):  # the key file repeats the params
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                                for line in lines))
+    commands = (
+        ["issue", "--params", str(out), "--attrs", str(attrs), "--out", str(tmp_path / "c2.bin")],
+        ["verify", "--params", str(out), "--token", str(cred_file)],
+        ["present", "--params", str(out), "--cred", str(cred_file), "--disclose", "1",
+         "--out", str(tmp_path / "d.tok")],
+    )
+    src = os.path.dirname(os.path.dirname(edcred.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in commands:
+        result = subprocess.run([sys.executable, "-m", "edcred.cli", *argv, "--seed", "1"],
+                                capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 2, (argv[0], result.stderr)
+        assert "Traceback" not in result.stderr and "error:" in result.stderr
+    assert not (tmp_path / "c2.bin").exists() and not (tmp_path / "d.tok").exists()
 
 
 def test_usage_errors_are_exit_2(tmp_path):

@@ -1,5 +1,7 @@
 """Randomized showings: unlinkable triples that keep verifying."""
 
+from dataclasses import replace
+
 import pytest
 
 from edcred.credential import (
@@ -16,7 +18,7 @@ from edcred.curve import OpCounter, Point, Scalar
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import SystemParams
-from edcred.schnorr import SchnorrTranscript, fs_prove
+from edcred.schnorr import SchnorrTranscript, fs_prove, fs_verify
 
 from conftest import make_rng
 
@@ -159,6 +161,35 @@ def test_presentation_wrong_session_rejected_production(prod_deploy):
     assert verify_presentation(token, params)
     moved = PresentationToken(token.sig, token.commitment0, token.proof, b"C" * 16)
     assert not verify_presentation(moved, params)
+
+
+def test_replaced_fields_are_rejected(prod_deploy):
+    # perfbench's tamper runs rebuild these three records with
+    # dataclasses.replace, so they stay dataclasses, and each such edit
+    # must be a reject
+    params, key = prod_deploy
+    rng = make_rng("replace")
+    attrs = [params.curve.random_nonzero(rng), attr_to_scalar("x", params.curve)]
+    session, r_bar = issuer_start(key, params, rng)
+    state, request = user_blind(r_bar, attrs, params, rng)
+    cred = user_unblind(state, session.sign(request), params)
+    token = make_presentation(cred, params, rng, fresh=True)
+    assert verify_presentation(token, params)
+    sig, proof, base = token.sig, token.proof, params.curve.base
+    moved = token.commitment0 + base
+    tampered = [
+        replace(token, sig=replace(sig, s=sig.s + 1)),
+        replace(token, sig=replace(sig, h=sig.h + 1)),
+        replace(token, sig=replace(sig, r_point=sig.r_point + base)),
+        replace(token, commitment0=moved, proof=replace(proof, statement=moved)),
+        replace(token, proof=replace(proof, response=proof.response + 1)),
+        replace(token, session_id=b"M" * 16),
+    ]
+    for bad in tampered:
+        assert not verify_presentation(bad, params)
+    assert check_equation(sig, params) and not check_equation(replace(sig, s=sig.s + 1), params)
+    assert fs_verify(request.proof, b"")
+    assert not fs_verify(replace(request.proof, response=request.proof.response + 1), b"")
 
 
 def test_presentation_token_decode_rejections(toy_deploy, toy_cred):

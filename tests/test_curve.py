@@ -601,6 +601,18 @@ def test_curve_file_roundtrip(toy):
     assert again.base == toy.base
 
 
+@pytest.mark.parametrize("key, value", [("p", 0), ("p", 2), ("q", 0), ("q", 1),
+                                        ("cofactor", 0), ("cofactor", -4)])
+def test_parse_file_refuses_degenerate_sizes(toy, key, value):
+    # p = 0 used to raise ZeroDivisionError in the constructor, and
+    # cofactor = 0 used to parse
+    text = "".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                   for line in toy.format_file().splitlines(keepends=True))
+    assert f"{key}={value}\n" in text
+    with pytest.raises(ValueError, match="p >= 3, q >= 2 and cofactor >= 1"):
+        CurveParams.parse_file(text)
+
+
 def test_parsed_curve1174_is_the_builtin_one(prod):
     assert CurveParams.parse_file(prod.format_file()) is prod
     with OpCounter() as ops:

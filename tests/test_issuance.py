@@ -286,3 +286,27 @@ def test_credential_bytes_rejections(toy_deploy, prod_deploy):
         Credential.from_bytes(data[:-1], params)  # truncated
     with pytest.raises(ValueError):
         Credential.from_bytes(data + b"\x00", params)  # trailing junk
+
+
+def test_credential_equality_is_field_by_field(toy_deploy):
+    params, key = toy_deploy
+    rng = make_rng("credeq")
+    cred = run_full(params, key, sample_attrs(params, rng), rng)
+    fields = (cred.attrs, cred.r_point, cred.s, cred.h)
+    assert Credential(*fields) == cred and not Credential(*fields) != cred
+    changed = [
+        Credential(cred.attrs[:-1] + (cred.attrs[-1] + 1,), cred.r_point, cred.s, cred.h),
+        Credential(cred.attrs, cred.r_point + params.curve.base, cred.s, cred.h),
+        Credential(cred.attrs, cred.r_point, cred.s + 1, cred.h),
+        Credential(cred.attrs, cred.r_point, cred.s, cred.h + 1),
+    ]
+    for other in changed:
+        assert other != cred and not other == cred
+    assert cred != fields and fields != cred  # never equal to a tuple
+
+
+def test_issuance_request_defaults(toy_deploy):
+    c = toy_deploy[0].curve
+    request = IssuanceRequest(c.scalar(5), c.base)
+    assert request.h_bar == c.scalar(5) and request.commitment0 == c.base
+    assert request.proof is None and request.pk_commitment is None

@@ -6,7 +6,7 @@ import pytest
 
 import edcred
 from edcred.curve import OpCounter, Point, Scalar, production_curve
-from edcred.params import IssuerKey, SystemParams, setup, validate_params
+from edcred.params import IssuerKey, ParamsCheck, SystemParams, setup, validate_params
 
 from conftest import make_rng
 
@@ -168,3 +168,29 @@ def test_params_import_is_lean():
     loaded = result.stdout.split()
     assert "edcred.params" in loaded
     assert "edcred.harness" not in loaded and "edcred.protocol" not in loaded
+
+
+def test_setup_path_imports_no_dataclasses(tmp_path, prod_deploy):
+    # each step in a fresh interpreter, since pytest has already imported
+    # dataclasses: creating a deployment, and starting from its saved
+    # params.txt, must not import it
+    path = tmp_path / "params.txt"
+    prod_deploy[0].save(path)
+    steps = (
+        "from edcred.params import setup; setup('prod', random.Random(1))",
+        f"from edcred.params import SystemParams; SystemParams.load({str(path)!r})",
+    )
+    src = os.path.dirname(os.path.dirname(edcred.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for step in steps:
+        code = f"import random, sys\n{step}\nassert 'dataclasses' not in sys.modules\n"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60, env=env)
+        assert result.returncode == 0, (step, result.stderr)
+
+
+def test_params_check_lists_are_not_shared():
+    a, b = ParamsCheck(), ParamsCheck()
+    a.note("p is not prime")
+    assert not a and a.problems == ["p is not prime"]
+    assert b and b.problems == []

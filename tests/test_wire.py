@@ -92,6 +92,12 @@ def test_transcript_roundtrip():
     assert [(e.direction, e.message) for e in again] == [(e.direction, e.message) for e in t]
 
 
+def test_transcripts_do_not_share_entries():
+    a, b = Transcript(), Transcript()
+    a.record(ISSUER_TO_USER, WireMessage(MSG_ISS1, SID, b"hello"))
+    assert len(a) == 1 and len(b) == 0 and a.entries is not b.entries
+
+
 def test_transcript_rejects_bad_direction():
     t = Transcript()
     with pytest.raises(ValueError):
