@@ -29,7 +29,7 @@ from .credential import (
     verify_credential,
     verify_presentation,
 )
-from .curve import Scalar, curve_by_name
+from .curve import Scalar, curve_by_name, hasse_holds
 from .disclosure import DisclosureToken, present as build_disclosure, verify_disclosure
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
 from .hashing import attr_to_scalar
@@ -56,7 +56,14 @@ def _rng(seed, role: str):
 
 
 def _load_params(dirpath) -> SystemParams:
-    return SystemParams.load(os.path.join(dirpath, PARAMS_FILE))
+    params = SystemParams.load(os.path.join(dirpath, PARAMS_FILE))
+    # a wrong cofactor or q lets commands run on a group that is not the
+    # curve's; this integer check refuses it with no point arithmetic,
+    # where validate_params' full audit costs milliseconds per command
+    c = params.curve
+    if not hasse_holds(c.q * c.cofactor, c.p):
+        raise ValueError("params file: cofactor * q is not a group order for this p (Hasse bound)")
+    return params
 
 
 def _load_issuer(dirpath, params) -> IssuerKey:

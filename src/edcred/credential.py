@@ -80,8 +80,7 @@ def verify_credential(cred: Credential, params: SystemParams) -> bool:
     """
     if not check_equation(signature_of(cred), params):
         return False
-    base = params.curve.base
-    return hash_block([m * base for m in cred.attrs], cred.r_point) == cred.h
+    return hash_block(params.curve.base.multiples(cred.attrs), cred.r_point) == cred.h
 
 
 def randomize(

@@ -14,8 +14,18 @@ Carter, Dawson, "Twisted Edwards curves revisited", 2008), using the unified
 addition add-2008-hwcd and the doubling dbl-2008-hwcd with a = 1. Their Z
 denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
 2 - x^2 - y^2 for a doubling, so they are as complete as the affine law.
-Each scalar multiplication or addition pays one field inversion, at the
-end, to return to affine form.
+Each addition, and each batch of multiples of one point (Point.multiples;
+k*P is a batch of one), pays one field inversion, at the end, to return to
+affine form: a batch inverts the product of its Z and peels each 1/Z off
+it (Montgomery's trick), as a comb table's build does for its entries.
+
+The addition leaves its products A = X1*x2 and B = Y1*y2 unreduced: they
+only feed E = (X1 + Y1)*(x2 + y2) - A - B and H = B - A, which are reduced
+once each, so an addition reduces two values where it would reduce three.
+The comb and wNAF loops, where nearly all of the time goes, have the
+addition and the doubling written out in place rather than called;
+_add and _dbl remain the reference formulas, which every other caller uses
+and which compute the same values.
 
 Scalar multiplication takes one of two paths. A base with a comb table is
 multiplied by a signed radix-64 comb over three interleaved levels (Lim and
@@ -114,8 +124,10 @@ class OpCounter:
     per nonzero comb digit and doubles between levels; any other multiple
     doubles once per wNAF digit and adds once per nonzero digit, plus one
     doubling and three additions for its table of odd multiples.
-    inversions counts field inversions mod p: one per nonzero k*P or
-    addition (the return to affine form) and one per precompute().
+    inversions counts field inversions mod p: one per batch of nonzero
+    multiples (the return to affine form), so one per nonzero k*P and one
+    per Point.multiples() call with a nonzero k, one per addition and one
+    per precompute().
     sum_is_neutral books the operations its one equation stands for, and
     no inversion. The multiple or equation at which a point builds its
     table books the build's inversion too, so a multiple then counts two
@@ -210,15 +222,16 @@ def _neg(p, x, y, s, u, z=1):
 def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, s2, u2, z2=1):
     # add-2008-hwcd: 9 multiplications, 8 when the second operand is affine,
     # one fewer without T. F and G are Z1*Z2*(1 -+ d*x1*x2*y1*y2), never
-    # zero on curve points.
-    A = X1 * x2 % p
-    B = Y1 * y2 % p
+    # zero on curve points. A and B stay unreduced: E and H each reduce
+    # once. _mul_table and _mul_wnaf inline this and _dbl step for step.
+    A = X1 * x2
+    B = Y1 * y2
     C = T1 * u2 % p
     D = Z1 if z2 == 1 else Z1 * z2 % p
     E = ((X1 + Y1) * s2 - A - B) % p
     F = D - C
     G = D + C
-    H = B - A
+    H = (B - A) % p
     return E * F % p, G * H % p, F * G % p, E * H % p if need_t else None
 
 
@@ -283,25 +296,44 @@ def _mul_table(p, pairs):
     Horner over the levels: at each level from the top down, multiply the
     sum so far by 2^_W, then add one row entry per nonzero digit of that
     level, negated for a negative digit. Several bases share the doublings.
+    The steps are _dbl and _add written out.
     """
     recoded = [(_signed_digits(k, len(table) * _LEVELS), table) for table, k in pairs]
     X = None
     dbls = adds = 0
     for level in range(_LEVELS - 1, -1, -1):
         if X is not None:
-            for i in range(1, _W + 1):
-                X, Y, Z, T = _dbl(p, i == _W, X, Y, Z)
+            for _ in range(_W):
+                A = X * X % p
+                B = Y * Y % p
+                E = 2 * X * Y % p
+                G = A + B
+                F = (G - 2 * Z * Z) % p
+                H = A - B
+                X, Y, Z = E * F % p, G * H % p, F * G % p
+            T = E * H % p
             dbls += _W
         for digits, table in recoded:
             for dgt, row in zip(digits[level::_LEVELS], table):
-                if not dgt:
-                    continue
-                e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
-                if X is None:
-                    X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
+                if dgt > 0:
+                    x2, y2, s2, u2 = row[dgt - 1]
+                elif dgt:
+                    x2, y2, s2, u2 = row[-dgt - 1]
+                    x2, s2, u2 = p - x2, y2 - x2, p - u2
                 else:
-                    X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
-                    adds += 1
+                    continue
+                if X is None:
+                    X, Y, Z, T = x2, y2, 1, x2 * y2 % p
+                    continue
+                A = X * x2
+                B = Y * y2
+                C = T * u2 % p
+                E = ((X + Y) * s2 - A - B) % p
+                H = (B - A) % p
+                F = Z - C
+                G = Z + C
+                X, Y, Z, T = E * F % p, G * H % p, F * G % p, E * H % p
+                adds += 1
     return X, Y, Z, T, dbls, adds
 
 
@@ -343,7 +375,10 @@ def _mul_wnaf(p, d, terms, addend=None):
         luts.append([addend])
         steps.append((0, 0, len(luts) - 1))
     # every nonzero digit of every term, top position first; the chain
-    # starts from the first, a top digit, which is positive
+    # starts from the first, a top digit, which is positive. The steps are
+    # _dbl and _add written out; only an addition reads T, so T is made
+    # after the last doubling before one, and by an addition only when
+    # the next step adds at the same position.
     steps.sort(reverse=True)
     top, dgt, j = steps[0]
     X, Y, Z, T = odds[j][dgt >> 1]
@@ -352,15 +387,35 @@ def _mul_wnaf(p, d, terms, addend=None):
     for i in range(1, n):
         pos, dgt, j = steps[i]
         if pos < at:
-            for _ in range(at - pos - 1):
-                X, Y, Z, T = _dbl(p, False, X, Y, Z)
-            X, Y, Z, T = _dbl(p, True, X, Y, Z)
+            for _ in range(at - pos):
+                A = X * X % p
+                B = Y * Y % p
+                E = 2 * X * Y % p
+                G = A + B
+                F = (G - 2 * Z * Z) % p
+                H = A - B
+                X, Y, Z = E * F % p, G * H % p, F * G % p
+            T = E * H % p
             at = pos
-        # only a next addition at the same position reads T
-        more = i + 1 < n and steps[i + 1][0] == pos
-        X, Y, Z, T = _add(p, more, X, Y, Z, T, *luts[j][dgt])
+        x2, y2, s2, u2, z2 = luts[j][dgt]
+        A = X * x2
+        B = Y * y2
+        C = T * u2 % p
+        D = Z if z2 == 1 else Z * z2 % p
+        E = ((X + Y) * s2 - A - B) % p
+        H = (B - A) % p
+        F = D - C
+        G = D + C
+        X, Y, Z = E * F % p, G * H % p, F * G % p
+        if i + 1 < n and steps[i + 1][0] == pos:
+            T = E * H % p
     for _ in range(at):
-        X, Y, Z, T = _dbl(p, False, X, Y, Z)
+        A = X * X % p
+        B = Y * Y % p
+        E = 2 * X * Y % p
+        G = A + B
+        F = (G - 2 * Z * Z) % p
+        X, Y, Z = E * F % p, G * (A - B) % p, F * G % p
     return X, Y, Z, dbls + top, adds + n - 1
 
 
@@ -370,12 +425,26 @@ def _rows(flat):
     return [flat[i:i + half] for i in range(0, len(flat), half)]
 
 
-def _affine(curve, X, Y, Z, ctr) -> "Point":
-    p = curve.p
-    zi = pow(Z, -1, p)
+def _to_affine(p, ext, ctr) -> list:
+    """The affine (x, y) of every (X, Y, Z, ...) in ext, with one inversion
+    for all of them (Montgomery's trick): invert the product of every Z,
+    then walk back from the last entry, peeling one 1/Z_i off per entry."""
+    if not ext:
+        return []
+    # prefix[i] = Z_0 * ... * Z_(i-1)
+    prefix = [1]
+    for e in ext:
+        prefix.append(prefix[-1] * e[2] % p)
+    inv = pow(prefix.pop(), -1, p)
     if ctr is not None:
         ctr.inversions += 1
-    return Point(X * zi % p, Y * zi % p, curve)
+    out = []
+    for e in reversed(ext):
+        zi = inv * prefix.pop() % p
+        inv = inv * e[2] % p
+        out.append((e[0] * zi % p, e[1] * zi % p))
+    out.reverse()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +578,8 @@ class Point:
         c = self.curve
         p = c.p
         x, y = self.x, self.y
-        X, Y, Z, _ = _add(p, False, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
-        return _affine(c, X, Y, Z, ctr)
+        ext = _add(p, False, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
+        return Point(*_to_affine(p, [ext], ctr)[0], c)
 
     def __neg__(self):
         return Point(-self.x % self.curve.p, self.y, self.curve)
@@ -557,46 +626,59 @@ class Point:
                 for _ in range(half - 1):
                     pt = _add(p, True, *pt, *step)
                     ext.append(pt)
-            # prefix[i] = Z_0 * ... * Z_i; walking back from the inverse of
-            # the full product peels off one 1/Z_i per entry
-            prefix = []
-            acc = 1
-            for e in ext:
-                acc = acc * e[2] % p
-                prefix.append(acc)
-            inv = pow(acc, -1, p)
-            ctr = _active_counter.get()
-            if ctr is not None:
-                ctr.inversions += 1
-            flat = [None] * len(ext)
-            for i in range(len(ext) - 1, -1, -1):
-                X, Y, Z, _ = ext[i]
-                zi = inv * prefix[i - 1] % p if i else inv
-                inv = inv * Z % p
-                flat[i] = _cache(p, d, X * zi % p, Y * zi % p)
-            self._table = _rows(flat)
+            affine = _to_affine(p, ext, _active_counter.get())
+            self._table = _rows([_cache(p, d, x, y) for x, y in affine])
         return self
 
     def __rmul__(self, k):
-        """k * self, k an int or a Scalar mod q.
+        """k * self, k an int or a Scalar mod q: a batch of one multiple."""
+        if not isinstance(k, (int, Scalar)):
+            return NotImplemented
+        return self.multiples((k,))[0]
 
-        A point without a table counts its uses and builds its table at
-        the _COMB_AT-th, which then runs on the comb.
+    def multiples(self, ks) -> list:
+        """[k * self for k in ks], each k an int or a Scalar mod q, with one
+        inversion for the whole batch.
+
+        Each k books one scalar multiplication and counts one use toward
+        the comb table, which a point without one builds at its
+        _COMB_AT-th use. A precomputed base recodes k into signed radix-64
+        digits in [-31, 32] and walks its comb table; any other point
+        recodes k as a width-4 wNAF over its odd multiples. Both sum with
+        the complete formulas alone, so the neutral point, torsion points
+        and intermediate sums that meet a table entry need no special
+        case. The nonzero multiples then return to affine form together
+        (Montgomery's trick), so a batch pays one inversion, not one per k.
         """
         c = self.curve
-        if isinstance(k, Scalar):
-            if k.q != c.q:
-                raise ValueError("scalar from a different group")
-            k = k.v
-        elif isinstance(k, int):
-            k %= c.q
-        else:
-            return NotImplemented
+        p = c.p
         ctr = _active_counter.get()
-        if ctr is not None:
-            ctr.scalar_mults += 1
-        self._count_use()
-        return self._mul_reduced(k, ctr)
+        ext = []
+        for k in ks:
+            if isinstance(k, Scalar):
+                if k.q != c.q:
+                    raise ValueError("scalar from a different group")
+                k = k.v
+            elif isinstance(k, int):
+                k %= c.q
+            else:
+                raise TypeError("a multiple needs an int or a Scalar")
+            if ctr is not None:
+                ctr.scalar_mults += 1
+            self._count_use()
+            if not k:
+                ext.append(None)
+                continue
+            if type(self._table) is list:
+                X, Y, Z, _, dbls, adds = _mul_table(p, [(self._table, k)])
+            else:
+                X, Y, Z, dbls, adds = _mul_wnaf(p, c.d, [(self.x, self.y, k)])
+            if ctr is not None:
+                ctr.inner_doubles += dbls
+                ctr.inner_adds += adds
+            ext.append((X, Y, Z))
+        affine = iter(_to_affine(p, [e for e in ext if e is not None], ctr))
+        return [c.neutral() if e is None else Point(*next(affine), c) for e in ext]
 
     def _count_use(self) -> None:
         """Count one use without a comb table, and build the table at the
@@ -609,27 +691,6 @@ class Point:
             self._table = n + 1
             if n + 1 >= _COMB_AT:
                 self.precompute()
-
-    def _mul_reduced(self, k: int, ctr) -> "Point":
-        """k * self for 0 <= k < q, with one inversion when k is nonzero.
-
-        A precomputed base recodes k into signed radix-64 digits in
-        [-31, 32] and walks its comb table; any other point recodes k as a
-        width-4 wNAF over its odd multiples. Both sum with the complete formulas
-        alone, so the neutral point, torsion points and intermediate sums
-        that meet a table entry need no special case.
-        """
-        c = self.curve
-        if k == 0:
-            return c.neutral()
-        if type(self._table) is list:
-            X, Y, Z, _, dbls, adds = _mul_table(c.p, [(self._table, k)])
-        else:
-            X, Y, Z, dbls, adds = _mul_wnaf(c.p, c.d, [(self.x, self.y, k)])
-        if ctr is not None:
-            ctr.inner_doubles += dbls
-            ctr.inner_adds += adds
-        return _affine(c, X, Y, Z, ctr)
 
     def __eq__(self, other):
         if not isinstance(other, Point):

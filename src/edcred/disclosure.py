@@ -178,19 +178,20 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
+    hidden_points = curve.base.multiples([cred.attrs[i] for i in hidden])
     token = DisclosureToken(
         sig_r=cred.r_point,
         sig_s=cred.s,
         sig_h=cred.h,
         n_attrs=n,
         disclosed={i: cred.attrs[i] for i in disclose},
-        hidden_points={i: cred.attrs[i] * curve.base for i in hidden},
+        hidden_points=dict(zip(hidden, hidden_points)),
         proofs={},
         session_id=session_id,
     )
     transcripts = fs_prove_batch(
         [cred.attrs[i] for i in hidden],
-        [token.hidden_points[i] for i in hidden],
+        hidden_points,
         token.body_prefix(params),
         curve,
         rng,
@@ -229,8 +230,8 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     h = 1
     for i in sorted(hidden):
         h = h * hash_points(token.hidden_points[i], token.sig_r).v % q
-    for i in sorted(disclosed):
-        h = h * hash_points(token.disclosed[i] * curve.base, token.sig_r).v % q
+    for pt in curve.base.multiples([token.disclosed[i] for i in sorted(disclosed)]):
+        h = h * hash_points(pt, token.sig_r).v % q
     # s*P - h*Ppub - R == O, booked as 3 Ms + 1 Ap: the count of the split
     # form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
     # disclosure count gate pins

@@ -256,7 +256,7 @@ def user_blind(
     alpha = curve.random_nonzero(rng)
     beta = curve.random_nonzero(rng)
     r_point = alpha * r_bar + beta * curve.base
-    commitments = tuple(m * curve.base for m in attrs)
+    commitments = tuple(curve.base.multiples(attrs))
     h = hash_block(list(commitments), r_point)
     h_bar = h * alpha.inverse()
 

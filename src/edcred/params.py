@@ -38,6 +38,8 @@ class SystemParams:
     __slots__ = ("curve", "p_pub", "k")
 
     def __init__(self, curve: CurveParams, p_pub: Point, k: int = 0):
+        if k < 0:
+            raise ValueError("security level k must not be negative")
         self.curve = curve
         self.p_pub = p_pub
         self.k = k if k != 0 else _security_bits(curve.q)
@@ -65,7 +67,12 @@ class SystemParams:
         p_pub = Point(int(fields["Ppubx"]), int(fields["Ppuby"]), curve)
         if not p_pub.on_curve():
             raise ValueError("params file: public key not on curve")
-        return cls(curve=curve, p_pub=p_pub, k=int(fields["k"]))
+        # format_file writes the level k stands for, never 0, which only the
+        # constructor takes
+        k = int(fields["k"])
+        if k < 1:
+            raise ValueError("params file: k must be at least 1")
+        return cls(curve=curve, p_pub=p_pub, k=k)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

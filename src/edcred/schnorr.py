@@ -153,12 +153,8 @@ def fs_prove_batch(
     """Prove every statement under one hash-derived challenge."""
     if len(secrets) != len(statements) or not secrets:
         raise ValueError("need matching nonempty secrets and statements")
-    nonces = []
-    commitments = []
-    for _ in secrets:
-        w, a = pk_commit(curve, rng)
-        nonces.append(w)
-        commitments.append(a)
+    nonces = [curve.random_nonzero(rng) for _ in secrets]
+    commitments = curve.base.multiples(nonces)
     c = challenge_scalar(commitments, statements, context, curve)
     return [
         SchnorrTranscript(a, c, pk_respond(mu, w, c), stmt)

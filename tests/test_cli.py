@@ -174,11 +174,18 @@ def test_verify_malformed_is_exit_2(deploy, tmp_path):
     assert main(["verify", "--params", str(out), "--token", str(tmp_path / "absent")]) == 2
 
 
-@pytest.mark.parametrize("key, value", [("p", 0), ("q", 1), ("cofactor", 0)])
+@pytest.mark.parametrize("key, value", [
+    ("p", 0), ("q", 1), ("cofactor", 0),
+    ("k", 0), ("k", -1),
+    ("cofactor", 1), ("cofactor", 2), ("cofactor", 3), ("cofactor", 1000),
+    ("q", 1009), ("q", 2**70),
+])
 def test_degenerate_params_file_is_exit_2(deploy, tmp_path, key, value):
-    # a size that breaks the arithmetic is malformed input: exit 2 and a
-    # message, not a traceback with exit 1, which means reject. Real
-    # processes, so that a crash shows as the interpreter reports it.
+    # a size that breaks the arithmetic, a k below 1, or a cofactor and q
+    # whose product is no group order for p (the toy curve's is 8 * 131) is
+    # malformed input: exit 2 and a message, not exit 0 or a traceback with
+    # exit 1, which means reject. Real processes, so that a crash shows as
+    # the interpreter reports it.
     out, attrs = deploy
     cred_file = tmp_path / "c.bin"
     assert issue(deploy, cred_file) == 0

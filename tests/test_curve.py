@@ -475,6 +475,163 @@ def test_mul_wnaf_terms_share_one_chain(toy, prod):
             assert dbls == top + sum(k >= 3 for k in ks)
 
 
+def affine(c, ext):
+    """The point of extended (X, Y, Z, ...)."""
+    return Point(*curve_mod._to_affine(c.p, [ext], None)[0], c)
+
+
+def reference_comb(p, table, k):
+    """_mul_table's comb for one base, one _add, _dbl or _neg call per step."""
+    _add, _dbl, _neg = curve_mod._add, curve_mod._dbl, curve_mod._neg
+    levels, w = curve_mod._LEVELS, curve_mod._W
+    digits = curve_mod._signed_digits(k, len(table) * levels)
+    X = None
+    for level in range(levels - 1, -1, -1):
+        if X is not None:
+            for _ in range(w):
+                X, Y, Z, T = _dbl(p, True, X, Y, Z)
+        for dgt, row in zip(digits[level::levels], table):
+            if dgt:
+                e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
+                if X is None:
+                    X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
+                else:
+                    X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
+    return X, Y, Z, T
+
+
+def reference_chain(p, d, x, y, k):
+    """_mul_wnaf's chain for one term, one _add or _dbl call per step."""
+    _add, _dbl, _cache_ext = curve_mod._add, curve_mod._dbl, curve_mod._cache_ext
+    odd = [(x, y, 1, x * y % p)]
+    two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
+    for _ in range(3):
+        odd.append(_add(p, True, *odd[-1], *two))
+    digits = curve_mod._wnaf(k)
+    pos, dgt = digits[-1]
+    X, Y, Z, T = odd[dgt >> 1]
+    for nxt, dgt in reversed(digits[:-1]):
+        for _ in range(pos - nxt):
+            X, Y, Z, T = _dbl(p, True, X, Y, Z)
+        pos = nxt
+        e = _cache_ext(p, d, *odd[abs(dgt) >> 1])
+        X, Y, Z, T = _add(p, True, X, Y, Z, T, *(e if dgt > 0 else curve_mod._neg(p, *e)))
+    for _ in range(pos):
+        X, Y, Z, T = _dbl(p, True, X, Y, Z)
+    return X, Y, Z
+
+
+def near_p_points(c, n):
+    """n points of c with x = p - i or y = p - i for small i, the order-2
+    and order-4 points (0, p - 1) and (p - 1, 0) first."""
+    p, d = c.p, c.d
+    pts = [Point(0, p - 1, c), Point(p - 1, 0, c)]
+    i = 1
+    while len(pts) < n:
+        i += 1
+        # x^2 = (1 - y^2) / (1 - d*y^2), the curve equation, and the same
+        # with x and y swapped; p = 3 mod 4 on curve1174
+        t = (1 - i * i) * pow(1 - d * i * i, -1, p) % p
+        root = pow(t, (p + 1) // 4, p)
+        if root * root % p == t:
+            pts += [Point(p - i, root, c), Point(root, p - i, c), Point(p - i, p - root, c)]
+    for pt in pts:
+        assert pt.on_curve()
+    return pts[:n]
+
+
+def test_inlined_loops_match_reference_steps(toy, prod):
+    """The comb and the chain, with _add and _dbl written out and A and B
+    left unreduced, give the extended coordinates that one call per step
+    gives, and the points of the affine oracles; for negative digits, and
+    on curve1174 for entries with a coordinate at or near p - 1."""
+    half = 1 << (curve_mod._W - 1)
+    toy_pts = enumerate_points(toy)
+    for c in (toy, prod):
+        p, d, q = c.p, c.d, c.q
+        rng = make_rng(f"inlined:{c.name}")
+        # every digit negative: 33 = 64 - 31, 63 = 64 - 1
+        ks = [1, 2, q - 1, 33, 63, 63 * 65 * 4097 % q, rng.randrange(1, q)]
+        if c is toy:
+            pts = [rng.choice(toy_pts) for _ in range(4)] + near_p_points(c, 2)
+            ks += list(range(3, q))
+        else:
+            ks += [sum(33 << (6 * i) for i in range(41)), 2**246 - 1]
+            pts = [rng.randrange(1, q) * c.base] + near_p_points(c, 4)
+        for pt in pts:
+            table = Point(pt.x, pt.y, c).precompute()._table
+            for k in ks:
+                expect = oracle_mul(k, pt) if c is toy else affine_mul(k, pt)
+                got = curve_mod._mul_table(p, [(table, k)])
+                assert got[:4] == reference_comb(p, table, k)
+                assert affine(c, got) == expect
+                got = curve_mod._mul_wnaf(p, d, [(pt.x, pt.y, k)])
+                if k > 7:  # the reference builds all of Q, 3Q, 5Q, 7Q
+                    assert got[:3] == reference_chain(p, d, pt.x, pt.y, k)
+                assert affine(c, got) == expect
+        if c is prod:
+            # one comb row whose entries are the near-p points themselves:
+            # digit i of level j adds +-2^(6j) times entry |i|
+            pts = near_p_points(c, half)
+            table = [[curve_mod._cache(p, d, pt.x, pt.y) for pt in pts]]
+            for k in (1, 31, 33, 63, 33 * 65 * 4097, 2**18 - 1, rng.randrange(1, 2**17)):
+                expect = c.neutral()
+                for level, dgt in enumerate(curve_mod._signed_digits(k, 3)):
+                    if dgt:
+                        term = affine_mul(1 << (6 * level), pts[abs(dgt) - 1])
+                        expect = oracle_add(c, expect, term if dgt > 0 else -term)
+                got = curve_mod._mul_table(p, [(table, k)])
+                assert got[:4] == reference_comb(p, table, k)
+                assert affine(c, got) == expect
+
+
+def test_multiples_is_one_multiple_each(toy, prod):
+    """Point.multiples(ks) == [k * Q for k in ks], on a comb and for a point
+    with no table, which counts one use per k and builds its table at the
+    _COMB_AT-th, mid-batch, as k * Q would."""
+    for c in (toy, prod):
+        q = c.q
+        rng = make_rng(f"multiples:{c.name}")
+        ks = [0, 1, q - 1, c.scalar(2), rng.randrange(q), -1, q + 5]
+        assert c.base.multiples(ks) == [k * c.base for k in ks]
+        other = rng.randrange(1, q) * c.base
+        expect = [k * other for k in ks]
+        plain = Point(other.x, other.y, c)
+        assert plain.multiples(ks[:_COMB_AT - 1]) == expect[:_COMB_AT - 1]
+        assert plain._table == _COMB_AT - 1
+        assert plain.multiples(ks) == expect
+        assert type(plain._table) is list
+        assert c.base.multiples([]) == []
+        with pytest.raises(TypeError):
+            c.base.multiples([1.5])
+        with pytest.raises(ValueError):
+            c.base.multiples([Scalar(1, q + 2)])
+
+
+def test_multiples_books_one_inversion_per_batch(toy, prod):
+    """m multiples book m Ms, 0 Ap, the inner steps of m single multiples
+    and one inversion; a batch of zeros books none."""
+    for c in (toy, prod):
+        rng = make_rng(f"batchbook:{c.name}")
+        for m in range(1, _COMB_AT):
+            ks = [rng.randrange(1, c.q) for _ in range(m)]
+            # P on its comb, and a fresh copy per run, which stays below
+            # _COMB_AT uses, on the wNAF
+            for base in (lambda: c.base, lambda: Point(c.base.x, c.base.y, c)):
+                with OpCounter() as single:
+                    pt = base()
+                    for k in ks:
+                        _ = k * pt
+                with OpCounter() as ops:
+                    base().multiples(ks)
+                assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (m, 0, 1)
+                assert (single.scalar_mults, single.inversions) == (m, m)
+                assert (ops.inner_adds, ops.inner_doubles) == (single.inner_adds, single.inner_doubles)
+        with OpCounter() as ops:
+            assert c.base.multiples([0, c.q]) == [c.neutral()] * 2
+        assert (ops.scalar_mults, ops.inversions) == (2, 0)
+
+
 @pytest.mark.parametrize("name", ["toy", "prod"])
 def test_cofactored_equal_accepts_exactly_torsion(name, request):
     """sum k_i*Q_i == D: true exactly when [cofactor]*D is neutral, or with

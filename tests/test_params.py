@@ -148,6 +148,15 @@ def test_security_level_autofill(toy_deploy, prod_deploy):
     # generic-group estimate: half the subgroup bit length
     assert toy_deploy[0].k == toy_deploy[0].curve.q.bit_length() // 2
     assert prod_deploy[0].k == 124
+    # 0 asks the constructor for that level; a file never holds a k below 1
+    params = toy_deploy[0]
+    text = SystemParams(params.curve, params.p_pub, 0).format_file()
+    assert f"k={params.k}\n" in text
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            SystemParams.parse_file(text.replace(f"k={params.k}\n", f"k={k}\n"))
+    with pytest.raises(ValueError, match="must not be negative"):
+        SystemParams(params.curve, params.p_pub, -1)
 
 
 def test_params_import_is_lean():

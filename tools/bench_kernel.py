@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time edcred's arithmetic layer by layer on curve1174, in one process.
+
+    python tools/bench_kernel.py [--repeat N]             # this checkout
+    python tools/bench_kernel.py [--repeat N] SRC         # the package under SRC
+    python tools/bench_kernel.py [--repeat N] SRC_A SRC_B # paired comparison
+
+Each SRC is a directory holding an `edcred` package, such as a checkout's
+`src/`. One SRC prints the median time of each operation:
+
+- field: a 251-bit mulmod and an inversion;
+- scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table) and
+  a batch of 8 multiples of P;
+- protocol, n = 8 attributes, 3 revealed: run_issuance, present plus
+  encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
+  comb table built as a long-lived verifier has it.
+
+Two SRCs load both packages in this process under different names and
+alternate them operation by operation, which side goes first alternating
+too, so that drift in the host's speed hits both alike. Each operation
+prints both medians, the median of the per-operation ratios B/A and the
+number of pairs B won. Both sides get identical inputs and rng seeds.
+The package needs only the standard library, and so does this script.
+"""
+
+import argparse
+import importlib.util
+import os
+import random
+import statistics
+import sys
+import time
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+N_ATTRS = 8
+REVEALED = [1, 2, 3]
+_FIELD_REPS = 1000
+
+
+def load(src: str, name: str):
+    """The edcred package under src, imported as `name`."""
+    pkg = os.path.join(src, "edcred")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def operations(pkg) -> dict:
+    """Name -> zero-argument callable, for one loaded package."""
+    curve = pkg.production_curve()
+    p, q, base = curve.p, curve.q, curve.base
+    Point = pkg.Point
+    rng = random.Random("bench_kernel")
+    a, b = rng.randrange(1, p), rng.randrange(1, p)
+    k = rng.randrange(1, q)
+    q_pt = rng.randrange(1, q) * base
+    batch = [rng.randrange(1, q) for _ in range(8)]
+    params, key = pkg.setup(curve, random.Random("bench_kernel:setup"))
+    params.p_pub.precompute()
+    attrs = [curve.random_nonzero(rng) for _ in range(N_ATTRS)]
+    cred, _ = pkg.run_issuance(params, key, attrs, random.Random("i"), random.Random("u"))
+    token = pkg.present(cred, REVEALED, params, random.Random("token"))
+    data = token.to_bytes(params)
+    DisclosureToken = pkg.DisclosureToken
+    # a package from before Point.multiples takes the batch one by one
+    multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
+    seeds = iter(range(1 << 62))
+
+    def issuance():
+        i = next(seeds)
+        return pkg.run_issuance(params, key, attrs, random.Random(i), random.Random(-i))
+
+    def holder():
+        return pkg.present(cred, REVEALED, params, random.Random(next(seeds))).to_bytes(params)
+
+    def verifier():
+        ok = pkg.verify_disclosure(DisclosureToken.from_bytes(data, params, token.session_id), params)
+        if not ok:
+            raise SystemExit("an honest token was refused")
+
+    return {
+        "mulmod": lambda: [a * b % p for _ in range(_FIELD_REPS)],
+        "inversion": lambda: [pow(a, -1, p) for _ in range(_FIELD_REPS)],
+        "comb k*P": lambda: k * base,
+        "wNAF k*Q": lambda: k * Point(q_pt.x, q_pt.y, curve),
+        "batch of 8 k*P": lambda: multiples(batch),
+        "run_issuance n=8": issuance,
+        "present n=8": holder,
+        "verify_disclosure n=8": verifier,
+    }
+
+
+def timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def unit(name: str):
+    # a field operation runs _FIELD_REPS times per call and prints in ns
+    # per operation; everything else prints in ms
+    return ("ns", 1e9 / _FIELD_REPS) if name in ("mulmod", "inversion") else ("ms", 1e3)
+
+
+def single(ops: dict, repeat: int) -> None:
+    for name, fn in ops.items():
+        fn()  # warm-up
+        times = [timed(fn) for _ in range(repeat)]
+        label, scale = unit(name)
+        print(f"{name:24s} {scale * statistics.median(times):10.3f} {label}")
+
+
+def paired(ops_a: dict, ops_b: dict, repeat: int) -> None:
+    print(f"{'':24s} {'A':>10s} {'B':>10s} {'B/A':>6s}  B won  (medians of {repeat} pairs)")
+    for name, fa in ops_a.items():
+        fb = ops_b[name]
+        fa(), fb()  # warm-up
+        ta, tb = [], []
+        for i in range(repeat):
+            if i % 2:
+                tb.append(timed(fb))
+                ta.append(timed(fa))
+            else:
+                ta.append(timed(fa))
+                tb.append(timed(fb))
+        ratio = statistics.median(y / x for x, y in zip(ta, tb))
+        won = sum(y < x for x, y in zip(ta, tb))
+        label, scale = unit(name)
+        print(f"{name:24s} {scale * statistics.median(ta):10.3f} {scale * statistics.median(tb):10.3f}"
+              f" {ratio:6.3f}  {won}/{repeat}  {label}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", nargs="*", help="directories holding an edcred package (default: this checkout's src/)")
+    ap.add_argument("--repeat", type=int, default=100, help="timed runs (or pairs) per operation")
+    args = ap.parse_args(argv)
+    if len(args.src) > 2 or args.repeat < 1:
+        ap.error("give at most two SRC directories and a positive --repeat")
+    srcs = args.src or [_SRC]
+    ops = [operations(load(src, f"edcred_bench_{i}")) for i, src in enumerate(srcs)]
+    if len(ops) == 1:
+        single(ops[0], args.repeat)
+    else:
+        print(f"A = {srcs[0]}\nB = {srcs[1]}")
+        paired(ops[0], ops[1], args.repeat)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
