@@ -28,8 +28,12 @@ _add and _dbl remain the reference formulas, which every other caller uses
 and which compute the same values.
 
 Scalar multiplication takes one of two paths. A base with a comb table is
-multiplied by a signed radix-64 comb over three interleaved levels (Lim and
-Lee, CRYPTO 1994): about 41 mixed additions and 12 doublings per multiple.
+multiplied by a signed radix-64 comb one level deep: row j of the table
+holds m*2^(6j)*B for m = 1..32, so a multiple looks up one entry and makes
+one mixed addition per nonzero digit, about 41 additions and no doubling.
+Interleaving the rows over three levels (Lim and Lee, CRYPTO 1994) would
+keep a third of the entries for 12 doublings per multiple; the doublings
+cost more time than the entries cost memory.
 Any other point is multiplied by a width-4 wNAF (Hankerson, Menezes,
 Vanstone, "Guide to Elliptic Curve Cryptography", Alg. 3.36): about 250
 doublings and 50 additions. Both only add and double with the complete
@@ -48,12 +52,13 @@ checks are, or exact, as the signature checks are.
 A process pays only for the tables it uses. curve1174's generator P ships
 its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
 base-point table (Bernstein et al., CHES 2011), and a parsed curve1174 is
-the built-in one, so it shares that table. The toy curve builds its
-one-row table for P on load. Every other point builds its table at its
-_COMB_AT-th use, a multiple k*Q or a term of a sum_is_neutral equation,
-once the table has paid for itself, so a one-shot command never builds
-one and a long-lived base (a public key) has one within its first few
-uses.
+the built-in one, so it shares that table. Loading checks the file's hash
+and decodes no entry: each row decodes an entry the first time a digit
+needs it. The toy curve builds its two-row table for P on load. Every
+other point builds its table at its _COMB_AT-th use, a multiple k*Q or a
+term of a sum_is_neutral equation, once the table has paid for itself,
+so a one-shot command never builds one and a long-lived base (a public
+key) has one within its first few dozen uses.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -120,10 +125,11 @@ class OpCounter:
     scalar_mults tick per k*P however the multiplication runs, one
     point_adds tick per explicit addition. The internal steps of a
     multiplication land in inner_adds / inner_doubles and stay out of the
-    headline numbers: a multiple of a precomputed base adds one table entry
-    per nonzero comb digit and doubles between levels; any other multiple
-    doubles once per wNAF digit and adds once per nonzero digit, plus one
-    doubling and three additions for its table of odd multiples.
+    headline numbers: a multiple of a precomputed base adds one table
+    entry per nonzero comb digit after the first and never doubles; any
+    other multiple doubles once per wNAF digit and adds once per nonzero
+    digit, plus one doubling and three additions for its table of odd
+    multiples.
     inversions counts field inversions mod p: one per batch of nonzero
     multiples (the return to affine form), so one per nonzero k*P and one
     per Point.multiples() call with a nonzero k, one per addition and one
@@ -189,21 +195,23 @@ class OpCounter:
 # Only an addition reads T, so a step whose result is next doubled or
 # returned to affine form passes need_t=False and skips that product.
 
-# Fixed-base comb: radix 2^_W digits, _LEVELS interleaved levels. Digit i
-# of k weighs 2^(_W*i); row j of a table holds m * 2^(_W*_LEVELS*j) * B for
-# m = 1..2^(_W-1), so digit _LEVELS*j + level is row j's entry at that level.
+# Fixed-base comb: signed radix 2^_W digits, one level. Digit j of k weighs
+# 2^(_W*j), and row j of a table maps m to m * 2^(_W*j) * B for
+# m = 1..2^(_W-1), so each nonzero digit is one row entry, negated for a
+# negative digit, and a multiple needs no doubling.
 _W = 6
-_LEVELS = 3
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
 # A point without a table builds one at its _COMB_AT-th use, a multiple
 # or a sum_is_neutral term, once a build would have paid for itself in
 # multiples: ceil(build / (wNAF Ms - comb Ms)) on curve1174, medians of 15
-# rounds in one process (2 vCPU, Python 3.11): 8.38 / (2.33 - 0.52) = 4.6
-# and 6.52 / (1.84 - 0.42) = 4.6 in two runs. A term that shares its
-# chain with other terms saves only its additions on the comb, so there
-# the build pays off later; one count serves both.
-_COMB_AT = 5
+# rounds in one process (2 vCPU, Python 3.11.7), a build of 1344 entries:
+# 17.46 / (1.72 - 0.35) = 12.7, 17.64 / (1.97 - 0.38) = 11.1,
+# 17.51 / (1.75 - 0.33) = 12.4, 13.76 / (1.40 - 0.27) = 12.1 and
+# 18.41 / (1.75 - 0.35) = 13.2 in five runs, median 12.4. A term that
+# shares its chain with other terms saves only its additions on the comb,
+# so there the build pays off later; one count serves both.
+_COMB_AT = 13
 
 
 def _cache(p, d, x, y):
@@ -249,24 +257,6 @@ def _dbl(p, need_t, X, Y, Z):
     return E * F % p, G * H % p, F * G % p, E * H % p if need_t else None
 
 
-def _signed_digits(k, n):
-    """k as n digits in [1 - 2^(_W-1), 2^(_W-1)], least significant first.
-
-    A digit above 2^(_W-1) becomes digit - 2^_W and carries one into the
-    next. k < 2^b needs b // _W + 1 digits: the top digit and its carry
-    stay within 2^(_W-1).
-    """
-    half, mask = 1 << (_W - 1), (1 << _W) - 1
-    out = []
-    for _ in range(n):
-        dgt = k & mask
-        if dgt > half:
-            dgt -= 1 << _W
-        out.append(dgt)
-        k = (k - dgt) >> _W
-    return out
-
-
 def _wnaf(k):
     """The nonzero digits of the width-_WNAF NAF of k > 0, as (position,
     digit) pairs, least significant first.
@@ -291,50 +281,43 @@ def _wnaf(k):
 
 def _mul_table(p, pairs):
     """The sum of k*B over pairs of (B's comb table, k), each 0 < k < q;
-    returns (X, Y, Z, T, doubles, adds).
+    returns (X, Y, Z, T, adds).
 
-    Horner over the levels: at each level from the top down, multiply the
-    sum so far by 2^_W, then add one row entry per nonzero digit of that
-    level, negated for a negative digit. Several bases share the doublings.
-    The steps are _dbl and _add written out.
+    Recodes k into signed digits in [1 - 2^(_W-1), 2^(_W-1)], least
+    significant first: a digit above 2^(_W-1) becomes digit - 2^_W and
+    carries one into the next. Digit j adds row j's entry, negated for a
+    negative digit; the first entry is loaded, not added. k < q < 2^b needs
+    b // _W + 1 digits, one per row: the top digit and its carry stay
+    within 2^(_W-1). The additions are _add written out.
     """
-    recoded = [(_signed_digits(k, len(table) * _LEVELS), table) for table, k in pairs]
+    half, mask = 1 << (_W - 1), (1 << _W) - 1
     X = None
-    dbls = adds = 0
-    for level in range(_LEVELS - 1, -1, -1):
-        if X is not None:
-            for _ in range(_W):
-                A = X * X % p
-                B = Y * Y % p
-                E = 2 * X * Y % p
-                G = A + B
-                F = (G - 2 * Z * Z) % p
-                H = A - B
-                X, Y, Z = E * F % p, G * H % p, F * G % p
-            T = E * H % p
-            dbls += _W
-        for digits, table in recoded:
-            for dgt, row in zip(digits[level::_LEVELS], table):
-                if dgt > 0:
-                    x2, y2, s2, u2 = row[dgt - 1]
-                elif dgt:
-                    x2, y2, s2, u2 = row[-dgt - 1]
-                    x2, s2, u2 = p - x2, y2 - x2, p - u2
-                else:
-                    continue
-                if X is None:
-                    X, Y, Z, T = x2, y2, 1, x2 * y2 % p
-                    continue
-                A = X * x2
-                B = Y * y2
-                C = T * u2 % p
-                E = ((X + Y) * s2 - A - B) % p
-                H = (B - A) % p
-                F = Z - C
-                G = Z + C
-                X, Y, Z, T = E * F % p, G * H % p, F * G % p, E * H % p
-                adds += 1
-    return X, Y, Z, T, dbls, adds
+    adds = 0
+    for table, k in pairs:
+        for row in table:
+            dgt = k & mask
+            k >>= _W
+            if dgt > half:
+                k += 1
+                x2, y2, s2, u2 = row[mask + 1 - dgt]
+                x2, s2, u2 = p - x2, y2 - x2, p - u2
+            elif dgt:
+                x2, y2, s2, u2 = row[dgt]
+            else:
+                continue
+            if X is None:
+                X, Y, Z, T = x2, y2, 1, x2 * y2 % p
+                continue
+            A = X * x2
+            B = Y * y2
+            C = T * u2 % p
+            E = ((X + Y) * s2 - A - B) % p
+            H = (B - A) % p
+            F = Z - C
+            G = Z + C
+            X, Y, Z, T = E * F % p, G * H % p, F * G % p, E * H % p
+            adds += 1
+    return X, Y, Z, T, adds
 
 
 def _mul_wnaf(p, d, terms, addend=None):
@@ -417,12 +400,6 @@ def _mul_wnaf(p, d, terms, addend=None):
         F = (G - 2 * Z * Z) % p
         X, Y, Z = E * F % p, G * (A - B) % p, F * G % p
     return X, Y, Z, dbls + top, adds + n - 1
-
-
-def _rows(flat):
-    """A comb table's entries, row by row, as its list of rows."""
-    half = 1 << (_W - 1)
-    return [flat[i:i + half] for i in range(0, len(flat), half)]
 
 
 def _to_affine(p, ext, ctr) -> list:
@@ -546,10 +523,10 @@ class Point:
         self.x = x
         self.y = y
         self.curve = curve
-        # the comb table (a list) or, until it is built, the number of
-        # multiples taken without one (an int). One slot, not two: a fifth
-        # slot enlarges every Point, and perfbench `show` measured 1-3 %
-        # slower with one (2 vCPU, Python 3.11).
+        # the comb table (a list of rows) or, until it is built, the
+        # number of multiples taken without one (an int). One slot, not
+        # two: a fifth slot enlarges every Point, and perfbench `show`
+        # measured 1-3 % slower with one (2 vCPU, Python 3.11).
         self._table = 0
 
     def on_curve(self) -> bool:
@@ -592,16 +569,16 @@ class Point:
     def precompute(self) -> "Point":
         """Build the comb table so repeated multiples cost few additions.
 
-        Row j holds m * 2^(18j) * self for m = 1..32 in the cached form
-        (x, y, x + y, d*x*y): 14 rows, 448 entries on curve1174, enough
-        rows for every digit of a scalar below q. A negative digit uses the
+        Row j maps m to m * 2^(6j) * self for m = 1..32, in the cached
+        form (x, y, x + y, d*x*y): one row per digit of a scalar below q,
+        42 rows and 1344 entries on curve1174. A negative digit uses the
         negated entry, so each nonzero digit of k costs one 8-multiplication
         mixed addition. The rows are built in extended coordinates, with
-        additions for m = 2..32 and 13 doublings from 32 * 2^(18j) * self
-        to the next row, and share one inversion (Montgomery's trick) to
-        come back to affine form.
+        additions for m = 2..32 and one doubling of 32 * 2^(6j) * self for
+        the next row's base, and share one inversion (Montgomery's trick)
+        to come back to affine form.
 
-        The build costs about 3.5 wNAF multiples, so nothing calls it
+        The build costs about 10 wNAF multiples, so nothing calls it
         eagerly on curve1174: P ships its table, and B's _COMB_AT-th use,
         in k * B or in sum_is_neutral, calls this.
         """
@@ -609,25 +586,20 @@ class Point:
             c = self.curve
             p, d = c.p, c.d
             half = 1 << (_W - 1)
-            rows = -(-(c.q.bit_length() // _W + 1) // _LEVELS)
-            # the next row's base, 2^(_W*_LEVELS) times this one's, is
-            # `shift` doublings from this row's last entry, half times it
-            shift = _W * _LEVELS - (_W - 1)
             X, Y, Z, T = self.x, self.y, 1, self.x * self.y % p
             ext = []
-            for j in range(rows):
+            for j in range(c.q.bit_length() // _W + 1):
                 if j:
-                    X, Y, Z, _ = ext[-1]
-                    for i in range(1, shift + 1):
-                        X, Y, Z, T = _dbl(p, i == shift, X, Y, Z)
+                    X, Y, Z, T = _dbl(p, True, *ext[-1][:3])
                 step = _cache_ext(p, d, X, Y, Z, T)
                 pt = (X, Y, Z, T)
                 ext.append(pt)
                 for _ in range(half - 1):
                     pt = _add(p, True, *pt, *step)
                     ext.append(pt)
-            affine = _to_affine(p, ext, _active_counter.get())
-            self._table = _rows([_cache(p, d, x, y) for x, y in affine])
+            entries = [_cache(p, d, x, y) for x, y in _to_affine(p, ext, _active_counter.get())]
+            self._table = [dict(zip(range(1, half + 1), entries[i:i + half]))
+                           for i in range(0, len(entries), half)]
         return self
 
     def __rmul__(self, k):
@@ -670,7 +642,8 @@ class Point:
                 ext.append(None)
                 continue
             if type(self._table) is list:
-                X, Y, Z, _, dbls, adds = _mul_table(p, [(self._table, k)])
+                X, Y, Z, _, adds = _mul_table(p, [(self._table, k)])
+                dbls = 0
             else:
                 X, Y, Z, dbls, adds = _mul_wnaf(p, c.d, [(self.x, self.y, k)])
             if ctr is not None:
@@ -860,10 +833,10 @@ _CURVE1174 = dict(
 )
 
 # SHA-256 of data/curve1174_comb.bin: x || y, 32 bytes each, big-endian,
-# of the 448 entries of Point(P).precompute()._table on curve1174, row by
-# row. tools/write_comb_table.py writes the file, and
+# of the 1344 entries of Point(P).precompute()._table on curve1174, row by
+# row, digit 1 first. tools/write_comb_table.py writes the file, and
 # tools/check_production_curve.py compares it with a fresh build.
-_CURVE1174_COMB_SHA256 = "fd9a19f92f732cac7fe074f2346703faa10fa3dc6d659a61c1edcc1956128ec9"
+_CURVE1174_COMB_SHA256 = "05c68dad6c66439617ecf3158b8266fdc6c9da0979a45764073cf668337c46d8"
 
 _singletons: dict = {}
 
@@ -875,19 +848,41 @@ def _read_data(name: str) -> bytes:
         return fh.read()
 
 
+class _ShippedRow(dict):
+    """A row of a shipped comb table: digit m -> m's cached entry, decoded
+    from the file's x || y the first time a multiple reads it. Two threads
+    that miss the same digit decode and store the same value."""
+
+    __slots__ = ("_curve", "_data", "_at")
+
+    def __init__(self, curve: CurveParams, data: bytes, at: int):
+        self._curve = curve
+        self._data = data
+        self._at = at
+
+    def __missing__(self, m):
+        if type(m) is not int or not 0 < m <= 1 << (_W - 1):
+            raise KeyError(m)
+        c = self._curve
+        w = c.coord_bytes
+        i = self._at + 2 * w * (m - 1)
+        x = int.from_bytes(self._data[i:i + w], "big")
+        y = int.from_bytes(self._data[i + w:i + 2 * w], "big")
+        entry = self[m] = _cache(c.p, c.d, x, y)
+        return entry
+
+
 def _curve1174_comb(curve: CurveParams, data: bytes) -> list:
-    """curve1174's comb table for P from the shipped x || y entries.
+    """curve1174's comb table for P from the shipped x || y entries, as
+    rows that decode each entry on first use.
 
     Refuses any data but the pinned file with ValueError: the entries are
     trusted as they are, with no on-curve or multiple-of-P check.
     """
     if hashlib.sha256(data).hexdigest() != _CURVE1174_COMB_SHA256:
         raise ValueError("curve1174 comb table does not match its pinned hash")
-    p, d, w = curve.p, curve.d, curve.coord_bytes
-    return _rows([
-        _cache(p, d, int.from_bytes(data[i:i + w], "big"), int.from_bytes(data[i + w:i + 2 * w], "big"))
-        for i in range(0, len(data), 2 * w)
-    ])
+    size = 2 * curve.coord_bytes << (_W - 1)
+    return [_ShippedRow(curve, data, at) for at in range(0, len(data), size)]
 
 
 def production_curve() -> CurveParams:
@@ -932,32 +927,25 @@ def in_prime_subgroup(pt: Point) -> bool:
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
 
 
-def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: bool) -> bool:
-    """sum of k_i*Q_i over terms (Q_i, k_i) == O; with cofactored, up to a
-    torsion point.
+def _sum(curve: CurveParams, terms, ms: int, ap: int):
+    """sum of k_i*Q_i over terms (Q_i, k_i), as extended (X, Y, Z), in one
+    pass and with no inversion; returns (X, Y, Z, the installed counter).
 
-    Checks the sum in one pass and with no inversion. Terms on equal points
-    are summed first. A term whose scalar is +-1 is an addition: it joins
-    the chain below, so a term -R costs one addition. Every other term
-    counts one use of its point toward the point's table, as k*Q does;
-    a point with a comb table (P, and a public key once it has built one)
-    is multiplied on its comb, the combs sharing their doublings, and any
-    other point joins one wNAF doubling chain, as -Q_i times q - k_i when
-    that is the smaller scalar. The result is compared with the neutral
-    point in projective form, X == 0 and Y == Z.
+    Terms on equal points are summed first. A term whose scalar is +-1 is
+    an addition: it joins the chain below, so a term -R costs one addition.
+    Every other term counts one use of its point toward the point's table,
+    as k*Q does; a point with a comb table (P, and a public key once it
+    has built one) is multiplied on its comb, and any other point joins one
+    wNAF doubling chain, as -Q_i times q - k_i when that is the smaller
+    scalar, with the combs' sum as its addend.
 
     Scalars are ints and count mod q, and the chain may run a term as
-    -Q_i*(q - k_i). Neither moves k_i*Q_i for a point of order q, nor for
-    k_i = +-1, so the sum is exact for the signature checks' terms s*P,
-    -h*Ppub and -R even when R carries torsion: with cofactored=False a
-    pure-torsion sum is refused. With cofactored=True the sum is first
-    multiplied by the cofactor, by doubling, so the cofactor must be a
-    power of two (validate_params notes any other); a sum of prime order
-    never vanishes, so the only accepts the exact check would refuse are
-    those whose sum is pure torsion.
+    -Q_i*(q - k_i) = k_i*Q_i - q*Q_i. Neither moves k_i*Q_i for a point of
+    order q, nor for k_i = +-1; any other term may be off by the torsion
+    point q*Q_i.
 
     Books ms scalar multiplications and ap additions, the operations the
-    equation stands for, and its inner steps.
+    sum stands for, and its inner steps.
     """
     p, d, q = curve.p, curve.d, curve.q
     merged = {}
@@ -985,22 +973,56 @@ def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: b
     X, Y, Z, dbls, adds = 0, 1, 1, 0, 0
     addend = None
     if combs:
-        X, Y, Z, T, dbls, adds = _mul_table(p, combs)
+        X, Y, Z, T, adds = _mul_table(p, combs)
         addend = _cache_ext(p, d, X, Y, Z, T)
     if chain:
-        X, Y, Z, more_dbls, more_adds = _mul_wnaf(p, d, chain, addend)
-        dbls += more_dbls
+        X, Y, Z, dbls, more_adds = _mul_wnaf(p, d, chain, addend)
         adds += more_adds
-    if cofactored:
-        for _ in range(curve.cofactor.bit_length() - 1):
-            X, Y, Z, _ = _dbl(p, False, X, Y, Z)
-            dbls += 1
     ctr = _active_counter.get()
     if ctr is not None:
         ctr.scalar_mults += ms
         ctr.point_adds += ap
         ctr.inner_doubles += dbls
         ctr.inner_adds += adds
+    return X, Y, Z, ctr
+
+
+def sum_of_multiples(curve: CurveParams, terms, ms: int, ap: int) -> Point:
+    """sum of k_i*Q_i over terms (Q_i, k_i), with one inversion.
+
+    The sum that sum_is_neutral checks, returned in affine form; exact
+    when every Q_i with k_i other than +-1 has order q. Books ms scalar
+    multiplications and ap additions, the operations the sum stands for.
+    """
+    X, Y, Z, ctr = _sum(curve, terms, ms, ap)
+    return Point(*_to_affine(curve.p, [(X, Y, Z)], ctr)[0], curve)
+
+
+def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: bool) -> bool:
+    """sum of k_i*Q_i over terms (Q_i, k_i) == O; with cofactored, up to a
+    torsion point.
+
+    Computes the sum as sum_of_multiples does, with no inversion, and
+    compares it with the neutral point in projective form, X == 0 and
+    Y == Z. The sum is exact for the signature checks' terms s*P, -h*Ppub
+    and -R even when R carries torsion: with cofactored=False a
+    pure-torsion sum is refused. With cofactored=True the sum is first
+    multiplied by the cofactor, by doubling, so the cofactor must be a
+    power of two (validate_params notes any other); a sum of prime order
+    never vanishes, so the only accepts the exact check would refuse are
+    those whose sum is pure torsion.
+
+    Books ms scalar multiplications and ap additions, the operations the
+    equation stands for, and its inner steps.
+    """
+    p = curve.p
+    X, Y, Z, ctr = _sum(curve, terms, ms, ap)
+    if cofactored:
+        dbls = curve.cofactor.bit_length() - 1
+        for _ in range(dbls):
+            X, Y, Z, _ = _dbl(p, False, X, Y, Z)
+        if ctr is not None:
+            ctr.inner_doubles += dbls
     return X % p == 0 and (Y - Z) % p == 0
 
 
@@ -1023,5 +1045,6 @@ __all__ = [
     "parse_kv",
     "production_curve",
     "sum_is_neutral",
+    "sum_of_multiples",
     "toy_curve",
 ]

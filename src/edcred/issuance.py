@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
-from .curve import OpCounter, Point, Scalar, sum_is_neutral
+from .curve import OpCounter, Point, Scalar, sum_is_neutral, sum_of_multiples
 from .errors import InvalidProofError, IssuerMisbehavior, SessionError
 from .hashing import hash_block
 from .params import IssuerKey, SystemParams
@@ -248,6 +248,10 @@ def user_blind(
     attrs is the full attribute list with the master secret first. With
     interactive=True the request carries only the proof commitment and the
     caller must answer the issuer's challenge via user_pk_respond.
+
+    R = alpha*R' + beta*P is one sum, booked as 2 Ms + 1 Ap, with one
+    return to affine form. An R' with a torsion part may move R by a
+    torsion point, and user_unblind's exact check refuses that session.
     """
     curve = params.curve
     attrs = _check_attrs(attrs, curve.q)
@@ -255,7 +259,7 @@ def user_blind(
         raise ValueError("issuer nonce point not on curve")
     alpha = curve.random_nonzero(rng)
     beta = curve.random_nonzero(rng)
-    r_point = alpha * r_bar + beta * curve.base
+    r_point = sum_of_multiples(curve, [(r_bar, alpha.v), (curve.base, beta.v)], ms=2, ap=1)
     commitments = tuple(curve.base.multiples(attrs))
     h = hash_block(list(commitments), r_point)
     h_bar = h * alpha.inverse()

@@ -281,34 +281,87 @@ def test_production_edge_scalars_both_paths(prod):
             assert k * ladder == expect
 
 
+def comb_rows(c):
+    """The rows of a comb table on c: one per radix-64 digit of a scalar
+    below q."""
+    return c.q.bit_length() // 6 + 1
+
+
+def on_comb(ops, c):
+    """The inner steps of one multiple on a comb: no doubling and at most
+    one addition per row, where a wNAF multiple doubles about once per bit."""
+    return ops.inner_doubles == 0 and ops.inner_adds < comb_rows(c)
+
+
+def fresh_curve1174():
+    """curve1174 with P's table loaded anew from the shipped file, so that
+    no entry has been decoded yet."""
+    c = CurveParams(**curve_mod._CURVE1174)
+    c.base._table = curve_mod._curve1174_comb(c, curve_mod._read_data("curve1174_comb.bin"))
+    return c
+
+
 def test_table_entries_are_comb_multiples(toy, prod):
-    # row j holds m * 2^(18j) * B for m = 1..32, enough rows for the
-    # b // 6 + 1 radix-64 digits of a b-bit scalar, three digits per row
-    for c, rows in ((toy, 1), (prod, 14)):
+    # row j maps m to m * 2^(6j) * B for m = 1..32, one row for each of
+    # the b // 6 + 1 radix-64 digits of a b-bit scalar; on curve1174 the
+    # rows are the shipped ones
+    for c, rows in ((toy, 2), (prod, 42)):
         p, d = c.p, c.d
         table = c.base.precompute()._table
-        assert len(table) == rows == -(-(c.q.bit_length() // 6 + 1) // 3)
+        assert len(table) == rows == comb_rows(c)
         row_base = c.base
         for row in table:
-            assert len(row) == 32
             cur = row_base
-            for entry in row:
-                assert entry == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
+            for m in range(1, 33):
+                assert row[m] == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
                 cur = oracle_add(c, cur, row_base)
-            for _ in range(18):
+            assert sorted(row) == list(range(1, 33))
+            for _ in range(6):
                 row_base = oracle_add(c, row_base, row_base)
 
 
 def test_shipped_comb_table_is_a_fresh_build(prod):
     fresh = Point(prod.base.x, prod.base.y, prod).precompute()._table
-    assert prod.base._table == fresh
+    assert all(type(row) is dict for row in fresh)
     data = curve_mod._read_data("curve1174_comb.bin")
-    assert len(data) == 448 * 64
-    assert curve_mod._curve1174_comb(prod, data) == fresh
-    flipped = bytearray(data)
-    flipped[1000] ^= 0x01
-    with pytest.raises(ValueError, match="pinned hash"):
-        curve_mod._curve1174_comb(prod, bytes(flipped))
+    assert len(data) == 42 * 32 * 64
+    # the loaded singleton's table and one decoded from nothing, entry by
+    # entry through each row's decoding, then as a whole: every digit is
+    # decoded and a row holds no other key
+    for table in (prod.base._table, fresh_curve1174().base._table):
+        assert len(table) == len(fresh)
+        for row, fresh_row in zip(table, fresh):
+            assert type(row) is curve_mod._ShippedRow
+            for m in range(32, 0, -1):
+                assert row[m] == fresh_row[m]
+            assert row == fresh_row
+            for m in (0, 33, -1, "1"):
+                with pytest.raises(KeyError):
+                    row[m]
+    for at in (0, 1000, len(data) - 1):
+        flipped = bytearray(data)
+        flipped[at] ^= 0x01
+        with pytest.raises(ValueError, match="pinned hash"):
+            curve_mod._curve1174_comb(prod, bytes(flipped))
+
+
+def test_first_multiple_decodes_one_entry_per_row(prod):
+    # loading decodes nothing; a multiple decodes the entry of each
+    # nonzero digit, at most one per row, and the next multiple reuses it
+    rng = make_rng("lazyrows")
+    c = fresh_curve1174()
+    table = c.base._table
+    assert all(len(row) == 0 for row in table)
+    k = rng.randrange(1, c.q)
+    with OpCounter() as ops:
+        got = k * c.base
+    assert got == k * prod.base
+    assert all(len(row) <= 1 for row in table)
+    assert sum(len(row) for row in table) == ops.inner_adds + 1
+    assert on_comb(ops, c)
+    decoded = [dict(row) for row in table]
+    assert k * c.base == got
+    assert [dict(row) for row in table] == decoded
 
 
 def test_table_built_at_the_nth_multiple(prod):
@@ -323,7 +376,7 @@ def test_table_built_at_the_nth_multiple(prod):
         assert got == affine_mul(k, base)
         # wNAF up to the (N-1)th multiple, the comb from the Nth on
         assert pt._table == (fresh if i >= _COMB_AT else i)
-        assert (ops.inner_doubles == 12) == (i >= _COMB_AT)
+        assert on_comb(ops, prod) == (i >= _COMB_AT)
 
 
 def test_table_built_under_threads(toy):
@@ -350,6 +403,35 @@ def test_table_built_under_threads(toy):
     assert not any(th.is_alive() for th in threads)
     assert isinstance(pt._table, list)
     assert all(results[k] == k * toy.base for k in ks)
+
+
+def test_shipped_rows_decoded_under_threads(prod):
+    # threads share one freshly loaded table: two that miss the same digit
+    # both decode it, and every result and every stored entry stays exact
+    c = fresh_curve1174()
+    rng = make_rng("lazythreads")
+    ks = [rng.randrange(1, c.q) for _ in range(24)]
+    results = {}
+
+    def work(t):
+        for k in ks[t::6]:
+            results[k] = k * c.base
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(results[k] == k * prod.base for k in ks)
+    fresh = Point(prod.base.x, prod.base.y, prod).precompute()._table
+    for row, fresh_row in zip(c.base._table, fresh):
+        assert all(entry == fresh_row[m] for m, entry in row.items())
 
 
 # -- Scalar ------------------------------------------------------------------
@@ -422,13 +504,18 @@ def test_opcounter_basic(toy):
 
 
 def test_opcounter_internal_steps_do_not_leak(toy):
+    # 100 = -28 + 2*64: two comb entries, one added to the other; the
+    # wNAF doubles and adds
     plain = Point(toy.base.x, toy.base.y, toy)
-    for pt in (toy.base, plain):  # comb table, then wNAF
+    for pt, comb in ((toy.base, True), (plain, False)):
         with OpCounter() as ops:
             _ = 100 * pt
         assert ops.scalar_mults == 1
         assert ops.point_adds == 0
-        assert ops.inner_adds > 0 and ops.inner_doubles > 0
+        if comb:
+            assert (ops.inner_adds, ops.inner_doubles) == (1, 0)
+        else:
+            assert ops.inner_adds > 0 and ops.inner_doubles > 0
 
 
 def test_opcounter_inner_steps_for_q_minus_1(prod):
@@ -436,12 +523,11 @@ def test_opcounter_inner_steps_for_q_minus_1(prod):
     # recode to zero digits and one carry.
     # Comb: the 42 radix-64 digits are nonzero at 0..20 and at the top,
     # 41, which the carry through the zero digits 21..40 takes from 7 to
-    # 8; 22 entries, the first loaded rather than added, and 6 doublings
-    # before each of the levels 1 and 0.
+    # 8; 22 entries, the first loaded rather than added, and no doubling.
     k = prod.q - 1
     with OpCounter() as ops:
         _ = k * prod.base
-    assert (ops.inner_adds, ops.inner_doubles) == (21, 12)
+    assert (ops.inner_adds, ops.inner_doubles) == (21, 0)
     # wNAF: 250 digits, 27 nonzero: 249 doublings and 26 additions after
     # the top digit, plus one doubling and three additions for 3Q, 5Q, 7Q.
     plain = Point(prod.base.x, prod.base.y, prod)
@@ -480,23 +566,30 @@ def affine(c, ext):
     return Point(*curve_mod._to_affine(c.p, [ext], None)[0], c)
 
 
+def signed_digits(k, n):
+    """k as n signed radix-64 digits in [-31, 32], least significant first."""
+    out = []
+    for _ in range(n):
+        dgt = k % 64
+        if dgt > 32:
+            dgt -= 64
+        out.append(dgt)
+        k = (k - dgt) // 64
+    assert k == 0, "k needs more digits"
+    return out
+
+
 def reference_comb(p, table, k):
-    """_mul_table's comb for one base, one _add, _dbl or _neg call per step."""
-    _add, _dbl, _neg = curve_mod._add, curve_mod._dbl, curve_mod._neg
-    levels, w = curve_mod._LEVELS, curve_mod._W
-    digits = curve_mod._signed_digits(k, len(table) * levels)
+    """_mul_table's comb for one base, one _add or _neg call per step."""
+    _add, _neg = curve_mod._add, curve_mod._neg
     X = None
-    for level in range(levels - 1, -1, -1):
-        if X is not None:
-            for _ in range(w):
-                X, Y, Z, T = _dbl(p, True, X, Y, Z)
-        for dgt, row in zip(digits[level::levels], table):
-            if dgt:
-                e = row[dgt - 1] if dgt > 0 else _neg(p, *row[-dgt - 1])
-                if X is None:
-                    X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
-                else:
-                    X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
+    for dgt, row in zip(signed_digits(k, len(table)), table):
+        if dgt:
+            e = row[dgt] if dgt > 0 else _neg(p, *row[-dgt])
+            if X is None:
+                X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
+            else:
+                X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
     return X, Y, Z, T
 
 
@@ -543,8 +636,9 @@ def near_p_points(c, n):
 def test_inlined_loops_match_reference_steps(toy, prod):
     """The comb and the chain, with _add and _dbl written out and A and B
     left unreduced, give the extended coordinates that one call per step
-    gives, and the points of the affine oracles; for negative digits, and
-    on curve1174 for entries with a coordinate at or near p - 1."""
+    gives, and the points of the affine oracles; for negative digits,
+    through built rows and P's shipped rows, and on curve1174 for entries
+    with a coordinate at or near p - 1."""
     half = 1 << (curve_mod._W - 1)
     toy_pts = enumerate_points(toy)
     for c in (toy, prod):
@@ -558,6 +652,12 @@ def test_inlined_loops_match_reference_steps(toy, prod):
         else:
             ks += [sum(33 << (6 * i) for i in range(41)), 2**246 - 1]
             pts = [rng.randrange(1, q) * c.base] + near_p_points(c, 4)
+            # P's shipped rows, read through their decoding
+            base = fresh_curve1174().base
+            for k in ks:
+                got = curve_mod._mul_table(p, [(base._table, k)])
+                assert got[:4] == reference_comb(p, base._table, k)
+                assert affine(c, got) == affine_mul(k, c.base)
         for pt in pts:
             table = Point(pt.x, pt.y, c).precompute()._table
             for k in ks:
@@ -570,15 +670,16 @@ def test_inlined_loops_match_reference_steps(toy, prod):
                     assert got[:3] == reference_chain(p, d, pt.x, pt.y, k)
                 assert affine(c, got) == expect
         if c is prod:
-            # one comb row whose entries are the near-p points themselves:
-            # digit i of level j adds +-2^(6j) times entry |i|
-            pts = near_p_points(c, half)
-            table = [[curve_mod._cache(p, d, pt.x, pt.y) for pt in pts]]
-            for k in (1, 31, 33, 63, 33 * 65 * 4097, 2**18 - 1, rng.randrange(1, 2**17)):
+            # two comb rows whose entries are the near-p points themselves:
+            # digit i adds +-entry |i| of its row
+            pts = near_p_points(c, 2 * half)
+            table = [{m: curve_mod._cache(p, d, pt.x, pt.y) for m, pt in enumerate(pts[j:j + half], 1)}
+                     for j in (0, half)]
+            for k in (1, 31, 32, 33, 63, 33 + 31 * 64, 32 + 32 * 64, 2**11 - 1, rng.randrange(1, 2081)):
                 expect = c.neutral()
-                for level, dgt in enumerate(curve_mod._signed_digits(k, 3)):
+                for j, dgt in enumerate(signed_digits(k, 2)):
                     if dgt:
-                        term = affine_mul(1 << (6 * level), pts[abs(dgt) - 1])
+                        term = pts[j * half + abs(dgt) - 1]
                         expect = oracle_add(c, expect, term if dgt > 0 else -term)
                 got = curve_mod._mul_table(p, [(table, k)])
                 assert got[:4] == reference_comb(p, table, k)
@@ -597,7 +698,8 @@ def test_multiples_is_one_multiple_each(toy, prod):
         other = rng.randrange(1, q) * c.base
         expect = [k * other for k in ks]
         plain = Point(other.x, other.y, c)
-        assert plain.multiples(ks[:_COMB_AT - 1]) == expect[:_COMB_AT - 1]
+        first = (ks * _COMB_AT)[:_COMB_AT - 1]
+        assert plain.multiples(first) == [k * other for k in first]
         assert plain._table == _COMB_AT - 1
         assert plain.multiples(ks) == expect
         assert type(plain._table) is list
@@ -774,7 +876,7 @@ def test_parsed_curve1174_is_the_builtin_one(prod):
     assert CurveParams.parse_file(prod.format_file()) is prod
     with OpCounter() as ops:
         _ = (prod.q - 2) * CurveParams.parse_file(prod.format_file()).base
-    assert ops.inner_doubles == 12  # the comb, not ~250 wNAF doublings
+    assert on_comb(ops, prod)  # not ~250 wNAF doublings
     # the name is in every params digest, so another name is another curve
     renamed = CurveParams.parse_file(prod.format_file().replace("name=curve1174", "name=c1174"))
     assert renamed == prod and renamed is not prod and renamed.base._table == 0

@@ -319,7 +319,7 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
     params, key = request.getfixturevalue(deploy)
     cred, rng = issue(params, key, 6, f"book:{deploy}")
     # Ppub with its table, as a verifier has it after its first checks;
-    # the build's inversion is pinned by test_public_key_table_at_fifth_check
+    # the build's inversion is pinned by test_public_key_table_at_nth_check
     params.p_pub.precompute()
     for subset in ([], [3], [1, 4, 5], [1, 2, 3, 4, 5]):
         token = present(cred, subset, params, rng)
@@ -330,9 +330,10 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
 
 
 @pytest.mark.parametrize("check", ["verify_disclosure", "check_equation"])
-def test_public_key_table_at_fifth_check(check, prod_deploy):
+def test_public_key_table_at_nth_check(check, prod_deploy):
     """A verifier that only checks tokens builds Ppub's comb table at its
-    fifth check, which books the build's one inversion; four build none."""
+    _COMB_AT-th check, which books the build's one inversion; the checks
+    before it build none."""
     params, key = prod_deploy
     cred, rng = issue(params, key, 4, "ppub-table")
     shown = present(cred, [2], params, rng)

@@ -246,6 +246,23 @@ def test_unblind_check_is_exact(deploy, request):
         assert check_equation(signature_of(cred), user)
 
 
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_user_blind_pays_three_inversions(deploy, request):
+    """R = alpha*R' + beta*P is one sum with one return to affine form:
+    one inversion for R, one for the commitment batch and one for the
+    proof nonce, with n + 3 Ms and 1 Ap booked as before."""
+    params, key = request.getfixturevalue(deploy)
+    rng = make_rng(f"blindinv:{deploy}")
+    for n in (1, 4, 8):
+        for interactive in (False, True):
+            _, r_bar = issuer_start(key, params, rng)
+            with OpCounter() as ops:
+                state, _ = user_blind(r_bar, sample_attrs(params, rng, n), params, rng,
+                                      interactive=interactive)
+            assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (n + 3, 1, 3)
+            assert state.r_point == state.alpha * r_bar + state.beta * params.curve.base
+
+
 def test_user_blind_input_validation(toy_deploy):
     params, _ = toy_deploy
     rng = make_rng("inputs")

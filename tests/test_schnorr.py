@@ -353,6 +353,6 @@ def test_one_proof_runs_a_half_length_chain(prod):
         t = fs_prove(mu, mu * prod.base, b"half", rng)
         with OpCounter() as ops:
             assert fs_verify(t, b"half")
-        # 12 comb doublings, a chain from a top wNAF digit at bit 125 or
+        # no comb doubling, a chain from a top wNAF digit at bit 125 or
         # below, one doubling each for the 3A and 3Q tables, cofactor 4
-        assert ops.inner_doubles <= 12 + 125 + 2 + 2
+        assert ops.inner_doubles <= 125 + 2 + 2

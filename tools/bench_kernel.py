@@ -11,6 +11,9 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - field: a 251-bit mulmod and an inversion;
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table) and
   a batch of 8 multiples of P;
+- one-shot start: import edcred, production_curve() and the first k*P,
+  which decodes the entries of P's shipped table that it reads, in a fresh
+  interpreter, timed inside it (the interpreter's own start-up excluded);
 - protocol, n = 8 attributes, 3 revealed: run_issuance, present plus
   encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
   comb table built as a long-lived verifier has it.
@@ -28,6 +31,7 @@ import importlib.util
 import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 
@@ -35,6 +39,16 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 N_ATTRS = 8
 REVEALED = [1, 2, 3]
 _FIELD_REPS = 1000
+FRESH = "fresh import, first k*P"
+# run by `python -c` with the SRC directory and k as arguments
+_FIRST_USE = """
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import edcred
+int(sys.argv[2]) * edcred.production_curve().base
+print(time.perf_counter() - t0)
+"""
 
 
 def load(src: str, name: str):
@@ -48,8 +62,9 @@ def load(src: str, name: str):
     return mod
 
 
-def operations(pkg) -> dict:
-    """Name -> zero-argument callable, for one loaded package."""
+def operations(pkg, src: str) -> dict:
+    """Name -> zero-argument callable, for one loaded package and the SRC
+    it was loaded from."""
     curve = pkg.production_curve()
     p, q, base = curve.p, curve.q, curve.base
     Point = pkg.Point
@@ -81,6 +96,11 @@ def operations(pkg) -> dict:
         if not ok:
             raise SystemExit("an honest token was refused")
 
+    def first_use() -> float:
+        child = subprocess.run([sys.executable, "-c", _FIRST_USE, src, str(k)],
+                               capture_output=True, text=True, check=True)
+        return float(child.stdout)
+
     return {
         "mulmod": lambda: [a * b % p for _ in range(_FIELD_REPS)],
         "inversion": lambda: [pow(a, -1, p) for _ in range(_FIELD_REPS)],
@@ -90,10 +110,14 @@ def operations(pkg) -> dict:
         "run_issuance n=8": issuance,
         "present n=8": holder,
         "verify_disclosure n=8": verifier,
+        FRESH: first_use,
     }
 
 
-def timed(fn) -> float:
+def timed(name: str, fn) -> float:
+    # the fresh-process operation returns the seconds its child measured
+    if name == FRESH:
+        return fn()
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
@@ -108,7 +132,7 @@ def unit(name: str):
 def single(ops: dict, repeat: int) -> None:
     for name, fn in ops.items():
         fn()  # warm-up
-        times = [timed(fn) for _ in range(repeat)]
+        times = [timed(name, fn) for _ in range(repeat)]
         label, scale = unit(name)
         print(f"{name:24s} {scale * statistics.median(times):10.3f} {label}")
 
@@ -121,11 +145,11 @@ def paired(ops_a: dict, ops_b: dict, repeat: int) -> None:
         ta, tb = [], []
         for i in range(repeat):
             if i % 2:
-                tb.append(timed(fb))
-                ta.append(timed(fa))
+                tb.append(timed(name, fb))
+                ta.append(timed(name, fa))
             else:
-                ta.append(timed(fa))
-                tb.append(timed(fb))
+                ta.append(timed(name, fa))
+                tb.append(timed(name, fb))
         ratio = statistics.median(y / x for x, y in zip(ta, tb))
         won = sum(y < x for x, y in zip(ta, tb))
         label, scale = unit(name)
@@ -141,7 +165,7 @@ def main(argv=None) -> int:
     if len(args.src) > 2 or args.repeat < 1:
         ap.error("give at most two SRC directories and a positive --repeat")
     srcs = args.src or [_SRC]
-    ops = [operations(load(src, f"edcred_bench_{i}")) for i, src in enumerate(srcs)]
+    ops = [operations(load(src, f"edcred_bench_{i}"), src) for i, src in enumerate(srcs)]
     if len(ops) == 1:
         single(ops[0], args.repeat)
     else:
