@@ -29,7 +29,7 @@ from .credential import (
     verify_credential,
     verify_presentation,
 )
-from .curve import Scalar, curve_by_name, hasse_holds
+from .curve import Scalar, curve_by_name, hasse_holds, parse_kv
 from .disclosure import DisclosureToken, present as build_disclosure, verify_disclosure
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
 from .hashing import attr_to_scalar
@@ -88,8 +88,6 @@ def _master_secret(dirpath, curve, rng) -> Scalar:
     """
     path = os.path.join(dirpath, USER_KEY_FILE)
     if os.path.exists(path):
-        from .curve import parse_kv
-
         with open(path) as fh:
             fields = parse_kv(fh.read(), required=("m0",))
         v = int(fields["m0"])

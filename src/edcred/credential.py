@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import Point, Scalar, sum_is_neutral
+from .errors import WireError
 from .hashing import hash_block
 from .issuance import Credential
 from .params import SystemParams
-from .schnorr import SchnorrTranscript, fs_prove, fs_verify, transcript_size
-from .wire import SESSION_ID_LEN
+from .schnorr import SchnorrTranscript, fs_prove, fs_verify
+from .wire import SESSION_ID_LEN, Reader
 
 
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
@@ -39,18 +40,11 @@ class PresentationSignature:
         return self.r_point.encode() + self.s.to_bytes(w) + self.h.to_bytes(w)
 
     @classmethod
-    def decode(cls, data: bytes, params: SystemParams) -> "PresentationSignature":
-        curve = params.curve
-        w = curve.coord_bytes
-        if len(data) != 4 * w:
-            raise ValueError("signature encoding has wrong length")
-        sig = cls(
-            r_point=Point.decode(data[: 2 * w], curve),
-            s=Scalar.from_bytes(data[2 * w : 3 * w], curve.q),
-            h=Scalar.from_bytes(data[3 * w :], curve.q),
-        )
+    def read(cls, reader: Reader) -> "PresentationSignature":
+        """The fields encode writes, from a Reader over the enclosing record."""
+        sig = cls(reader.point(), reader.scalar(), reader.scalar())
         if sig.h.v == 0:
-            raise ValueError("signature carries h = 0")
+            raise WireError("signature carries h = 0")
         return sig
 
 
@@ -129,16 +123,13 @@ class PresentationToken:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "PresentationToken":
-        curve = params.curve
-        w = curve.coord_bytes
-        need = 32 + 4 * w + 2 * w + transcript_size(curve)
-        if len(data) != need:
-            raise ValueError("presentation token has wrong length")
-        if data[:32] != params.digest():
-            raise ValueError("token was made under different parameters")
-        sig = PresentationSignature.decode(data[32 : 32 + 4 * w], params)
-        commitment0 = Point.decode(data[32 + 4 * w : 32 + 6 * w], curve)
-        proof = SchnorrTranscript.from_bytes(data[32 + 6 * w :], commitment0)
+        r = Reader(data, params.curve)
+        if r.take(32) != params.digest():
+            raise WireError("token was made under different parameters")
+        sig = PresentationSignature.read(r)
+        commitment0 = r.point()
+        proof = SchnorrTranscript.read(r, commitment0)
+        r.end()
         return cls(sig=sig, commitment0=commitment0, proof=proof, session_id=session_id)
 
 

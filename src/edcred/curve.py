@@ -72,7 +72,7 @@ import contextvars
 import hashlib
 import os
 
-from .errors import RngError
+from .errors import RngError, WireError
 
 _DRAW_ATTEMPTS = 100
 
@@ -504,7 +504,7 @@ class Scalar:
     def from_bytes(cls, data: bytes, q: int) -> "Scalar":
         v = int.from_bytes(data, "big")
         if v >= q:
-            raise ValueError("scalar encoding out of range")
+            raise WireError("scalar encoding out of range")
         return cls(v, q)
 
     def __repr__(self):
@@ -685,10 +685,10 @@ class Point:
     def decode(cls, data: bytes, curve: "CurveParams") -> "Point":
         w = curve.coord_bytes
         if len(data) != 2 * w:
-            raise ValueError("point encoding has wrong length")
+            raise WireError("point encoding has wrong length")
         pt = cls(int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"), curve)
         if not pt.on_curve():
-            raise ValueError("point encoding not on curve")
+            raise WireError("point encoding not on curve")
         return pt
 
     def __repr__(self):

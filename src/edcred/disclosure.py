@@ -40,7 +40,7 @@ from .hashing import hash_points
 from .issuance import MAX_ATTRIBUTES, Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove_batch, fs_verify_batch
-from .wire import SESSION_ID_LEN
+from .wire import SESSION_ID_LEN, Reader
 
 _BITMAP_BYTES = 8  # one bit per attribute index, MAX_ATTRIBUTES = 64
 
@@ -63,41 +63,31 @@ class DisclosureToken:
     def disclosed_indices(self) -> list[int]:
         return sorted(self.disclosed)
 
-    def _bitmap(self) -> bytes:
+    def _fields(self, w: int) -> list[bytes]:
+        """Every field from R to the hidden points, in token order: what the
+        challenge context and the encoding both carry."""
         bits = 0
         for i in self.hidden_points:
             bits |= 1 << i
-        return bits.to_bytes(_BITMAP_BYTES, "big")
+        parts = [
+            self.sig_r.encode(),
+            self.sig_s.to_bytes(w),
+            self.sig_h.to_bytes(w),
+            self.n_attrs.to_bytes(2, "big"),
+            bits.to_bytes(_BITMAP_BYTES, "big"),
+        ]
+        parts += [self.disclosed[i].to_bytes(w) for i in self.disclosed_indices()]
+        parts += [self.hidden_points[i].encode() for i in self.hidden_indices()]
+        return parts
 
     def body_prefix(self, params: SystemParams) -> bytes:
         """The challenge context: every token field except the proofs."""
-        w = params.curve.coord_bytes
-        parts = [
-            b"DISCLOSE:",
-            params.digest(),
-            self.session_id,
-            self.sig_r.encode(),
-            self.sig_s.to_bytes(w),
-            self.sig_h.to_bytes(w),
-            self.n_attrs.to_bytes(2, "big"),
-            self._bitmap(),
-        ]
-        parts += [self.disclosed[i].to_bytes(w) for i in self.disclosed_indices()]
-        parts += [self.hidden_points[i].encode() for i in self.hidden_indices()]
-        return b"".join(parts)
+        head = [b"DISCLOSE:", params.digest(), self.session_id]
+        return b"".join(head + self._fields(params.curve.coord_bytes))
 
     def to_bytes(self, params: SystemParams) -> bytes:
         w = params.curve.coord_bytes
-        parts = [
-            params.digest(),
-            self.sig_r.encode(),
-            self.sig_s.to_bytes(w),
-            self.sig_h.to_bytes(w),
-            self.n_attrs.to_bytes(2, "big"),
-            self._bitmap(),
-        ]
-        parts += [self.disclosed[i].to_bytes(w) for i in self.disclosed_indices()]
-        parts += [self.hidden_points[i].encode() for i in self.hidden_indices()]
+        parts = [params.digest()] + self._fields(w)
         hidden = self.hidden_indices()
         # proofs share one challenge; store it once after the (A_i, r_i) pairs
         for i in hidden:
@@ -109,48 +99,25 @@ class DisclosureToken:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "DisclosureToken":
-        curve = params.curve
-        w = curve.coord_bytes
-        try:
-            if data[:32] != params.digest():
-                raise ValueError("token was made under different parameters")
-            off = 32
-            sig_r = Point.decode(data[off : off + 2 * w], curve)
-            off += 2 * w
-            sig_s = Scalar.from_bytes(data[off : off + w], curve.q)
-            sig_h = Scalar.from_bytes(data[off + w : off + 2 * w], curve.q)
-            off += 2 * w
-            n = int.from_bytes(data[off : off + 2], "big")
-            if not 1 <= n <= MAX_ATTRIBUTES:
-                raise ValueError("attribute count out of range")
-            bits = int.from_bytes(data[off + 2 : off + 2 + _BITMAP_BYTES], "big")
-            off += 2 + _BITMAP_BYTES
-            hidden = [i for i in range(MAX_ATTRIBUTES) if bits >> i & 1]
-            if bits >> n or not hidden:
-                raise ValueError("hidden bitmap names indices out of range")
-            disclosed_idx = [i for i in range(n) if not bits >> i & 1]
-            disclosed = {}
-            for i in disclosed_idx:
-                disclosed[i] = Scalar.from_bytes(data[off : off + w], curve.q)
-                off += w
-            hidden_points = {}
-            for i in hidden:
-                hidden_points[i] = Point.decode(data[off : off + 2 * w], curve)
-                off += 2 * w
-            pairs = []
-            for i in hidden:
-                a = Point.decode(data[off : off + 2 * w], curve)
-                r = Scalar.from_bytes(data[off + 2 * w : off + 3 * w], curve.q)
-                off += 3 * w
-                pairs.append((i, a, r))
-            c = Scalar.from_bytes(data[off : off + w], curve.q)
-            if len(data) != off + w:
-                raise ValueError("trailing bytes after token")
-        except ValueError as exc:
-            raise WireError(f"bad disclosure token: {exc}") from exc
+        r = Reader(data, params.curve)
+        if r.take(32) != params.digest():
+            raise WireError("token was made under different parameters")
+        sig_r, sig_s, sig_h = r.point(), r.scalar(), r.scalar()
+        n = r.uint(2)
+        if not 1 <= n <= MAX_ATTRIBUTES:
+            raise WireError("attribute count out of range")
+        bits = r.uint(_BITMAP_BYTES)
+        if bits >> n or not bits:
+            raise WireError("hidden bitmap names indices out of range")
+        hidden = [i for i in range(n) if bits >> i & 1]
+        disclosed = {i: r.scalar() for i in range(n) if not bits >> i & 1}
+        hidden_points = {i: r.point() for i in hidden}
+        pairs = [(i, r.point(), r.scalar()) for i in hidden]
+        c = r.scalar()
+        r.end()
         proofs = {
-            i: SchnorrTranscript(commitment=a, challenge=c, response=r, statement=hidden_points[i])
-            for i, a, r in pairs
+            i: SchnorrTranscript(commitment=a, challenge=c, response=resp, statement=hidden_points[i])
+            for i, a, resp in pairs
         }
         return cls(
             sig_r=sig_r,

@@ -5,8 +5,10 @@ class ProtocolError(Exception):
     """Base class for everything this package raises on purpose."""
 
 
-class WireError(ProtocolError):
-    """Malformed bytes: bad framing, wrong length, trailing garbage."""
+class WireError(ProtocolError, ValueError):
+    """Malformed bytes: bad framing, wrong length, trailing garbage, or a
+    point or scalar out of range. A ValueError too, as any malformed input
+    is."""
 
 
 class SessionError(ProtocolError):

@@ -79,7 +79,7 @@ def blindness_crosscheck(
 def issuer_view_from_transcript(transcript: Transcript, params: SystemParams) -> IssuerView:
     """Read (R', h', s') out of a recorded issuance, i.e. reconstruct the
     issuer's view from the actual wire bytes."""
-    from .protocol import decode_request  # local import, protocol imports upward
+    from .protocol import _body_scalar, decode_request  # local import, protocol imports upward
 
     curve = params.curve
     r_bar = h_bar = s_bar = None
@@ -90,7 +90,7 @@ def issuer_view_from_transcript(transcript: Transcript, params: SystemParams) ->
         elif entry.message.msg_type == MSG_ISS2:
             h_bar = decode_request(body, params).h_bar
         elif entry.message.msg_type == MSG_ISS3:
-            s_bar = Scalar.from_bytes(body, curve.q)
+            s_bar = _body_scalar(body, params)
     if r_bar is None or h_bar is None or s_bar is None:
         raise ValueError("transcript does not contain a full issuance")
     return IssuerView(r_bar=r_bar, h_bar=h_bar, s_bar=s_bar)

@@ -25,10 +25,11 @@ from __future__ import annotations
 from contextlib import nullcontext
 
 from .curve import OpCounter, Point, Scalar, sum_is_neutral, sum_of_multiples
-from .errors import InvalidProofError, IssuerMisbehavior, SessionError
+from .errors import InvalidProofError, IssuerMisbehavior, SessionError, WireError
 from .hashing import hash_block
 from .params import IssuerKey, SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify, pk_commit, pk_respond, pk_verify
+from .wire import Reader
 
 MAX_ATTRIBUTES = 64
 
@@ -79,28 +80,19 @@ class Credential:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: SystemParams) -> "Credential":
-        curve = params.curve
-        w = curve.coord_bytes
-        if data[:4] != cls.MAGIC:
-            raise ValueError("not a credential file")
-        if data[4:36] != params.digest():
-            raise ValueError("credential was issued under different parameters")
-        n = int.from_bytes(data[36:38], "big")
-        need = 38 + n * w + 2 * w + 2 * w
-        if not 1 <= n <= MAX_ATTRIBUTES or len(data) != need:
-            raise ValueError("credential encoding has wrong length")
-        off = 38
-        attrs = []
-        for _ in range(n):
-            attrs.append(Scalar.from_bytes(data[off : off + w], curve.q))
-            off += w
-        r_point = Point.decode(data[off : off + 2 * w], curve)
-        off += 2 * w
-        s = Scalar.from_bytes(data[off : off + w], curve.q)
-        h = Scalar.from_bytes(data[off + w : off + 2 * w], curve.q)
-        cred = cls(attrs=_check_attrs(attrs, curve.q), r_point=r_point, s=s, h=h)
-        if h.v == 0:
-            raise ValueError("credential carries h = 0")
+        r = Reader(data, params.curve)
+        if r.take(4) != cls.MAGIC:
+            raise WireError("not a credential file")
+        if r.take(32) != params.digest():
+            raise WireError("credential was issued under different parameters")
+        n = r.uint(2)
+        if not 1 <= n <= MAX_ATTRIBUTES:
+            raise WireError("attribute count out of range")
+        cred = cls(attrs=tuple(r.scalar() for _ in range(n)),
+                   r_point=r.point(), s=r.scalar(), h=r.scalar())
+        r.end()
+        if not all(cred.attrs) or cred.h.v == 0:
+            raise WireError("credential carries a zero attribute or h = 0")
         return cred
 
 
@@ -123,8 +115,10 @@ class IssuanceRequest:
 
 
 class IssuerSession:
-    """One signing session. The nonce k is destroyed when the session signs
-    or aborts, and a session never signs twice."""
+    """One signing session. The nonce k is destroyed when the session signs,
+    and a session never signs twice. A refused request (sign raising on a
+    bad blinded hash, commitment or proof) leaves k and the state as they
+    were, so the same session can still sign a valid request."""
 
     def __init__(self, key: IssuerKey, params: SystemParams, rng):
         self._key = key

@@ -31,13 +31,14 @@ from .issuance import (
     user_unblind,
 )
 from .params import IssuerKey, SystemParams
-from .schnorr import SchnorrTranscript, transcript_size
+from .schnorr import SchnorrTranscript
 from .wire import (
     ISSUER_TO_USER,
     MSG_CHAL,
     MSG_ISS1,
     MSG_ISS2,
     MSG_ISS3,
+    Reader,
     SESSION_ID_LEN,
     Transcript,
     USER_TO_ISSUER,
@@ -72,39 +73,21 @@ def encode_request(req: IssuanceRequest, params: SystemParams) -> bytes:
 
 
 def decode_request(body: bytes, params: SystemParams) -> IssuanceRequest:
-    curve = params.curve
-    w = curve.coord_bytes
-    try:
-        flags = body[0]
-        if flags & ~_FLAG_INTERACTIVE:
-            raise ValueError(f"unknown flags 0x{flags:02x}")
-        h_bar = Scalar.from_bytes(body[1 : 1 + w], curve.q)
-        count = int.from_bytes(body[1 + w : 3 + w], "big")
-        if count != 1:
-            raise ValueError(f"{count} commitments, expected 1")
-        off = 3 + w
-        commitment0 = Point.decode(body[off : off + 2 * w], curve)
-        off += 2 * w
-        if flags & _FLAG_INTERACTIVE:
-            pk_commitment = Point.decode(body[off : off + 2 * w], curve)
-            off += 2 * w
-            proof = None
-        else:
-            proof = SchnorrTranscript.from_bytes(
-                body[off : off + transcript_size(curve)], commitment0
-            )
-            off += transcript_size(curve)
-            pk_commitment = None
-        if off != len(body):
-            raise ValueError("trailing bytes")
-    except (ValueError, IndexError) as exc:
-        raise WireError(f"bad issuance request: {exc}") from exc
-    return IssuanceRequest(
-        h_bar=h_bar,
-        commitment0=commitment0,
-        proof=proof,
-        pk_commitment=pk_commitment,
-    )
+    r = Reader(body, params.curve)
+    flags = r.uint(1)
+    if flags & ~_FLAG_INTERACTIVE:
+        raise WireError(f"unknown flags 0x{flags:02x}")
+    h_bar = r.scalar()
+    count = r.uint(2)
+    if count != 1:
+        raise WireError(f"{count} commitments, expected 1")
+    commitment0 = r.point()
+    if flags & _FLAG_INTERACTIVE:
+        request = IssuanceRequest(h_bar, commitment0, pk_commitment=r.point())
+    else:
+        request = IssuanceRequest(h_bar, commitment0, proof=SchnorrTranscript.read(r, commitment0))
+    r.end()
+    return request
 
 
 def _scalar_body(v: Scalar, params: SystemParams) -> bytes:
@@ -112,20 +95,10 @@ def _scalar_body(v: Scalar, params: SystemParams) -> bytes:
 
 
 def _body_scalar(body: bytes, params: SystemParams) -> Scalar:
-    w = params.curve.coord_bytes
-    if len(body) != w:
-        raise WireError("scalar body has wrong length")
-    try:
-        return Scalar.from_bytes(body, params.curve.q)
-    except ValueError as exc:
-        raise WireError(str(exc)) from exc
-
-
-def _point_body(body: bytes, params: SystemParams) -> Point:
-    try:
-        return Point.decode(body, params.curve)
-    except ValueError as exc:
-        raise WireError(str(exc)) from exc
+    r = Reader(body, params.curve)
+    v = r.scalar()
+    r.end()
+    return v
 
 
 # -- engines -----------------------------------------------------------------
@@ -194,7 +167,7 @@ class UserEngine:
                     f"unexpected message type 0x{msg.msg_type:02x} before the offer"
                 )
             self.session_id = msg.session_id
-            r_bar = _point_body(msg.body, self._params)
+            r_bar = Point.decode(msg.body, self._params.curve)
             self._blind, request = user_blind(
                 r_bar,
                 self._attrs,

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 from .curve import CurveParams, Point, Scalar, sum_is_neutral
 from .hashing import batch_weights, challenge_scalar
+from .wire import Reader
 
 
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
@@ -68,21 +69,10 @@ class SchnorrTranscript:
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes, statement: Point) -> "SchnorrTranscript":
-        curve = statement.curve
-        w = curve.coord_bytes
-        if len(data) != 4 * w:
-            raise ValueError("transcript encoding has wrong length")
-        return cls(
-            commitment=Point.decode(data[: 2 * w], curve),
-            challenge=Scalar.from_bytes(data[2 * w : 3 * w], curve.q),
-            response=Scalar.from_bytes(data[3 * w :], curve.q),
-            statement=statement,
-        )
-
-
-def transcript_size(curve: CurveParams) -> int:
-    return 4 * curve.coord_bytes
+    def read(cls, reader: Reader, statement: Point) -> "SchnorrTranscript":
+        """The fields to_bytes writes, from a Reader over the enclosing
+        record."""
+        return cls(reader.point(), reader.scalar(), reader.scalar(), statement)
 
 
 def pk_commit(curve: CurveParams, rng) -> tuple[Scalar, Point]:

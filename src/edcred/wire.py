@@ -1,4 +1,5 @@
-"""Framing for protocol messages and recorded transcripts.
+"""Framing for protocol messages and recorded transcripts, and the reader
+that every record of the package is parsed through.
 
 Every message is  version(1) | type(1) | session_id(16) | body_len(4 BE) | body.
 Decoding is strict: unknown version or type, short input and trailing bytes
@@ -9,6 +10,7 @@ direction keeps the two apart.
 
 from __future__ import annotations
 
+from .curve import Point, Scalar
 from .errors import WireError
 
 WIRE_VERSION = 1
@@ -28,6 +30,40 @@ _MAX_BODY = 1 << 20
 
 ISSUER_TO_USER = 0
 USER_TO_ISSUER = 1
+
+
+class Reader:
+    """Reads one record front to back: points and scalars of the curve
+    (2w and w bytes), big-endian integers and raw fields. A record that
+    ends early, or has bytes left at end(), is a WireError, and so is a
+    point or scalar that Point.decode or Scalar.from_bytes refuses."""
+
+    __slots__ = ("data", "pos", "curve")
+
+    def __init__(self, data: bytes, curve=None):
+        self.data = data
+        self.pos = 0
+        self.curve = curve
+
+    def take(self, n: int) -> bytes:
+        start = self.pos
+        self.pos += n
+        if self.pos > len(self.data):
+            raise WireError("record ends early")
+        return self.data[start : self.pos]
+
+    def uint(self, n: int) -> int:
+        return int.from_bytes(self.take(n), "big")
+
+    def point(self) -> Point:
+        return Point.decode(self.take(2 * self.curve.coord_bytes), self.curve)
+
+    def scalar(self) -> Scalar:
+        return Scalar.from_bytes(self.take(self.curve.coord_bytes), self.curve.q)
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise WireError("trailing bytes after record")
 
 
 class WireMessage:
@@ -61,16 +97,16 @@ def encode_message(msg: WireMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> WireMessage:
-    if len(data) < _HEADER_LEN:
-        raise WireError("truncated header")
-    if data[0] != WIRE_VERSION:
-        raise WireError(f"unknown wire version {data[0]}")
-    body_len = int.from_bytes(data[18:22], "big")
+    r = Reader(data)
+    version = r.uint(1)
+    if version != WIRE_VERSION:
+        raise WireError(f"unknown wire version {version}")
+    msg_type, session_id, body_len = r.uint(1), r.take(SESSION_ID_LEN), r.uint(4)
     if body_len > _MAX_BODY:
         raise WireError("declared body too large")
-    if len(data) != _HEADER_LEN + body_len:
-        raise WireError("length field does not match data")
-    return WireMessage(msg_type=data[1], session_id=data[2:18], body=data[22:])
+    body = r.take(body_len)
+    r.end()
+    return WireMessage(msg_type, session_id, body)
 
 
 def write_message(stream, msg: WireMessage) -> None:
@@ -89,7 +125,7 @@ def read_message(stream) -> WireMessage | None:
         return None
     if len(header) < _HEADER_LEN:
         raise WireError("connection closed mid-header")
-    body_len = int.from_bytes(header[18:22], "big")
+    body_len = int.from_bytes(header[-4:], "big")
     if body_len > _MAX_BODY:
         raise WireError("declared body too large")
     body = stream.read(body_len) if body_len else b""
@@ -116,7 +152,7 @@ class Transcript:
 
     def record(self, direction: int, message: WireMessage) -> None:
         if direction not in (ISSUER_TO_USER, USER_TO_ISSUER):
-            raise ValueError("bad direction")
+            raise WireError("bad direction")
         self.entries.append(TranscriptEntry(direction, message))
 
     def __len__(self):
@@ -138,15 +174,8 @@ class Transcript:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transcript":
         t = cls()
-        off = 0
-        while off < len(data):
-            if off + 5 > len(data):
-                raise WireError("truncated transcript entry")
-            direction = data[off]
-            size = int.from_bytes(data[off + 1 : off + 5], "big")
-            off += 5
-            if off + size > len(data):
-                raise WireError("truncated transcript message")
-            t.record(direction, decode_message(data[off : off + size]))
-            off += size
+        r = Reader(data)
+        while r.pos < len(data):
+            direction = r.uint(1)
+            t.record(direction, decode_message(r.take(r.uint(4))))
         return t

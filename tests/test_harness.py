@@ -4,7 +4,7 @@ import pytest
 
 from edcred.credential import check_equation, signature_of
 from edcred.curve import Scalar
-from edcred.errors import ProtocolError
+from edcred.errors import ProtocolError, WireError
 from edcred.harness import (
     IssuerView,
     attempt_master_binding,
@@ -19,6 +19,7 @@ from edcred.harness import (
 from edcred.hashing import attr_to_scalar, hash_points
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.protocol import run_issuance
+from edcred.wire import MSG_ISS3, WireMessage
 
 from conftest import make_rng
 
@@ -63,6 +64,17 @@ def test_crossed_pairs_also_consistent(toy_deploy):
         for cred in creds:
             output = signature_of(cred)
             assert blindness_crosscheck(view, output, params)
+
+
+def test_issuer_view_refuses_a_malformed_body(toy_deploy):
+    params, key = toy_deploy
+    _, transcript = one_issuance(params, key, "malformed-view")
+    for entry in transcript:
+        if entry.message.msg_type == MSG_ISS3:
+            msg = entry.message
+            entry.message = WireMessage(MSG_ISS3, msg.session_id, msg.body[:-1])
+    with pytest.raises(WireError):
+        issuer_view_from_transcript(transcript, params)
 
 
 def test_pair_blinding_rejects_invalid_inputs(toy_deploy):

@@ -1,0 +1,66 @@
+"""Every parser refuses malformed bytes with WireError and nothing else.
+
+Each record below is cut at every length, extended by one byte, and
+edited at every position (one seeded replacement byte each). A mutated
+input may still parse, for instance when an edit lands on another valid
+scalar; otherwise the parser must raise WireError, never a bare ValueError,
+IndexError or anything else.
+"""
+
+import pytest
+
+from edcred.credential import PresentationToken, make_presentation
+from edcred.disclosure import DisclosureToken, present
+from edcred.errors import WireError
+from edcred.issuance import Credential
+from edcred.protocol import decode_request, run_issuance
+from edcred.wire import MSG_ISS2, Transcript, decode_message, encode_message
+
+from conftest import make_rng
+
+
+def mutations(data: bytes, rng):
+    for n in range(len(data)):
+        yield data[:n]
+    yield data + bytes((rng.randrange(256),))
+    for i in range(len(data)):
+        yield data[:i] + bytes((data[i] ^ rng.randrange(1, 256),)) + data[i + 1 :]
+
+
+def records(params, key, rng):
+    """(name, bytes, parser, how many truncations parse) for one record of
+    each kind. A transcript cut between entries is a shorter transcript."""
+    attrs = [params.curve.random_nonzero(rng) for _ in range(3)]
+    cred, transcript = run_issuance(params, key, attrs, rng, rng)
+    iss2 = next(e.message for e in transcript if e.message.msg_type == MSG_ISS2)
+    show = make_presentation(cred, params, rng)
+    disc = present(cred, [2], params, rng)
+    sid = disc.session_id
+    return [
+        ("credential", cred.to_bytes(params), lambda b: Credential.from_bytes(b, params), 0),
+        ("presentation", show.to_bytes(params),
+         lambda b: PresentationToken.from_bytes(b, params, sid), 0),
+        ("disclosure", disc.to_bytes(params),
+         lambda b: DisclosureToken.from_bytes(b, params, sid), 0),
+        ("ISS2 body", iss2.body, lambda b: decode_request(b, params), 0),
+        ("message", encode_message(iss2), decode_message, 0),
+        ("transcript", transcript.to_bytes(), Transcript.from_bytes, len(transcript)),
+    ]
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_every_parser_refuses_malformed_bytes_with_wire_error(deploy, request):
+    params, key = request.getfixturevalue(deploy)
+    rng = make_rng(f"malformed:{deploy}")
+    for name, data, parse, cuts_that_parse in records(params, key, rng):
+        parse(data)
+        parsed_cuts = 0
+        for bad in mutations(data, rng):
+            try:
+                parse(bad)
+            except WireError:
+                continue
+            except Exception as exc:  # anything else is the defect tested for
+                pytest.fail(f"{name}: {type(exc).__name__}: {exc} on {bad.hex()}")
+            parsed_cuts += len(bad) < len(data)
+        assert parsed_cuts == cuts_that_parse, name

@@ -17,8 +17,8 @@ from edcred.schnorr import (
     pk_respond,
     pk_verify,
     short_multiplier,
-    transcript_size,
 )
+from edcred.wire import Reader
 
 from conftest import make_rng
 
@@ -158,11 +158,13 @@ def test_transcript_bytes_roundtrip(toy, prod):
         stmt = mu * c.base
         t = fs_prove(mu, stmt, b"ctx", rng)
         data = t.to_bytes()
-        assert len(data) == transcript_size(c) == 4 * c.coord_bytes
-        again = SchnorrTranscript.from_bytes(data, stmt)
+        assert len(data) == 4 * c.coord_bytes
+        r = Reader(data, c)
+        again = SchnorrTranscript.read(r, stmt)
+        r.end()
         assert again == t and fs_verify(again, b"ctx")
     with pytest.raises(ValueError):
-        SchnorrTranscript.from_bytes(data[:-1], stmt)
+        SchnorrTranscript.read(Reader(data[:-1], c), stmt)
 
 
 def test_nonce_reuse_leaks_witness(toy):

@@ -16,7 +16,8 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   interpreter, timed inside it (the interpreter's own start-up excluded);
 - protocol, n = 8 attributes, 3 revealed: run_issuance, present plus
   encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
-  comb table built as a long-lived verifier has it.
+  comb table built as a long-lived verifier has it;
+- wire: parsing that disclosure token alone, and the n = 8 credential.
 
 Two SRCs load both packages in this process under different names and
 alternate them operation by operation, which side goes first alternating
@@ -79,7 +80,8 @@ def operations(pkg, src: str) -> dict:
     cred, _ = pkg.run_issuance(params, key, attrs, random.Random("i"), random.Random("u"))
     token = pkg.present(cred, REVEALED, params, random.Random("token"))
     data = token.to_bytes(params)
-    DisclosureToken = pkg.DisclosureToken
+    cred_data = cred.to_bytes(params)
+    DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
     seeds = iter(range(1 << 62))
@@ -110,6 +112,8 @@ def operations(pkg, src: str) -> dict:
         "run_issuance n=8": issuance,
         "present n=8": holder,
         "verify_disclosure n=8": verifier,
+        "parse token n=8": lambda: DisclosureToken.from_bytes(data, params, token.session_id),
+        "parse credential n=8": lambda: Credential.from_bytes(cred_data, params),
         FRESH: first_use,
     }
 
