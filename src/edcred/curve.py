@@ -17,22 +17,25 @@ denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
 Each addition, and each batch of multiples of one point (Point.multiples;
 k*P is a batch of one), pays one field inversion, at the end, to return to
 affine form: a batch inverts the product of its Z and peels each 1/Z off
-it (Montgomery's trick), as a comb table's build does for its entries.
+it (Montgomery's trick), as a comb table's build does for each row.
 
 The addition leaves its products A = X1*x2 and B = Y1*y2 unreduced: they
 only feed E = (X1 + Y1)*(x2 + y2) - A - B and H = B - A, which are reduced
 once each, so an addition reduces two values where it would reduce three.
+Its second operand is cached as three words, (x, y, d*x*y), or four for an
+extended point, and the addition forms x2 + y2 itself, one unreduced int
+addition, so that a comb table keeps three words per entry.
 The comb and wNAF loops, where nearly all of the time goes, have the
 addition and the doubling written out in place rather than called;
 _add and _dbl remain the reference formulas, which every other caller uses
 and which compute the same values.
 
 Scalar multiplication takes one of two paths. A base with a comb table is
-multiplied by a signed radix-64 comb one level deep: row j of the table
-holds m*2^(6j)*B for m = 1..32, so a multiple looks up one entry and makes
-one mixed addition per nonzero digit, about 41 additions and no doubling.
+multiplied by a signed radix-256 comb one level deep: row j of the table
+holds m*2^(8j)*B for m = 1..128, so a multiple looks up one entry and makes
+one mixed addition per nonzero digit, about 31 additions and no doubling.
 Interleaving the rows over three levels (Lim and Lee, CRYPTO 1994) would
-keep a third of the entries for 12 doublings per multiple; the doublings
+keep a third of the entries for doublings on every multiple; the doublings
 cost more time than the entries cost memory.
 Any other point is multiplied by a width-4 wNAF (Hankerson, Menezes,
 Vanstone, "Guide to Elliptic Curve Cryptography", Alg. 3.36): about 250
@@ -133,11 +136,11 @@ class OpCounter:
     inversions counts field inversions mod p: one per batch of nonzero
     multiples (the return to affine form), so one per nonzero k*P and one
     per Point.multiples() call with a nonzero k, one per addition and one
-    per precompute().
+    per row of a precompute() (32 on curve1174, 2 on the toy curve).
     sum_is_neutral books the operations its one equation stands for, and
     no inversion. The multiple or equation at which a point builds its
-    table books the build's inversion too, so a multiple then counts two
-    and an equation one.
+    table books the build's inversions too, so a multiple then counts one
+    more than the build and an equation as many as the build.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -190,53 +193,56 @@ class OpCounter:
 # extended-coordinate formulas on int tuples (a = 1)
 #
 # A point in extended form is (X, Y, Z, T). The second operand of an addition
-# is cached: (x, y, x + y, d*x*y) for an affine point, which _cache builds,
-# or (X, Y, X + Y, d*T, Z) for an extended one, which _cache_ext builds.
-# Only an addition reads T, so a step whose result is next doubled or
-# returned to affine form passes need_t=False and skips that product.
+# is cached: (x, y, d*x*y) for an affine point, which _cache builds and a
+# comb table holds, or (X, Y, d*T, Z) for an extended one, which _cache_ext
+# builds; the addition forms x2 + y2 itself. Only an addition reads T, so a
+# step whose result is next doubled or returned to affine form passes
+# need_t=False and skips that product.
 
 # Fixed-base comb: signed radix 2^_W digits, one level. Digit j of k weighs
 # 2^(_W*j), and row j of a table maps m to m * 2^(_W*j) * B for
 # m = 1..2^(_W-1), so each nonzero digit is one row entry, negated for a
 # negative digit, and a multiple needs no doubling.
-_W = 6
+_W = 8
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
 # A point without a table builds one at its _COMB_AT-th use, a multiple
 # or a sum_is_neutral term, once a build would have paid for itself in
-# multiples: ceil(build / (wNAF Ms - comb Ms)) on curve1174, medians of 15
-# rounds in one process (2 vCPU, Python 3.11.7), a build of 1344 entries:
-# 17.46 / (1.72 - 0.35) = 12.7, 17.64 / (1.97 - 0.38) = 11.1,
-# 17.51 / (1.75 - 0.33) = 12.4, 13.76 / (1.40 - 0.27) = 12.1 and
-# 18.41 / (1.75 - 0.35) = 13.2 in five runs, median 12.4. A term that
+# multiples: ceil(build / (wNAF Ms - comb Ms)) on curve1174, from the rows
+# comb table build, wNAF k*Q and comb k*P of tools/bench_kernel.py
+# --repeat 15 (medians, 2 vCPU, Python 3.11.7), a build of 4096 entries:
+# 62.51 / (2.20 - 0.30) = 32.8, 63.60 / (2.17 - 0.28) = 33.7,
+# 57.91 / (1.73 - 0.22) = 38.4, 65.99 / (2.30 - 0.29) = 32.8 and
+# 61.18 / (2.32 - 0.31) = 30.4 in five runs, median 32.8. A term that
 # shares its chain with other terms saves only its additions on the comb,
 # so there the build pays off later; one count serves both.
-_COMB_AT = 13
+_COMB_AT = 33
 
 
 def _cache(p, d, x, y):
-    return x, y, (x + y) % p, d * x % p * y % p
+    return x, y, d * x % p * y % p
 
 
 def _cache_ext(p, d, X, Y, Z, T):
-    return X, Y, (X + Y) % p, d * T % p, Z
+    return X, Y, d * T % p, Z
 
 
-def _neg(p, x, y, s, u, z=1):
-    # the cached form of -(x, y) = (-x, y); reduced by the next product
-    return p - x, y, y - x, p - u, z
+def _neg(p, x, y, u, z=1):
+    # the cached form of -(x, y) = (-x, y)
+    return p - x, y, p - u, z
 
 
-def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, s2, u2, z2=1):
+def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, u2, z2=1):
     # add-2008-hwcd: 9 multiplications, 8 when the second operand is affine,
     # one fewer without T. F and G are Z1*Z2*(1 -+ d*x1*x2*y1*y2), never
-    # zero on curve points. A and B stay unreduced: E and H each reduce
-    # once. _mul_table and _mul_wnaf inline this and _dbl step for step.
+    # zero on curve points. A, B and x2 + y2 stay unreduced: E and H each
+    # reduce once. _mul_table and _mul_wnaf inline this and _dbl step for
+    # step.
     A = X1 * x2
     B = Y1 * y2
     C = T1 * u2 % p
     D = Z1 if z2 == 1 else Z1 * z2 % p
-    E = ((X1 + Y1) * s2 - A - B) % p
+    E = ((X1 + Y1) * (x2 + y2) - A - B) % p
     F = D - C
     G = D + C
     H = (B - A) % p
@@ -299,10 +305,10 @@ def _mul_table(p, pairs):
             k >>= _W
             if dgt > half:
                 k += 1
-                x2, y2, s2, u2 = row[mask + 1 - dgt]
-                x2, s2, u2 = p - x2, y2 - x2, p - u2
+                x2, y2, u2 = row[mask + 1 - dgt]
+                x2, u2 = p - x2, p - u2
             elif dgt:
-                x2, y2, s2, u2 = row[dgt]
+                x2, y2, u2 = row[dgt]
             else:
                 continue
             if X is None:
@@ -311,7 +317,7 @@ def _mul_table(p, pairs):
             A = X * x2
             B = Y * y2
             C = T * u2 % p
-            E = ((X + Y) * s2 - A - B) % p
+            E = ((X + Y) * (x2 + y2) - A - B) % p
             H = (B - A) % p
             F = Z - C
             G = Z + C
@@ -380,12 +386,12 @@ def _mul_wnaf(p, d, terms, addend=None):
                 X, Y, Z = E * F % p, G * H % p, F * G % p
             T = E * H % p
             at = pos
-        x2, y2, s2, u2, z2 = luts[j][dgt]
+        x2, y2, u2, z2 = luts[j][dgt]
         A = X * x2
         B = Y * y2
         C = T * u2 % p
         D = Z if z2 == 1 else Z * z2 % p
-        E = ((X + Y) * s2 - A - B) % p
+        E = ((X + Y) * (x2 + y2) - A - B) % p
         H = (B - A) % p
         F = D - C
         G = D + C
@@ -569,16 +575,18 @@ class Point:
     def precompute(self) -> "Point":
         """Build the comb table so repeated multiples cost few additions.
 
-        Row j maps m to m * 2^(6j) * self for m = 1..32, in the cached
-        form (x, y, x + y, d*x*y): one row per digit of a scalar below q,
-        42 rows and 1344 entries on curve1174. A negative digit uses the
-        negated entry, so each nonzero digit of k costs one 8-multiplication
-        mixed addition. The rows are built in extended coordinates, with
-        additions for m = 2..32 and one doubling of 32 * 2^(6j) * self for
-        the next row's base, and share one inversion (Montgomery's trick)
-        to come back to affine form.
+        Row j maps m to m * 2^(8j) * self for m = 1..128, in the cached
+        form (x, y, d*x*y): one row per digit of a scalar below q, 32 rows
+        and 4096 entries on curve1174. A negative digit uses the negated
+        entry, so each nonzero digit of k costs one 8-multiplication mixed
+        addition. Each row is built from its affine base 2^(8j) * self in
+        extended coordinates, with mixed additions for m = 2..128 and one
+        doubling of 128 * 2^(8j) * self for the next row's base, and comes
+        back to affine form, next base included, with one inversion of its
+        own (Montgomery's trick): a build holds at most one row of
+        extended points and books one inversion per row.
 
-        The build costs about 10 wNAF multiples, so nothing calls it
+        The build costs about 28 wNAF multiples, so nothing calls it
         eagerly on curve1174: P ships its table, and B's _COMB_AT-th use,
         in k * B or in sum_is_neutral, calls this.
         """
@@ -586,20 +594,20 @@ class Point:
             c = self.curve
             p, d = c.p, c.d
             half = 1 << (_W - 1)
-            X, Y, Z, T = self.x, self.y, 1, self.x * self.y % p
-            ext = []
-            for j in range(c.q.bit_length() // _W + 1):
-                if j:
-                    X, Y, Z, T = _dbl(p, True, *ext[-1][:3])
-                step = _cache_ext(p, d, X, Y, Z, T)
-                pt = (X, Y, Z, T)
-                ext.append(pt)
+            ctr = _active_counter.get()
+            table = []
+            x, y = self.x, self.y
+            for _ in range(c.q.bit_length() // _W + 1):
+                step = _cache(p, d, x, y)
+                pt = (x, y, 1, x * y % p)
+                ext = [pt]
                 for _ in range(half - 1):
                     pt = _add(p, True, *pt, *step)
                     ext.append(pt)
-            entries = [_cache(p, d, x, y) for x, y in _to_affine(p, ext, _active_counter.get())]
-            self._table = [dict(zip(range(1, half + 1), entries[i:i + half]))
-                           for i in range(0, len(entries), half)]
+                ext.append(_dbl(p, False, *pt[:3]))
+                *row, (x, y) = _to_affine(p, ext, ctr)
+                table.append(dict(zip(range(1, half + 1), [_cache(p, d, *xy) for xy in row])))
+            self._table = table
         return self
 
     def __rmul__(self, k):
@@ -614,8 +622,8 @@ class Point:
 
         Each k books one scalar multiplication and counts one use toward
         the comb table, which a point without one builds at its
-        _COMB_AT-th use. A precomputed base recodes k into signed radix-64
-        digits in [-31, 32] and walks its comb table; any other point
+        _COMB_AT-th use. A precomputed base recodes k into signed radix-256
+        digits in [-127, 128] and walks its comb table; any other point
         recodes k as a width-4 wNAF over its odd multiples. Both sum with
         the complete formulas alone, so the neutral point, torsion points
         and intermediate sums that meet a table entry need no special
@@ -833,10 +841,10 @@ _CURVE1174 = dict(
 )
 
 # SHA-256 of data/curve1174_comb.bin: x || y, 32 bytes each, big-endian,
-# of the 1344 entries of Point(P).precompute()._table on curve1174, row by
+# of the 4096 entries of Point(P).precompute()._table on curve1174, row by
 # row, digit 1 first. tools/write_comb_table.py writes the file, and
 # tools/check_production_curve.py compares it with a fresh build.
-_CURVE1174_COMB_SHA256 = "05c68dad6c66439617ecf3158b8266fdc6c9da0979a45764073cf668337c46d8"
+_CURVE1174_COMB_SHA256 = "88c13f9bf2703f2ec8a5d903fc9f90bd8690270599107639bcab8cc51badd56b"
 
 _singletons: dict = {}
 

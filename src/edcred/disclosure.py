@@ -111,6 +111,10 @@ class DisclosureToken:
             raise WireError("hidden bitmap names indices out of range")
         hidden = [i for i in range(n) if bits >> i & 1]
         disclosed = {i: r.scalar() for i in range(n) if not bits >> i & 1}
+        # refused here, as Credential.from_bytes and PresentationSignature
+        # refuse them; verify_disclosure still refuses a token built with them
+        if sig_h.v == 0 or not all(disclosed.values()):
+            raise WireError("token carries h = 0 or a zero disclosed attribute")
         hidden_points = {i: r.point() for i in hidden}
         pairs = [(i, r.point(), r.scalar()) for i in hidden]
         c = r.scalar()

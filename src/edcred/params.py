@@ -35,7 +35,7 @@ class SystemParams:
     """Public issuance parameters: curve plus issuer public key. k = 0
     means the curve's generic security level."""
 
-    __slots__ = ("curve", "p_pub", "k")
+    __slots__ = ("curve", "p_pub", "k", "_digest")
 
     def __init__(self, curve: CurveParams, p_pub: Point, k: int = 0):
         if k < 0:
@@ -55,8 +55,16 @@ class SystemParams:
 
     def digest(self) -> bytes:
         """Stable 32-byte identifier, bound into every proof context and
-        token so artifacts cannot migrate between deployments."""
-        return hashlib.sha256(self.format_file().encode()).digest()
+        token so artifacts cannot migrate between deployments.
+
+        Hashed on the first call and kept, so treat the object as
+        immutable.
+        """
+        try:
+            return self._digest
+        except AttributeError:
+            self._digest = hashlib.sha256(self.format_file().encode()).digest()
+            return self._digest
 
     @classmethod
     def parse_file(cls, text: str) -> "SystemParams":

@@ -8,15 +8,18 @@ import sys
 import threading
 import time
 
+from dataclasses import replace
+
 import pytest
 
 import edcred
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
+from edcred.disclosure import DisclosureToken
 from edcred.harness import simulate_issue
 from edcred.issuance import Credential
 from edcred.params import SystemParams
-from edcred.wire import Transcript
+from edcred.wire import Transcript, WireMessage, decode_message, encode_message
 
 
 @pytest.fixture
@@ -164,6 +167,24 @@ def test_verify_refuses_forged_raw_credential(tmp_path, capsys):
         forged_file.write_bytes(forged.to_bytes(params))
         assert main(["verify", "--params", str(out), "--token", str(forged_file)]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "reject"
+
+
+def test_verify_zero_token_field_is_exit_2(deploy, tmp_path, capsys):
+    # a disclosure token with h = 0 is malformed input, as a credential
+    # with h = 0 is: exit 2, not the reject code
+    out, _ = deploy
+    cred_file, token_file = tmp_path / "c.bin", tmp_path / "d.tok"
+    issue(deploy, cred_file)
+    assert main(["present", "--params", str(out), "--cred", str(cred_file),
+                 "--disclose", "1", "--out", str(token_file), "--seed", "41"]) == 0
+    params = SystemParams.load(out / "params.txt")
+    msg = decode_message(token_file.read_bytes())
+    token = DisclosureToken.from_bytes(msg.body, params, msg.session_id)
+    bad = replace(token, sig_h=params.curve.scalar(0))
+    token_file.write_bytes(encode_message(WireMessage(msg.msg_type, msg.session_id, bad.to_bytes(params))))
+    capsys.readouterr()
+    assert main(["verify", "--params", str(out), "--token", str(token_file)]) == 2
+    assert "reject" not in capsys.readouterr().out
 
 
 def test_verify_malformed_is_exit_2(deploy, tmp_path):

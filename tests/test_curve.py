@@ -282,9 +282,9 @@ def test_production_edge_scalars_both_paths(prod):
 
 
 def comb_rows(c):
-    """The rows of a comb table on c: one per radix-64 digit of a scalar
+    """The rows of a comb table on c: one per radix-256 digit of a scalar
     below q."""
-    return c.q.bit_length() // 6 + 1
+    return c.q.bit_length() // curve_mod._W + 1
 
 
 def on_comb(ops, c):
@@ -301,30 +301,35 @@ def fresh_curve1174():
     return c
 
 
+def assert_comb_multiples(c, table):
+    """Row j of table maps m to (x, y, d*x*y) of m * 2^(8j) * B for
+    m = 1..128, and holds no other key, checked by the affine oracle."""
+    p, d = c.p, c.d
+    row_base = c.base
+    for row in table:
+        cur = row_base
+        for m in range(1, 129):
+            assert row[m] == (cur.x, cur.y, d * cur.x * cur.y % p)
+            cur = oracle_add(c, cur, row_base)
+        assert sorted(row) == list(range(1, 129))
+        for _ in range(8):
+            row_base = oracle_add(c, row_base, row_base)
+
+
 def test_table_entries_are_comb_multiples(toy, prod):
-    # row j maps m to m * 2^(6j) * B for m = 1..32, one row for each of
-    # the b // 6 + 1 radix-64 digits of a b-bit scalar; on curve1174 the
-    # rows are the shipped ones
-    for c, rows in ((toy, 2), (prod, 42)):
-        p, d = c.p, c.d
+    # one row for each of the b // 8 + 1 radix-256 digits of a b-bit
+    # scalar; on curve1174 the rows are the shipped ones
+    for c, rows in ((toy, 2), (prod, 32)):
         table = c.base.precompute()._table
         assert len(table) == rows == comb_rows(c)
-        row_base = c.base
-        for row in table:
-            cur = row_base
-            for m in range(1, 33):
-                assert row[m] == (cur.x, cur.y, (cur.x + cur.y) % p, d * cur.x * cur.y % p)
-                cur = oracle_add(c, cur, row_base)
-            assert sorted(row) == list(range(1, 33))
-            for _ in range(6):
-                row_base = oracle_add(c, row_base, row_base)
+        assert_comb_multiples(c, table)
 
 
 def test_shipped_comb_table_is_a_fresh_build(prod):
     fresh = Point(prod.base.x, prod.base.y, prod).precompute()._table
     assert all(type(row) is dict for row in fresh)
     data = curve_mod._read_data("curve1174_comb.bin")
-    assert len(data) == 42 * 32 * 64
+    assert len(data) == 32 * 128 * 64 == 262144
     # the loaded singleton's table and one decoded from nothing, entry by
     # entry through each row's decoding, then as a whole: every digit is
     # decoded and a row holds no other key
@@ -332,10 +337,10 @@ def test_shipped_comb_table_is_a_fresh_build(prod):
         assert len(table) == len(fresh)
         for row, fresh_row in zip(table, fresh):
             assert type(row) is curve_mod._ShippedRow
-            for m in range(32, 0, -1):
+            for m in range(128, 0, -1):
                 assert row[m] == fresh_row[m]
             assert row == fresh_row
-            for m in (0, 33, -1, "1"):
+            for m in (0, 129, -1, "1"):
                 with pytest.raises(KeyError):
                     row[m]
     for at in (0, 1000, len(data) - 1):
@@ -343,6 +348,45 @@ def test_shipped_comb_table_is_a_fresh_build(prod):
         flipped[at] ^= 0x01
         with pytest.raises(ValueError, match="pinned hash"):
             curve_mod._curve1174_comb(prod, bytes(flipped))
+
+
+def test_radix_256_comb_build_and_multiples(toy, prod):
+    """A table built afresh: 32 rows of 128 entries on curve1174, 2 on the
+    toy curve, each entry (x, y, d*x*y) of m * 2^(8j) * B, at one inversion
+    per row; and its multiples are the wNAF's, for every k in [0, q) on the
+    toy curve and for edge and seeded k on curve1174."""
+    for c, rows in ((toy, 2), (prod, 32)):
+        with OpCounter() as ops:
+            comb = Point(c.base.x, c.base.y, c).precompute()
+        assert len(comb._table) == rows == ops.inversions
+        assert ops.as_dict() == dict(scalar_mults=0, point_adds=0, inner_adds=0,
+                                     inner_doubles=0, inversions=rows)
+        assert_comb_multiples(c, comb._table)
+    # toy: q = 131 < 2^8, so k above 128 recodes to a negative digit and a
+    # carry of one into the top row
+    assert toy.q == 131
+    ks = list(range(toy.q))
+    plain = [Point(toy.base.x, toy.base.y, toy) for _ in ks]
+    comb = Point(toy.base.x, toy.base.y, toy).precompute()
+    assert comb.multiples(ks) == [k * pt for k, pt in zip(ks, plain)]
+    assert all(pt._table == 1 for pt in plain)  # each on the wNAF
+    # curve1174: 2^248 is one digit, in the top row; q - 1 carries into it
+    # through 15 zero digits; every digit 128 stays 128, every digit 129
+    # recodes to a negative digit and a carry, and 2^248 - 1 to -1 with a
+    # carry through every row
+    rng = make_rng("radix256")
+    q = prod.q
+    comb = Point(prod.base.x, prod.base.y, prod).precompute()
+    ks = [1, 2**248, q - 1, sum(128 << (8 * i) for i in range(31)),
+          sum(129 << (8 * i) for i in range(31)), 2**248 - 1]
+    ks += [rng.randrange(1, q) for _ in range(8)]
+    for k in ks:
+        plain = Point(prod.base.x, prod.base.y, prod)
+        with OpCounter() as ops:
+            got = k * comb
+        assert got == k * plain and plain._table == 1
+        assert ops.inner_adds == sum(map(bool, signed_digits(k, 32))) - 1
+        assert on_comb(ops, prod)
 
 
 def test_first_multiple_decodes_one_entry_per_row(prod):
@@ -504,12 +548,12 @@ def test_opcounter_basic(toy):
 
 
 def test_opcounter_internal_steps_do_not_leak(toy):
-    # 100 = -28 + 2*64: two comb entries, one added to the other; the
+    # 130 = -126 + 256: two comb entries, one added to the other; the
     # wNAF doubles and adds
     plain = Point(toy.base.x, toy.base.y, toy)
     for pt, comb in ((toy.base, True), (plain, False)):
         with OpCounter() as ops:
-            _ = 100 * pt
+            _ = 130 * pt
         assert ops.scalar_mults == 1
         assert ops.point_adds == 0
         if comb:
@@ -521,13 +565,13 @@ def test_opcounter_internal_steps_do_not_leak(toy):
 def test_opcounter_inner_steps_for_q_minus_1(prod):
     # q - 1 = 2^249 - c with c < 2^124, so its top bits are ones, which
     # recode to zero digits and one carry.
-    # Comb: the 42 radix-64 digits are nonzero at 0..20 and at the top,
-    # 41, which the carry through the zero digits 21..40 takes from 7 to
-    # 8; 22 entries, the first loaded rather than added, and no doubling.
+    # Comb: the 32 radix-256 digits are nonzero at 0..15 and at the top,
+    # 31, which the carry through the zero digits 16..30 takes from 1 to
+    # 2; 17 entries, the first loaded rather than added, and no doubling.
     k = prod.q - 1
     with OpCounter() as ops:
         _ = k * prod.base
-    assert (ops.inner_adds, ops.inner_doubles) == (21, 0)
+    assert (ops.inner_adds, ops.inner_doubles) == (16, 0)
     # wNAF: 250 digits, 27 nonzero: 249 doublings and 26 additions after
     # the top digit, plus one doubling and three additions for 3Q, 5Q, 7Q.
     plain = Point(prod.base.x, prod.base.y, prod)
@@ -567,14 +611,15 @@ def affine(c, ext):
 
 
 def signed_digits(k, n):
-    """k as n signed radix-64 digits in [-31, 32], least significant first."""
+    """k as n signed radix-256 digits in [-127, 128], least significant
+    first."""
     out = []
     for _ in range(n):
-        dgt = k % 64
-        if dgt > 32:
-            dgt -= 64
+        dgt = k % 256
+        if dgt > 128:
+            dgt -= 256
         out.append(dgt)
-        k = (k - dgt) // 64
+        k = (k - dgt) // 256
     assert k == 0, "k needs more digits"
     return out
 
@@ -644,13 +689,13 @@ def test_inlined_loops_match_reference_steps(toy, prod):
     for c in (toy, prod):
         p, d, q = c.p, c.d, c.q
         rng = make_rng(f"inlined:{c.name}")
-        # every digit negative: 33 = 64 - 31, 63 = 64 - 1
-        ks = [1, 2, q - 1, 33, 63, 63 * 65 * 4097 % q, rng.randrange(1, q)]
+        # every digit negative: 129 = 256 - 127, 255 = 256 - 1
+        ks = [1, 2, q - 1, 129, 255, 255 * 257 * 65537 % q, rng.randrange(1, q)]
         if c is toy:
             pts = [rng.choice(toy_pts) for _ in range(4)] + near_p_points(c, 2)
             ks += list(range(3, q))
         else:
-            ks += [sum(33 << (6 * i) for i in range(41)), 2**246 - 1]
+            ks += [sum(129 << (8 * i) for i in range(31)), 2**248 - 1]
             pts = [rng.randrange(1, q) * c.base] + near_p_points(c, 4)
             # P's shipped rows, read through their decoding
             base = fresh_curve1174().base
@@ -675,7 +720,8 @@ def test_inlined_loops_match_reference_steps(toy, prod):
             pts = near_p_points(c, 2 * half)
             table = [{m: curve_mod._cache(p, d, pt.x, pt.y) for m, pt in enumerate(pts[j:j + half], 1)}
                      for j in (0, half)]
-            for k in (1, 31, 32, 33, 63, 33 + 31 * 64, 32 + 32 * 64, 2**11 - 1, rng.randrange(1, 2081)):
+            for k in (1, 127, 128, 129, 255, 129 + 127 * 256, 128 + 128 * 256, 2**15 - 1,
+                      rng.randrange(1, 128 + 128 * 256 + 1)):
                 expect = c.neutral()
                 for j, dgt in enumerate(signed_digits(k, 2)):
                     if dgt:
@@ -791,8 +837,9 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):
-    # one per operation, except that the multiple at which a point builds
-    # its comb table books the build's inversion too (the last case)
+    # one per operation, except that a build books one per row, and the
+    # multiple at which a point builds its comb table books the build's
+    # inversions too (the last case)
     for c in (toy, prod):
         k = c.q - 2
         plain = Point(c.base.x, c.base.y, c)
@@ -806,7 +853,8 @@ def test_opcounter_one_inversion_per_operation(toy, prod):
         with OpCounter() as ops:
             plain.precompute()
             plain.precompute()  # cached: no second build
-        assert ops.inversions == 1 and ops.scalar_mults == 0
+        # one inversion per row of the build
+        assert ops.inversions == comb_rows(c) and ops.scalar_mults == 0
         with OpCounter() as ops:
             _ = c.base + plain
         assert ops.inversions == 1 and ops.point_adds == 1
@@ -815,7 +863,7 @@ def test_opcounter_one_inversion_per_operation(toy, prod):
         for i in range(1, _COMB_AT + 1):
             with OpCounter() as ops:
                 _ = k * fresh
-            assert ops.inversions == (2 if i == _COMB_AT else 1)
+            assert ops.inversions == (1 + comb_rows(c) if i == _COMB_AT else 1)
 
 
 def test_opcounter_nesting_redirects(toy):

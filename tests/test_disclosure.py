@@ -222,6 +222,23 @@ def test_degenerate_fields_rejected(toy_deploy):
     assert not verify_disclosure(zero_attr, params)
 
 
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_zero_fields_refused_at_parse(deploy, request):
+    """h = 0 and a zero disclosed attribute are parse errors in a token's
+    bytes, as in a credential's, and verify rejects in a hand-built one."""
+    params, key = request.getfixturevalue(deploy)
+    cred, rng = issue(params, key, 4, f"zeroparse:{deploy}")
+    token = present(cred, [1, 3], params, rng)
+    zero = Scalar(0, params.curve.q)
+    assert DisclosureToken.from_bytes(token.to_bytes(params), params, token.session_id) == token
+    for bad in (replace(token, sig_h=zero),
+                replace(token, disclosed={**token.disclosed, 1: zero}),
+                replace(token, disclosed={**token.disclosed, 3: zero})):
+        assert not verify_disclosure(bad, params)
+        with pytest.raises(WireError, match="zero"):
+            DisclosureToken.from_bytes(bad.to_bytes(params), params, token.session_id)
+
+
 def test_disclosure_needs_issuance_r(toy_deploy):
     # the hash product commits to the issued R; a randomized signature
     # cannot carry a disclosure, by construction
@@ -332,8 +349,8 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
 @pytest.mark.parametrize("check", ["verify_disclosure", "check_equation"])
 def test_public_key_table_at_nth_check(check, prod_deploy):
     """A verifier that only checks tokens builds Ppub's comb table at its
-    _COMB_AT-th check, which books the build's one inversion; the checks
-    before it build none."""
+    _COMB_AT-th check, which books the build's inversions, one per row;
+    the checks before it build none."""
     params, key = prod_deploy
     cred, rng = issue(params, key, 4, "ppub-table")
     shown = present(cred, [2], params, rng)
@@ -350,7 +367,7 @@ def test_public_key_table_at_nth_check(check, prod_deploy):
             else:
                 sig = PresentationSignature(token.sig_r, token.sig_s, token.sig_h)
                 assert check_equation(sig, verifier)
-        # one inversion for the revealed m_2*P, one for the build
+        # one inversion for the revealed m_2*P, one per row for the build
         revealed = int(check == "verify_disclosure")
-        assert ops.inversions == revealed + (i == _COMB_AT), i
+        assert ops.inversions == revealed + (len(table) if i == _COMB_AT else 0), i
         assert verifier.p_pub._table == (table if i >= _COMB_AT else i)

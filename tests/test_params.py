@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -55,6 +56,19 @@ def test_digest_distinguishes_deployments(toy_deploy, prod_deploy):
     other = setup(toy_deploy[0].curve, make_rng("other"))[0]
     assert other.digest() != toy_deploy[0].digest()
     assert len(toy_deploy[0].digest()) == 32
+
+
+def test_digest_is_the_hash_of_the_file_form(toy_deploy, prod_deploy):
+    # computed once per object, on first use, also for one made by __new__
+    for params, _ in (toy_deploy, prod_deploy):
+        expect = hashlib.sha256(params.format_file().encode()).digest()
+        assert params.digest() == expect
+        assert params.digest() is params.digest()
+        again = SystemParams.parse_file(params.format_file())
+        assert again.digest() == expect
+        bare = SystemParams.__new__(SystemParams)
+        bare.curve, bare.p_pub, bare.k = params.curve, params.p_pub, params.k
+        assert bare.digest() == expect
 
 
 def test_issuer_key_file_roundtrip(tmp_path, toy_deploy):

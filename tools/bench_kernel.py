@@ -11,6 +11,9 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - field: a 251-bit mulmod and an inversion;
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table) and
   a batch of 8 multiples of P;
+- comb table build: Point.precompute() for a fresh point Q, which with
+  the two rows above gives the use at which a point builds its table
+  (_COMB_AT in curve.py);
 - one-shot start: import edcred, production_curve() and the first k*P,
   which decodes the entries of P's shipped table that it reads, in a fresh
   interpreter, timed inside it (the interpreter's own start-up excluded);
@@ -109,6 +112,7 @@ def operations(pkg, src: str) -> dict:
         "comb k*P": lambda: k * base,
         "wNAF k*Q": lambda: k * Point(q_pt.x, q_pt.y, curve),
         "batch of 8 k*P": lambda: multiples(batch),
+        "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": issuance,
         "present n=8": holder,
         "verify_disclosure n=8": verifier,

@@ -2,7 +2,9 @@
 """Write src/edcred/data/curve1174_comb.bin, curve1174's comb table for P.
 
 The file holds x || y of each entry of a freshly built table, row by row
-and digit 1 first in each row, each coordinate 32 bytes big-endian. Run it
+and digit 1 first in each row, each coordinate 32 bytes big-endian: with
+_W = 8, 32 rows of 128 entries, 262 144 bytes. An entry's third word,
+d*x*y, is not stored; a row computes it when it decodes the entry. Run it
 after a change to the comb geometry (_W in curve.py), then paste the
 SHA-256 it prints into _CURVE1174_COMB_SHA256 in curve.py;
 tools/check_production_curve.py confirms that the shipped table equals a
