@@ -68,7 +68,7 @@ def _load_params(dirpath) -> SystemParams:
 
 def _load_issuer(dirpath, params) -> IssuerKey:
     # checked against params.txt, not parsed a second time
-    return IssuerKey.load(os.path.join(dirpath, ISSUER_KEY_FILE), params)[1]
+    return IssuerKey.load(os.path.join(dirpath, ISSUER_KEY_FILE), params)
 
 
 def _read_labels(path) -> list:

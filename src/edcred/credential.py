@@ -23,7 +23,7 @@ from .hashing import hash_block
 from .issuance import Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify
-from .wire import SESSION_ID_LEN, Reader
+from .wire import Reader, new_session_id
 
 
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
@@ -69,8 +69,9 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
 def verify_credential(cred: Credential, params: SystemParams) -> bool:
     """A raw credential: the equation and the binding h == prod H(m_i * P, R).
 
-    The equation alone accepts keyless triples (harness.simulate_issue);
-    the binding is what only an issued credential satisfies.
+    The equation alone accepts keyless triples (s drawn first, then
+    R = s*P - h*Ppub); the binding is what only an issued credential
+    satisfies.
     """
     if not check_equation(signature_of(cred), params):
         return False
@@ -144,11 +145,10 @@ def make_presentation(
     rng,
     *,
     fresh: bool = True,
-    session_id: bytes | None = None,
 ) -> PresentationToken:
-    """Build a token from a credential, randomizing the triple by default."""
-    if session_id is None:
-        session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
+    """Build a token under a fresh session id, randomizing the triple by
+    default."""
+    session_id = new_session_id(rng)
     sig = signature_of(cred)
     if fresh:
         sig = randomize(sig, params, rng)

@@ -916,9 +916,9 @@ def toy_curve() -> CurveParams:
 
 
 def curve_by_name(name: str) -> CurveParams:
-    if name in ("toy", "toy1009"):
+    if name == "toy":
         return toy_curve()
-    if name in ("prod", "production", "curve1174"):
+    if name == "prod":
         return production_curve()
     raise ValueError(f"unknown curve {name!r}")
 

@@ -40,7 +40,7 @@ from .hashing import hash_points
 from .issuance import MAX_ATTRIBUTES, Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove_batch, fs_verify_batch
-from .wire import SESSION_ID_LEN, Reader
+from .wire import Reader, new_session_id
 
 _BITMAP_BYTES = 8  # one bit per attribute index, MAX_ATTRIBUTES = 64
 
@@ -146,7 +146,7 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     for i in disclose:
         if not isinstance(i, int) or not 1 <= i < n:
             raise ValueError(f"cannot disclose index {i!r}")
-    session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
+    session_id = new_session_id(rng)
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
     hidden_points = curve.base.multiples([cred.attrs[i] for i in hidden])

@@ -201,8 +201,7 @@ def issuer_start(key: IssuerKey, params: SystemParams, rng) -> tuple[IssuerSessi
 class UserBlindState:
     """Everything the user must remember between blinding and unblinding."""
 
-    __slots__ = ("alpha", "beta", "r_bar", "r_point", "h", "h_bar", "attrs",
-                 "pk_nonce", "pk_commitment")
+    __slots__ = ("alpha", "beta", "r_bar", "r_point", "h", "h_bar", "attrs", "pk_nonce")
 
     def __init__(
         self,
@@ -214,7 +213,6 @@ class UserBlindState:
         h_bar: Scalar,
         attrs: tuple,
         pk_nonce: Scalar | None = None,
-        pk_commitment: Point | None = None,
     ):
         self.alpha = alpha
         self.beta = beta
@@ -224,7 +222,6 @@ class UserBlindState:
         self.h_bar = h_bar
         self.attrs = attrs
         self.pk_nonce = pk_nonce
-        self.pk_commitment = pk_commitment
 
 
 def user_blind(
@@ -271,7 +268,6 @@ def user_blind(
         if interactive:
             w, a = pk_commit(curve, rng)
             state.pk_nonce = w
-            state.pk_commitment = a
             request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], pk_commitment=a)
         else:
             proof = fs_prove(attrs[0], commitments[0], context, rng)

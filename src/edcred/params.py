@@ -93,13 +93,12 @@ class SystemParams:
 
 
 class IssuerKey:
-    """The issuer secret x with its public counterpart."""
+    """The issuer secret x; its public counterpart is the params' Ppub."""
 
-    __slots__ = ("x", "p_pub")
+    __slots__ = ("x",)
 
-    def __init__(self, x: Scalar, p_pub: Point):
+    def __init__(self, x: Scalar):
         self.x = x
-        self.p_pub = p_pub
 
     def format_file(self, params: SystemParams) -> str:
         return params.format_file() + f"x={self.x.v}\n"
@@ -109,42 +108,38 @@ class IssuerKey:
             fh.write(self.format_file(params))
 
     @classmethod
-    def load(cls, path, params: SystemParams | None = None) -> tuple[SystemParams, "IssuerKey"]:
+    def load(cls, path, params: SystemParams) -> "IssuerKey":
         """Read a key file, which repeats its deployment's params.
 
-        Given params already loaded (the deployment's params.txt), the
-        file's copy must state the same values, and is checked against them
-        rather than parsed into a second SystemParams, so the process keeps
-        one Ppub, whose multiples count toward one table.
+        The file's copy must state the same values as params (the
+        deployment's params.txt), and is checked against them rather than
+        parsed into a second SystemParams, so the process keeps one Ppub,
+        whose multiples count toward one table. x must lie in [1, q-1], as
+        setup draws it.
         """
         with open(path) as fh:
             text = fh.read()
         fields = parse_kv(text, required=("x",))
-        if params is None:
-            params = SystemParams.parse_file(text)
-        elif any(fields.get(k) != v for k, v in parse_kv(params.format_file()).items()):
+        if any(fields.get(k) != v for k, v in parse_kv(params.format_file()).items()):
             raise ValueError("key file: params differ from the deployment's")
-        x = Scalar(int(fields["x"]), params.curve.q)
-        if x.v == 0:
-            raise ValueError("key file: x must be nonzero")
-        key = cls(x=x, p_pub=params.p_pub)
+        q = params.curve.q
+        v = int(fields["x"])
+        if not 0 < v < q:
+            raise ValueError("key file: x out of range")
+        x = Scalar(v, q)
         if x * params.curve.base != params.p_pub:
             raise ValueError("key file: x does not match public key")
-        return params, key
+        return cls(x)
 
 
-def setup(curve="toy", rng=None) -> tuple[SystemParams, IssuerKey]:
-    """Create a deployment: draw x uniform from [1, q-1], publish x * P."""
+def setup(curve, rng) -> tuple[SystemParams, IssuerKey]:
+    """Create a deployment on curve, a CurveParams or a curve_by_name name:
+    draw x uniform from [1, q-1], publish x * P."""
     if isinstance(curve, str):
         curve = curve_by_name(curve)
-    if rng is None:
-        import random
-
-        rng = random.SystemRandom()
     x = curve.random_nonzero(rng)
-    p_pub = x * curve.base
-    params = SystemParams(curve=curve, p_pub=p_pub)
-    return params, IssuerKey(x=x, p_pub=params.p_pub)
+    params = SystemParams(curve=curve, p_pub=x * curve.base)
+    return params, IssuerKey(x)
 
 
 class ParamsCheck:
@@ -152,8 +147,8 @@ class ParamsCheck:
 
     __slots__ = ("problems",)
 
-    def __init__(self, problems: list | None = None):
-        self.problems = [] if problems is None else problems
+    def __init__(self):
+        self.problems = []
 
     @property
     def ok(self) -> bool:

@@ -39,10 +39,10 @@ from .wire import (
     MSG_ISS2,
     MSG_ISS3,
     Reader,
-    SESSION_ID_LEN,
     Transcript,
     USER_TO_ISSUER,
     WireMessage,
+    new_session_id,
     read_message,
     write_message,
 )
@@ -110,7 +110,7 @@ class IssuerEngine:
         self._params = params
         self._key = key
         self._rng = rng
-        self.session_id = rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
+        self.session_id = new_session_id(rng)
         self._session: IssuerSession | None = None
         self._request: IssuanceRequest | None = None
         self.state = "new"

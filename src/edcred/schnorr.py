@@ -185,12 +185,3 @@ def fs_prove(secret: Scalar, statement: Point, context: bytes, rng) -> SchnorrTr
 def fs_verify(t: SchnorrTranscript, context: bytes) -> bool:
     return fs_verify_batch([t], context)
 
-
-def extract_witness(t1: SchnorrTranscript, t2: SchnorrTranscript) -> Scalar:
-    """Special soundness: two accepting transcripts with the same commitment
-    but different challenges reveal the witness as (r1-r2)/(c1-c2)."""
-    if t1.commitment != t2.commitment or t1.statement != t2.statement:
-        raise ValueError("transcripts must share commitment and statement")
-    if t1.challenge == t2.challenge:
-        raise ValueError("challenges must differ")
-    return (t1.response - t2.response) * (t1.challenge - t2.challenge).inverse()

@@ -32,6 +32,11 @@ ISSUER_TO_USER = 0
 USER_TO_ISSUER = 1
 
 
+def new_session_id(rng) -> bytes:
+    """A fresh session id: SESSION_ID_LEN random bytes drawn from rng."""
+    return rng.getrandbits(8 * SESSION_ID_LEN).to_bytes(SESSION_ID_LEN, "big")
+
+
 class Reader:
     """Reads one record front to back: points and scalars of the curve
     (2w and w bytes), big-endian integers and raw fields. A record that
@@ -147,8 +152,8 @@ class Transcript:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: list | None = None):
-        self.entries = [] if entries is None else entries
+    def __init__(self):
+        self.entries = []
 
     def record(self, direction: int, message: WireMessage) -> None:
         if direction not in (ISSUER_TO_USER, USER_TO_ISSUER):

@@ -24,7 +24,7 @@ def toy_deploy():
 
 @pytest.fixture(scope="session")
 def prod_deploy():
-    return setup("production", random.Random("fixtures:prod"))
+    return setup("prod", random.Random("fixtures:prod"))
 
 
 def make_rng(label):

@@ -1,14 +1,37 @@
-"""Reference oracles for the tests; the package does not use them.
+"""Reference oracles and security arguments for the tests; the package
+does not use them.
 
 Exhaustive ones for the toy curve, every point and brute-force logs, walk
 the whole field or the whole subgroup, so they refuse any field above
 MAX_ENUMERABLE_P. The reference disclosure verifier checks the plain,
 uncofactored equations one by one through Point operations.
+
+The security arguments are executable:
+
+* blindness: from any valid issuer view (R', h', s') and any valid
+  credential triple (R, s, h), blinding factors alpha = h / h' and
+  beta = s - alpha * s' always exist and satisfy R == alpha * R' + beta * P,
+  so the issuer's transcript is consistent with every credential and links
+  to none;
+
+* the keyless issuing simulator: choosing s_i first and bending the nonce
+  to R_i = s_i * P - h_i * Ppub yields triples that satisfy the curve
+  equation without the secret key, which is exactly why acceptance must
+  also demand the master-secret proof and its hash binding;
+
+* special soundness: two accepting proof transcripts with one commitment
+  and two challenges reveal the witness.
 """
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 from edcred.curve import Point, Scalar, _add, _cache, inv_mod
-from edcred.hashing import challenge_scalar, hash_block
+from edcred.hashing import challenge_scalar, hash_block, hash_points
 from edcred.issuance import MAX_ATTRIBUTES
+from edcred.protocol import _body_scalar, decode_request
+from edcred.schnorr import fs_prove, fs_verify
+from edcred.wire import MSG_ISS1, MSG_ISS2, MSG_ISS3
 
 # Hard cap for the exhaustive helpers; anything bigger is not a toy curve.
 MAX_ENUMERABLE_P = 10_000
@@ -86,3 +109,97 @@ def reference_verify_disclosure(token, params) -> bool:
                          token.body_prefix(params), curve)
     return all(t.challenge == c and t.response * curve.base == t.commitment + c * t.statement
                for t in ts)
+
+
+# -- blindness ---------------------------------------------------------------
+
+class IssuerView(NamedTuple):
+    """Everything a signing session shows the issuer."""
+
+    r_bar: Point
+    h_bar: Scalar
+    s_bar: Scalar
+
+
+@dataclass(frozen=True)
+class BlindPairing:
+    """One attempted match of a session view against a credential."""
+
+    alpha: Scalar
+    beta: Scalar
+    consistent: bool
+
+
+def pair_blinding(view, output, params) -> BlindPairing:
+    """Derive the unique blinding candidate linking view to output, a
+    PresentationSignature.
+
+    Both tuples must be internally valid; garbage is rejected up front so a
+    False result always means the linkage itself failed, not the inputs.
+    """
+    base = params.curve.base
+    if view.s_bar * base != view.h_bar * params.p_pub + view.r_bar:
+        raise ValueError("issuer view is not a valid session")
+    if output.s * base != output.h * params.p_pub + output.r_point:
+        raise ValueError("output is not a valid credential triple")
+    alpha = output.h * view.h_bar.inverse()
+    beta = output.s - alpha * view.s_bar
+    consistent = output.r_point == alpha * view.r_bar + beta * base
+    return BlindPairing(alpha=alpha, beta=beta, consistent=consistent)
+
+
+def blindness_crosscheck(view, output, params) -> bool:
+    return pair_blinding(view, output, params).consistent
+
+
+def issuer_view_from_transcript(transcript, params) -> IssuerView:
+    """Read (R', h', s') out of a recorded issuance, i.e. reconstruct the
+    issuer's view from the actual wire bytes."""
+    curve = params.curve
+    r_bar = h_bar = s_bar = None
+    for entry in transcript:
+        body = entry.message.body
+        if entry.message.msg_type == MSG_ISS1:
+            r_bar = Point.decode(body, curve)
+        elif entry.message.msg_type == MSG_ISS2:
+            h_bar = decode_request(body, params).h_bar
+        elif entry.message.msg_type == MSG_ISS3:
+            s_bar = _body_scalar(body, params)
+    if r_bar is None or h_bar is None or s_bar is None:
+        raise ValueError("transcript does not contain a full issuance")
+    return IssuerView(r_bar=r_bar, h_bar=h_bar, s_bar=s_bar)
+
+
+# -- issuing-oracle simulation -----------------------------------------------
+
+def simulate_issue(h_i: Scalar, params, rng) -> tuple:
+    """Produce (R_i, s_i) satisfying s_i * P == h_i * Ppub + R_i without the
+    secret key, by drawing s_i first and solving for the nonce point."""
+    curve = params.curve
+    s_i = Scalar(rng.randrange(1, curve.q), curve.q)
+    r_i = s_i * curve.base - h_i * params.p_pub
+    return r_i, s_i
+
+
+def attempt_master_binding(h_i: Scalar, r_point: Point, params, rng) -> bool:
+    """Do what a keyless forger can: pick a fresh witness, commit to it and
+    prove knowledge. The proof always verifies; what never holds is the
+    binding H(P_0, R_i) == h_i, and that binding is the check that separates
+    simulated triples from issued ones."""
+    curve = params.curve
+    mu = curve.random_nonzero(rng)
+    p0 = mu * curve.base
+    proof = fs_prove(mu, p0, b"", rng)
+    return fs_verify(proof, b"") and hash_points(p0, r_point) == h_i
+
+
+# -- special soundness -------------------------------------------------------
+
+def extract_witness(t1, t2) -> Scalar:
+    """Two accepting transcripts with the same commitment but different
+    challenges reveal the witness as (r1-r2)/(c1-c2)."""
+    if t1.commitment != t2.commitment or t1.statement != t2.statement:
+        raise ValueError("transcripts must share commitment and statement")
+    if t1.challenge == t2.challenge:
+        raise ValueError("challenges must differ")
+    return (t1.response - t2.response) * (t1.challenge - t2.challenge).inverse()

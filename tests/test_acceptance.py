@@ -23,20 +23,22 @@ from edcred.credential import (
 )
 from edcred.curve import OpCounter, Point, Scalar, hasse_holds
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
-from edcred.harness import (
-    attempt_master_binding,
-    issuer_view_from_transcript,
-    opcount_bench,
-    pair_blinding,
-    simulate_issue,
-)
+from edcred.harness import opcount_bench
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.protocol import run_issuance
-from edcred.schnorr import SchnorrTranscript, extract_witness, pk_commit, pk_respond, pk_verify
+from edcred.schnorr import SchnorrTranscript, pk_commit, pk_respond, pk_verify
 
 from conftest import make_rng
-from oracles import dlp_bruteforce, enumerate_points
+from oracles import (
+    attempt_master_binding,
+    dlp_bruteforce,
+    enumerate_points,
+    extract_witness,
+    issuer_view_from_transcript,
+    pair_blinding,
+    simulate_issue,
+)
 
 
 def report(num, desc, ok, detail=""):

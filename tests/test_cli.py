@@ -16,10 +16,11 @@ import edcred
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
 from edcred.disclosure import DisclosureToken
-from edcred.harness import simulate_issue
 from edcred.issuance import Credential
 from edcred.params import SystemParams
 from edcred.wire import Transcript, WireMessage, decode_message, encode_message
+
+from oracles import simulate_issue
 
 
 @pytest.fixture
@@ -81,6 +82,19 @@ def test_issue_refuses_params_of_another_deployment(deploy, tmp_path, capsys):
     cred_file = tmp_path / "c.bin"
     assert issue(deploy, cred_file) == 2
     assert "params differ" in capsys.readouterr().err
+    assert not cred_file.exists()
+
+
+def test_issue_refuses_an_out_of_range_issuer_secret(deploy, tmp_path, capsys):
+    # x + q is the same secret mod q, but not the value setup wrote
+    out, _ = deploy
+    path = out / "issuer.key"
+    text = path.read_text()
+    x = int(text.rsplit("x=", 1)[1])
+    path.write_text(text.replace(f"x={x}", f"x={x + edcred.toy_curve().q}"))
+    cred_file = tmp_path / "c.bin"
+    assert issue(deploy, cred_file) == 2
+    assert "out of range" in capsys.readouterr().err
     assert not cred_file.exists()
 
 

@@ -142,11 +142,11 @@ def test_presentation_fresh_is_unlinkable_in_r(toy_deploy, toy_cred):
 
 def test_presentation_binds_session(toy_deploy, toy_cred):
     params, _ = toy_deploy
-    rng = make_rng("session")
-    token = make_presentation(toy_cred, params, rng, fresh=True, session_id=b"A" * 16)
-    assert token.session_id == b"A" * 16
+    token = make_presentation(toy_cred, params, make_rng("session"), fresh=True)
+    # the session id is the first draw from the holder's rng
+    assert token.session_id == make_rng("session").getrandbits(128).to_bytes(16, "big")
     ctx = presentation_context(params, token.session_id, token.sig)
-    assert b"A" * 16 in ctx and params.digest() in ctx
+    assert token.session_id in ctx and params.digest() in ctx
 
 
 def test_presentation_wrong_session_rejected_production(prod_deploy):
@@ -157,9 +157,10 @@ def test_presentation_wrong_session_rejected_production(prod_deploy):
     session, r_bar = issuer_start(key, params, rng)
     state, request = user_blind(r_bar, attrs, params, rng)
     cred = user_unblind(state, session.sign(request), params)
-    token = make_presentation(cred, params, rng, fresh=True, session_id=b"B" * 16)
+    token = make_presentation(cred, params, rng, fresh=True)
     assert verify_presentation(token, params)
-    moved = PresentationToken(token.sig, token.commitment0, token.proof, b"C" * 16)
+    other = bytes(b ^ 1 for b in token.session_id)
+    moved = PresentationToken(token.sig, token.commitment0, token.proof, other)
     assert not verify_presentation(moved, params)
 
 

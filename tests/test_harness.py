@@ -1,27 +1,26 @@
-"""Security harness: blindness pairing, simulation, operation counts."""
+"""Security arguments (blindness pairing, keyless simulation) and the
+operation counts behind `edcred bench`."""
 
 import pytest
 
 from edcred.credential import check_equation, signature_of
 from edcred.curve import Scalar
 from edcred.errors import ProtocolError, WireError
-from edcred.harness import (
-    IssuerView,
-    attempt_master_binding,
-    blindness_crosscheck,
-    issuer_view_from_transcript,
-    opcount_bench,
-    pair_blinding,
-    paper_issuance_ms,
-    render_table,
-    simulate_issue,
-)
+from edcred.harness import opcount_bench, paper_issuance_ms, render_table
 from edcred.hashing import attr_to_scalar, hash_points
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.protocol import run_issuance
 from edcred.wire import MSG_ISS3, WireMessage
 
 from conftest import make_rng
+from oracles import (
+    IssuerView,
+    attempt_master_binding,
+    blindness_crosscheck,
+    issuer_view_from_transcript,
+    pair_blinding,
+    simulate_issue,
+)
 
 
 def one_issuance(params, key, label, n=3):
@@ -174,5 +173,3 @@ def test_render_table_layout(toy_deploy):
     ]
     assert "issuance" in text and "verification" in text
     assert "step breakdown" in text
-    bare = render_table(rows, breakdown=False)
-    assert "step breakdown" not in bare

@@ -75,12 +75,8 @@ def test_issuer_key_file_roundtrip(tmp_path, toy_deploy):
     params, key = toy_deploy
     path = tmp_path / "issuer.key"
     key.save(path, params)
-    params2, key2 = IssuerKey.load(path)
-    assert key2.x == key.x
-    assert params2.digest() == params.digest()
-    # given the params, the file's copy is checked and the params reused
-    params3, key3 = IssuerKey.load(path, params)
-    assert params3 is params and key3.x == key.x
+    # the file's copy of the params is checked against the given ones
+    assert IssuerKey.load(path, params).x == key.x
 
 
 def test_issuer_key_file_rejects_other_deployment(tmp_path, toy_deploy):
@@ -98,7 +94,19 @@ def test_issuer_key_file_rejects_mismatched_x(tmp_path, toy_deploy):
     wrong = (key.x.v % (params.curve.q - 1)) + 1  # anything but x
     path.write_text(params.format_file() + f"x={wrong}\n")
     with pytest.raises(ValueError):
-        IssuerKey.load(path)
+        IssuerKey.load(path, params)
+
+
+def test_issuer_key_file_rejects_out_of_range_x(tmp_path, toy_deploy):
+    # x + q and x - q stand for the same secret mod q, but the file must
+    # hold x as setup drew it, in [1, q-1], as user.key must hold m0
+    params, key = toy_deploy
+    q = params.curve.q
+    path = tmp_path / "issuer.key"
+    for v in (key.x.v + q, key.x.v - q, 0, q, -1):
+        path.write_text(params.format_file() + f"x={v}\n")
+        with pytest.raises(ValueError, match="out of range"):
+            IssuerKey.load(path, params)
 
 
 def test_params_file_rejects_off_curve_key(tmp_path, toy_deploy):

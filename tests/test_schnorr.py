@@ -8,7 +8,6 @@ from edcred.curve import OpCounter, Point, Scalar
 from edcred.hashing import batch_weights, challenge_scalar
 from edcred.schnorr import (
     SchnorrTranscript,
-    extract_witness,
     fs_prove,
     fs_prove_batch,
     fs_verify,
@@ -21,6 +20,7 @@ from edcred.schnorr import (
 from edcred.wire import Reader
 
 from conftest import make_rng
+from oracles import extract_witness
 
 
 def test_respond_is_plain_field_arithmetic():

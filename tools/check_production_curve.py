@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Re-derive every claim made about the shipped production curve constants.
 
-Checks, from p and d alone: p and q prime, d a quadratic non-residue (the
-completeness condition), cofactor * q inside the Hasse window around p + 1,
-the base point on curve and of exact order q, and a cofactor that is a
-power of two, which proof checks clear by doubling. Also checks that the comb
-table for the base point shipped in data/curve1174_comb.bin equals a fresh
-build, entry by entry, each read through the shipped rows' decoding. Exits
+Runs params.validate_params, the audit `edcred setup` runs, on a curve1174
+deployment: p and q prime, d a quadratic non-residue (the completeness
+condition), cofactor * q inside the Hasse window around p + 1, a cofactor
+that is a power of two, which proof checks clear by doubling, and the base
+point on curve and of exact order q. Also checks that the comb table for
+the base point shipped in data/curve1174_comb.bin equals a fresh build,
+entry by entry, each read through the shipped rows' decoding. Exits
 nonzero on any failure.
 """
 
-import math
 import os
+import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from edcred.curve import Point, in_prime_subgroup, is_probable_prime, production_curve  # noqa: E402
+from edcred.curve import Point, production_curve  # noqa: E402
+from edcred.params import setup, validate_params  # noqa: E402
 
 
 def same_table(shipped: list, fresh: list) -> bool:
@@ -27,27 +29,13 @@ def same_table(shipped: list, fresh: list) -> bool:
 
 def main():
     c = production_curve()
-    checks = {
-        "p prime": is_probable_prime(c.p),
-        "q prime": is_probable_prime(c.q),
-        "d not 0 or 1": c.d % c.p not in (0, 1),
-        "d non-residue": pow(c.d, (c.p - 1) // 2, c.p) == c.p - 1,
-        "group order in Hasse window": abs(c.cofactor * c.q - (c.p + 1)) <= 2 * math.isqrt(c.p) + 1,
-        "cofactor a power of two": c.cofactor > 0 and c.cofactor & (c.cofactor - 1) == 0,
-        "base on curve": c.base.on_curve(),
-        "base not neutral": not c.base.is_neutral(),
-        # q prime and base not neutral: order exactly q. (q * base) would
-        # reduce q to 0 and call any point neutral.
-        "base in order-q subgroup": in_prime_subgroup(c.base),
-        "shipped comb table is a fresh build":
-            same_table(c.base._table, Point(c.base.x, c.base.y, c).precompute()._table),
-    }
-    width = max(len(k) for k in checks)
-    failed = False
-    for name, ok in checks.items():
-        print(f"{name:<{width}}  {'ok' if ok else 'FAIL'}")
-        failed |= not ok
-    return 1 if failed else 0
+    problems = validate_params(setup(c, random.Random("check_production_curve"))[0]).problems
+    for problem in problems:
+        print(f"FAIL  {problem}")
+    print(f"validate_params on a curve1174 deployment  {'FAIL' if problems else 'ok'}")
+    fresh = same_table(c.base._table, Point(c.base.x, c.base.y, c).precompute()._table)
+    print(f"shipped comb table is a fresh build         {'ok' if fresh else 'FAIL'}")
+    return 1 if problems or not fresh else 0
 
 
 if __name__ == "__main__":
