@@ -61,9 +61,8 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
     """
     if not sig.r_point.on_curve() or sig.h.v == 0:
         return False
-    curve = params.curve
-    terms = [(curve.base, sig.s.v), (params.p_pub, -sig.h.v), (sig.r_point, -1)]
-    return sum_is_neutral(curve, terms, ms=2, ap=1, cofactored=False)
+    terms = params.signature_terms(sig.s.v, sig.h.v, sig.r_point)
+    return sum_is_neutral(params.curve, terms, ms=2, ap=1, cofactored=False)
 
 
 def verify_credential(cred: Credential, params: SystemParams) -> bool:

@@ -52,16 +52,16 @@ keyword names the policy at each call: cofactored (the sum is first
 multiplied by the cofactor, so a pure-torsion sum passes), as the proof
 checks are, or exact, as the signature checks are.
 
-A process pays only for the tables it uses. curve1174's generator P ships
-its table in data/curve1174_comb.bin, pinned by hash, as Ed25519 ships its
-base-point table (Bernstein et al., CHES 2011), and a parsed curve1174 is
-the built-in one, so it shares that table. Loading checks the file's hash
-and decodes no entry: each row decodes an entry the first time a digit
-needs it. The toy curve builds its two-row table for P on load. Every
-other point builds its table at its _COMB_AT-th use, a multiple k*Q or a
-term of a sum_is_neutral equation, once the table has paid for itself,
-so a one-shot command never builds one and a long-lived base (a public
-key) has one within its first few dozen uses.
+Only a deployment's two fixed bases get a table. curve1174's generator P
+ships its table in data/curve1174_comb.bin, pinned by hash, as Ed25519
+ships its base-point table (Bernstein et al., CHES 2011), and a parsed
+curve1174 is the built-in one, so it shares that table. Loading checks the
+file's hash and decodes no entry: each row decodes an entry the first time
+a digit needs it. The toy curve builds its two-row table for P on load.
+The public key Ppub builds its table at its _COMB_AT-th signature check,
+which SystemParams counts (params.py). Every other point, P of any other
+curve object included, takes the wNAF path unless precompute() is called
+on it, so a verifier that re-checks one token builds no table for it.
 
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
@@ -138,9 +138,8 @@ class OpCounter:
     per Point.multiples() call with a nonzero k, one per addition and one
     per row of a precompute() (32 on curve1174, 2 on the toy curve).
     sum_is_neutral books the operations its one equation stands for, and
-    no inversion. The multiple or equation at which a point builds its
-    table books the build's inversions too, so a multiple then counts one
-    more than the build and an equation as many as the build.
+    no inversion. The signature check at which SystemParams builds Ppub's
+    table books the build's inversions too.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -206,17 +205,6 @@ class OpCounter:
 _W = 8
 # Variable base: wNAF width, digits odd in [1 - 2^(_WNAF-1), 2^(_WNAF-1) - 1].
 _WNAF = 4
-# A point without a table builds one at its _COMB_AT-th use, a multiple
-# or a sum_is_neutral term, once a build would have paid for itself in
-# multiples: ceil(build / (wNAF Ms - comb Ms)) on curve1174, from the rows
-# comb table build, wNAF k*Q and comb k*P of tools/bench_kernel.py
-# --repeat 15 (medians, 2 vCPU, Python 3.11.7), a build of 4096 entries:
-# 62.51 / (2.20 - 0.30) = 32.8, 63.60 / (2.17 - 0.28) = 33.7,
-# 57.91 / (1.73 - 0.22) = 38.4, 65.99 / (2.30 - 0.29) = 32.8 and
-# 61.18 / (2.32 - 0.31) = 30.4 in five runs, median 32.8. A term that
-# shares its chain with other terms saves only its additions on the comb,
-# so there the build pays off later; one count serves both.
-_COMB_AT = 33
 
 
 def _cache(p, d, x, y):
@@ -529,11 +517,8 @@ class Point:
         self.x = x
         self.y = y
         self.curve = curve
-        # the comb table (a list of rows) or, until it is built, the
-        # number of multiples taken without one (an int). One slot, not
-        # two: a fifth slot enlarges every Point, and perfbench `show`
-        # measured 1-3 % slower with one (2 vCPU, Python 3.11).
-        self._table = 0
+        # the comb table, a list of rows, or None
+        self._table = None
 
     def on_curve(self) -> bool:
         p = self.curve.p
@@ -587,10 +572,10 @@ class Point:
         extended points and books one inversion per row.
 
         The build costs about 28 wNAF multiples, so nothing calls it
-        eagerly on curve1174: P ships its table, and B's _COMB_AT-th use,
-        in k * B or in sum_is_neutral, calls this.
+        eagerly on curve1174: P ships its table, and SystemParams calls
+        this for Ppub at its _COMB_AT-th signature check.
         """
-        if type(self._table) is int:
+        if self._table is None:
             c = self.curve
             p, d = c.p, c.d
             half = 1 << (_W - 1)
@@ -620,15 +605,14 @@ class Point:
         """[k * self for k in ks], each k an int or a Scalar mod q, with one
         inversion for the whole batch.
 
-        Each k books one scalar multiplication and counts one use toward
-        the comb table, which a point without one builds at its
-        _COMB_AT-th use. A precomputed base recodes k into signed radix-256
-        digits in [-127, 128] and walks its comb table; any other point
-        recodes k as a width-4 wNAF over its odd multiples. Both sum with
-        the complete formulas alone, so the neutral point, torsion points
-        and intermediate sums that meet a table entry need no special
-        case. The nonzero multiples then return to affine form together
-        (Montgomery's trick), so a batch pays one inversion, not one per k.
+        Each k books one scalar multiplication. A precomputed base recodes
+        k into signed radix-256 digits in [-127, 128] and walks its comb
+        table; any other point recodes k as a width-4 wNAF over its odd
+        multiples. Both sum with the complete formulas alone, so the
+        neutral point, torsion points and intermediate sums that meet a
+        table entry need no special case. The nonzero multiples then
+        return to affine form together (Montgomery's trick), so a batch
+        pays one inversion, not one per k.
         """
         c = self.curve
         p = c.p
@@ -645,11 +629,10 @@ class Point:
                 raise TypeError("a multiple needs an int or a Scalar")
             if ctr is not None:
                 ctr.scalar_mults += 1
-            self._count_use()
             if not k:
                 ext.append(None)
                 continue
-            if type(self._table) is list:
+            if self._table is not None:
                 X, Y, Z, _, adds = _mul_table(p, [(self._table, k)])
                 dbls = 0
             else:
@@ -660,18 +643,6 @@ class Point:
             ext.append((X, Y, Z))
         affine = iter(_to_affine(p, [e for e in ext if e is not None], ctr))
         return [c.neutral() if e is None else Point(*next(affine), c) for e in ext]
-
-    def _count_use(self) -> None:
-        """Count one use without a comb table, and build the table at the
-        _COMB_AT-th."""
-        n = self._table
-        if type(n) is int:
-            # Unlocked: a count lost to another thread only delays the
-            # build, hence >= rather than ==, and a count written over a
-            # table another thread just built only costs a rebuild.
-            self._table = n + 1
-            if n + 1 >= _COMB_AT:
-                self.precompute()
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -941,11 +912,10 @@ def _sum(curve: CurveParams, terms, ms: int, ap: int):
 
     Terms on equal points are summed first. A term whose scalar is +-1 is
     an addition: it joins the chain below, so a term -R costs one addition.
-    Every other term counts one use of its point toward the point's table,
-    as k*Q does; a point with a comb table (P, and a public key once it
-    has built one) is multiplied on its comb, and any other point joins one
-    wNAF doubling chain, as -Q_i times q - k_i when that is the smaller
-    scalar, with the combs' sum as its addend.
+    Any other term on a point with a comb table (P, and Ppub once
+    SystemParams has built its table) is multiplied on its comb, and any
+    other point joins one wNAF doubling chain, as -Q_i times q - k_i when
+    that is the smaller scalar, with the combs' sum as its addend.
 
     Scalars are ints and count mod q, and the chain may run a term as
     -Q_i*(q - k_i) = k_i*Q_i - q*Q_i. Neither moves k_i*Q_i for a point of
@@ -969,11 +939,9 @@ def _sum(curve: CurveParams, terms, ms: int, ap: int):
         k %= q
         if not k:
             continue
-        if 1 < k < q - 1:
-            pt._count_use()
-            if type(pt._table) is list:
-                combs.append((pt._table, k))
-                continue
+        if 1 < k < q - 1 and pt._table is not None:
+            combs.append((pt._table, k))
+            continue
         if 2 * k > q:
             chain.append((-pt.x % p, pt.y, q - k))
         else:

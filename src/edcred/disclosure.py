@@ -206,6 +206,6 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     # s*P - h*Ppub - R == O, booked as 3 Ms + 1 Ap: the count of the split
     # form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
     # disclosure count gate pins
-    signature = ([(curve.base, token.sig_s.v), (params.p_pub, -h), (token.sig_r, -1)], 3, 1)
+    signature = (params.signature_terms(token.sig_s.v, h, token.sig_r), 3, 1)
     transcripts = [token.proofs[i] for i in sorted(hidden)]
     return fs_verify_batch(transcripts, token.body_prefix(params), signature)

@@ -294,7 +294,7 @@ def user_unblind(state: UserBlindState, s_bar: Scalar, params: SystemParams) -> 
     curve = params.curve
     if s_bar.q != curve.q:
         raise ValueError("response is not a scalar mod q")
-    terms = [(curve.base, s_bar.v), (params.p_pub, -state.h_bar.v), (state.r_bar, -1)]
+    terms = params.signature_terms(s_bar.v, state.h_bar.v, state.r_bar)
     if not sum_is_neutral(curve, terms, ms=2, ap=1, cofactored=False):
         raise IssuerMisbehavior("blinded response fails the check equation")
     s = state.alpha * s_bar + state.beta

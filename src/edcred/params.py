@@ -24,6 +24,17 @@ from .curve import (
 
 _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
 _HASH = "sha256"  # the only hash hashing.py implements; named in the file
+# Ppub builds its comb table at its _COMB_AT-th signature check, once a
+# build would have paid for itself in multiples: ceil(build / (wNAF Ms -
+# comb Ms)) on curve1174, from the rows comb table build, wNAF k*Q and comb
+# k*P of tools/bench_kernel.py --repeat 15 (medians, 2 vCPU, Python
+# 3.11.7), a build of 4096 entries: 62.51 / (2.20 - 0.30) = 32.8,
+# 63.60 / (2.17 - 0.28) = 33.7, 57.91 / (1.73 - 0.22) = 38.4,
+# 65.99 / (2.30 - 0.29) = 32.8 and 61.18 / (2.32 - 0.31) = 30.4 in five
+# runs, median 32.8. Where Ppub shares its chain with proof terms it saves
+# only its additions on the comb, so there the build pays off later; one
+# count serves both.
+_COMB_AT = 33
 
 
 def _security_bits(q: int) -> int:
@@ -35,7 +46,7 @@ class SystemParams:
     """Public issuance parameters: curve plus issuer public key. k = 0
     means the curve's generic security level."""
 
-    __slots__ = ("curve", "p_pub", "k", "_digest")
+    __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 
     def __init__(self, curve: CurveParams, p_pub: Point, k: int = 0):
         if k < 0:
@@ -43,6 +54,20 @@ class SystemParams:
         self.curve = curve
         self.p_pub = p_pub
         self.k = k if k != 0 else _security_bits(curve.q)
+        self._checks = 0
+
+    def signature_terms(self, s: int, h: int, r_point: Point) -> list:
+        """The terms of s*P - h*Ppub - R == O, the equation of every
+        signature check, for curve.sum_is_neutral.
+
+        Counts one check, and builds Ppub's comb table at the _COMB_AT-th.
+        Unlocked: a count lost to another thread delays the build, and the
+        thread that counts _COMB_AT builds.
+        """
+        checks = self._checks = self._checks + 1
+        if checks == _COMB_AT:
+            self.p_pub.precompute()
+        return [(self.curve.base, s), (self.p_pub, -h), (r_point, -1)]
 
     def format_file(self) -> str:
         return (
@@ -113,9 +138,9 @@ class IssuerKey:
 
         The file's copy must state the same values as params (the
         deployment's params.txt), and is checked against them rather than
-        parsed into a second SystemParams, so the process keeps one Ppub,
-        whose multiples count toward one table. x must lie in [1, q-1], as
-        setup draws it.
+        parsed into a second SystemParams, so the process keeps one
+        SystemParams, whose checks count toward Ppub's one table. x must
+        lie in [1, q-1], as setup draws it.
         """
         with open(path) as fh:
             text = fh.read()

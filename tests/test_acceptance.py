@@ -13,18 +13,10 @@ import itertools
 import time
 
 from edcred.cli import main as cli_main
-from edcred.credential import (
-    PresentationSignature,
-    check_equation,
-    make_presentation,
-    randomize,
-    signature_of,
-    verify_presentation,
-)
-from edcred.curve import OpCounter, Point, Scalar, hasse_holds
+from edcred.credential import PresentationSignature, check_equation, randomize, signature_of
+from edcred.curve import Point, Scalar, hasse_holds
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.harness import opcount_bench
-from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.protocol import run_issuance
 from edcred.schnorr import SchnorrTranscript, pk_commit, pk_respond, pk_verify

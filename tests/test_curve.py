@@ -5,7 +5,6 @@ exponentiation-based inversions, sharing no code with Point.__add__. The
 oracle for scalar multiplication is plain repeated addition.
 """
 
-import random
 import sys
 import threading
 
@@ -13,7 +12,6 @@ import pytest
 
 from edcred import curve as curve_mod
 from edcred.curve import (
-    _COMB_AT,
     CurveParams,
     OpCounter,
     Point,
@@ -28,6 +26,7 @@ from edcred.curve import (
     toy_curve,
 )
 from edcred.errors import RngError
+from edcred.params import _COMB_AT
 
 from conftest import make_rng
 from oracles import dlp_bruteforce, enumerate_points
@@ -173,14 +172,14 @@ def test_scalar_mul_small_k_oracle(toy):
 def test_scalar_mul_random_k_both_paths(toy):
     rng = make_rng("mulpaths")
     assert isinstance(toy.base._table, list)
+    # a copy of P: no table, however many multiples it takes
+    plain = Point(toy.base.x, toy.base.y, toy)
     for _ in range(100):
         k = rng.randrange(0, toy.q)
-        # a fresh copy per multiple: a reused one would build its table
-        # at its _COMB_AT-th multiple and leave the wNAF untested
-        plain = Point(toy.base.x, toy.base.y, toy)
         expect = oracle_mul(k, plain)
-        assert k * plain == expect and plain._table == 1  # a count, not a table
+        assert k * plain == expect
         assert k * toy.base == expect
+    assert plain._table is None
 
 
 def test_scalar_mul_wraps_mod_q(toy):
@@ -275,14 +274,14 @@ def test_production_edge_scalars_both_paths(prod):
     other = rng.randrange(1, q) * prod.base
     for base in (prod.base, other):
         ladder = Point(base.x, base.y, prod).precompute()
+        plain = Point(base.x, base.y, prod)
         for k in scalars:
             expect = affine_mul(k, base)
-            # fresh per multiple, so that every one runs on the wNAF
-            plain = Point(base.x, base.y, prod)
-            assert k * plain == expect and plain._table == 1  # a count, not a table
+            assert k * plain == expect
             with OpCounter() as ops:
                 assert k * ladder == expect
             assert ops.inner_doubles == 0
+        assert plain._table is None  # every multiple on the wNAF
 
 
 def comb_rows(c):
@@ -370,10 +369,10 @@ def test_radix_256_comb_build_and_multiples(toy, prod):
     # carry of one into the top row
     assert toy.q == 131
     ks = list(range(toy.q))
-    plain = [Point(toy.base.x, toy.base.y, toy) for _ in ks]
+    plain = Point(toy.base.x, toy.base.y, toy)
     comb = Point(toy.base.x, toy.base.y, toy).precompute()
-    assert comb.multiples(ks) == [k * pt for k, pt in zip(ks, plain)]
-    assert all(pt._table == 1 for pt in plain)  # each on the wNAF
+    assert comb.multiples(ks) == [k * plain for k in ks]
+    assert plain._table is None  # each on the wNAF
     # curve1174: 2^248 is one digit, in the top row; q - 1 carries into it
     # through 15 zero digits; every digit 128 stays 128, every digit 129
     # recodes to a negative digit and a carry, and 2^248 - 1 to -1 with a
@@ -381,14 +380,14 @@ def test_radix_256_comb_build_and_multiples(toy, prod):
     rng = make_rng("radix256")
     q = prod.q
     comb = Point(prod.base.x, prod.base.y, prod).precompute()
+    plain = Point(prod.base.x, prod.base.y, prod)
     ks = [1, 2**248, q - 1, sum(128 << (8 * i) for i in range(31)),
           sum(129 << (8 * i) for i in range(31)), 2**248 - 1]
     ks += [rng.randrange(1, q) for _ in range(8)]
     for k in ks:
-        plain = Point(prod.base.x, prod.base.y, prod)
         with OpCounter() as ops:
             got = k * comb
-        assert got == k * plain and plain._table == 1
+        assert got == k * plain and plain._table is None
         assert ops.inner_adds == sum(map(bool, signed_digits(k, 32))) - 1
         assert on_comb(ops, prod)
 
@@ -412,45 +411,22 @@ def test_first_multiple_decodes_one_entry_per_row(prod):
     assert [dict(row) for row in table] == decoded
 
 
-def test_table_built_at_the_nth_multiple(prod):
-    rng = make_rng("combat")
-    base = rng.randrange(1, prod.q) * prod.base
-    pt = Point(base.x, base.y, prod)
-    fresh = Point(base.x, base.y, prod).precompute()._table
-    for i in range(1, _COMB_AT + 3):
-        k = rng.randrange(1, prod.q)
-        with OpCounter() as ops:
-            got = k * pt
-        assert got == affine_mul(k, base)
-        # wNAF up to the (N-1)th multiple, the comb from the Nth on
-        assert pt._table == (fresh if i >= _COMB_AT else i)
-        assert on_comb(ops, prod) == (i >= _COMB_AT)
-
-
-def test_table_built_under_threads(toy):
-    # threads share one table-less point: a race may delay the build or
-    # cost a rebuild, but every result stays exact
-    pt = Point(toy.base.x, toy.base.y, toy)
-    ks = list(range(1, toy.q))
-    results = {}
-
-    def work(t):
-        for k in ks[t::4]:
-            results[k] = k * pt
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert isinstance(pt._table, list)
-    assert all(results[k] == k * toy.base for k in ks)
+def test_no_table_without_precompute(toy, prod):
+    # a point other than P, and P of a curve object that is not a built-in
+    # curve, take the wNAF path on every multiple, past the check count at
+    # which Ppub builds its table
+    for c in (toy, prod):
+        rng = make_rng(f"notable:{c.name}")
+        a = rng.randrange(2, c.q)
+        copy = CurveParams(c.name, c.p, c.d, c.base.x, c.base.y, c.q, c.cofactor)
+        for pt, m in ((a * c.base, a), (copy.base, 1)):
+            for _ in range(_COMB_AT + 2):
+                k = rng.randrange(2, c.q)
+                with OpCounter() as ops:
+                    got = k * pt
+                assert got == (k * m) * c.base
+                assert not on_comb(ops, c)
+            assert pt._table is None
 
 
 def test_shipped_rows_decoded_under_threads(prod):
@@ -738,8 +714,7 @@ def test_inlined_loops_match_reference_steps(toy, prod):
 
 def test_multiples_is_one_multiple_each(toy, prod):
     """Point.multiples(ks) == [k * Q for k in ks], on a comb and for a point
-    with no table, which counts one use per k and builds its table at the
-    _COMB_AT-th, mid-batch, as k * Q would."""
+    with no table, which builds none however long the batch."""
     for c in (toy, prod):
         q = c.q
         rng = make_rng(f"multiples:{c.name}")
@@ -748,11 +723,8 @@ def test_multiples_is_one_multiple_each(toy, prod):
         other = rng.randrange(1, q) * c.base
         expect = [k * other for k in ks]
         plain = Point(other.x, other.y, c)
-        first = (ks * _COMB_AT)[:_COMB_AT - 1]
-        assert plain.multiples(first) == [k * other for k in first]
-        assert plain._table == _COMB_AT - 1
-        assert plain.multiples(ks) == expect
-        assert type(plain._table) is list
+        assert plain.multiples(ks * 5) == expect * 5
+        assert plain._table is None
         assert c.base.multiples([]) == []
         with pytest.raises(TypeError):
             c.base.multiples([1.5])
@@ -765,17 +737,15 @@ def test_multiples_books_one_inversion_per_batch(toy, prod):
     and one inversion; a batch of zeros books none."""
     for c in (toy, prod):
         rng = make_rng(f"batchbook:{c.name}")
-        for m in range(1, _COMB_AT):
+        for m in range(1, 33):
             ks = [rng.randrange(1, c.q) for _ in range(m)]
-            # P on its comb, and a fresh copy per run, which stays below
-            # _COMB_AT uses, on the wNAF
-            for base in (lambda: c.base, lambda: Point(c.base.x, c.base.y, c)):
+            # P on its comb, and a copy of P on the wNAF
+            for pt in (c.base, Point(c.base.x, c.base.y, c)):
                 with OpCounter() as single:
-                    pt = base()
                     for k in ks:
                         _ = k * pt
                 with OpCounter() as ops:
-                    base().multiples(ks)
+                    pt.multiples(ks)
                 assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (m, 0, 1)
                 assert (single.scalar_mults, single.inversions) == (m, m)
                 assert (ops.inner_adds, ops.inner_doubles) == (single.inner_adds, single.inner_doubles)
@@ -796,7 +766,7 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
         torsion += [pt for pt in enumerate_points(c) if (8 * pt).is_neutral()
                     and not (4 * pt).is_neutral()][:2]
     prime = rng.randrange(1, c.q) * c.base
-    # a second base with a comb table, as a public key has once it built one
+    # a second base with a comb table, as Ppub has once SystemParams built it
     key = (rng.randrange(1, c.q) * c.base).precompute()
     for d in torsion + [prime, prime + torsion[1], prime + torsion[2]]:
         k = rng.randrange(1, c.q)
@@ -815,13 +785,11 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
         # on a curve whose points have no table, every term joins the chain
         plain = curve_mod.CurveParams(c.name, c.p, c.d, c.base.x, c.base.y, c.q, c.cofactor)
         moved = [(Point(pt.x, pt.y, plain), ki) for pt, ki in terms]
-        assert type(plain.base._table) is int
+        assert plain.base._table is None
         assert curve_mod.sum_is_neutral(plain, moved, ms=0, ap=0, cofactored=True) == got
         # the exact policy over points of order q and -1 times one that
-        # carries d's torsion: true exactly when d is neutral. A fresh
-        # copy of prime, so that no use builds its table.
-        fresh = Point(prime.x, prime.y, c)
-        exact = [(c.base, k), (key, rng.randrange(1, c.q)), (fresh, rng.randrange(2, c.q - 1))]
+        # carries d's torsion: true exactly when d is neutral
+        exact = [(c.base, k), (key, rng.randrange(1, c.q)), (prime, rng.randrange(2, c.q - 1))]
         rest = -d
         for pt, ki in exact:
             rest = rest + ki * pt
@@ -841,9 +809,9 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
 
 
 def test_opcounter_one_inversion_per_operation(toy, prod):
-    # one per operation, except that a build books one per row, and the
-    # multiple at which a point builds its comb table books the build's
-    # inversions too (the last case)
+    # one per operation, except that a build books one per row; a point
+    # without a table books one per multiple however many it takes, and
+    # never a build (the last case)
     for c in (toy, prod):
         k = c.q - 2
         plain = Point(c.base.x, c.base.y, c)
@@ -864,10 +832,11 @@ def test_opcounter_one_inversion_per_operation(toy, prod):
         assert ops.inversions == 1 and ops.point_adds == 1
         assert ops.as_dict()["inversions"] == 1
         fresh = Point(c.base.x, c.base.y, c)
-        for i in range(1, _COMB_AT + 1):
+        for _ in range(_COMB_AT + 1):
             with OpCounter() as ops:
                 _ = k * fresh
-            assert ops.inversions == (1 + comb_rows(c) if i == _COMB_AT else 1)
+            assert ops.inversions == 1
+        assert fresh._table is None
 
 
 def test_opcounter_nesting_redirects(toy):
@@ -931,7 +900,7 @@ def test_parsed_curve1174_is_the_builtin_one(prod):
     assert on_comb(ops, prod)  # not ~250 wNAF doublings
     # the name is in every params digest, so another name is another curve
     renamed = CurveParams.parse_file(prod.format_file().replace("name=curve1174", "name=c1174"))
-    assert renamed == prod and renamed is not prod and renamed.base._table == 0
+    assert renamed == prod and renamed is not prod and renamed.base._table is None
 
 
 def test_parse_kv_strictness():

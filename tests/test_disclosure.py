@@ -6,12 +6,12 @@ from dataclasses import replace
 import pytest
 
 from edcred.credential import PresentationSignature, check_equation
-from edcred.curve import _COMB_AT, OpCounter, Point, Scalar
+from edcred.curve import OpCounter, Point, Scalar
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block
 from edcred.issuance import issuer_start, user_blind, user_unblind
-from edcred.params import SystemParams
+from edcred.params import _COMB_AT, SystemParams
 from edcred.schnorr import SchnorrTranscript
 
 from conftest import make_rng
@@ -349,14 +349,14 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
 @pytest.mark.parametrize("check", ["verify_disclosure", "check_equation"])
 def test_public_key_table_at_nth_check(check, prod_deploy):
     """A verifier that only checks tokens builds Ppub's comb table at its
-    _COMB_AT-th check, which books the build's inversions, one per row;
-    the checks before it build none."""
+    _COMB_AT-th check, counted by its SystemParams, which books the build's
+    inversions, one per row; the checks before it build none."""
     params, key = prod_deploy
     cred, rng = issue(params, key, 4, "ppub-table")
     shown = present(cred, [2], params, rng)
     data = shown.to_bytes(params)
     verifier = SystemParams.parse_file(params.format_file())
-    assert verifier.p_pub == params.p_pub and verifier.p_pub._table == 0
+    assert verifier.p_pub == params.p_pub and verifier.p_pub._table is None
     table = Point(params.p_pub.x, params.p_pub.y, params.curve).precompute()._table
     for i in range(1, _COMB_AT + 3):
         # a token parsed afresh for each check, as a verifier gets it
@@ -370,4 +370,24 @@ def test_public_key_table_at_nth_check(check, prod_deploy):
         # one inversion for the revealed m_2*P, one per row for the build
         revealed = int(check == "verify_disclosure")
         assert ops.inversions == revealed + (len(table) if i == _COMB_AT else 0), i
-        assert verifier.p_pub._table == (table if i >= _COMB_AT else i)
+        assert verifier.p_pub._table == (table if i >= _COMB_AT else None)
+
+
+def test_cached_token_rechecks_book_alike(prod_deploy):
+    """Re-verifying one parsed token, n = 8 and all hidden, with Ppub's
+    table built: every check books the same counts, inversions included,
+    and no point of the token gets a table."""
+    params, key = prod_deploy
+    params.p_pub.precompute()
+    cred, rng = issue(params, key, 8, "cached")
+    shown = present(cred, [], params, rng)
+    token = DisclosureToken.from_bytes(shown.to_bytes(params), params, shown.session_id)
+    books = []
+    for _ in range(40):
+        with OpCounter() as ops:
+            assert verify_disclosure(token, params)
+        books.append(ops.as_dict())
+    assert books == [books[0]] * 40
+    points = [token.sig_r, *token.hidden_points.values()]
+    points += [pt for t in token.proofs.values() for pt in (t.commitment, t.statement)]
+    assert len(points) == 1 + 8 + 2 * 8 and all(pt._table is None for pt in points)

@@ -4,8 +4,7 @@ operation counts behind `edcred bench`."""
 import pytest
 
 from edcred.credential import check_equation, signature_of
-from edcred.curve import Scalar
-from edcred.errors import ProtocolError, WireError
+from edcred.errors import WireError
 from edcred.harness import opcount_bench, paper_issuance_ms, render_table
 from edcred.hashing import attr_to_scalar, hash_points
 from edcred.issuance import issuer_start, user_blind, user_unblind

@@ -9,7 +9,6 @@ from edcred.hashing import attr_to_scalar, hash_block
 from edcred.issuance import (
     Credential,
     IssuanceRequest,
-    IssuerSession,
     issuer_start,
     sign_response,
     user_blind,

@@ -2,12 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import edcred
-from edcred.curve import OpCounter, Point, Scalar, production_curve
-from edcred.params import IssuerKey, ParamsCheck, SystemParams, setup, validate_params
+from edcred.credential import PresentationSignature, check_equation
+from edcred.curve import OpCounter, Point, production_curve
+from edcred.params import _COMB_AT, IssuerKey, ParamsCheck, SystemParams, setup, validate_params
 
 from conftest import make_rng
 
@@ -47,8 +49,42 @@ def test_loaded_prod_params_use_the_shipped_table(tmp_path, prod_deploy):
     # the comb: no doubling and at most one addition per row, not ~250
     # wNAF doublings
     assert ops.inner_doubles == 0 and ops.inner_adds < 42
-    # loading builds no table: Ppub gets one at its _COMB_AT-th multiple
-    assert again.p_pub._table == 0
+    # loading builds no table: Ppub gets one at its _COMB_AT-th check
+    assert again.p_pub._table is None
+
+
+def test_table_built_under_threads(toy_deploy):
+    # threads share one verifier's params: a count lost to a race may
+    # delay Ppub's build or cost a rebuild, but every verdict stays exact
+    # and the table is built
+    params, key = toy_deploy
+    verifier = SystemParams.parse_file(params.format_file())
+    c = verifier.curve
+    rng = make_rng("ppub-threads")
+    sigs = []
+    for i in range(4 * _COMB_AT):
+        rho, h = c.random_nonzero(rng), c.random_nonzero(rng)
+        ok = i % 3 != 0
+        sigs.append((PresentationSignature(rho * c.base, h * key.x + rho + int(not ok), h), ok))
+    results = {}
+
+    def work(t):
+        for i in range(t, len(sigs), 4):
+            results[i] = check_equation(sigs[i][0], verifier)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert isinstance(verifier.p_pub._table, list)
+    assert [results[i] for i in range(len(sigs))] == [ok for _, ok in sigs]
 
 
 def test_digest_distinguishes_deployments(toy_deploy, prod_deploy):

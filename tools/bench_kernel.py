@@ -12,8 +12,9 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table) and
   a batch of 8 multiples of P;
 - comb table build: Point.precompute() for a fresh point Q, which with
-  the two rows above gives the use at which a point builds its table
-  (_COMB_AT in curve.py);
+  the two rows above gives the signature check at which SystemParams
+  builds Ppub's table (_COMB_AT in params.py), the one table built at
+  run time;
 - one-shot start: import edcred, production_curve() and the first k*P,
   which decodes the entries of P's shipped table that it reads, in a fresh
   interpreter, timed inside it (the interpreter's own start-up excluded);
