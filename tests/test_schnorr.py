@@ -1,13 +1,15 @@
 """Discrete-log proofs: completeness, soundness, extraction."""
 
+import hashlib
 import math
 
 import pytest
 
 from edcred.curve import OpCounter, Point, Scalar
-from edcred.hashing import batch_weights, challenge_scalar
+from edcred.hashing import TAG_BATCH_WEIGHT, batch_weights, challenge_scalar, weight_basis
 from edcred.schnorr import (
     SchnorrTranscript,
+    euclid_rows,
     fs_prove,
     fs_prove_batch,
     fs_verify,
@@ -15,7 +17,6 @@ from edcred.schnorr import (
     pk_commit,
     pk_respond,
     pk_verify,
-    short_multiplier,
 )
 from edcred.wire import Reader
 
@@ -308,31 +309,66 @@ def test_batch_folds_one_equation(name, request):
         assert not fs_verify_batch(bad, b"eq", ([(c.base, x.v), (big_x, -1)], 0, 0))
 
 
+def basis_for(c, q):
+    return weight_basis(euclid_rows(c, q), c, q)
+
+
+def fallback(c):
+    return (1 << 64, c << 64), (1, c)
+
+
+def hashed_weights(challenge, responses, curve):
+    """The weights before lattice reduction, written out: the top 128 bits
+    of each SHA-256 digest after the first index, mod q, 0 and 1 moved up
+    by two."""
+    w = curve.coord_bytes
+    payload = challenge.to_bytes(w) + b"".join(r.to_bytes(w) for r in responses)
+    seed = hashlib.sha256(TAG_BATCH_WEIGHT + b":" + payload).digest()
+    out = [1]
+    for i in range(1, len(responses)):
+        z = int.from_bytes(hashlib.sha256(seed + i.to_bytes(2, "big")).digest()[:16], "big") % curve.q
+        out.append(z if z > 1 else z + 2)
+    return out
+
+
 def test_batch_weights(prod, toy):
     rng = make_rng("weights")
     for c in (prod, toy):
         ch = c.random_nonzero(rng)
         rs = [c.random_nonzero(rng) for _ in range(16)]
-        z = batch_weights(ch, rs, c)
-        assert z[0] == 1 and len(z) == 16
-        assert all(2 <= v < min(c.q, 1 << 128) for v in z[1:])
-        assert batch_weights(ch, rs, c) == z  # deterministic
-        assert batch_weights(ch, rs[:1], c) == [1]
+        basis = basis_for(ch.v, c.q)
+        z = batch_weights(ch, rs, c, basis)
+        assert z[0] == (1, ch.v) and len(z) == 16
+        for zi, wi in z[1:]:
+            assert 2 <= zi < c.q and 0 <= wi < c.q and wi == ch.v * zi % c.q
+        assert batch_weights(ch, rs, c, basis) == z  # deterministic
+        assert batch_weights(ch, rs[:1], c, basis) == [(1, ch.v)]
     # the challenge and every response move every weight after the first
     ch = prod.random_nonzero(rng)
     rs = [prod.random_nonzero(rng) for _ in range(4)]
-    z = batch_weights(ch, rs, prod)
-    assert z[1] > 1 << 100  # 128 bits, not a small exponent
+    z = batch_weights(ch, rs, prod, basis_for(ch.v, prod.q))
+    assert all(min(zi, prod.q - zi) > 1 << 100 for zi, _ in z[1:])  # not small exponents
     for j in range(4):
         bumped = rs[:j] + [rs[j] + 1] + rs[j + 1:]
-        other = batch_weights(ch, bumped, prod)
+        other = batch_weights(ch, bumped, prod, basis_for(ch.v, prod.q))
         assert all(u != v for u, v in zip(z[1:], other[1:]))
-    assert all(u != v for u, v in zip(z[1:], batch_weights(ch + 1, rs, prod)[1:]))
+    moved = batch_weights(ch + 1, rs, prod, basis_for(ch.v + 1, prod.q))
+    assert all(u != v for u, v in zip(z[1:], moved[1:]))
+
+
+def test_batch_weights_move_zero_up(prod):
+    """A z of 0 mod q takes (2, 2c), as the hashed weights did; only a
+    degenerate basis reaches it."""
+    ch = prod.scalar(12345)
+    rs = [prod.scalar(v) for v in (1, 2, 3)]
+    z = batch_weights(ch, rs, prod, ((prod.q, 0), (0, prod.q)))
+    assert z == [(1, 12345)] + [(2, 2 * 12345)] * 2
 
 
 def test_short_multiplier(toy, prod):
-    """a*c == b (mod q) with a != 0 and |a|, b of at most half q's bits:
-    every c on the toy curve, seeded and edge values on curve1174."""
+    """The last Euclid row is the short multiplier of c: a*c == b (mod q)
+    with a != 0 and |a|, b of at most half q's bits: every c on the toy
+    curve, seeded and edge values on curve1174."""
     rng = make_rng("short")
     root = math.isqrt(prod.q)
     edges = [1, 2, prod.q - 1, prod.q - 2, root, root + 1]
@@ -341,9 +377,74 @@ def test_short_multiplier(toy, prod):
         q = c.q
         half = -(-q.bit_length() // 2)
         for v in values:
-            a, b = short_multiplier(v, q)
+            a, b = euclid_rows(v, q)[1]
             assert a % q != 0 and (a * v - b) % q == 0, v
             assert abs(a).bit_length() <= half and abs(b).bit_length() <= half, v
+
+
+def short_vector_challenge(q, t, r):
+    """The c whose lattice holds (t, r): r == c*t (mod q)."""
+    return r * pow(t, -1, q) % q
+
+
+def test_weight_basis(toy, prod):
+    """Euclid's rows span the lattice r == c*t (mod q) with determinant
+    +-q; the weight basis is a reduced basis of it that meets the
+    injectivity bound, or the fallback (2^64, 2^64*c), (1, c), whose
+    weights are the unreduced hashed ones exactly."""
+    rng = make_rng("basis")
+    q = prod.q
+    crafted = [1, 2, q - 1, q - 2,
+               short_vector_challenge(q, (1 << 40) + 7, 3 ** 25),  # a 2^40 vector: fallback
+               short_vector_challenge(q, (1 << 100) + 3, 5 ** 43)]  # a 2^100 vector: reduced
+    cases = [(toy, v) for v in range(1, toy.q)]
+    cases += [(prod, v) for v in crafted + [rng.randrange(1, q) for _ in range(2000)]]
+    reduced = set()
+    for curve, v in cases:
+        q = curve.q
+        rows = euclid_rows(v, q)
+        (t0, r0), (t1, r1) = rows
+        assert abs(t0 * r1 - t1 * r0) == q, v
+        basis = weight_basis(rows, v, q)
+        for (t0, r0), (t1, r1) in (rows, basis):
+            assert (r0 - v * t0) % q == 0 and (r1 - v * t1) % q == 0, v
+        if basis == fallback(v):
+            ch = curve.scalar(v)
+            rs = [curve.random_nonzero(rng) for _ in range(5)]
+            weights = batch_weights(ch, rs, curve, basis)
+            assert [z for z, _ in weights] == hashed_weights(ch, rs, curve), v
+            assert all(w == v * z % q for z, w in weights), v
+        else:
+            (t0, r0), (t1, r1) = basis
+            assert abs(t0 * r1 - t1 * r0) == q, v
+            assert (abs(t0) + abs(t1)) << 64 < q and (abs(r0) + abs(r1)) << 64 < q, v
+            reduced.add(v)
+    # the toy curve and the short-vector c's always fall back; a random c
+    # on curve1174 never does, and its vectors stay near sqrt(q), about
+    # 2^125, so its weights near 190 bits
+    assert not reduced & set(range(1, toy.q)) and not reduced & set(crafted[:5])
+    assert crafted[5] in reduced and len(reduced) == 2001
+    sizes = [max(abs(x) for row in basis_for(v, prod.q) for x in row).bit_length()
+             for v in reduced - {crafted[5]}]
+    assert sum(b <= 126 for b in sizes) >= 0.9 * len(sizes) and max(sizes) <= 131
+
+
+def test_reduced_weights_are_injective_in_small():
+    """The injectivity argument on a lattice small enough to enumerate:
+    with q a 22-bit prime and 4-bit halves in place of 64-bit ones, every
+    (u, v) gives a distinct z mod q when the bound holds."""
+    q = 4_194_301  # prime, 2^22 - 3
+    rng = make_rng("inject")
+    hits = 0
+    for _ in range(200):
+        c = rng.randrange(2, q - 1)
+        (t0, r0), (t1, r1) = euclid_rows(c, q)
+        if (abs(t0) + abs(t1)) << 4 >= q or (abs(r0) + abs(r1)) << 4 >= q:
+            continue
+        zs = {(u * t0 + v * t1) % q for u in range(16) for v in range(16)}
+        assert len(zs) == 256, c
+        hits += 1
+    assert hits > 100
 
 
 def test_one_proof_runs_a_half_length_chain(prod):

@@ -20,8 +20,13 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   interpreter, timed inside it (the interpreter's own start-up excluded);
 - protocol, n = 8 attributes, 3 revealed: run_issuance, present plus
   encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
-  comb table built as a long-lived verifier has it;
+  comb table built as a long-lived verifier has it; and parse plus
+  verify_disclosure at n = 16 with every index hidden, the longest check;
 - wire: parsing that disclosure token alone, and the n = 8 credential.
+
+Each protocol row also prints the inner additions and doublings its one
+counted run books (OpCounter): the counts of a seeded run repeat exactly,
+so they show which steps a change in time comes from.
 
 Two SRCs load both packages in this process under different names and
 alternate them operation by operation, which side goes first alternating
@@ -43,6 +48,9 @@ import time
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 N_ATTRS = 8
 REVEALED = [1, 2, 3]
+N_ALL_HIDDEN = 16
+PROTOCOL = ("run_issuance n=8", "present n=8", "verify_disclosure n=8",
+            "verify_disclosure n=16, all hidden")
 _FIELD_REPS = 1000
 FRESH = "fresh import, first k*P"
 # run by `python -c` with the SRC directory and k as arguments
@@ -85,6 +93,10 @@ def operations(pkg, src: str) -> dict:
     token = pkg.present(cred, REVEALED, params, random.Random("token"))
     data = token.to_bytes(params)
     cred_data = cred.to_bytes(params)
+    wide = [curve.random_nonzero(rng) for _ in range(N_ALL_HIDDEN)]
+    wide_cred, _ = pkg.run_issuance(params, key, wide, random.Random("wi"), random.Random("wu"))
+    wide_token = pkg.present(wide_cred, [], params, random.Random("wide token"))
+    wide_data = wide_token.to_bytes(params)
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
@@ -97,10 +109,11 @@ def operations(pkg, src: str) -> dict:
     def holder():
         return pkg.present(cred, REVEALED, params, random.Random(next(seeds))).to_bytes(params)
 
-    def verifier():
-        ok = pkg.verify_disclosure(DisclosureToken.from_bytes(data, params, token.session_id), params)
-        if not ok:
-            raise SystemExit("an honest token was refused")
+    def verifier(blob, session_id):
+        def check():
+            if not pkg.verify_disclosure(DisclosureToken.from_bytes(blob, params, session_id), params):
+                raise SystemExit("an honest token was refused")
+        return check
 
     def first_use() -> float:
         child = subprocess.run([sys.executable, "-c", _FIRST_USE, src, str(k)],
@@ -116,7 +129,8 @@ def operations(pkg, src: str) -> dict:
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": issuance,
         "present n=8": holder,
-        "verify_disclosure n=8": verifier,
+        "verify_disclosure n=8": verifier(data, token.session_id),
+        "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
         "parse token n=8": lambda: DisclosureToken.from_bytes(data, params, token.session_id),
         "parse credential n=8": lambda: Credential.from_bytes(cred_data, params),
         FRESH: first_use,
@@ -138,19 +152,32 @@ def unit(name: str):
     return ("ns", 1e9 / _FIELD_REPS) if name in ("mulmod", "inversion") else ("ms", 1e3)
 
 
-def single(ops: dict, repeat: int) -> None:
+def inner_steps(pkg, name: str, fn) -> str:
+    """'adds/doublings' booked by one run of a protocol row, else ''; the
+    run is the row's warm-up."""
+    if name not in PROTOCOL:
+        fn()
+        return ""
+    with pkg.OpCounter() as ops:
+        fn()
+    return f"{ops.inner_adds}/{ops.inner_doubles}"
+
+
+def single(pkg, ops: dict, repeat: int) -> None:
+    print(f"{'':34s} {'median':>10s}     {'adds/dbls':>10s}")
     for name, fn in ops.items():
-        fn()  # warm-up
+        steps = inner_steps(pkg, name, fn)
         times = [timed(name, fn) for _ in range(repeat)]
         label, scale = unit(name)
-        print(f"{name:24s} {scale * statistics.median(times):10.3f} {label}")
+        print(f"{name:34s} {scale * statistics.median(times):10.3f} {label:3s} {steps:>10s}")
 
 
-def paired(ops_a: dict, ops_b: dict, repeat: int) -> None:
-    print(f"{'':24s} {'A':>10s} {'B':>10s} {'B/A':>6s}  B won  (medians of {repeat} pairs)")
+def paired(pkgs: list, ops_a: dict, ops_b: dict, repeat: int) -> None:
+    print(f"{'':34s} {'A':>10s} {'B':>10s} {'B/A':>6s}  {'B won':>5s}     "
+          f"{'A adds/dbls':>12s} {'B adds/dbls':>12s}  (medians of {repeat} pairs)")
     for name, fa in ops_a.items():
         fb = ops_b[name]
-        fa(), fb()  # warm-up
+        steps = inner_steps(pkgs[0], name, fa), inner_steps(pkgs[1], name, fb)
         ta, tb = [], []
         for i in range(repeat):
             if i % 2:
@@ -162,8 +189,8 @@ def paired(ops_a: dict, ops_b: dict, repeat: int) -> None:
         ratio = statistics.median(y / x for x, y in zip(ta, tb))
         won = sum(y < x for x, y in zip(ta, tb))
         label, scale = unit(name)
-        print(f"{name:24s} {scale * statistics.median(ta):10.3f} {scale * statistics.median(tb):10.3f}"
-              f" {ratio:6.3f}  {won}/{repeat}  {label}")
+        print(f"{name:34s} {scale * statistics.median(ta):10.3f} {scale * statistics.median(tb):10.3f}"
+              f" {ratio:6.3f}  {f'{won}/{repeat}':>5s} {label:3s} {steps[0]:>12s} {steps[1]:>12s}")
 
 
 def main(argv=None) -> int:
@@ -174,12 +201,13 @@ def main(argv=None) -> int:
     if len(args.src) > 2 or args.repeat < 1:
         ap.error("give at most two SRC directories and a positive --repeat")
     srcs = args.src or [_SRC]
-    ops = [operations(load(src, f"edcred_bench_{i}"), src) for i, src in enumerate(srcs)]
+    pkgs = [load(src, f"edcred_bench_{i}") for i, src in enumerate(srcs)]
+    ops = [operations(pkg, src) for pkg, src in zip(pkgs, srcs)]
     if len(ops) == 1:
-        single(ops[0], args.repeat)
+        single(pkgs[0], ops[0], args.repeat)
     else:
         print(f"A = {srcs[0]}\nB = {srcs[1]}")
-        paired(ops[0], ops[1], args.repeat)
+        paired(pkgs, ops[0], ops[1], args.repeat)
     return 0
 
 
