@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 
 from .credential import (
@@ -34,7 +35,7 @@ from .disclosure import DisclosureToken, present as build_disclosure, verify_dis
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
 from .hashing import attr_to_scalar
 from .issuance import Credential
-from .params import IssuerKey, SystemParams, setup, validate_params
+from .params import IssuerKey, SystemParams, setup, validate_params, write_secret
 from .protocol import request_issuance, run_issuance, serve_issuance
 from .wire import (
     MSG_DISCLOSE,
@@ -95,8 +96,7 @@ def _master_secret(dirpath, curve, rng) -> Scalar:
             raise ValueError("user key out of range")
         return Scalar(v, curve.q)
     m0 = curve.random_nonzero(rng)
-    with open(path, "w") as fh:
-        fh.write(f"m0={m0.v}\n")
+    write_secret(path, f"m0={m0.v}\n")
     return m0
 
 
@@ -157,16 +157,20 @@ def cmd_serve(args) -> int:
     params = _load_params(args.params)
     key = _load_issuer(args.params, params)
     rng = _rng(args.seed, "issuer")
-    if os.path.exists(args.listen):
+    if os.path.lexists(args.listen):
+        if not stat.S_ISSOCK(os.lstat(args.listen).st_mode):
+            raise ValueError(f"{args.listen} exists and is not a socket")
         os.unlink(args.listen)
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
         server.bind(args.listen)
-        server.listen(1)
-        print(f"issuer listening on {args.listen}", flush=True)
-        conn, _ = server.accept()
-        with conn:
-            transcript = serve_issuance(conn, params, key, rng)
-    os.unlink(args.listen)
+        try:
+            server.listen(1)
+            print(f"issuer listening on {args.listen}", flush=True)
+            conn, _ = server.accept()
+            with conn:
+                transcript = serve_issuance(conn, params, key, rng)
+        finally:
+            os.unlink(args.listen)
     if args.transcript:
         with open(args.transcript, "wb") as fh:
             fh.write(transcript.to_bytes())

@@ -59,7 +59,7 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
     Checked exactly, as s*P - h*Ppub - R == O in one projective sum with
     no inversion: a torsion error in R is refused.
     """
-    if not sig.r_point.on_curve() or sig.h.v == 0:
+    if sig.h.v == 0:
         return False
     terms = params.signature_terms(sig.s.v, sig.h.v, sig.r_point)
     return sum_is_neutral(params.curve, terms, ms=2, ap=1, cofactored=False)

@@ -63,6 +63,11 @@ which SystemParams counts (params.py). Every other point, P of any other
 curve object included, takes the wNAF path unless precompute() is called
 on it, so a verifier that re-checks one token builds no table for it.
 
+Every Point is on its curve by construction: Point(x, y, curve) refuses a
+pair off the curve or a coordinate outside [0, p), and results of group
+arithmetic, which the complete law keeps on the curve, skip the check. No
+other module checks a point again.
+
 Two moduli are in play and must not be mixed: coordinates are integers mod p,
 exponents are Scalar values mod q. Coordinates are kept as plain ints inside
 Point; Scalar is a real class because scalars cross module boundaries where a
@@ -509,7 +514,8 @@ class Scalar:
 # points
 
 class Point:
-    """An affine point bound to its curve. Treat instances as immutable."""
+    """An affine point, on its curve by construction: the constructor raises
+    ValueError otherwise. Treat instances as immutable."""
 
     __slots__ = ("x", "y", "curve", "_table")
 
@@ -519,6 +525,15 @@ class Point:
         self.curve = curve
         # the comb table, a list of rows, or None
         self._table = None
+        if not self.on_curve():
+            raise ValueError("point not on curve")
+
+    @classmethod
+    def _of(cls, x: int, y: int, curve: "CurveParams") -> "Point":
+        """(x, y) unchecked: a result of group arithmetic, on the curve."""
+        pt = object.__new__(cls)
+        pt.x, pt.y, pt.curve, pt._table = x, y, curve, None
+        return pt
 
     def on_curve(self) -> bool:
         p = self.curve.p
@@ -547,10 +562,10 @@ class Point:
         p = c.p
         x, y = self.x, self.y
         ext = _add(p, False, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
-        return Point(*_to_affine(p, [ext], ctr)[0], c)
+        return Point._of(*_to_affine(p, [ext], ctr)[0], c)
 
     def __neg__(self):
-        return Point(-self.x % self.curve.p, self.y, self.curve)
+        return Point._of(-self.x % self.curve.p, self.y, self.curve)
 
     def __sub__(self, other):
         if not isinstance(other, Point):
@@ -642,7 +657,7 @@ class Point:
                 ctr.inner_adds += adds
             ext.append((X, Y, Z))
         affine = iter(_to_affine(p, [e for e in ext if e is not None], ctr))
-        return [c.neutral() if e is None else Point(*next(affine), c) for e in ext]
+        return [c.neutral() if e is None else Point._of(*next(affine), c) for e in ext]
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -665,10 +680,10 @@ class Point:
         w = curve.coord_bytes
         if len(data) != 2 * w:
             raise WireError("point encoding has wrong length")
-        pt = cls(int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"), curve)
-        if not pt.on_curve():
-            raise WireError("point encoding not on curve")
-        return pt
+        try:
+            return cls(int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"), curve)
+        except ValueError:
+            raise WireError("point encoding not on curve") from None
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
@@ -699,7 +714,7 @@ class CurveParams:
         return self._base
 
     def neutral(self) -> Point:
-        return Point(0, 1, self)
+        return Point._of(0, 1, self)
 
     def scalar(self, v: int) -> Scalar:
         return Scalar(v, self.q)
@@ -762,8 +777,6 @@ class CurveParams:
             q=q,
             cofactor=cofactor,
         )
-        if not curve.base.on_curve():
-            raise ValueError("curve file: base point not on curve")
         # curve1174 is the built-in curve, with P's shipped table. The name
         # must match too: format_file, and so SystemParams.digest, has it.
         if curve.name == _CURVE1174["name"] and curve == production_curve():
@@ -901,8 +914,6 @@ def in_prime_subgroup(pt: Point) -> bool:
     exponent mod q, which maps q to 0 and calls every point a member. Split
     the exponent as (q-1)+1 to keep the reduction out of the way.
     """
-    if not pt.on_curve():
-        return False
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
 
 
@@ -971,7 +982,7 @@ def sum_of_multiples(curve: CurveParams, terms, ms: int, ap: int) -> Point:
     multiplications and ap additions, the operations the sum stands for.
     """
     X, Y, Z, ctr = _sum(curve, terms, ms, ap)
-    return Point(*_to_affine(curve.p, [(X, Y, Z)], ctr)[0], curve)
+    return Point._of(*_to_affine(curve.p, [(X, Y, Z)], ctr)[0], curve)
 
 
 def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: bool) -> bool:

@@ -187,13 +187,8 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     # the partition must be exact and must keep the master secret hidden
     if 0 not in hidden or hidden & disclosed or hidden | disclosed != set(range(n)):
         return False
-    if set(token.proofs) != hidden:
+    if set(token.proofs) != hidden or token.sig_h.v == 0:
         return False
-    if not token.sig_r.on_curve() or token.sig_h.v == 0:
-        return False
-    for pt in token.hidden_points.values():
-        if not pt.on_curve():
-            return False
     for m in token.disclosed.values():
         if m.v == 0:
             return False

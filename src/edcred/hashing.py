@@ -29,34 +29,26 @@ def _to_scalar(tag: bytes, payload: bytes, curve: CurveParams) -> Scalar:
     return Scalar(v if v else 1, curve.q)
 
 
-def _require_on_curve(pt: Point) -> Point:
-    if not pt.on_curve():
-        raise ValueError("refusing to hash an off-curve point")
-    return pt
-
-
 def hash_points(a: Point, b: Point) -> Scalar:
     """H(a, b): the commitment-times-nonce hash used throughout signing."""
-    _require_on_curve(a)
-    _require_on_curve(b)
     return _to_scalar(TAG_POINT_PAIR, a.encode() + b.encode(), a.curve)
 
 
 def hash_block(commitments: list[Point], r_point: Point) -> Scalar:
     """Product of H(P_i, R) over all commitments, reduced mod q.
 
-    Checks and encodes R once for the whole block. The product of values
-    in [1, q-1] mod prime q stays in [1, q-1], and reordering the
-    commitments cannot change it.
+    Encodes R once for the whole block. The product of values in [1, q-1]
+    mod prime q stays in [1, q-1], and reordering the commitments cannot
+    change it.
     """
     if not commitments:
         raise ValueError("empty commitment block")
-    r = _require_on_curve(r_point).encode()
+    r = r_point.encode()
     curve = r_point.curve
     q = curve.q
     acc = 1
     for pt in commitments:
-        acc = acc * _to_scalar(TAG_POINT_PAIR, _require_on_curve(pt).encode() + r, curve).v % q
+        acc = acc * _to_scalar(TAG_POINT_PAIR, pt.encode() + r, curve).v % q
     return Scalar(acc, q)
 
 

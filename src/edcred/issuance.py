@@ -158,8 +158,8 @@ class IssuerSession:
         if request.h_bar.v == 0:
             raise InvalidProofError("blinded hash is zero")
         p0 = request.commitment0
-        if not isinstance(p0, Point) or not p0.on_curve():
-            raise InvalidProofError("commitment not on curve")
+        if not isinstance(p0, Point):
+            raise InvalidProofError("commitment is not a point")
 
         with pk_ops if pk_ops is not None else nullcontext():
             if self.state == _CHALLENGED:
@@ -246,8 +246,6 @@ def user_blind(
     """
     curve = params.curve
     attrs = _check_attrs(attrs, curve.q)
-    if not r_bar.on_curve():
-        raise ValueError("issuer nonce point not on curve")
     alpha = curve.random_nonzero(rng)
     beta = curve.random_nonzero(rng)
     r_point = sum_of_multiples(curve, [(r_bar, alpha.v), (curve.base, beta.v)], ms=2, ap=1)

@@ -128,9 +128,6 @@ def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
     first transcript takes the challenge's short multiplier in place of
     batch_weights' (1, c)."""
     curve = transcripts[0].statement.curve
-    for t in transcripts:
-        if not (t.commitment.on_curve() and t.statement.on_curve()):
-            return False
     c = transcripts[0].challenge
     q = curve.q
     terms, ms, ap = equation
@@ -175,8 +172,7 @@ def fs_verify_batch(
     equation, when given, is (terms, ms, ap): one more equation
     sum k_j*X_j == O over terms (X_j, k_j) with int scalars, checked at
     weight 1 in the same pass, and the Ms and Ap it books. The weights hash
-    its scalars but not its points, so the context must bind those, and
-    the caller must have checked that they are on the curve.
+    its scalars but not its points, so the context must bind those.
     """
     if not transcripts:
         return False

@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -71,6 +73,21 @@ def test_issue_reruns_byte_identical(deploy, tmp_path):
     assert issue(deploy, c2) == 0  # this one reuses it
     assert c1.read_bytes() == c2.read_bytes()
     assert (deploy[0] / "user.key").exists()
+
+
+def test_secret_key_files_are_owner_only(tmp_path):
+    out = tmp_path / "deploy"
+    out.mkdir()
+    # a key file already there with a wide mode is narrowed, not kept
+    (out / "issuer.key").write_text("x=1\n")
+    os.chmod(out / "issuer.key", 0o644)
+    assert main(["setup", "--curve", "toy", "--out", str(out), "--seed", "11"]) == 0
+    attrs = tmp_path / "attrs.txt"
+    attrs.write_text("master\nage:30\n")
+    assert main(["issue", "--params", str(out), "--attrs", str(attrs),
+                 "--out", str(tmp_path / "c.bin"), "--seed", "21"]) == 0
+    for name in ("issuer.key", "user.key"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) & 0o077 == 0, name
 
 
 def test_issue_refuses_params_of_another_deployment(deploy, tmp_path, capsys):
@@ -214,13 +231,15 @@ def test_verify_malformed_is_exit_2(deploy, tmp_path):
     ("k", 0), ("k", -1),
     ("cofactor", 1), ("cofactor", 2), ("cofactor", 3), ("cofactor", 1000),
     ("q", 1009), ("q", 2**70),
+    ("Px", 2), ("Ppubx", 2),
 ])
 def test_degenerate_params_file_is_exit_2(deploy, tmp_path, key, value):
-    # a size that breaks the arithmetic, a k below 1, or a cofactor and q
-    # whose product is no group order for p (the toy curve's is 8 * 131) is
-    # malformed input: exit 2 and a message, not exit 0 or a traceback with
-    # exit 1, which means reject. Real processes, so that a crash shows as
-    # the interpreter reports it.
+    # a size that breaks the arithmetic, a k below 1, a cofactor and q
+    # whose product is no group order for p (the toy curve's is 8 * 131), or
+    # a base point or public key off the curve is malformed input: exit 2
+    # and a message, not exit 0 or a traceback with exit 1, which means
+    # reject. Real processes, so that a crash shows as the interpreter
+    # reports it.
     out, attrs = deploy
     cred_file = tmp_path / "c.bin"
     assert issue(deploy, cred_file) == 0
@@ -271,6 +290,52 @@ def test_socket_issuance_roundtrip(deploy, tmp_path):
     thread.join(timeout=10)
     assert rc == 0 and server_rc["rc"] == 0
     assert main(["verify", "--params", str(out), "--token", str(cred_file)]) == 0
+
+
+def test_serve_refuses_to_replace_a_file_that_is_no_socket(deploy, tmp_path, capsys):
+    out, _ = deploy
+    path = tmp_path / "notes.txt"
+    path.write_text("keep me\n")
+    result = {}
+
+    def serve():
+        result["rc"] = main(["serve", "--params", str(out), "--listen", str(path), "--seed", "1"])
+
+    # a serve that took the path would wait for a client: the join times out
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert result.get("rc") == 2
+    assert "not a socket" in capsys.readouterr().err
+    assert path.read_text() == "keep me\n"
+
+
+def test_serve_removes_its_socket_when_the_session_fails(deploy, tmp_path):
+    out, _ = deploy
+    sock = str(tmp_path / "iss.sock")
+    # a socket left behind by an earlier run is replaced
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as stale:
+        stale.bind(sock)
+    assert stat.S_ISSOCK(os.lstat(sock).st_mode)
+    result = {}
+
+    def serve():
+        result["rc"] = main(["serve", "--params", str(out), "--listen", sock, "--seed", "1"])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    for _ in range(200):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            try:
+                conn.connect(sock)
+            except OSError:
+                time.sleep(0.05)
+                continue
+            conn.sendall(b"\x00" * 16)  # no valid frame
+            break
+    thread.join(timeout=10)
+    assert result.get("rc") == 2
+    assert not os.path.lexists(sock)
 
 
 def test_bench_prints_count_table(capsys):

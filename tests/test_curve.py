@@ -5,11 +5,13 @@ exponentiation-based inversions, sharing no code with Point.__add__. The
 oracle for scalar multiplication is plain repeated addition.
 """
 
+import os
 import sys
 import threading
 
 import pytest
 
+import edcred
 from edcred import curve as curve_mod
 from edcred.curve import (
     CurveParams,
@@ -25,7 +27,7 @@ from edcred.curve import (
     production_curve,
     toy_curve,
 )
-from edcred.errors import RngError
+from edcred.errors import RngError, WireError
 from edcred.params import _COMB_AT
 
 from conftest import make_rng
@@ -504,12 +506,35 @@ def test_point_encode_decode(toy, prod):
 
 
 def test_point_decode_rejects_off_curve(toy):
-    bad = Point(2, 3, toy)
-    assert not bad.on_curve()
-    with pytest.raises(ValueError):
-        Point.decode(bad.encode(), toy)
+    w = toy.coord_bytes
+    with pytest.raises(WireError, match="not on curve"):
+        Point.decode((2).to_bytes(w, "big") + (3).to_bytes(w, "big"), toy)
     with pytest.raises(ValueError):
         Point.decode(b"\x00", toy)
+
+
+def test_point_constructor_refuses_off_curve(toy, prod):
+    with pytest.raises(ValueError, match="not on curve"):
+        Point(2, 3, toy)
+    for c in (toy, prod):
+        pt = 5 * c.base
+        w = c.coord_bytes
+        for x, y in ((pt.x + c.p, pt.y), (pt.x, pt.y + c.p), (pt.x - c.p, pt.y)):
+            with pytest.raises(ValueError, match="not on curve"):
+                Point(x, y, c)
+            if x >= 0:
+                with pytest.raises(WireError, match="not on curve"):
+                    Point.decode(x.to_bytes(w, "big") + y.to_bytes(w, "big"), c)
+        assert Point(pt.x, pt.y, c) == pt
+
+
+def test_on_curve_policy_lives_in_curve_module():
+    # Point's constructor is the one check; no other module re-checks
+    pkg = os.path.dirname(edcred.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "curve.py":
+            with open(os.path.join(pkg, name)) as fh:
+                assert ".on_curve(" not in fh.read(), name
 
 
 def test_cross_curve_addition_rejected(toy, prod):

