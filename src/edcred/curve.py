@@ -696,11 +696,23 @@ _CURVE_FILE_KEYS = ("name", "p", "d", "Px", "Py", "q", "cofactor")
 
 
 class CurveParams:
-    """Static description of one curve plus its chosen base point."""
+    """Static description of one curve plus its chosen base point.
+
+    The constructor owns every rule that needs no exponentiation and no
+    multiple; the others are params.validate_params' audit."""
 
     __slots__ = ("name", "p", "d", "q", "cofactor", "coord_bytes", "_base")
 
     def __init__(self, name: str, p: int, d: int, gx: int, gy: int, q: int, cofactor: int):
+        if p < 3 or q < 2 or cofactor < 1:
+            raise ValueError("curve: needs p >= 3, q >= 2 and cofactor >= 1")
+        if cofactor & (cofactor - 1):
+            # proof checks clear torsion by doubling (sum_is_neutral)
+            raise ValueError("curve: cofactor is not a power of two")
+        if not hasse_holds(cofactor * q, p):
+            raise ValueError("curve: cofactor * q is no group order for p (Hasse bound)")
+        if d % p in (0, 1):
+            raise ValueError("curve: d is 0 or 1")
         self.name = name
         self.p = p
         self.d = d % p
@@ -708,6 +720,8 @@ class CurveParams:
         self.cofactor = cofactor
         self.coord_bytes = (p.bit_length() + 7) // 8
         self._base = Point(gx, gy, self)
+        if self._base.is_neutral():
+            raise ValueError("curve: base point is neutral")
 
     @property
     def base(self) -> Point:
@@ -763,19 +777,14 @@ class CurveParams:
     @classmethod
     def parse_file(cls, text: str) -> "CurveParams":
         fields = parse_kv(text, required=_CURVE_FILE_KEYS)
-        p, q, cofactor = int(fields["p"]), int(fields["q"]), int(fields["cofactor"])
-        # arithmetic mod p or q breaks below these; primality is
-        # validate_params' audit
-        if p < 3 or q < 2 or cofactor < 1:
-            raise ValueError("curve file: needs p >= 3, q >= 2 and cofactor >= 1")
         curve = cls(
             name=fields["name"],
-            p=p,
+            p=int(fields["p"]),
             d=int(fields["d"]),
             gx=int(fields["Px"]),
             gy=int(fields["Py"]),
-            q=q,
-            cofactor=cofactor,
+            q=int(fields["q"]),
+            cofactor=int(fields["cofactor"]),
         )
         # curve1174 is the built-in curve, with P's shipped table. The name
         # must match too: format_file, and so SystemParams.digest, has it.
@@ -995,8 +1004,8 @@ def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: b
     and -R even when R carries torsion: with cofactored=False a
     pure-torsion sum is refused. With cofactored=True the sum is first
     multiplied by the cofactor, by doubling, so the cofactor must be a
-    power of two (validate_params notes any other); a sum of prime order
-    never vanishes, so the only accepts the exact check would refuse are
+    power of two (the CurveParams constructor refuses any other); a sum
+    of prime order never vanishes, so the only accepts the exact check would refuse are
     those whose sum is pure torsion.
 
     Books ms scalar multiplications and ap additions, the operations the

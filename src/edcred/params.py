@@ -17,7 +17,6 @@ from .curve import (
     Point,
     Scalar,
     curve_by_name,
-    hasse_holds,
     in_prime_subgroup,
     is_probable_prime,
     parse_kv,
@@ -38,23 +37,21 @@ _HASH = "sha256"  # the only hash hashing.py implements; named in the file
 _COMB_AT = 33
 
 
-def _security_bits(q: int) -> int:
-    # generic-group discrete log costs about sqrt(q) work
-    return q.bit_length() // 2
-
-
 class SystemParams:
-    """Public issuance parameters: curve plus issuer public key. k = 0
-    means the curve's generic security level."""
+    """Public issuance parameters: curve, issuer public key and security
+    level k in bits. The constructor refuses a k outside [1, bits(q)] and
+    a neutral Ppub, under which s*P == R alone passes a signature check."""
 
     __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 
-    def __init__(self, curve: CurveParams, p_pub: Point, k: int = 0):
-        if k < 0:
-            raise ValueError("security level k must not be negative")
+    def __init__(self, curve: CurveParams, p_pub: Point, k: int):
+        if not 1 <= k <= curve.q.bit_length():
+            raise ValueError(f"security level k must lie in [1, {curve.q.bit_length()}]")
+        if p_pub.is_neutral():
+            raise ValueError("public key is neutral")
         self.curve = curve
         self.p_pub = p_pub
-        self.k = k if k != 0 else _security_bits(curve.q)
+        self.k = k
         self._checks = 0
 
     def signature_terms(self, s: int, h: int, r_point: Point) -> list:
@@ -99,12 +96,7 @@ class SystemParams:
         if fields["hash"] != _HASH:
             raise ValueError(f"params file: unsupported hash {fields['hash']!r}")
         p_pub = Point(int(fields["Ppubx"]), int(fields["Ppuby"]), curve)
-        # format_file writes the level k stands for, never 0, which only the
-        # constructor takes
-        k = int(fields["k"])
-        if k < 1:
-            raise ValueError("params file: k must be at least 1")
-        return cls(curve=curve, p_pub=p_pub, k=k)
+        return cls(curve=curve, p_pub=p_pub, k=int(fields["k"]))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -137,19 +129,11 @@ class IssuerKey:
         The file's copy must state the same values as params (the
         deployment's params.txt), and is checked against them rather than
         parsed into a second SystemParams, so the process keeps one
-        SystemParams, whose checks count toward Ppub's one table. x must
-        lie in [1, q-1], as setup draws it.
+        SystemParams, whose checks count toward Ppub's one table.
         """
-        with open(path) as fh:
-            text = fh.read()
-        fields = parse_kv(text, required=("x",))
+        x, fields = read_secret(path, "x", params.curve.q)
         if any(fields.get(k) != v for k, v in parse_kv(params.format_file()).items()):
             raise ValueError("key file: params differ from the deployment's")
-        q = params.curve.q
-        v = int(fields["x"])
-        if not 0 < v < q:
-            raise ValueError("key file: x out of range")
-        x = Scalar(v, q)
         if x * params.curve.base != params.p_pub:
             raise ValueError("key file: x does not match public key")
         return cls(x)
@@ -163,13 +147,29 @@ def write_secret(path, text: str) -> None:
         fh.write(text)
 
 
+def read_secret(path, name: str, q: int) -> tuple[Scalar, dict]:
+    """The secret `name` of the key file at path, refused outside
+    [1, q-1], and the file's fields. A file its group or others may read
+    is narrowed to 0600; fchmod raises PermissionError if this process
+    does not own it, so such a key is refused, as ssh refuses one."""
+    with open(path) as fh:
+        if os.fstat(fh.fileno()).st_mode & 0o077:
+            os.fchmod(fh.fileno(), 0o600)
+        fields = parse_kv(fh.read(), required=(name,))
+    v = int(fields[name])
+    if not 0 < v < q:
+        raise ValueError(f"key file: {name} out of range")
+    return Scalar(v, q), fields
+
+
 def setup(curve, rng) -> tuple[SystemParams, IssuerKey]:
     """Create a deployment on curve, a CurveParams or a curve_by_name name:
     draw x uniform from [1, q-1], publish x * P."""
     if isinstance(curve, str):
         curve = curve_by_name(curve)
     x = curve.random_nonzero(rng)
-    params = SystemParams(curve=curve, p_pub=x * curve.base)
+    # k: a generic-group discrete log costs about sqrt(q) work
+    params = SystemParams(curve=curve, p_pub=x * curve.base, k=curve.q.bit_length() // 2)
     return params, IssuerKey(x)
 
 
@@ -193,10 +193,10 @@ class ParamsCheck:
 
 
 def validate_params(params: SystemParams) -> ParamsCheck:
-    """Full consistency audit of a parameter set.
-
-    Runs the expensive subgroup checks too (two scalar multiplications),
-    so call it at load or setup time rather than per operation.
+    """The rules that cost an exponentiation or a multiple: p and q prime,
+    d a non-square, base point and public key in the prime-order subgroup.
+    The constructors own every cheaper rule. The subgroup checks cost two
+    scalar multiplications, so call this at setup, not per operation.
     """
     c = params.curve
     check = ParamsCheck()
@@ -204,23 +204,10 @@ def validate_params(params: SystemParams) -> ParamsCheck:
         check.note("p is not prime")
     if not is_probable_prime(c.q):
         check.note("q is not prime")
-    if c.d % c.p in (0, 1):
-        check.note("d is 0 or 1")
-    elif pow(c.d, (c.p - 1) // 2, c.p) != c.p - 1:
+    if pow(c.d, (c.p - 1) // 2, c.p) != c.p - 1:
         check.note("d is a square, addition law not complete")
-    if c.base.is_neutral():
-        check.note("base point is neutral")
-    elif not in_prime_subgroup(c.base):
+    if not in_prime_subgroup(c.base):
         check.note("base point order does not divide q")
-    if not hasse_holds(c.cofactor * c.q, c.p):
-        check.note("cofactor * q outside the Hasse window")
-    if c.cofactor < 1 or c.cofactor & (c.cofactor - 1):
-        # proof checks clear torsion by doubling (curve.sum_is_neutral)
-        check.note("cofactor is not a power of two")
-    if params.p_pub.is_neutral():
-        check.note("public key is neutral")
-    elif not in_prime_subgroup(params.p_pub):
+    if not in_prime_subgroup(params.p_pub):
         check.note("public key outside the prime-order subgroup")
-    if params.k > c.q.bit_length():
-        check.note("claimed security level exceeds group size")
     return check

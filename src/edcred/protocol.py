@@ -237,45 +237,40 @@ def run_issuance(
     return user.credential, transcript
 
 
-def serve_issuance(conn, params: SystemParams, key: IssuerKey, rng) -> Transcript:
-    """Run the issuer side over a connected socket, one session."""
+def _pump(conn, engine, first, inbound: int) -> Transcript:
+    """Run engine's side of one session over conn and return its
+    transcript: send first, if any, then answer each message read, which
+    travels in direction inbound, until the engine is done."""
+    outbound = USER_TO_ISSUER if inbound == ISSUER_TO_USER else ISSUER_TO_USER
     stream = conn.makefile("rwb")
-    engine = IssuerEngine(params, key, rng)
     transcript = Transcript()
+    msg = first
     try:
-        msg = engine.open()
-        write_message(stream, msg)
-        transcript.record(ISSUER_TO_USER, msg)
-        while engine.state != "done":
-            incoming = read_message(stream)
-            if incoming is None:
+        while True:
+            if msg is not None:
+                write_message(stream, msg)
+                transcript.record(outbound, msg)
+            if engine.state == "done":
+                return transcript
+            msg = read_message(stream)
+            if msg is None:
                 raise WireError("peer closed the connection mid-session")
-            transcript.record(USER_TO_ISSUER, incoming)
-            reply = _handle_step(engine, incoming)
-            write_message(stream, reply)
-            transcript.record(ISSUER_TO_USER, reply)
+            transcript.record(inbound, msg)
+            msg = _handle_step(engine, msg)
     finally:
         stream.close()
-    return transcript
+
+
+def serve_issuance(conn, params: SystemParams, key: IssuerKey, rng) -> Transcript:
+    """Run the issuer side over a connected socket, one session."""
+    engine = IssuerEngine(params, key, rng)
+    return _pump(conn, engine, engine.open(), USER_TO_ISSUER)
 
 
 def request_issuance(conn, params: SystemParams, attrs, rng, *, interactive: bool = False):
     """Run the user side over a connected socket. Returns (credential,
     transcript)."""
-    stream = conn.makefile("rwb")
     engine = UserEngine(params, attrs, rng, interactive=interactive)
-    transcript = Transcript()
-    try:
-        while engine.credential is None:
-            incoming = read_message(stream)
-            if incoming is None:
-                raise WireError("peer closed the connection mid-session")
-            transcript.record(ISSUER_TO_USER, incoming)
-            reply = _handle_step(engine, incoming)
-            if reply is not None:
-                write_message(stream, reply)
-                transcript.record(USER_TO_ISSUER, reply)
-    finally:
-        stream.close()
+    # the session sets engine.credential, so run it first
+    transcript = _pump(conn, engine, None, ISSUER_TO_USER)
     return engine.credential, transcript
-

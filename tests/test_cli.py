@@ -18,6 +18,7 @@ import edcred
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
 from edcred.disclosure import DisclosureToken
+from edcred.hashing import hash_block
 from edcred.issuance import Credential
 from edcred.params import SystemParams
 from edcred.wire import Transcript, WireMessage, decode_message, encode_message
@@ -84,10 +85,18 @@ def test_secret_key_files_are_owner_only(tmp_path):
     assert main(["setup", "--curve", "toy", "--out", str(out), "--seed", "11"]) == 0
     attrs = tmp_path / "attrs.txt"
     attrs.write_text("master\nage:30\n")
-    assert main(["issue", "--params", str(out), "--attrs", str(attrs),
-                 "--out", str(tmp_path / "c.bin"), "--seed", "21"]) == 0
+    issue_cmd = ["issue", "--params", str(out), "--attrs", str(attrs),
+                 "--out", str(tmp_path / "c.bin"), "--seed", "21"]
+    assert main(issue_cmd) == 0
     for name in ("issuer.key", "user.key"):
-        assert stat.S_IMODE(os.stat(out / name).st_mode) & 0o077 == 0, name
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o600, name
+    # key files that are already there, read and not written, are narrowed
+    # too
+    for name in ("issuer.key", "user.key"):
+        os.chmod(out / name, 0o644)
+    assert main(issue_cmd) == 0
+    for name in ("issuer.key", "user.key"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o600, name
 
 
 def test_issue_refuses_params_of_another_deployment(deploy, tmp_path, capsys):
@@ -198,6 +207,29 @@ def test_verify_refuses_forged_raw_credential(tmp_path, capsys):
         forged_file.write_bytes(forged.to_bytes(params))
         assert main(["verify", "--params", str(out), "--token", str(forged_file)]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "reject"
+
+
+def test_verify_refuses_a_neutral_public_key(deploy, tmp_path, capsys):
+    # with Ppub = (0, 1) the equation s*P == h*Ppub + R is s*P == R, so a
+    # credential made with no issuer key, R = s*P and h its true binding,
+    # would pass; the params file is malformed input, refused at load
+    out, _ = deploy
+    params = SystemParams.load(out / "params.txt")
+    c = params.curve
+    neutral = SystemParams.__new__(SystemParams)
+    neutral.curve, neutral.p_pub, neutral.k = c, c.neutral(), params.k
+    (out / "params.txt").write_text(neutral.format_file())
+    rng = random.Random("neutral-ppub")
+    attrs = (c.random_nonzero(rng), c.random_nonzero(rng))
+    s = c.random_nonzero(rng)
+    r_point = s * c.base
+    h = hash_block(c.base.multiples(attrs), r_point)
+    assert h.v != 0
+    cred_file = tmp_path / "keyless.bin"
+    cred_file.write_bytes(Credential(attrs=attrs, r_point=r_point, s=s, h=h).to_bytes(neutral))
+    assert main(["verify", "--params", str(out), "--token", str(cred_file)]) == 2
+    captured = capsys.readouterr()
+    assert "accept" not in captured.out and "public key is neutral" in captured.err
 
 
 def test_verify_zero_token_field_is_exit_2(deploy, tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_check_equation_is_exact(deploy, request):
     two = Point(0, c.p - 1, c)
     for p_pub in (Point(params.p_pub.x, params.p_pub.y, c),
                   Point(params.p_pub.x, params.p_pub.y, c).precompute()):
-        verifier = SystemParams(c, p_pub)
+        verifier = SystemParams(c, p_pub, params.k)
         rho, h = c.random_nonzero(rng), c.random_nonzero(rng)
         s = h * key.x + rho
         with_table = (rho * c.base + two).precompute()

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from edcred.curve import Point, Scalar
+from edcred.curve import Scalar
 from edcred.hashing import (
     TAG_ATTRIBUTE,
     TAG_POINT_PAIR,
@@ -40,11 +40,6 @@ def test_hash_points_matches_oracle(toy, prod):
 def test_hash_points_order_sensitive(toy):
     a, b = 3 * toy.base, 4 * toy.base
     assert hash_points(a, b) != hash_points(b, a)
-
-
-def test_hash_points_rejects_off_curve(toy):
-    with pytest.raises(ValueError):
-        hash_points(Point(2, 3, toy), toy.base)
 
 
 def test_hash_block_is_product_of_pair_hashes(toy, prod):

@@ -228,7 +228,7 @@ def test_unblind_check_is_exact(deploy, request):
     two = Point(0, c.p - 1, c)
     for p_pub in (Point(params.p_pub.x, params.p_pub.y, c),
                   Point(params.p_pub.x, params.p_pub.y, c).precompute()):
-        user = SystemParams(c, p_pub)
+        user = SystemParams(c, p_pub, params.k)
         for torsion in (False, True):
             k = c.random_nonzero(rng)
             r_bar = k * c.base + two if torsion else k * c.base
@@ -265,9 +265,6 @@ def test_user_blind_input_validation(toy_deploy):
     params, _ = toy_deploy
     rng = make_rng("inputs")
     c = params.curve
-    good = sample_attrs(params, rng)
-    with pytest.raises(ValueError):
-        user_blind(Point(2, 3, c), good, params, rng)  # off-curve nonce
     with pytest.raises(ValueError):
         user_blind(c.base, [], params, rng)
     with pytest.raises(ValueError):

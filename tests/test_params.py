@@ -191,33 +191,56 @@ def test_validate_params_flags_composite_modulus(toy_deploy):
 
 
 def test_validate_params_flags_cofactor_not_power_of_two(tmp_path, toy_deploy):
-    # proof checks clear torsion by doubling, which needs a power of two
+    # proof checks clear torsion by doubling, which needs a power of two:
+    # the curve's constructor refuses any other cofactor, so such a file
+    # never loads and validate_params never sees it
     params, _ = toy_deploy
     path = tmp_path / "params.txt"
     params.save(path)
     text = path.read_text()
     assert "cofactor=8\n" in text
     path.write_text(text.replace("cofactor=8\n", "cofactor=6\n"))
-    odd = SystemParams.load(path)
-    assert odd.curve.cofactor == 6
-    problems = validate_params(odd).problems
-    assert "cofactor is not a power of two" in problems
-    assert "cofactor is not a power of two" not in validate_params(params).problems
+    with pytest.raises(ValueError, match="cofactor is not a power of two"):
+        SystemParams.load(path)
 
 
 def test_security_level_autofill(toy_deploy, prod_deploy):
-    # generic-group estimate: half the subgroup bit length
+    # setup claims the generic-group estimate: half the subgroup bit length
     assert toy_deploy[0].k == toy_deploy[0].curve.q.bit_length() // 2
     assert prod_deploy[0].k == 124
-    # 0 asks the constructor for that level; a file never holds a k below 1
+    # the constructor takes a k in [1, bits(q)] and nothing else
     params = toy_deploy[0]
-    text = SystemParams(params.curve, params.p_pub, 0).format_file()
-    assert f"k={params.k}\n" in text
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="k must be at least 1"):
+    bits = params.curve.q.bit_length()
+    for k in (1, bits):
+        assert SystemParams(params.curve, params.p_pub, k).k == k
+    text = params.format_file()
+    for k in (0, -1, bits + 1):
+        with pytest.raises(ValueError, match=f"k must lie in \\[1, {bits}\\]"):
             SystemParams.parse_file(text.replace(f"k={params.k}\n", f"k={k}\n"))
-    with pytest.raises(ValueError, match="must not be negative"):
-        SystemParams(params.curve, params.p_pub, -1)
+        with pytest.raises(ValueError, match="k must lie in"):
+            SystemParams(params.curve, params.p_pub, k)
+
+
+# each breaks a rule that needs no exponentiation and no multiple: the
+# cases of tests/test_cli.py's test_degenerate_params_file_is_exit_2, a
+# neutral base point or public key, and k = bits(q) + 1 (the toy q = 131
+# has 8 bits)
+@pytest.mark.parametrize("edits", [
+    {"p": 0}, {"q": 1}, {"cofactor": 0},
+    {"k": 0}, {"k": -1}, {"k": 9},
+    {"cofactor": 1}, {"cofactor": 2}, {"cofactor": 3}, {"cofactor": 1000},
+    {"q": 1009}, {"q": 2**70},
+    {"Px": 2}, {"Ppubx": 2},
+    {"Px": 0, "Py": 1}, {"Ppubx": 0, "Ppuby": 1},
+], ids=lambda edits: ",".join(f"{k}={v}" for k, v in edits.items()))
+def test_parse_file_refuses_degenerate_params(toy_deploy, edits):
+    params, _ = toy_deploy
+    assert params.curve.q == 131
+    fields = dict(line.split("=", 1) for line in params.format_file().splitlines())
+    fields.update(edits)
+    text = "".join(f"{k}={v}\n" for k, v in fields.items())
+    with pytest.raises(ValueError):
+        SystemParams.parse_file(text)
 
 
 def test_params_import_is_lean():

@@ -22,7 +22,10 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
   comb table built as a long-lived verifier has it; and parse plus
   verify_disclosure at n = 16 with every index hidden, the longest check;
-- wire: parsing that disclosure token alone, and the n = 8 credential.
+- wire: parsing that disclosure token alone, and the n = 8 credential;
+- load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
+  params.txt and issuer.key, written once at start, the step every CLI
+  command pays before its own work.
 
 Each protocol row also prints the inner additions and doublings its one
 counted run books (OpCounter): the counts of a seeded run repeat exactly,
@@ -43,6 +46,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -75,9 +79,9 @@ def load(src: str, name: str):
     return mod
 
 
-def operations(pkg, src: str) -> dict:
+def operations(pkg, src: str, workdir: str) -> dict:
     """Name -> zero-argument callable, for one loaded package and the SRC
-    it was loaded from."""
+    it was loaded from; the load row's files go in workdir."""
     curve = pkg.production_curve()
     p, q, base = curve.p, curve.q, curve.base
     Point = pkg.Point
@@ -97,6 +101,10 @@ def operations(pkg, src: str) -> dict:
     wide_cred, _ = pkg.run_issuance(params, key, wide, random.Random("wi"), random.Random("wu"))
     wide_token = pkg.present(wide_cred, [], params, random.Random("wide token"))
     wide_data = wide_token.to_bytes(params)
+    params_file = os.path.join(workdir, "params.txt")
+    key_file = os.path.join(workdir, "issuer.key")
+    params.save(params_file)
+    key.save(key_file, params)
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
@@ -133,6 +141,8 @@ def operations(pkg, src: str) -> dict:
         "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
         "parse token n=8": lambda: DisclosureToken.from_bytes(data, params, token.session_id),
         "parse credential n=8": lambda: Credential.from_bytes(cred_data, params),
+        "load params + issuer key": lambda: pkg.IssuerKey.load(
+            key_file, pkg.SystemParams.load(params_file)),
         FRESH: first_use,
     }
 
@@ -202,12 +212,13 @@ def main(argv=None) -> int:
         ap.error("give at most two SRC directories and a positive --repeat")
     srcs = args.src or [_SRC]
     pkgs = [load(src, f"edcred_bench_{i}") for i, src in enumerate(srcs)]
-    ops = [operations(pkg, src) for pkg, src in zip(pkgs, srcs)]
-    if len(ops) == 1:
-        single(pkgs[0], ops[0], args.repeat)
-    else:
-        print(f"A = {srcs[0]}\nB = {srcs[1]}")
-        paired(pkgs, ops[0], ops[1], args.repeat)
+    with tempfile.TemporaryDirectory(prefix="bench_kernel_") as tmp:
+        ops = [operations(pkg, src, tempfile.mkdtemp(dir=tmp)) for pkg, src in zip(pkgs, srcs)]
+        if len(ops) == 1:
+            single(pkgs[0], ops[0], args.repeat)
+        else:
+            print(f"A = {srcs[0]}\nB = {srcs[1]}")
+            paired(pkgs, ops[0], ops[1], args.repeat)
     return 0
 
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Re-derive every claim made about the shipped production curve constants.
 
-Runs params.validate_params, the audit `edcred setup` runs, on a curve1174
-deployment: p and q prime, d a quadratic non-residue (the completeness
-condition), cofactor * q inside the Hasse window around p + 1, a cofactor
-that is a power of two, which proof checks clear by doubling, and the base
-point on curve and of exact order q. Also checks that the comb table for
+Builds a curve1174 deployment, whose constructors refuse a cofactor that
+is not a power of two (proof checks clear torsion by doubling), cofactor *
+q outside the Hasse window around p + 1, d = 0 or 1 and a base point off
+the curve or neutral. Runs on it params.validate_params, the audit `edcred
+setup` runs: p and q prime, d a quadratic non-residue (the completeness
+condition), and the base point and public key of exact order q. Also checks that the comb table for
 the base point shipped in data/curve1174_comb.bin equals a fresh build,
 entry by entry, each read through the shipped rows' decoding. Exits
 nonzero on any failure.
