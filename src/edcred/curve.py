@@ -14,10 +14,10 @@ Carter, Dawson, "Twisted Edwards curves revisited", 2008), using the unified
 addition add-2008-hwcd and the doubling dbl-2008-hwcd with a = 1. Their Z
 denominators are the affine law's 1 +- d*x1*x2*y1*y2, and x^2 + y^2,
 2 - x^2 - y^2 for a doubling, so they are as complete as the affine law.
-Each addition, and each batch of multiples of one point (Point.multiples;
-k*P is a batch of one), pays one field inversion, at the end, to return to
-affine form: a batch inverts the product of its Z and peels each 1/Z off
-it (Montgomery's trick), as a comb table's build does for each row.
+Each batch of sums (sum_of_multiples; Point.multiples, k*P and P + Q are
+batches) pays one field inversion, at the end, to return to affine form:
+a batch inverts the product of its Z and peels each 1/Z off it
+(Montgomery's trick), as a comb table's build does for each row.
 
 The addition leaves its products A = X1*x2 and B = Y1*y2 unreduced: they
 only feed E = (X1 + Y1)*(x2 + y2) - A - B and H = B - A, which are reduced
@@ -30,27 +30,32 @@ addition and the doubling written out in place rather than called;
 _add and _dbl remain the reference formulas, which every other caller uses
 and which compute the same values.
 
-Scalar multiplication takes one of two paths. A base with a comb table is
-multiplied by a signed radix-256 comb one level deep: row j of the table
-holds m*2^(8j)*B for m = 1..128, so a multiple looks up one entry and makes
-one mixed addition per nonzero digit, about 31 additions and no doubling.
-Interleaving the rows over three levels (Lim and Lee, CRYPTO 1994) would
-keep a third of the entries for doublings on every multiple; the doublings
-cost more time than the entries cost memory.
-Any other point is multiplied by a width-4 wNAF (Hankerson, Menezes,
-Vanstone, "Guide to Elliptic Curve Cryptography", Alg. 3.36): about 250
-doublings and 50 additions. Both only add and double with the complete
+Every multiple, sum and addition is one _sum, under one rule: a sum of
+terms k*Q is exact in its integer scalars, torsion included. A term +-1 is
+one addition. A term on a point with a comb table, which only P and Ppub
+have, both of order q, counts k mod q and is multiplied by a signed
+radix-256 comb one level deep: row j of the table holds m*2^(8j)*B for
+m = 1..128, so a multiple looks up one entry and makes one mixed addition
+per nonzero digit, about 31 additions and no doubling. Interleaving the
+rows over three levels (Lim and Lee, CRYPTO 1994) would keep a third of
+the entries for doublings on every multiple; the doublings cost more time
+than the entries cost memory. Any other term runs as |k| times +-Q, with
+no reduction mod q, on one width-4 wNAF doubling chain that all of them
+share (Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve
+Cryptography", Alg. 3.36, interleaved): about 250 doublings and 50
+additions for a 249-bit k. Both only add and double with the complete
 formulas, so neither needs a case for the neutral point, a torsion point or
 an addition whose two operands are equal.
 
-A check needs no multiple in affine form, only whether an equation holds.
-sum_is_neutral checks sum k_i*Q_i == O with every Q_i that has a comb
-table on its comb and every other Q_i on one shared wNAF doubling chain,
-and compares the sum with the neutral point in projective form, so a
-whole batch of proofs pays for one chain and no inversion. Its required
-keyword names the policy at each call: cofactored (the sum is first
-multiplied by the cofactor, so a pure-torsion sum passes), as the proof
-checks are, or exact, as the signature checks are.
+Point.multiples, and so k*Q, takes k mod q first, as a Scalar holds it, so
+k*Q == (k mod q)*Q exactly for every Q; P + Q is the sum 1*P + 1*Q. A
+caller that wants a short chain passes a small k as it is, negative or
+not. A check needs no multiple in affine form, only whether an equation
+holds: sum_is_neutral compares its one sum with the neutral point in
+projective form, so a whole batch of proofs pays for one chain and no
+inversion. Its required keyword names the policy at each call: cofactored
+(the sum is first multiplied by the cofactor, so a pure-torsion sum
+passes), as the proof checks are, or exact, as the signature checks are.
 
 Only a deployment's two fixed bases get a table. curve1174's generator P
 ships its table in data/curve1174_comb.bin, pinned by hash, as Ed25519
@@ -131,20 +136,20 @@ class OpCounter:
 
     scalar_mults and point_adds count protocol-level calls: one
     scalar_mults tick per k*P however the multiplication runs, one
-    point_adds tick per explicit addition. The internal steps of a
-    multiplication land in inner_adds / inner_doubles and stay out of the
-    headline numbers: a multiple of a precomputed base adds one table
-    entry per nonzero comb digit after the first and never doubles; any
-    other multiple doubles once per wNAF digit and adds once per nonzero
-    digit, plus one doubling and three additions for its table of odd
-    multiples.
-    inversions counts field inversions mod p: one per batch of nonzero
-    multiples (the return to affine form), so one per nonzero k*P and one
-    per Point.multiples() call with a nonzero k, one per addition and one
-    per row of a precompute() (32 on curve1174, 2 on the toy curve).
-    sum_is_neutral books the operations its one equation stands for, and
-    no inversion. The signature check at which SystemParams builds Ppub's
-    table books the build's inversions too.
+    point_adds tick per explicit addition, and for sum_of_multiples and
+    sum_is_neutral the Ms and Ap their caller says the sum stands for.
+    The steps of a sum land in inner_adds / inner_doubles and stay out of
+    the headline numbers: a +-1 term is one addition; a term on a comb
+    adds one table entry per nonzero digit and never doubles; a chain
+    term doubles once per wNAF digit and adds once per nonzero digit,
+    plus one doubling and three additions for its table of odd
+    multiples; the first step of a sum is loaded, not added.
+    inversions counts field inversions mod p: one per batch, the return to
+    affine form (so one per k*P, per Point.multiples() call and per
+    addition), none for a batch whose every sum has no nonzero term, none
+    for sum_is_neutral, and one per row of a precompute() (32 on
+    curve1174, 2 on the toy curve). The signature check at which
+    SystemParams builds Ppub's table books the build's inversions too.
 
     Counters nest: entering a second counter redirects counting to it until
     it exits, which is how proof-of-knowledge costs are kept in a separate
@@ -547,22 +552,10 @@ class Point:
     def is_neutral(self) -> bool:
         return self.x == 0 and self.y == 1
 
-    def _same_curve(self, other: "Point"):
-        if self.curve is not other.curve and self.curve != other.curve:
-            raise ValueError("points on different curves")
-
     def __add__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        self._same_curve(other)
-        ctr = _active_counter.get()
-        if ctr is not None:
-            ctr.point_adds += 1
-        c = self.curve
-        p = c.p
-        x, y = self.x, self.y
-        ext = _add(p, False, x, y, 1, x * y % p, *_cache(p, c.d, other.x, other.y))
-        return Point._of(*_to_affine(p, [ext], ctr)[0], c)
+        return sum_of_multiples(self.curve, [[(self, 1), (other, 1)]], ms=0, ap=1)[0]
 
     def __neg__(self):
         return Point._of(-self.x % self.curve.p, self.y, self.curve)
@@ -617,47 +610,25 @@ class Point:
         return self.multiples((k,))[0]
 
     def multiples(self, ks) -> list:
-        """[k * self for k in ks], each k an int or a Scalar mod q, with one
-        inversion for the whole batch.
+        """[k * self for k in ks], each k an int or a Scalar mod q, as one
+        batch of one-term sums (sum_of_multiples): one inversion for the
+        whole batch, none for a batch of zeros.
 
-        Each k books one scalar multiplication. A precomputed base recodes
-        k into signed radix-256 digits in [-127, 128] and walks its comb
-        table; any other point recodes k as a width-4 wNAF over its odd
-        multiples. Both sum with the complete formulas alone, so the
-        neutral point, torsion points and intermediate sums that meet a
-        table entry need no special case. The nonzero multiples then
-        return to affine form together (Montgomery's trick), so a batch
-        pays one inversion, not one per k.
+        Each k is taken mod q, as a Scalar holds it, and books one scalar
+        multiplication; the multiple is then exact, (k mod q)*self, on
+        self's comb if it has one and on the wNAF chain otherwise.
         """
         c = self.curve
-        p = c.p
-        ctr = _active_counter.get()
-        ext = []
+        sums = []
         for k in ks:
             if isinstance(k, Scalar):
                 if k.q != c.q:
                     raise ValueError("scalar from a different group")
                 k = k.v
-            elif isinstance(k, int):
-                k %= c.q
-            else:
+            elif not isinstance(k, int):
                 raise TypeError("a multiple needs an int or a Scalar")
-            if ctr is not None:
-                ctr.scalar_mults += 1
-            if not k:
-                ext.append(None)
-                continue
-            if self._table is not None:
-                X, Y, Z, _, adds = _mul_table(p, [(self._table, k)])
-                dbls = 0
-            else:
-                X, Y, Z, dbls, adds = _mul_wnaf(p, c.d, [(self.x, self.y, k)])
-            if ctr is not None:
-                ctr.inner_doubles += dbls
-                ctr.inner_adds += adds
-            ext.append((X, Y, Z))
-        affine = iter(_to_affine(p, [e for e in ext if e is not None], ctr))
-        return [c.neutral() if e is None else Point._of(*next(affine), c) for e in ext]
+            sums.append([(self, k % c.q)])
+        return sum_of_multiples(c, sums, ms=len(sums), ap=0)
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -926,93 +897,102 @@ def in_prime_subgroup(pt: Point) -> bool:
     return ((pt.curve.q - 1) * pt + pt).is_neutral()
 
 
-def _sum(curve: CurveParams, terms, ms: int, ap: int):
-    """sum of k_i*Q_i over terms (Q_i, k_i), as extended (X, Y, Z), in one
-    pass and with no inversion; returns (X, Y, Z, the installed counter).
+def _sum(curve: CurveParams, terms, ctr):
+    """sum of k_i*Q_i over terms (Q_i, k_i), int k_i, as extended
+    (X, Y, Z, ...) with no inversion, or None when no term is left;
+    books its inner steps on ctr.
 
-    Terms on equal points are summed first. A term whose scalar is +-1 is
-    an addition: it joins the chain below, so a term -R costs one addition.
-    Any other term on a point with a comb table (P, and Ppub once
-    SystemParams has built its table) is multiplied on its comb, and any
-    other point joins one wNAF doubling chain, as -Q_i times q - k_i when
-    that is the smaller scalar, with the combs' sum as its addend.
-
-    Scalars are ints and count mod q, and the chain may run a term as
-    -Q_i*(q - k_i) = k_i*Q_i - q*Q_i. Neither moves k_i*Q_i for a point of
-    order q, nor for k_i = +-1; any other term may be off by the torsion
-    point q*Q_i.
-
-    Books ms scalar multiplications and ap additions, the operations the
-    sum stands for, and its inner steps.
+    The module's one rule: terms on equal points are summed first, and
+    then a term +-1 is one addition, a term on a point with a comb table
+    (P or Ppub, of order q) counts k_i mod q on its comb, and any other
+    term joins one wNAF doubling chain as |k_i|*(+-Q_i), with no reduction
+    mod q, so the sum is exact in the scalars as given. The combs' sum
+    and the additions are the chain's addend.
     """
     p, d, q = curve.p, curve.d, curve.q
     merged = {}
     for pt, k in terms:
-        curve.base._same_curve(pt)
+        if pt.curve is not curve and pt.curve != curve:
+            raise ValueError("points on different curves")
         key = (pt.x, pt.y)
         if key in merged:
             merged[key][1] += k
         else:
             merged[key] = [pt, k]
-    combs, chain = [], []
+    combs, ones, chain = [], [], []
     for pt, k in merged.values():
-        k %= q
-        if not k:
-            continue
-        if 1 < k < q - 1 and pt._table is not None:
-            combs.append((pt._table, k))
-            continue
-        if 2 * k > q:
-            chain.append((-pt.x % p, pt.y, q - k))
-        else:
-            chain.append((pt.x, pt.y, k))
-    X, Y, Z, dbls, adds = 0, 1, 1, 0, 0
-    addend = None
+        if k == 1 or k == -1:
+            ones.append((pt.x if k == 1 else -pt.x % p, pt.y))
+        elif pt._table is not None:
+            if k % q:
+                combs.append((pt._table, k % q))
+        elif k:
+            chain.append((pt.x if k > 0 else -pt.x % p, pt.y, abs(k)))
+    acc, dbls, adds = None, 0, 0
     if combs:
-        X, Y, Z, T, adds = _mul_table(p, combs)
-        addend = _cache_ext(p, d, X, Y, Z, T)
+        *acc, adds = _mul_table(p, combs)
+    for x, y in ones:
+        if acc is None:
+            acc = (x, y, 1, x * y % p)
+        else:
+            acc = _add(p, True, *acc, *_cache(p, d, x, y))
+            adds += 1
     if chain:
-        X, Y, Z, dbls, more_adds = _mul_wnaf(p, d, chain, addend)
+        addend = None if acc is None else _cache_ext(p, d, *acc)
+        *acc, dbls, more_adds = _mul_wnaf(p, d, chain, addend)
         adds += more_adds
+    if ctr is not None:
+        ctr.inner_doubles += dbls
+        ctr.inner_adds += adds
+    return acc
+
+
+def _booked(ms: int, ap: int):
+    """The installed counter, with ms scalar multiplications and ap
+    additions booked on it, or None."""
     ctr = _active_counter.get()
     if ctr is not None:
         ctr.scalar_mults += ms
         ctr.point_adds += ap
-        ctr.inner_doubles += dbls
-        ctr.inner_adds += adds
-    return X, Y, Z, ctr
+    return ctr
 
 
-def sum_of_multiples(curve: CurveParams, terms, ms: int, ap: int) -> Point:
-    """sum of k_i*Q_i over terms (Q_i, k_i), with one inversion.
+def sum_of_multiples(curve: CurveParams, sums, ms: int, ap: int) -> list:
+    """[sum of k_i*Q_i over terms (Q_i, k_i) for terms in sums], in affine
+    form, with one inversion for the whole batch and none when no sum has
+    a term left.
 
-    The sum that sum_is_neutral checks, returned in affine form; exact
-    when every Q_i with k_i other than +-1 has order q. Books ms scalar
-    multiplications and ap additions, the operations the sum stands for.
+    Each sum is exact in its int scalars (_sum): k_i on a point with a
+    comb table counts mod q, any other k_i as it is, negative or at least
+    q. Books ms scalar multiplications and ap additions, the operations
+    the batch stands for, and the inner steps.
     """
-    X, Y, Z, ctr = _sum(curve, terms, ms, ap)
-    return Point._of(*_to_affine(curve.p, [(X, Y, Z)], ctr)[0], curve)
+    ctr = _booked(ms, ap)
+    ext = [_sum(curve, terms, ctr) for terms in sums]
+    affine = iter(_to_affine(curve.p, [e for e in ext if e is not None], ctr))
+    return [curve.neutral() if e is None else Point._of(*next(affine), curve) for e in ext]
 
 
 def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: bool) -> bool:
     """sum of k_i*Q_i over terms (Q_i, k_i) == O; with cofactored, up to a
     torsion point.
 
-    Computes the sum as sum_of_multiples does, with no inversion, and
-    compares it with the neutral point in projective form, X == 0 and
-    Y == Z. The sum is exact for the signature checks' terms s*P, -h*Ppub
-    and -R even when R carries torsion: with cofactored=False a
-    pure-torsion sum is refused. With cofactored=True the sum is first
-    multiplied by the cofactor, by doubling, so the cofactor must be a
-    power of two (the CurveParams constructor refuses any other); a sum
-    of prime order never vanishes, so the only accepts the exact check would refuse are
-    those whose sum is pure torsion.
+    Computes the one sum that sum_of_multiples would, exact in its int
+    scalars, and compares it with the neutral point in projective form,
+    X == 0 and Y == Z, with no inversion: with cofactored=False a
+    pure-torsion sum is refused, so the signature checks' terms s*P,
+    -h*Ppub and -R catch a torsion error in R. With cofactored=True the
+    sum is first multiplied by the cofactor, by doubling, so the cofactor
+    must be a power of two (the CurveParams constructor refuses any
+    other); a sum of prime order never vanishes, so the only accepts the
+    exact check would refuse are those whose sum is pure torsion.
 
     Books ms scalar multiplications and ap additions, the operations the
     equation stands for, and its inner steps.
     """
     p = curve.p
-    X, Y, Z, ctr = _sum(curve, terms, ms, ap)
+    ctr = _booked(ms, ap)
+    X, Y, Z = (_sum(curve, terms, ctr) or (0, 1, 1))[:3]
     if cofactored:
         dbls = curve.cofactor.bit_length() - 1
         for _ in range(dbls):

@@ -35,20 +35,18 @@ def hash_points(a: Point, b: Point) -> Scalar:
 
 
 def hash_block(commitments: list[Point], r_point: Point) -> Scalar:
-    """Product of H(P_i, R) over all commitments, reduced mod q.
+    """Product of H(P_i, R) over all commitments, each through hash_points,
+    reduced mod q.
 
-    Encodes R once for the whole block. The product of values in [1, q-1]
-    mod prime q stays in [1, q-1], and reordering the commitments cannot
-    change it.
+    The product of values in [1, q-1] mod prime q stays in [1, q-1], and
+    reordering the commitments cannot change it.
     """
     if not commitments:
         raise ValueError("empty commitment block")
-    r = r_point.encode()
-    curve = r_point.curve
-    q = curve.q
+    q = r_point.curve.q
     acc = 1
     for pt in commitments:
-        acc = acc * _to_scalar(TAG_POINT_PAIR, pt.encode() + r, curve).v % q
+        acc = acc * hash_points(pt, r_point).v % q
     return Scalar(acc, q)
 
 

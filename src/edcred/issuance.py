@@ -240,17 +240,18 @@ def user_blind(
     interactive=True the request carries only the proof commitment and the
     caller must answer the issuer's challenge via user_pk_respond.
 
-    R = alpha*R' + beta*P is one sum, booked as 2 Ms + 1 Ap, with one
-    return to affine form. An R' with a torsion part may move R by a
-    torsion point, and user_unblind's exact check refuses that session.
+    R = alpha*R' + beta*P, booked as 2 Ms + 1 Ap, and the n commitments
+    m_i*P are one batch of sums with one return to affine form. R is
+    exact, torsion in R' included, and user_unblind's exact check refuses
+    a session whose R' carries torsion.
     """
     curve = params.curve
     attrs = _check_attrs(attrs, curve.q)
     alpha = curve.random_nonzero(rng)
     beta = curve.random_nonzero(rng)
-    r_point = sum_of_multiples(curve, [(r_bar, alpha.v), (curve.base, beta.v)], ms=2, ap=1)
-    commitments = tuple(curve.base.multiples(attrs))
-    h = hash_block(list(commitments), r_point)
+    sums = [[(r_bar, alpha.v), (curve.base, beta.v)]] + [[(curve.base, m.v)] for m in attrs]
+    r_point, *commitments = sum_of_multiples(curve, sums, ms=2 + len(attrs), ap=1)
+    h = hash_block(commitments, r_point)
     h_bar = h * alpha.inverse()
 
     state = UserBlindState(

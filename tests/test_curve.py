@@ -833,6 +833,64 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
     assert not curve_mod.sum_is_neutral(c, [(key, 1), (c.base, 1)], ms=0, ap=0, cofactored=True)
 
 
+def exact_mul(k, pt):
+    """k * pt for any int k, negative included, by the affine reference."""
+    return affine_mul(k, pt) if k >= 0 else affine_mul(-k, -pt)
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_every_path_is_exact_on_torsion(name, request):
+    """One rule on every path, against the affine reference: k*Q is
+    (k mod q)*Q, Q + R is the affine sum, and a sum of terms on points with
+    no table is exact in its scalars as given, negative, +-1 and >= q
+    alike, in sum_of_multiples and in sum_is_neutral(cofactored=False);
+    on every torsion point of the toy curve, on (0, p-1) and (1, 0) of
+    curve1174, and on kP + T for those T."""
+    c = request.getfixturevalue(name)
+    q = c.q
+    rng = make_rng(f"exact:{name}")
+    if name == "toy":
+        torsion = [pt for pt in enumerate_points(c) if affine_mul(c.cofactor, pt).is_neutral()]
+        assert len(torsion) == c.cofactor
+    else:
+        torsion = [Point(0, c.p - 1, c), Point(1, 0, c)]
+    shifted = [rng.randrange(1, q) * c.base + t for t in torsion]
+    assert all(shift == oracle_add(c, shift - t, t) for shift, t in zip(shifted, torsion))
+    pts = torsion + shifted
+    two = Point(0, c.p - 1, c)
+    mul_ks = [0, 1, 2, q - 1, q, q + 1, 3 * q + 7, -1, -3, rng.randrange(q)]
+    for pt in pts:
+        assert pt._table is None
+        for k in (mul_ks if name == "toy" else [q + 1, -3, rng.randrange(q)]):
+            assert k * pt == affine_mul(k % q, pt), (pt, k)
+        for other in (pt, -pt, rng.choice(pts), c.neutral(), c.base):
+            assert pt + other == other + pt == oracle_add(c, pt, other)
+    for _ in range(6 if name == "toy" else 2):
+        # terms on distinct points with no table, and one on P's comb
+        chosen = rng.sample(pts, 3)
+        ks = [rng.choice([1, -1]), -(q + rng.randrange(1, 50)), q + rng.randrange(50),
+              -(q + 7)]
+        terms = list(zip(chosen + [c.base], ks))
+        expect = c.neutral()
+        for pt, k in terms:
+            expect = oracle_add(c, expect, exact_mul(k, pt))
+        with OpCounter() as ops:
+            got, again, none = curve_mod.sum_of_multiples(c, [terms, terms[::-1], []], ms=5, ap=2)
+        assert got == again == expect and none == c.neutral()
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (5, 2, 1)
+        assert curve_mod.sum_is_neutral(c, terms + [(expect, -1)], ms=0, ap=0, cofactored=False)
+        off = expect + two
+        assert not curve_mod.sum_is_neutral(c, terms + [(off, -1)], ms=0, ap=0, cofactored=False)
+        assert curve_mod.sum_is_neutral(c, terms + [(off, -1)], ms=0, ap=0, cofactored=True)
+    # no reduction mod q off the comb: k and k + q differ by q*Q exactly
+    for pt in pts:
+        for k in (1, 5, rng.randrange(1, q)):
+            low = affine(c, curve_mod._sum(c, [(pt, k)], None))
+            high = affine(c, curve_mod._sum(c, [(pt, k + q)], None))
+            assert high == oracle_add(c, low, affine_mul(q, pt))
+            assert (high == low) == affine_mul(q, pt).is_neutral()
+
+
 def test_opcounter_one_inversion_per_operation(toy, prod):
     # one per operation, except that a build books one per row; a point
     # without a table books one per multiple however many it takes, and

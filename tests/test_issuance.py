@@ -245,10 +245,10 @@ def test_unblind_check_is_exact(deploy, request):
 
 
 @pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
-def test_user_blind_pays_three_inversions(deploy, request):
-    """R = alpha*R' + beta*P is one sum with one return to affine form:
-    one inversion for R, one for the commitment batch and one for the
-    proof nonce, with n + 3 Ms and 1 Ap booked as before."""
+def test_user_blind_pays_two_inversions(deploy, request):
+    """R = alpha*R' + beta*P and the n commitments are one batch of sums
+    with one return to affine form: one inversion for that batch and one
+    for the proof nonce, with n + 3 Ms and 1 Ap booked as before."""
     params, key = request.getfixturevalue(deploy)
     rng = make_rng(f"blindinv:{deploy}")
     for n in (1, 4, 8):
@@ -257,7 +257,7 @@ def test_user_blind_pays_three_inversions(deploy, request):
             with OpCounter() as ops:
                 state, _ = user_blind(r_bar, sample_attrs(params, rng, n), params, rng,
                                       interactive=interactive)
-            assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (n + 3, 1, 3)
+            assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (n + 3, 1, 2)
             assert state.r_point == state.alpha * r_bar + state.beta * params.curve.base
 
 

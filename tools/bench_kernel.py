@@ -9,19 +9,27 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 `src/`. One SRC prints the median time of each operation:
 
 - field: a 251-bit mulmod and an inversion;
-- scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table) and
-  a batch of 8 multiples of P;
+- scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table), a
+  batch of 8 multiples of P, one addition P + Q and in_prime_subgroup(Ppub)
+  on Ppub's comb, the subgroup check validate_params makes;
 - comb table build: Point.precompute() for a fresh point Q, which with
-  the two rows above gives the signature check at which SystemParams
+  the comb and wNAF rows gives the signature check at which SystemParams
   builds Ppub's table (_COMB_AT in params.py), the one table built at
   run time;
-- one-shot start: import edcred, production_curve() and the first k*P,
-  which decodes the entries of P's shipped table that it reads, in a fresh
-  interpreter, timed inside it (the interpreter's own start-up excluded);
-- protocol, n = 8 attributes, 3 revealed: run_issuance, present plus
-  encoding (holder), parse plus verify_disclosure (verifier), with Ppub's
-  comb table built as a long-lived verifier has it; and parse plus
-  verify_disclosure at n = 16 with every index hidden, the longest check;
+- one-shot start: import edcred.cli, credential, disclosure and
+  protocol, the modules a CLI command loads, then production_curve() and
+  the first k*P, which decodes the entries of P's shipped table that it
+  reads, in a fresh interpreter, timed inside it (the interpreter's own
+  start-up excluded); twice, from a copy of the package that never holds
+  bytecode: once with PYTHONDONTWRITEBYTECODE=1, so that every edcred
+  module is compiled from source as in a fresh checkout, and once with
+  the bytecode cached under a temporary PYTHONPYCACHEPREFIX, so that the
+  difference is the CLI's compile share;
+- protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
+  (the full-show holder, randomizing), present plus encoding (holder),
+  parse plus verify_disclosure (verifier), with Ppub's comb table built as
+  a long-lived verifier has it; and parse plus verify_disclosure at n = 16
+  with every index hidden, the longest check;
 - wire: parsing that disclosure token alone, and the n = 8 credential;
 - load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
   params.txt and issuer.key, written once at start, the step every CLI
@@ -43,6 +51,7 @@ import argparse
 import importlib.util
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,16 +62,16 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 N_ATTRS = 8
 REVEALED = [1, 2, 3]
 N_ALL_HIDDEN = 16
-PROTOCOL = ("run_issuance n=8", "present n=8", "verify_disclosure n=8",
-            "verify_disclosure n=16, all hidden")
+PROTOCOL = ("run_issuance n=8", "make_presentation n=8", "present n=8",
+            "verify_disclosure n=8", "verify_disclosure n=16, all hidden")
 _FIELD_REPS = 1000
-FRESH = "fresh import, first k*P"
+FRESH = ("fresh import, compiled", "fresh import, cached bytecode")
 # run by `python -c` with the SRC directory and k as arguments
 _FIRST_USE = """
 import sys, time
 t0 = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
-import edcred
+import edcred.cli, edcred.credential, edcred.disclosure, edcred.protocol
 int(sys.argv[2]) * edcred.production_curve().base
 print(time.perf_counter() - t0)
 """
@@ -108,11 +117,20 @@ def operations(pkg, src: str, workdir: str) -> dict:
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
+    in_prime_subgroup = importlib.import_module(f"{pkg.__name__}.curve").in_prime_subgroup
     seeds = iter(range(1 << 62))
+    # the fresh-import rows run a copy of the package, so that no bytecode
+    # cache next to its source is ever read
+    copy = os.path.join(workdir, "src")
+    shutil.copytree(os.path.join(src, "edcred"), os.path.join(copy, "edcred"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
 
     def issuance():
         i = next(seeds)
         return pkg.run_issuance(params, key, attrs, random.Random(i), random.Random(-i))
+
+    def show_holder():
+        return pkg.make_presentation(cred, params, random.Random(next(seeds)))
 
     def holder():
         return pkg.present(cred, REVEALED, params, random.Random(next(seeds))).to_bytes(params)
@@ -123,10 +141,20 @@ def operations(pkg, src: str, workdir: str) -> dict:
                 raise SystemExit("an honest token was refused")
         return check
 
-    def first_use() -> float:
-        child = subprocess.run([sys.executable, "-c", _FIRST_USE, src, str(k)],
-                               capture_output=True, text=True, check=True)
-        return float(child.stdout)
+    def first_use(cached: bool):
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        if cached:
+            # the row's first, untimed run writes the cache
+            env["PYTHONPYCACHEPREFIX"] = os.path.join(workdir, "pycache")
+        else:
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+        def run() -> float:
+            child = subprocess.run([sys.executable, "-c", _FIRST_USE, copy, str(k)],
+                                   env=env, capture_output=True, text=True, check=True)
+            return float(child.stdout)
+        return run
 
     return {
         "mulmod": lambda: [a * b % p for _ in range(_FIELD_REPS)],
@@ -134,8 +162,11 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "comb k*P": lambda: k * base,
         "wNAF k*Q": lambda: k * Point(q_pt.x, q_pt.y, curve),
         "batch of 8 k*P": lambda: multiples(batch),
+        "one addition P + Q": lambda: base + q_pt,
+        "in_prime_subgroup(Ppub)": lambda: in_prime_subgroup(params.p_pub),
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": issuance,
+        "make_presentation n=8": show_holder,
         "present n=8": holder,
         "verify_disclosure n=8": verifier(data, token.session_id),
         "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
@@ -143,13 +174,14 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "parse credential n=8": lambda: Credential.from_bytes(cred_data, params),
         "load params + issuer key": lambda: pkg.IssuerKey.load(
             key_file, pkg.SystemParams.load(params_file)),
-        FRESH: first_use,
+        FRESH[0]: first_use(cached=False),
+        FRESH[1]: first_use(cached=True),
     }
 
 
 def timed(name: str, fn) -> float:
-    # the fresh-process operation returns the seconds its child measured
-    if name == FRESH:
+    # a fresh-process operation returns the seconds its child measured
+    if name in FRESH:
         return fn()
     t0 = time.perf_counter()
     fn()
