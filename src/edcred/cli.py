@@ -7,7 +7,8 @@
     edcred present    --params DIR --cred FILE --disclose 2,3 --out TOKEN
     edcred bench      --attrs N [--repeat K]
 
-Exit codes: 0 success or accept, 1 verification reject, 2 malformed input.
+Exit codes: 0 success or accept, 1 verification reject, 2 malformed input
+or a socket peer silent for SESSION_TIMEOUT seconds.
 Every command takes --seed for reproducible runs; the same seed and inputs
 produce byte-identical output files.
 
@@ -48,6 +49,10 @@ from .wire import (
 PARAMS_FILE = "params.txt"
 ISSUER_KEY_FILE = "issuer.key"
 USER_KEY_FILE = "user.key"
+# Seconds that serve and issue --connect wait on a connected peer before
+# they give up with exit 2; a session step takes milliseconds, so only a
+# peer that stalls meets it.
+SESSION_TIMEOUT = 30.0
 
 
 def _rng(seed, role: str):
@@ -134,6 +139,7 @@ def cmd_issue(args) -> int:
 
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
             conn.connect(args.connect)
+            conn.settimeout(SESSION_TIMEOUT)
             cred, transcript = request_issuance(
                 conn, params, attrs, user_rng, interactive=args.interactive
             )
@@ -168,6 +174,7 @@ def cmd_serve(args) -> int:
             print(f"issuer listening on {args.listen}", flush=True)
             conn, _ = server.accept()
             with conn:
+                conn.settimeout(SESSION_TIMEOUT)
                 transcript = serve_issuance(conn, params, key, rng)
         finally:
             os.unlink(args.listen)

@@ -25,10 +25,10 @@ once each, so an addition reduces two values where it would reduce three.
 Its second operand is cached as three words, (x, y, d*x*y), or four for an
 extended point, and the addition forms x2 + y2 itself, one unreduced int
 addition, so that a comb table keeps three words per entry.
-The comb and wNAF loops, where nearly all of the time goes, have the
-addition and the doubling written out in place rather than called;
-_add and _dbl remain the reference formulas, which every other caller uses
-and which compute the same values.
+_sum's one pass, where nearly all of the time goes, has the addition and
+the doubling written out in place rather than called; _add and _dbl remain
+the reference formulas, which every other caller uses and which compute
+the same values.
 
 Every multiple, sum and addition is one _sum, under one rule: a sum of
 terms k*Q is exact in its integer scalars, torsion included. A term +-1 is
@@ -40,12 +40,15 @@ per nonzero digit, about 31 additions and no doubling. Interleaving the
 rows over three levels (Lim and Lee, CRYPTO 1994) would keep a third of
 the entries for doublings on every multiple; the doublings cost more time
 than the entries cost memory. Any other term runs as |k| times +-Q, with
-no reduction mod q, on one width-4 wNAF doubling chain that all of them
-share (Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve
-Cryptography", Alg. 3.36, interleaved): about 250 doublings and 50
-additions for a 249-bit k. Both only add and double with the complete
-formulas, so neither needs a case for the neutral point, a torsion point or
-an addition whose two operands are equal.
+no reduction mod q, as a width-4 wNAF: about 250 doublings and 50
+additions for a 249-bit k. Every term of a sum drops its points into
+buckets by position, the +-1 and comb ones at position 0, and one pass
+walks down the positions, doubling once per position and adding each
+bucket, so all the wNAF terms share one doubling chain (Straus's trick;
+Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve Cryptography",
+3.3.3). The pass only adds and doubles with the complete formulas, so it
+needs no case for the neutral point, a torsion point or an addition whose
+two operands are equal.
 
 Point.multiples, and so k*Q, takes k mod q first, as a Scalar holds it, so
 k*Q == (k mod q)*Q exactly for every Q; P + Q is the sum 1*P + 1*Q. A
@@ -139,11 +142,13 @@ class OpCounter:
     point_adds tick per explicit addition, and for sum_of_multiples and
     sum_is_neutral the Ms and Ap their caller says the sum stands for.
     The steps of a sum land in inner_adds / inner_doubles and stay out of
-    the headline numbers: a +-1 term is one addition; a term on a comb
-    adds one table entry per nonzero digit and never doubles; a chain
-    term doubles once per wNAF digit and adds once per nonzero digit,
-    plus one doubling and three additions for its table of odd
-    multiples; the first step of a sum is loaded, not added.
+    the headline numbers. A sum is one pass that adds every point its
+    terms drop into a bucket, the first loaded rather than added, and
+    doubles once per position below the highest wNAF digit of any term:
+    a +-1 term drops one point; a term on a comb one table entry per
+    nonzero digit, at position 0, so a sum of those never doubles; a
+    wNAF term one odd multiple per nonzero digit, and it books one
+    doubling and up to three additions for its table of odd multiples.
     inversions counts field inversions mod p: one per batch, the return to
     affine form (so one per k*P, per Point.multiples() call and per
     addition), none for a batch whose every sum has no nonzero term, none
@@ -234,8 +239,7 @@ def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, u2, z2=1):
     # add-2008-hwcd: 9 multiplications, 8 when the second operand is affine,
     # one fewer without T. F and G are Z1*Z2*(1 -+ d*x1*x2*y1*y2), never
     # zero on curve points. A, B and x2 + y2 stay unreduced: E and H each
-    # reduce once. _mul_table and _mul_wnaf inline this and _dbl step for
-    # step.
+    # reduce once. _sum's pass inlines this and _dbl step for step.
     A = X1 * x2
     B = Y1 * y2
     C = T1 * u2 % p
@@ -281,129 +285,6 @@ def _wnaf(k):
         out.append((pos, dgt))
         k -= dgt
     return out
-
-
-def _mul_table(p, pairs):
-    """The sum of k*B over pairs of (B's comb table, k), each 0 < k < q;
-    returns (X, Y, Z, T, adds).
-
-    Recodes k into signed digits in [1 - 2^(_W-1), 2^(_W-1)], least
-    significant first: a digit above 2^(_W-1) becomes digit - 2^_W and
-    carries one into the next. Digit j adds row j's entry, negated for a
-    negative digit; the first entry is loaded, not added. k < q < 2^b needs
-    b // _W + 1 digits, one per row: the top digit and its carry stay
-    within 2^(_W-1). The additions are _add written out.
-    """
-    half, mask = 1 << (_W - 1), (1 << _W) - 1
-    X = None
-    adds = 0
-    for table, k in pairs:
-        for row in table:
-            dgt = k & mask
-            k >>= _W
-            if dgt > half:
-                k += 1
-                x2, y2, u2 = row[mask + 1 - dgt]
-                x2, u2 = p - x2, p - u2
-            elif dgt:
-                x2, y2, u2 = row[dgt]
-            else:
-                continue
-            if X is None:
-                X, Y, Z, T = x2, y2, 1, x2 * y2 % p
-                continue
-            A = X * x2
-            B = Y * y2
-            C = T * u2 % p
-            E = ((X + Y) * (x2 + y2) - A - B) % p
-            H = (B - A) % p
-            F = Z - C
-            G = Z + C
-            X, Y, Z, T = E * F % p, G * H % p, F * G % p, E * H % p
-            adds += 1
-    return X, Y, Z, T, adds
-
-
-def _mul_wnaf(p, d, terms, addend=None):
-    """The sum of k*(x, y) over terms of (x, y, k), each k > 0, plus addend.
-
-    Every term is recoded as a width-_WNAF NAF and all of them share one
-    doubling chain (Straus's trick, as interleaving with NAFs in Hankerson,
-    Menezes, Vanstone), so n terms cost about 250 doublings in all and 50
-    additions each. addend, a point in the cached extended form, is
-    added at the last position. Returns (X, Y, Z, doubles, adds).
-
-    The odd multiples Q, 3Q, ... stay extended, so they are added with the
-    general Z2 and the whole sum still inverts at most once. A term builds
-    no multiple beyond k: a digit never exceeds k.
-    """
-    dbls = adds = 0
-    odds, luts, steps = [], [], []
-    for j, (x, y, k) in enumerate(terms):
-        odd = [(x, y, 1, x * y % p)]
-        n_odd = min(1 << (_WNAF - 2), (k + 1) >> 1)
-        if n_odd > 1:
-            two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
-            for _ in range(n_odd - 1):
-                odd.append(_add(p, True, *odd[-1], *two))
-            dbls += 1
-            adds += n_odd - 1
-        # indexed by digit; a negative digit indexes from the end
-        lut = [None] * (1 << _WNAF)
-        for i, pt in enumerate(odd):
-            e = _cache_ext(p, d, *pt)
-            lut[2 * i + 1] = e
-            lut[-2 * i - 1] = _neg(p, *e)
-        odds.append(odd)
-        luts.append(lut)
-        steps += [(pos, dgt, j) for pos, dgt in _wnaf(k)]
-    if addend is not None:
-        # a digit 0 at position 0 of a term whose only entry is addend
-        luts.append([addend])
-        steps.append((0, 0, len(luts) - 1))
-    # every nonzero digit of every term, top position first; the chain
-    # starts from the first, a top digit, which is positive. The steps are
-    # _dbl and _add written out; only an addition reads T, so T is made
-    # after the last doubling before one, and by an addition only when
-    # the next step adds at the same position.
-    steps.sort(reverse=True)
-    top, dgt, j = steps[0]
-    X, Y, Z, T = odds[j][dgt >> 1]
-    at = top
-    n = len(steps)
-    for i in range(1, n):
-        pos, dgt, j = steps[i]
-        if pos < at:
-            for _ in range(at - pos):
-                A = X * X % p
-                B = Y * Y % p
-                E = 2 * X * Y % p
-                G = A + B
-                F = (G - 2 * Z * Z) % p
-                H = A - B
-                X, Y, Z = E * F % p, G * H % p, F * G % p
-            T = E * H % p
-            at = pos
-        x2, y2, u2, z2 = luts[j][dgt]
-        A = X * x2
-        B = Y * y2
-        C = T * u2 % p
-        D = Z if z2 == 1 else Z * z2 % p
-        E = ((X + Y) * (x2 + y2) - A - B) % p
-        H = (B - A) % p
-        F = D - C
-        G = D + C
-        X, Y, Z = E * F % p, G * H % p, F * G % p
-        if i + 1 < n and steps[i + 1][0] == pos:
-            T = E * H % p
-    for _ in range(at):
-        A = X * X % p
-        B = Y * Y % p
-        E = 2 * X * Y % p
-        G = A + B
-        F = (G - 2 * Z * Z) % p
-        X, Y, Z = E * F % p, G * (A - B) % p, F * G % p
-    return X, Y, Z, dbls + top, adds + n - 1
 
 
 def _to_affine(p, ext, ctr) -> list:
@@ -899,15 +780,35 @@ def in_prime_subgroup(pt: Point) -> bool:
 
 def _sum(curve: CurveParams, terms, ctr):
     """sum of k_i*Q_i over terms (Q_i, k_i), int k_i, as extended
-    (X, Y, Z, ...) with no inversion, or None when no term is left;
-    books its inner steps on ctr.
+    (X, Y, Z) with no inversion, or None when no term is left; books its
+    inner steps on ctr.
 
     The module's one rule: terms on equal points are summed first, and
     then a term +-1 is one addition, a term on a point with a comb table
     (P or Ppub, of order q) counts k_i mod q on its comb, and any other
-    term joins one wNAF doubling chain as |k_i|*(+-Q_i), with no reduction
-    mod q, so the sum is exact in the scalars as given. The combs' sum
-    and the additions are the chain's addend.
+    term runs as |k_i|*(+-Q_i), with no reduction mod q, so the sum is
+    exact in the scalars as given.
+
+    Every term drops cached points into buckets by position, and one pass
+    adds them all on one doubling chain (Straus's trick, as interleaving
+    with NAFs in Hankerson, Menezes, Vanstone): a +-1 term drops its point
+    at position 0; a comb term drops one row entry per nonzero signed
+    radix-2^_W digit, negated for a negative digit, also at position 0;
+    any other term drops one of +-Q, +-3Q, ... per nonzero width-_WNAF
+    NAF digit, at that digit's position. The pass starts from one point,
+    loaded rather than added: the top digit of the chain term whose top
+    position is highest, taken out of its bucket, or with no chain term
+    the first comb entry or +-1 point. It then doubles once per position
+    below and adds each position's bucket, with _dbl and _add written out.
+    Only an addition reads T, so a doubling makes T only before a
+    non-empty bucket, and an addition only when another one follows it.
+
+    A comb digit above 2^(_W-1) becomes digit - 2^_W and carries one into
+    the next: k < q < 2^b needs b // _W + 1 digits, one per row, and the
+    top digit and its carry stay within 2^(_W-1). A chain term's odd
+    multiples stay extended, so they are added with the general Z2 and the
+    sum still inverts at most once; a term builds no multiple beyond k, as
+    a digit never exceeds k.
     """
     p, d, q = curve.p, curve.d, curve.q
     merged = {}
@@ -919,32 +820,92 @@ def _sum(curve: CurveParams, terms, ctr):
             merged[key][1] += k
         else:
             merged[key] = [pt, k]
-    combs, ones, chain = [], [], []
+    half, mask = 1 << (_W - 1), (1 << _W) - 1
+    # position 0's bucket, +-1 points, chain terms (+-x, y, |k|)
+    zero, ones, chain = [], [], []
     for pt, k in merged.values():
         if k == 1 or k == -1:
             ones.append((pt.x if k == 1 else -pt.x % p, pt.y))
         elif pt._table is not None:
-            if k % q:
-                combs.append((pt._table, k % q))
+            k %= q
+            for row in pt._table:
+                dgt = k & mask
+                k >>= _W
+                if dgt > half:
+                    k += 1
+                    x2, y2, u2 = row[mask + 1 - dgt]
+                    zero.append((p - x2, y2, p - u2, 1))
+                elif dgt:
+                    x2, y2, u2 = row[dgt]
+                    zero.append((x2, y2, u2, 1))
         elif k:
             chain.append((pt.x if k > 0 else -pt.x % p, pt.y, abs(k)))
-    acc, dbls, adds = None, 0, 0
-    if combs:
-        *acc, adds = _mul_table(p, combs)
-    for x, y in ones:
-        if acc is None:
-            acc = (x, y, 1, x * y % p)
-        else:
-            acc = _add(p, True, *acc, *_cache(p, d, x, y))
-            adds += 1
+    buckets = [zero]
+    dbls = adds = 0
+    top = -1
+    for x, y, k in chain:
+        odd = [(x, y, 1, x * y % p)]
+        n_odd = min(1 << (_WNAF - 2), (k + 1) >> 1)
+        if n_odd > 1:
+            two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
+            for _ in range(n_odd - 1):
+                odd.append(_add(p, True, *odd[-1], *two))
+            dbls += 1
+            adds += n_odd - 1
+        # indexed by digit; a negative digit indexes from the end
+        lut = [None] * (1 << _WNAF)
+        for i, pt in enumerate(odd):
+            e = _cache_ext(p, d, *pt)
+            lut[2 * i + 1] = e
+            lut[-2 * i - 1] = _neg(p, *e)
+        digits = _wnaf(k)
+        pos, dgt = digits[-1]
+        buckets += [[] for _ in range(len(buckets), pos + 1)]
+        for at, digit in digits:
+            buckets[at].append(lut[digit])
+        if pos > top:
+            top, load, entry = pos, odd[dgt >> 1], lut[dgt]
     if chain:
-        addend = None if acc is None else _cache_ext(p, d, *acc)
-        *acc, dbls, more_adds = _mul_wnaf(p, d, chain, addend)
-        adds += more_adds
+        buckets[top].remove(entry)
+        X, Y, Z, T = load
+    elif zero or ones:
+        top = 0
+        x, y = zero.pop(0)[:2] if zero else ones.pop(0)
+        X, Y, Z, T = x, y, 1, x * y % p
+    else:
+        return None
+    zero += [_cache(p, d, x, y) + (1,) for x, y in ones]
+    for pos in range(top, -1, -1):
+        bucket = buckets[pos]
+        if pos < top:
+            A = X * X % p
+            B = Y * Y % p
+            E = 2 * X * Y % p
+            G = A + B
+            F = (G - 2 * Z * Z) % p
+            H = A - B
+            X, Y, Z = E * F % p, G * H % p, F * G % p
+            if not bucket:
+                continue
+            T = E * H % p
+        last = len(bucket) - 1
+        adds += last + 1
+        for i, (x2, y2, u2, z2) in enumerate(bucket):
+            A = X * x2
+            B = Y * y2
+            C = T * u2 % p
+            D = Z if z2 == 1 else Z * z2 % p
+            E = ((X + Y) * (x2 + y2) - A - B) % p
+            H = (B - A) % p
+            F = D - C
+            G = D + C
+            X, Y, Z = E * F % p, G * H % p, F * G % p
+            if i < last:
+                T = E * H % p
     if ctr is not None:
-        ctr.inner_doubles += dbls
+        ctr.inner_doubles += dbls + top
         ctr.inner_adds += adds
-    return acc
+    return X, Y, Z
 
 
 def _booked(ms: int, ap: int):

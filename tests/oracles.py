@@ -21,17 +21,34 @@ The security arguments are executable:
 
 * special soundness: two accepting proof transcripts with one commitment
   and two challenges reveal the witness.
+
+The known attacks are executable too (tests/test_known_attacks.py pins
+each outcome): a keyless presentation token, a hidden attribute read off
+a guess list, and the ROS forgery that bits(q) concurrent signing
+sessions allow.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from edcred.curve import Point, Scalar, _add, _cache, inv_mod
-from edcred.hashing import challenge_scalar, hash_block, hash_points
-from edcred.issuance import MAX_ATTRIBUTES
+from edcred.credential import (
+    PresentationSignature,
+    PresentationToken,
+    presentation_context,
+)
+from edcred.curve import Point, Scalar, _add, _cache, inv_mod, sum_of_multiples
+from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block, hash_points
+from edcred.issuance import (
+    MAX_ATTRIBUTES,
+    Credential,
+    IssuanceRequest,
+    UserBlindState,
+    issuer_start,
+    user_unblind,
+)
 from edcred.protocol import _body_scalar, decode_request
 from edcred.schnorr import fs_prove, fs_verify
-from edcred.wire import MSG_ISS1, MSG_ISS2, MSG_ISS3
+from edcred.wire import MSG_ISS1, MSG_ISS2, MSG_ISS3, new_session_id
 
 # Hard cap for the exhaustive helpers; anything bigger is not a toy curve.
 MAX_ENUMERABLE_P = 10_000
@@ -203,3 +220,84 @@ def extract_witness(t1, t2) -> Scalar:
     if t1.challenge == t2.challenge:
         raise ValueError("challenges must differ")
     return (t1.response - t2.response) * (t1.challenge - t2.challenge).inverse()
+
+
+# -- known attacks -------------------------------------------------------------
+
+def forge_presentation(params, rng) -> PresentationToken:
+    """A full-show token with no issuance behind it: a simulate_issue
+    triple on a random h, with the forger's own master secret, P_0 and a
+    proof for it under the token's context."""
+    curve = params.curve
+    h = curve.random_nonzero(rng)
+    r_point, s = simulate_issue(h, params, rng)
+    sig = PresentationSignature(r_point=r_point, s=s, h=h)
+    m0 = curve.random_nonzero(rng)
+    p0 = m0 * curve.base
+    session_id = new_session_id(rng)
+    proof = fs_prove(m0, p0, presentation_context(params, session_id, sig), rng)
+    return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
+
+
+def guess_hidden(token, index: int, labels, params):
+    """The label among labels whose attribute scalar commits to the hidden
+    point at index of a disclosure token, or None: one multiple per
+    guess."""
+    curve = params.curve
+    target = token.hidden_points[index]
+    for label in labels:
+        if attr_to_scalar(label, curve) * curve.base == target:
+            return label
+    return None
+
+
+def ros_forge(key, params, honest: tuple, other: tuple, forged: tuple, rng) -> list:
+    """bits(q) + 1 credentials that pass verify_credential from bits(q)
+    signing sessions held open at once, the last on the attributes forged,
+    which no session signed (Benhamouda, Lepoint, Loss, Orru, Raykova,
+    EUROCRYPT 2021).
+
+    honest and other are two attribute lists with one master secret. Each
+    session i blinds its nonce R'_i once, to R_i = alpha_i*R'_i + beta_i*P,
+    and so has two hash-bound candidates c_i^b = H_b(R_i) / alpha_i, one
+    per list. With a_i = 2^i / (c_i^1 - c_i^0), the forged nonce is
+    R* = sum a_i*R'_i + (sum a_i*c_i^0)*Ppub and its h* = H(forged, R*).
+    Session i is signed on c_i^(bit i of h*), so that
+    sum a_i*c_i = sum a_i*c_i^0 + h*, and then s* = sum a_i*s'_i
+    satisfies s* * P == h* * Ppub + R*.
+    """
+    curve = params.curve
+    base, q = curve.base, curve.q
+    commitments = [base.multiples(attrs) for attrs in (honest, other)]
+    p0 = commitments[0][0]
+    if commitments[1][0] != p0:
+        raise ValueError("the two attribute lists need one master secret")
+    # the proof binds no session, so one proof serves every request
+    proof = fs_prove(honest[0], p0, b"", rng)
+    sessions = [issuer_start(key, params, rng) for _ in range(q.bit_length())]
+    blinds = []
+    for _, r_bar in sessions:
+        while True:
+            alpha, beta = curve.random_nonzero(rng), curve.random_nonzero(rng)
+            r_point = alpha * r_bar + beta * base
+            hs = [hash_block(block, r_point) for block in commitments]
+            if hs[0] != hs[1]:
+                break
+        blinds.append((alpha, beta, r_bar, r_point, hs, [h * alpha.inverse() for h in hs]))
+    weights = [Scalar(1 << i, q) * (cs[1] - cs[0]).inverse()
+               for i, (*_, cs) in enumerate(blinds)]
+    shift = sum((a * cs[0] for a, (*_, cs) in zip(weights, blinds)), Scalar(0, q))
+    terms = [(r_bar, a.v) for a, (_, _, r_bar, *_) in zip(weights, blinds)]
+    r_star, = sum_of_multiples(curve, [terms + [(params.p_pub, shift.v)]], ms=len(terms) + 1,
+                               ap=len(terms))
+    h_star = hash_block(base.multiples(forged), r_star)
+    creds, s_star = [], Scalar(0, q)
+    for i, ((session, _), a, (alpha, beta, r_bar, r_point, hs, cs)) in enumerate(
+            zip(sessions, weights, blinds)):
+        b = h_star.v >> i & 1
+        s_bar = session.sign(IssuanceRequest(h_bar=cs[b], commitment0=p0, proof=proof))
+        state = UserBlindState(alpha=alpha, beta=beta, r_bar=r_bar, r_point=r_point,
+                               h=hs[b], h_bar=cs[b], attrs=(honest, other)[b])
+        creds.append(user_unblind(state, s_bar, params))
+        s_star = s_star + a * s_bar
+    return creds + [Credential(attrs=forged, r_point=r_star, s=s_star, h=h_star)]

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 import edcred
+from edcred import cli
 from edcred.cli import main
 from edcred.credential import check_equation, signature_of
 from edcred.disclosure import DisclosureToken
@@ -368,6 +369,54 @@ def test_serve_removes_its_socket_when_the_session_fails(deploy, tmp_path):
     thread.join(timeout=10)
     assert result.get("rc") == 2
     assert not os.path.lexists(sock)
+
+
+def test_serve_times_out_on_a_silent_peer(deploy, tmp_path, monkeypatch, capsys):
+    # a peer that connects and sends nothing ends the session with exit 2
+    out, _ = deploy
+    monkeypatch.setattr(cli, "SESSION_TIMEOUT", 0.2)
+    sock = str(tmp_path / "iss.sock")
+    result = {}
+
+    def serve():
+        result["rc"] = main(["serve", "--params", str(out), "--listen", sock, "--seed", "1"])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        for _ in range(200):
+            try:
+                conn.connect(sock)
+                break
+            except OSError:
+                time.sleep(0.05)
+        thread.join(timeout=10)
+    assert not thread.is_alive() and result.get("rc") == 2
+    assert "timed out" in capsys.readouterr().err
+    assert not os.path.lexists(sock)
+
+
+def test_issue_times_out_on_a_silent_issuer(deploy, tmp_path, monkeypatch, capsys):
+    # an issuer that takes the connection and never sends its nonce
+    out, attrs = deploy
+    monkeypatch.setattr(cli, "SESSION_TIMEOUT", 0.2)
+    sock = str(tmp_path / "iss.sock")
+    cred_file = tmp_path / "c.bin"
+    result = {}
+
+    def issue():
+        result["rc"] = main(["issue", "--params", str(out), "--attrs", str(attrs),
+                             "--connect", sock, "--out", str(cred_file), "--seed", "1"])
+
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
+        server.bind(sock)
+        server.listen(1)
+        thread = threading.Thread(target=issue, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and result.get("rc") == 2
+    assert "timed out" in capsys.readouterr().err
+    assert not cred_file.exists()
 
 
 def test_bench_prints_count_table(capsys):

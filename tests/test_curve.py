@@ -585,10 +585,18 @@ def test_opcounter_inner_steps_for_q_minus_1(prod):
     assert (ops.inner_adds, ops.inner_doubles) == (29, 250)
 
 
+def one_pass(c, terms):
+    """_sum's (X, Y, Z) of terms, with the doublings and additions it
+    books."""
+    with OpCounter() as ops:
+        ext = curve_mod._sum(c, terms, ops)
+    return ext, ops.inner_doubles, ops.inner_adds
+
+
 def test_mul_wnaf_terms_share_one_chain(toy, prod):
-    # one term: the counts above, now from the joint routine directly
+    # one term: the counts above, now from the one pass directly
     k = prod.q - 1
-    _, _, _, dbls, adds = curve_mod._mul_wnaf(prod.p, prod.d, [(prod.base.x, prod.base.y, k)])
+    _, dbls, adds = one_pass(prod, [(Point(prod.base.x, prod.base.y, prod), k)])
     assert (adds, dbls) == (29, 250)
     toy_pts = enumerate_points(toy)
     for c in (toy, prod):
@@ -597,8 +605,7 @@ def test_mul_wnaf_terms_share_one_chain(toy, prod):
             pts = [rng.choice(toy_pts) if c is toy else rng.randrange(1, c.q) * c.base
                    for _ in range(n)]
             ks = [rng.choice([1, 2, 3, 5, rng.randrange(1, c.q)]) for _ in range(n)]
-            X, Y, Z, dbls, adds = curve_mod._mul_wnaf(
-                c.p, c.d, [(pt.x, pt.y, k) for pt, k in zip(pts, ks)])
+            (X, Y, Z), dbls, adds = one_pass(c, list(zip(pts, ks)))
             expect = c.neutral()
             for pt, k in zip(pts, ks):
                 expect = expect + affine_mul(k, pt)
@@ -608,6 +615,65 @@ def test_mul_wnaf_terms_share_one_chain(toy, prod):
             # doubling for each term with a 3Q
             top = max(curve_mod._wnaf(k)[-1][0] for k in ks)
             assert dbls == top + sum(k >= 3 for k in ks)
+
+
+def pass_steps(c, terms):
+    """(doublings, additions) that one pass over terms, on distinct points,
+    books: each comb digit, +-1 point and wNAF digit is one addition but
+    the first, loaded; the chain doubles down from the highest top digit;
+    a wNAF term's odd multiples cost one doubling and n_odd - 1 additions."""
+    dbls, adds, top = 0, -1, 0
+    for pt, k in terms:
+        if k in (1, -1):
+            adds += 1
+        elif pt._table is not None:
+            adds += sum(map(bool, signed_digits(k % c.q, len(pt._table))))
+        else:
+            digits = curve_mod._wnaf(abs(k))
+            top = max(top, digits[-1][0])
+            n_odd = min(4, (abs(k) + 1) >> 1)
+            dbls += n_odd > 1
+            adds += len(digits) + n_odd - 1
+    return dbls + top, adds
+
+
+def test_one_pass_loads_the_highest_top_digit(toy, prod):
+    """The pass loads one top digit and takes it out of its bucket, however
+    the terms' top digits fall: at position 0 (k = 3, 5, 7), two terms on
+    the same top position, a later term above an earlier one, and comb,
+    chain and +-1 terms in one sum; against the affine reference, in
+    values and in the steps booked."""
+    for c in (toy, prod):
+        rng = make_rng(f"onepass:{c.name}")
+        q = c.q
+        pts = []
+        while len(pts) < 4:
+            pt = rng.randrange(2, q) * c.base
+            if all(pt != other and pt != -other for other in pts):
+                pts.append(pt)
+        a, b, e, f = pts
+        r = rng.randrange(1, q)
+        cases = [
+            [(a, 3)],
+            [(a, -3), (b, 5)],
+            [(a, 7), (c.base, r)],
+            [(a, 3), (b, 1), (e, -1)],
+            [(a, 2**6 + 1), (b, 2**6 + 3)],
+            [(a, -(2**6 + 5)), (b, 2**6 + 1), (c.base, r)],
+            [(a, 2**4 + 1), (b, 2**7 + 3)],
+            [(a, 3), (b, -(2**7 + 1)), (e, 2**5 + 3)],
+            [(c.base, r), (a, rng.randrange(2, q)), (b, 1), (e, -1), (f, -rng.randrange(2, q))],
+            [(a, 1), (c.base, r), (b, 9), (e, -1)],
+        ]
+        for terms in cases:
+            ext, dbls, adds = one_pass(c, terms)
+            expect = c.neutral()
+            for pt, k in terms:
+                expect = oracle_add(c, expect, exact_mul(k % q if pt is c.base else k, pt))
+            assert affine(c, ext) == expect, terms
+            assert (dbls, adds) == pass_steps(c, terms), terms
+            got, = curve_mod.sum_of_multiples(c, [terms[::-1]], ms=0, ap=0)
+            assert got == expect
 
 
 def affine(c, ext):
@@ -630,7 +696,8 @@ def signed_digits(k, n):
 
 
 def reference_comb(p, table, k):
-    """_mul_table's comb for one base, one _add or _neg call per step."""
+    """A comb term's steps in _sum's pass, one _add or _neg call per step:
+    the first entry loaded, the others added in row order."""
     _add, _neg = curve_mod._add, curve_mod._neg
     X = None
     for dgt, row in zip(signed_digits(k, len(table)), table):
@@ -640,11 +707,11 @@ def reference_comb(p, table, k):
                 X, Y, Z, T = e[0], e[1], 1, e[0] * e[1] % p
             else:
                 X, Y, Z, T = _add(p, True, X, Y, Z, T, *e)
-    return X, Y, Z, T
+    return X, Y, Z
 
 
 def reference_chain(p, d, x, y, k):
-    """_mul_wnaf's chain for one term, one _add or _dbl call per step."""
+    """A wNAF term's steps in _sum's pass, one _add or _dbl call per step."""
     _add, _dbl, _cache_ext = curve_mod._add, curve_mod._dbl, curve_mod._cache_ext
     odd = [(x, y, 1, x * y % p)]
     two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
@@ -684,9 +751,9 @@ def near_p_points(c, n):
 
 
 def test_inlined_loops_match_reference_steps(toy, prod):
-    """The comb and the chain, with _add and _dbl written out and A and B
-    left unreduced, give the extended coordinates that one call per step
-    gives, and the points of the affine oracles; for negative digits,
+    """_sum's pass, with _add and _dbl written out and A and B left
+    unreduced, gives for a comb term and for a wNAF term the extended
+    coordinates that one call per step gives, and the points of the affine oracles; for negative digits,
     through built rows and P's shipped rows, and on curve1174 for entries
     with a coordinate at or near p - 1."""
     half = 1 << (curve_mod._W - 1)
@@ -705,17 +772,19 @@ def test_inlined_loops_match_reference_steps(toy, prod):
             # P's shipped rows, read through their decoding
             base = fresh_curve1174().base
             for k in ks:
-                got = curve_mod._mul_table(p, [(base._table, k)])
-                assert got[:4] == reference_comb(p, base._table, k)
+                got = curve_mod._sum(base.curve, [(base, k)], None)
+                assert got == reference_comb(p, base._table, k)
                 assert affine(c, got) == affine_mul(k, c.base)
         for pt in pts:
-            table = Point(pt.x, pt.y, c).precompute()._table
+            comb = Point(pt.x, pt.y, c).precompute()
+            plain = Point(pt.x, pt.y, c)
             for k in ks:
                 expect = oracle_mul(k, pt) if c is toy else affine_mul(k, pt)
-                got = curve_mod._mul_table(p, [(table, k)])
-                assert got[:4] == reference_comb(p, table, k)
-                assert affine(c, got) == expect
-                got = curve_mod._mul_wnaf(p, d, [(pt.x, pt.y, k)])
+                # a comb counts k mod q, whatever the order of its point
+                got = curve_mod._sum(c, [(comb, k)], None)
+                assert got == reference_comb(p, comb._table, k % q)
+                assert affine(c, got) == (oracle_mul(k % q, pt) if c is toy else expect)
+                got = curve_mod._sum(c, [(plain, k)], None)
                 if k > 7:  # the reference builds all of Q, 3Q, 5Q, 7Q
                     assert got[:3] == reference_chain(p, d, pt.x, pt.y, k)
                 assert affine(c, got) == expect
@@ -725,6 +794,9 @@ def test_inlined_loops_match_reference_steps(toy, prod):
             pts = near_p_points(c, 2 * half)
             table = [{m: curve_mod._cache(p, d, pt.x, pt.y) for m, pt in enumerate(pts[j:j + half], 1)}
                      for j in (0, half)]
+            # on the point of digit 1, which a term k = 1 adds as it is
+            comb = Point(pts[0].x, pts[0].y, c)
+            comb._table = table
             for k in (1, 127, 128, 129, 255, 129 + 127 * 256, 128 + 128 * 256, 2**15 - 1,
                       rng.randrange(1, 128 + 128 * 256 + 1)):
                 expect = c.neutral()
@@ -732,8 +804,8 @@ def test_inlined_loops_match_reference_steps(toy, prod):
                     if dgt:
                         term = pts[j * half + abs(dgt) - 1]
                         expect = oracle_add(c, expect, term if dgt > 0 else -term)
-                got = curve_mod._mul_table(p, [(table, k)])
-                assert got[:4] == reference_comb(p, table, k)
+                got = curve_mod._sum(c, [(comb, k)], None)
+                assert got == reference_comb(p, table, k)
                 assert affine(c, got) == expect
 
 

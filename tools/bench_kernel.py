@@ -10,8 +10,10 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 
 - field: a 251-bit mulmod and an inversion;
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table), a
-  batch of 8 multiples of P, one addition P + Q and in_prime_subgroup(Ppub)
-  on Ppub's comb, the subgroup check validate_params makes;
+  batch of 8 multiples of P, one addition P + Q, the blinding sum
+  alpha*R' + beta*P of user_blind (a wNAF term and a comb term in one
+  pass) and in_prime_subgroup(Ppub) on Ppub's comb, the subgroup check
+  validate_params makes;
 - comb table build: Point.precompute() for a fresh point Q, which with
   the comb and wNAF rows gives the signature check at which SystemParams
   builds Ppub's table (_COMB_AT in params.py), the one table built at
@@ -110,6 +112,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
     wide_cred, _ = pkg.run_issuance(params, key, wide, random.Random("wi"), random.Random("wu"))
     wide_token = pkg.present(wide_cred, [], params, random.Random("wide token"))
     wide_data = wide_token.to_bytes(params)
+    r_bar, alpha, beta = rng.randrange(1, q) * base, rng.randrange(1, q), rng.randrange(1, q)
     params_file = os.path.join(workdir, "params.txt")
     key_file = os.path.join(workdir, "issuer.key")
     params.save(params_file)
@@ -117,7 +120,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
-    in_prime_subgroup = importlib.import_module(f"{pkg.__name__}.curve").in_prime_subgroup
+    curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
     seeds = iter(range(1 << 62))
     # the fresh-import rows run a copy of the package, so that no bytecode
     # cache next to its source is ever read
@@ -163,7 +166,9 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "wNAF k*Q": lambda: k * Point(q_pt.x, q_pt.y, curve),
         "batch of 8 k*P": lambda: multiples(batch),
         "one addition P + Q": lambda: base + q_pt,
-        "in_prime_subgroup(Ppub)": lambda: in_prime_subgroup(params.p_pub),
+        "blinding sum alpha*R' + beta*P": lambda: curve_mod.sum_of_multiples(
+            curve, [[(r_bar, alpha), (base, beta)]], ms=2, ap=1),
+        "in_prime_subgroup(Ppub)": lambda: curve_mod.in_prime_subgroup(params.p_pub),
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": issuance,
         "make_presentation n=8": show_holder,
