@@ -33,10 +33,6 @@ from .wire import Reader
 
 MAX_ATTRIBUTES = 64
 
-_STARTED = "started"
-_CHALLENGED = "challenged"
-_SIGNED = "signed"
-
 
 def _check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
     if not 1 <= len(attrs) <= MAX_ATTRIBUTES:
@@ -115,25 +111,37 @@ class IssuanceRequest:
 
 
 class IssuerSession:
-    """One signing session. The nonce k is destroyed when the session signs,
-    and a session never signs twice. A refused request (sign raising on a
-    bad blinded hash, commitment or proof) leaves k and the state as they
-    were, so the same session can still sign a valid request."""
+    """One signing session on an issuer key.
+
+    A key holds one live nonce k, that of the session started on it last:
+    starting a session wipes the nonce of the one before, which can then
+    neither challenge nor sign (SessionError). Sessions on one key object
+    therefore sign one at a time, the setting in which blind Schnorr is
+    proven secure; from bits(q) sessions open at once a user could make
+    one credential more than the issuer signed (ROS). Signing takes the
+    nonce, so a session never signs twice. A refused request (sign raising
+    on a bad blinded hash, commitment or proof) leaves the nonce live, so
+    the same session can still sign a valid request."""
 
     def __init__(self, key: IssuerKey, params: SystemParams, rng):
         self._key = key
         self._params = params
-        self._k = params.curve.random_nonzero(rng)
-        self.r_bar = self._k * params.curve.base
+        k = params.curve.random_nonzero(rng)
+        self.r_bar = k * params.curve.base
         self._challenge = None
-        self.state = _STARTED
+        with key._lock:
+            key._nonce = (self, k)
+
+    def _check_live(self) -> None:
+        if self._key._nonce[0] is not self:
+            raise SessionError("session has signed, or a later one on its key started")
 
     def issue_challenge(self, rng) -> Scalar:
         """Interactive proof path: hand out a fresh challenge, once."""
-        if self.state != _STARTED:
-            raise SessionError(f"cannot challenge in state {self.state}")
+        self._check_live()
+        if self._challenge is not None:
+            raise SessionError("challenge already issued")
         self._challenge = self._params.curve.random_nonzero(rng)
-        self.state = _CHALLENGED
         return self._challenge
 
     def sign(
@@ -148,10 +156,9 @@ class IssuerSession:
 
         The session accepts either a non-interactive proof in the request or,
         after issue_challenge, the bare response to its own challenge.
-        Refuses to sign twice and wipes the nonce afterwards.
+        Takes the key's live nonce, and refuses if the session no longer
+        holds it.
         """
-        if self.state == _SIGNED:
-            raise SessionError("session already signed")
         curve = self._params.curve
         if not isinstance(request.h_bar, Scalar) or request.h_bar.q != curve.q:
             raise InvalidProofError("blinded hash is not a scalar mod q")
@@ -162,7 +169,7 @@ class IssuerSession:
             raise InvalidProofError("commitment is not a point")
 
         with pk_ops if pk_ops is not None else nullcontext():
-            if self.state == _CHALLENGED:
+            if self._challenge is not None:
                 if pk_response is None or request.pk_commitment is None:
                     raise InvalidProofError("interactive proof is incomplete")
                 transcript = SchnorrTranscript(
@@ -181,11 +188,11 @@ class IssuerSession:
         if not ok:
             raise InvalidProofError("proof of knowledge for the master secret failed")
 
-        s_bar = sign_response(request.h_bar, self._key.x, self._k)
-        self._k = None
-        self._challenge = None
-        self.state = _SIGNED
-        return s_bar
+        with self._key._lock:
+            self._check_live()
+            k = self._key._nonce[1]
+            self._key._nonce = (None, None)
+        return sign_response(request.h_bar, self._key.x, k)
 
 
 def sign_response(h_bar: Scalar, x: Scalar, k: Scalar) -> Scalar:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 
 from .curve import (
     CurveParams,
@@ -109,12 +110,19 @@ class SystemParams:
 
 
 class IssuerKey:
-    """The issuer secret x; its public counterpart is the params' Ppub."""
+    """The issuer secret x; its public counterpart is the params' Ppub.
 
-    __slots__ = ("x",)
+    The key also holds one live signing nonce: issuance.IssuerSession sets
+    and takes the (session, k) slot under the key's lock, so that the
+    sessions on one key object sign one at a time.
+    """
+
+    __slots__ = ("x", "_nonce", "_lock")
 
     def __init__(self, x: Scalar):
         self.x = x
+        self._nonce = (None, None)
+        self._lock = threading.Lock()
 
     def format_file(self, params: SystemParams) -> str:
         return params.format_file() + f"x={self.x.v}\n"

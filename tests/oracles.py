@@ -37,6 +37,7 @@ from edcred.credential import (
     presentation_context,
 )
 from edcred.curve import Point, Scalar, _add, _cache, inv_mod, sum_of_multiples
+from edcred.errors import SessionError
 from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block, hash_points
 from edcred.issuance import (
     MAX_ATTRIBUTES,
@@ -265,6 +266,9 @@ def ros_forge(key, params, honest: tuple, other: tuple, forged: tuple, rng) -> l
     Session i is signed on c_i^(bit i of h*), so that
     sum a_i*c_i = sum a_i*c_i^0 + h*, and then s* = sum a_i*s'_i
     satisfies s* * P == h* * Ppub + R*.
+
+    A session the issuer refuses with SessionError gives None in place of
+    its credential and adds nothing to s*.
     """
     curve = params.curve
     base, q = curve.base, curve.q
@@ -295,7 +299,11 @@ def ros_forge(key, params, honest: tuple, other: tuple, forged: tuple, rng) -> l
     for i, ((session, _), a, (alpha, beta, r_bar, r_point, hs, cs)) in enumerate(
             zip(sessions, weights, blinds)):
         b = h_star.v >> i & 1
-        s_bar = session.sign(IssuanceRequest(h_bar=cs[b], commitment0=p0, proof=proof))
+        try:
+            s_bar = session.sign(IssuanceRequest(h_bar=cs[b], commitment0=p0, proof=proof))
+        except SessionError:
+            creds.append(None)
+            continue
         state = UserBlindState(alpha=alpha, beta=beta, r_bar=r_bar, r_point=r_point,
                                h=hs[b], h_bar=cs[b], attrs=(honest, other)[b])
         creds.append(user_unblind(state, s_bar, params))

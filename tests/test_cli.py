@@ -21,8 +21,17 @@ from edcred.credential import check_equation, signature_of
 from edcred.disclosure import DisclosureToken
 from edcred.hashing import hash_block
 from edcred.issuance import Credential
-from edcred.params import SystemParams
-from edcred.wire import Transcript, WireMessage, decode_message, encode_message
+from edcred.params import IssuerKey, SystemParams
+from edcred.protocol import IssuerEngine
+from edcred.wire import (
+    MSG_ISS1,
+    Transcript,
+    WireMessage,
+    decode_message,
+    encode_message,
+    read_message,
+    write_message,
+)
 
 from oracles import simulate_issue
 
@@ -257,6 +266,57 @@ def test_verify_malformed_is_exit_2(deploy, tmp_path):
     junk.write_bytes(b"this is not a token")
     assert main(["verify", "--params", str(out), "--token", str(junk)]) == 2
     assert main(["verify", "--params", str(out), "--token", str(tmp_path / "absent")]) == 2
+
+
+def test_verify_refuses_a_message_that_is_no_token(deploy, tmp_path, capsys):
+    out, _ = deploy
+    offer = tmp_path / "offer.bin"
+    offer.write_bytes(encode_message(WireMessage(MSG_ISS1, b"S" * 16, b"nonce")))
+    assert main(["verify", "--params", str(out), "--token", str(offer)]) == 2
+    assert "not a token" in capsys.readouterr().err
+
+
+def test_issue_refuses_an_empty_label_file(deploy, tmp_path, capsys):
+    out, _ = deploy
+    labels = tmp_path / "empty.txt"
+    labels.write_text("# no labels\n\n")
+    cred_file = tmp_path / "c.bin"
+    assert main(["issue", "--params", str(out), "--attrs", str(labels),
+                 "--out", str(cred_file), "--seed", "3"]) == 2
+    assert "no labels" in capsys.readouterr().err
+    assert not cred_file.exists()
+
+
+def test_issue_from_a_misbehaving_issuer_is_exit_1(deploy, tmp_path, capsys):
+    # an issuer that answers with s' + 1: the user's check refuses it, and
+    # a refusal of the peer's protocol data exits 1, not 2
+    out, attrs = deploy
+    params = SystemParams.load(out / cli.PARAMS_FILE)
+    key = IssuerKey.load(out / cli.ISSUER_KEY_FILE, params)
+    sock = str(tmp_path / "iss.sock")
+    cred_file = tmp_path / "c.bin"
+
+    def bad_issuer(server):
+        conn, _ = server.accept()
+        with conn, conn.makefile("rwb") as stream:
+            engine = IssuerEngine(params, key, random.Random(7))
+            write_message(stream, engine.open())
+            reply = engine.handle(read_message(stream))
+            s_bar = params.curve.scalar(int.from_bytes(reply.body, "big")) + 1
+            body = s_bar.to_bytes(len(reply.body))
+            write_message(stream, WireMessage(reply.msg_type, reply.session_id, body))
+
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
+        server.bind(sock)
+        server.listen(1)
+        thread = threading.Thread(target=bad_issuer, args=(server,), daemon=True)
+        thread.start()
+        rc = main(["issue", "--params", str(out), "--attrs", str(attrs),
+                   "--connect", sock, "--out", str(cred_file), "--seed", "7"])
+        thread.join(timeout=10)
+    assert not thread.is_alive() and rc == 1
+    assert "rejected" in capsys.readouterr().err
+    assert not cred_file.exists()
 
 
 @pytest.mark.parametrize("key, value", [

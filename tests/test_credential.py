@@ -15,6 +15,7 @@ from edcred.credential import (
     verify_presentation,
 )
 from edcred.curve import OpCounter, Point, Scalar
+from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import SystemParams
@@ -202,3 +203,12 @@ def test_presentation_token_decode_rejections(toy_deploy, toy_cred):
         PresentationToken.from_bytes(data[:-1], params, token.session_id)
     with pytest.raises(ValueError):
         PresentationToken.from_bytes(b"\x00" * 32 + data[32:], params, token.session_id)
+
+
+def test_presentation_with_zero_h_refused_at_parse(toy_deploy, toy_cred):
+    params, _ = toy_deploy
+    rng = make_rng("tokzero")
+    token = make_presentation(toy_cred, params, rng, fresh=True)
+    bad = replace(token, sig=replace(token.sig, h=params.curve.scalar(0)))
+    with pytest.raises(WireError, match="h = 0"):
+        PresentationToken.from_bytes(bad.to_bytes(params), params, token.session_id)

@@ -233,6 +233,23 @@ def test_degenerate_fields_rejected(toy_deploy):
     assert not verify_disclosure(zero_attr, params)
 
 
+def test_attribute_count_over_the_cap_rejected(toy_deploy):
+    # a token of 65 attributes whose signature the key really made, with
+    # index 64 disclosed so the hidden bitmap still fits: only the count
+    # check refuses it
+    params, key = toy_deploy
+    curve = params.curve
+    rng = make_rng("over-cap")
+    attrs = [curve.random_nonzero(rng) for _ in range(65)]
+    k = curve.random_nonzero(rng)
+    r_point = k * curve.base
+    h = hash_block([m * curve.base for m in attrs], r_point)
+    token = signed_token(params, attrs, r_point, k + h * key.x, [64], rng)
+    assert token.n_attrs == 65
+    assert check_equation(PresentationSignature(r_point, token.sig_s, h), params)
+    assert not verify_disclosure(token, params)
+
+
 @pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
 def test_zero_fields_refused_at_parse(deploy, request):
     """h = 0 and a zero disclosed attribute are parse errors in a token's

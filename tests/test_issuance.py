@@ -1,14 +1,19 @@
 """Blind issuance: the four-move dance and its failure modes."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from edcred.credential import check_equation, signature_of
 from edcred.curve import OpCounter, Point, Scalar
-from edcred.errors import InvalidProofError, IssuerMisbehavior, SessionError
+from edcred.errors import InvalidProofError, IssuerMisbehavior, SessionError, WireError
 from edcred.hashing import attr_to_scalar, hash_block
 from edcred.issuance import (
     Credential,
     IssuanceRequest,
+    IssuerSession,
     issuer_start,
     sign_response,
     user_blind,
@@ -142,7 +147,7 @@ def test_session_never_signs_twice(toy_deploy):
     session, r_bar = issuer_start(key, params, rng)
     _, request = user_blind(r_bar, sample_attrs(params, rng), params, rng)
     session.sign(request)
-    assert session._k is None  # nonce wiped
+    assert key._nonce == (None, None)  # nonce taken and wiped
     with pytest.raises(SessionError):
         session.sign(request)
     with pytest.raises(SessionError):
@@ -156,6 +161,67 @@ def test_challenge_only_once(toy_deploy):
     session.issue_challenge(rng)
     with pytest.raises(SessionError):
         session.issue_challenge(rng)
+
+
+def test_a_later_session_wipes_the_earlier_nonce(toy_deploy):
+    # one live nonce per key: a second issuer_start on the key leaves the
+    # first session unable to challenge or sign, and the second signs
+    params, key = toy_deploy
+    rng = make_rng("later")
+    first, r_first = issuer_start(key, params, rng)
+    _, request = user_blind(r_first, sample_attrs(params, rng), params, rng)
+    second, r_second = issuer_start(key, params, rng)
+    with pytest.raises(SessionError):
+        first.sign(request)
+    with pytest.raises(SessionError):
+        first.issue_challenge(rng)
+    state, request = user_blind(r_second, sample_attrs(params, rng), params, rng)
+    cred = user_unblind(state, second.sign(request), params)
+    assert check_equation(signature_of(cred), params)
+
+
+def test_concurrent_sessions_sign_only_with_their_own_nonce(toy_deploy, monkeypatch):
+    """Threads starting and signing sessions on one key. A pause after
+    each liveness check widens the window in which another thread's start
+    could swap the key's nonce under a signing session; every response a
+    session gets must still pass its own check equation."""
+    params, key = toy_deploy
+    signed, failures = [], []
+    check_live = IssuerSession._check_live
+
+    def pausing_check_live(session):
+        check_live(session)
+        time.sleep(1e-4)
+
+    monkeypatch.setattr(IssuerSession, "_check_live", pausing_check_live)
+
+    def worker(w):
+        rng = make_rng(f"race:{w}")
+        for _ in range(40):
+            session, r_bar = issuer_start(key, params, rng)
+            state, request = user_blind(r_bar, sample_attrs(params, rng), params, rng)
+            try:
+                s_bar = session.sign(request)
+            except SessionError:
+                continue
+            try:
+                user_unblind(state, s_bar, params)
+            except IssuerMisbehavior as exc:
+                failures.append(exc)
+            signed.append(s_bar)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert signed and not failures
 
 
 def test_sign_rejects_wrong_proof_statement(toy_deploy):
@@ -298,6 +364,17 @@ def test_credential_bytes_rejections(toy_deploy, prod_deploy):
         Credential.from_bytes(data[:-1], params)  # truncated
     with pytest.raises(ValueError):
         Credential.from_bytes(data + b"\x00", params)  # trailing junk
+
+
+def test_credential_with_a_zero_attribute_or_h_refused_at_parse(toy_deploy):
+    params, key = toy_deploy
+    rng = make_rng("credzero")
+    cred = run_full(params, key, sample_attrs(params, rng), rng)
+    zero = params.curve.scalar(0)
+    for bad in (Credential(cred.attrs[:2] + (zero,), cred.r_point, cred.s, cred.h),
+                Credential(cred.attrs, cred.r_point, cred.s, zero)):
+        with pytest.raises(WireError, match="zero attribute or h = 0"):
+            Credential.from_bytes(bad.to_bytes(params), params)
 
 
 def test_credential_equality_is_field_by_field(toy_deploy):

@@ -1,9 +1,10 @@
 """A ledger of the known attacks: each test reproduces one on curve1174
-and asserts today's outcome, that the attack works.
+and asserts today's outcome.
 
-Each names the ROADMAP item whose fix flips it. The PR that lands that
-fix inverts the test's assertion and says so in CHANGES.md, so that this
-list only gets shorter. The attack constructions live in tests/oracles.py.
+Each names the ROADMAP item whose fix flips it. The change that lands a
+fix inverts its test's assertion and says so in CHANGES.md, so that the
+attacks that still work only get fewer. The attack constructions live in
+tests/oracles.py.
 """
 
 import random
@@ -76,11 +77,11 @@ def test_hidden_attribute_recovered_from_a_guess_list(prod_deploy):
 
 
 @pytest.mark.parametrize("name", ["toy", "prod"])
-def test_ros_forges_one_more_credential_than_sessions(name):
-    # flips with ROADMAP item 6: one live nonce per issuer key. bits(q)
-    # sessions held open at once yield bits(q) + 1 credentials, the last
-    # on attributes no session signed: 249 sessions and 250 credentials on
-    # curve1174, 8 and 9 on the toy curve
+def test_ros_only_the_last_session_on_a_key_signs(name):
+    # flipped by ROADMAP item 6, one live nonce per issuer key: of bits(q)
+    # sessions started on one key (249 on curve1174, 8 on the toy curve)
+    # every one but the last is refused at sign, and the credential forged
+    # from the open sessions' nonces does not verify
     params, key = setup(name, random.Random(f"ledger:ros:{name}"))
     curve = params.curve
     rng = make_rng(f"ledger:ros:{name}")
@@ -90,13 +91,13 @@ def test_ros_forges_one_more_credential_than_sessions(name):
     creds = ros_forge(key, params, honest, other, forged, rng)
     sessions = curve.q.bit_length()
     assert sessions == (8 if name == "toy" else 249)
-    assert len(creds) == sessions + 1
-    assert all(verify_credential(cred, params) for cred in creds)
-    *signed, forgery = creds
+    *refused, signed, forgery = creds
+    assert refused == [None] * (sessions - 1)
+    assert signed.attrs in (honest, other) and verify_credential(signed, params)
     assert forgery.attrs == forged
-    assert all(cred.attrs in (honest, other) for cred in signed)
+    assert not verify_credential(forgery, params)
     token = present(forgery, [1], params, rng)
-    assert verify_disclosure(wire_round_trip(token, MSG_DISCLOSE, DisclosureToken, params), params)
+    assert not verify_disclosure(wire_round_trip(token, MSG_DISCLOSE, DisclosureToken, params), params)
 
 
 def shared_fields(a, b) -> list:

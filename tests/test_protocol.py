@@ -19,7 +19,7 @@ from edcred.protocol import (
     run_issuance,
     serve_issuance,
 )
-from edcred.wire import MSG_ISS2, MSG_ISS3, WireMessage
+from edcred.wire import MSG_CHAL, MSG_ISS2, MSG_ISS3, WireMessage
 
 from conftest import make_rng
 
@@ -162,6 +162,35 @@ def test_engines_enforce_state_order(toy_deploy):
     user = UserEngine(params, attrs_for(params, make_rng("stateu")), make_rng("stateu"))
     with pytest.raises(SessionError):
         user.handle(WireMessage(MSG_ISS3, issuer.session_id, b""))  # response before offer
+
+
+def test_user_engine_enforces_session_id_and_order(toy_deploy):
+    params, key = toy_deploy
+    issuer = IssuerEngine(params, key, make_rng("usidi"))
+    user = UserEngine(params, attrs_for(params, make_rng("usidu")), make_rng("usidu"))
+    response = issuer.handle(user.handle(issuer.open()))
+    with pytest.raises(WireError):
+        user.handle(WireMessage(response.msg_type, b"F" * 16, response.body))
+    with pytest.raises(SessionError):
+        user.handle(WireMessage(MSG_CHAL, user.session_id, response.body))  # no challenge pending
+    assert user.credential is None
+
+
+def test_issuer_engine_opens_once(toy_deploy):
+    params, key = toy_deploy
+    issuer = IssuerEngine(params, key, make_rng("reopen"))
+    issuer.open()
+    with pytest.raises(SessionError):
+        issuer.open()
+
+
+def test_peer_closing_mid_session_is_a_wire_error(toy_deploy):
+    params, _ = toy_deploy
+    left, right = socket.socketpair()
+    left.close()
+    rng = make_rng("closed")
+    with right, pytest.raises(WireError, match="closed the connection mid-session"):
+        request_issuance(right, params, attrs_for(params, rng), rng)
 
 
 def test_tampered_blinded_hash_caught_at_unblind(toy_deploy):

@@ -14,6 +14,7 @@ from edcred.wire import (
     USER_TO_ISSUER,
     Transcript,
     WireMessage,
+    _MAX_BODY,
     decode_message,
     encode_message,
     read_message,
@@ -80,6 +81,17 @@ def test_stream_mid_frame_eof_is_error():
     buf = io.BytesIO(encode_message(WireMessage(MSG_ISS1, SID, b"body"))[:-2])
     with pytest.raises(WireError):
         read_message(buf)
+
+
+def test_stream_cut_header_and_oversized_body_refused():
+    data = encode_message(WireMessage(MSG_ISS1, SID, b"body"))
+    with pytest.raises(WireError, match="mid-header"):
+        read_message(io.BytesIO(data[:10]))
+    header = data[:18] + (_MAX_BODY + 1).to_bytes(4, "big")
+    stream = io.BytesIO(header + b"x" * 64)
+    with pytest.raises(WireError, match="too large"):
+        read_message(stream)
+    assert stream.tell() == len(header)  # the declared body is never read
 
 
 def test_transcript_roundtrip():

@@ -38,8 +38,9 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   command pays before its own work.
 
 Each protocol row also prints the inner additions and doublings its one
-counted run books (OpCounter): the counts of a seeded run repeat exactly,
-so they show which steps a change in time comes from.
+counted run books (OpCounter): each row draws its rng seeds from its own
+counter, so the counts repeat exactly at any --repeat and show which
+steps a change in time comes from.
 
 Two SRCs load both packages in this process under different names and
 alternate them operation by operation, which side goes first alternating
@@ -51,6 +52,7 @@ The package needs only the standard library, and so does this script.
 
 import argparse
 import importlib.util
+import itertools
 import os
 import random
 import shutil
@@ -121,22 +123,26 @@ def operations(pkg, src: str, workdir: str) -> dict:
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
     curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
-    seeds = iter(range(1 << 62))
     # the fresh-import rows run a copy of the package, so that no bytecode
     # cache next to its source is ever read
     copy = os.path.join(workdir, "src")
     shutil.copytree(os.path.join(src, "edcred"), os.path.join(copy, "edcred"),
                     ignore=shutil.ignore_patterns("__pycache__"))
 
-    def issuance():
-        i = next(seeds)
+    def seeded(draw):
+        # each protocol row counts its own rng seeds, so that its counted
+        # first run draws seed 0 whatever --repeat the rows before it ran
+        seeds = itertools.count()
+        return lambda: draw(next(seeds))
+
+    def issuance(i):
         return pkg.run_issuance(params, key, attrs, random.Random(i), random.Random(-i))
 
-    def show_holder():
-        return pkg.make_presentation(cred, params, random.Random(next(seeds)))
+    def show_holder(i):
+        return pkg.make_presentation(cred, params, random.Random(i))
 
-    def holder():
-        return pkg.present(cred, REVEALED, params, random.Random(next(seeds))).to_bytes(params)
+    def holder(i):
+        return pkg.present(cred, REVEALED, params, random.Random(i)).to_bytes(params)
 
     def verifier(blob, session_id):
         def check():
@@ -170,9 +176,9 @@ def operations(pkg, src: str, workdir: str) -> dict:
             curve, [[(r_bar, alpha), (base, beta)]], ms=2, ap=1),
         "in_prime_subgroup(Ppub)": lambda: curve_mod.in_prime_subgroup(params.p_pub),
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
-        "run_issuance n=8": issuance,
-        "make_presentation n=8": show_holder,
-        "present n=8": holder,
+        "run_issuance n=8": seeded(issuance),
+        "make_presentation n=8": seeded(show_holder),
+        "present n=8": seeded(holder),
         "verify_disclosure n=8": verifier(data, token.session_id),
         "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
         "parse token n=8": lambda: DisclosureToken.from_bytes(data, params, token.session_id),
