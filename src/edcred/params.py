@@ -21,6 +21,7 @@ from .curve import (
     in_prime_subgroup,
     is_probable_prime,
     parse_kv,
+    sum_is_neutral,
 )
 
 _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
@@ -41,15 +42,18 @@ _COMB_AT = 33
 class SystemParams:
     """Public issuance parameters: curve, issuer public key and security
     level k in bits. The constructor refuses a k outside [1, bits(q)] and
-    a neutral Ppub, under which s*P == R alone passes a signature check."""
+    a Ppub that is neutral or of small order ([cofactor]*Ppub == O), under
+    which s*P == R passes a signature check for some or, cofactored, for
+    every h. That costs log2(cofactor) doublings and no multiple; the full
+    subgroup check is validate_params'."""
 
     __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 
     def __init__(self, curve: CurveParams, p_pub: Point, k: int):
         if not 1 <= k <= curve.q.bit_length():
             raise ValueError(f"security level k must lie in [1, {curve.q.bit_length()}]")
-        if p_pub.is_neutral():
-            raise ValueError("public key is neutral")
+        if sum_is_neutral(curve, [(p_pub, 1)], ms=0, ap=0, cofactored=True):
+            raise ValueError("public key is neutral or of small order")
         self.curve = curve
         self.p_pub = p_pub
         self.k = k

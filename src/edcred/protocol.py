@@ -13,6 +13,17 @@ Message flow, with CHAL only present for the interactive proof:
                             <-      CHAL {response}
       ISS3 {s'}             ->
 
+Each engine's session is one generator that reads like this diagram: it
+yields the message it sends, receives the next, checks its type and runs
+the issuance step. It returns its last message, ISS3 at the issuer and
+None at the user once ISS3 checks out, which sets engine.done. A refusal
+raised inside, a message out of order included, ends the session: the
+engine answers every later message with SessionError. Only a message
+carrying another session's id is refused before the generator sees it,
+with WireError, and leaves the session running. issuance.IssuerSession
+still allows a retry (a request sign refuses leaves its nonce live); it
+is the engine that gives up.
+
 The issuer's view of a session is exactly the messages above: the
 unblinded triple (R, s, h) never crosses the wire, which the transcript
 tests pin down by scanning these bytes.
@@ -20,11 +31,12 @@ tests pin down by scanning these bytes.
 
 from __future__ import annotations
 
+from inspect import GEN_CREATED, GEN_SUSPENDED, getgeneratorstate
+
 from .curve import Point, Scalar
 from .errors import ProtocolError, SessionError, WireError
 from .issuance import (
     IssuanceRequest,
-    IssuerSession,
     issuer_start,
     user_blind,
     user_pk_respond,
@@ -103,96 +115,87 @@ def _body_scalar(body: bytes, params: SystemParams) -> Scalar:
 
 # -- engines -----------------------------------------------------------------
 
+def _expect(msg: WireMessage, msg_type: int) -> bytes:
+    if msg.msg_type != msg_type:
+        raise SessionError(
+            f"unexpected message type 0x{msg.msg_type:02x}, expected 0x{msg_type:02x}"
+        )
+    return msg.body
+
+
+def _advance(engine, msg: WireMessage):
+    """Send msg into engine's session; returns the message it yields next,
+    or the one it returns with, and then marks the engine done."""
+    if getgeneratorstate(engine._flow) != GEN_SUSPENDED:
+        raise SessionError("session is not open, or is over")
+    try:
+        return engine._flow.send(msg)
+    except StopIteration as end:
+        engine.done = True
+        return end.value
+
+
 class IssuerEngine:
     """Issuer side of one session, driven by incoming messages."""
 
     def __init__(self, params: SystemParams, key: IssuerKey, rng):
-        self._params = params
-        self._key = key
-        self._rng = rng
         self.session_id = new_session_id(rng)
-        self._session: IssuerSession | None = None
-        self._request: IssuanceRequest | None = None
-        self.state = "new"
+        self.done = False
+        self._flow = self._session(params, key, rng)
+
+    def _session(self, params, key, rng):
+        session, r_bar = issuer_start(key, params, rng)
+        msg = yield WireMessage(MSG_ISS1, self.session_id, r_bar.encode())
+        request = decode_request(_expect(msg, MSG_ISS2), params)
+        if request.pk_commitment is None:
+            s_bar = session.sign(request, context=issuance_context(params, self.session_id))
+        else:
+            c = session.issue_challenge(rng)
+            msg = yield WireMessage(MSG_CHAL, self.session_id, _scalar_body(c, params))
+            response = _body_scalar(_expect(msg, MSG_CHAL), params)
+            s_bar = session.sign(request, pk_response=response)
+        return WireMessage(MSG_ISS3, self.session_id, _scalar_body(s_bar, params))
 
     def open(self) -> WireMessage:
-        if self.state != "new":
+        if getgeneratorstate(self._flow) != GEN_CREATED:
             raise SessionError("engine already opened")
-        self._session, r_bar = issuer_start(self._key, self._params, self._rng)
-        self.state = "await_request"
-        return WireMessage(MSG_ISS1, self.session_id, r_bar.encode())
+        return next(self._flow)
 
     def handle(self, msg: WireMessage) -> WireMessage:
         if msg.session_id != self.session_id:
             raise WireError("message carries a different session id")
-        if self.state == "await_request" and msg.msg_type == MSG_ISS2:
-            request = decode_request(msg.body, self._params)
-            if request.pk_commitment is not None:
-                self._request = request
-                c = self._session.issue_challenge(self._rng)
-                self.state = "await_response"
-                return WireMessage(MSG_CHAL, self.session_id, _scalar_body(c, self._params))
-            s_bar = self._session.sign(
-                request, context=issuance_context(self._params, self.session_id)
-            )
-            self.state = "done"
-            return WireMessage(MSG_ISS3, self.session_id, _scalar_body(s_bar, self._params))
-        if self.state == "await_response" and msg.msg_type == MSG_CHAL:
-            response = _body_scalar(msg.body, self._params)
-            s_bar = self._session.sign(self._request, pk_response=response)
-            self.state = "done"
-            return WireMessage(MSG_ISS3, self.session_id, _scalar_body(s_bar, self._params))
-        raise SessionError(
-            f"unexpected message type 0x{msg.msg_type:02x} in state {self.state}"
-        )
+        return _advance(self, msg)
 
 
 class UserEngine:
     """User side of one session; .credential is set once ISS3 checks out."""
 
     def __init__(self, params: SystemParams, attrs, rng, *, interactive: bool = False):
-        self._params = params
-        self._attrs = attrs
-        self._rng = rng
-        self._interactive = interactive
-        self._blind = None
         self.session_id = None
         self.credential = None
-        self.state = "await_nonce"
+        self.done = False
+        self._flow = self._session(params, attrs, rng, interactive)
+        next(self._flow)
+
+    def _session(self, params, attrs, rng, interactive):
+        msg = yield
+        body = _expect(msg, MSG_ISS1)
+        self.session_id = msg.session_id
+        context = issuance_context(params, self.session_id)
+        blind, request = user_blind(Point.decode(body, params.curve), attrs, params, rng,
+                                    interactive=interactive, context=context)
+        msg = yield WireMessage(MSG_ISS2, self.session_id, encode_request(request, params))
+        if interactive:
+            c = _body_scalar(_expect(msg, MSG_CHAL), params)
+            response = user_pk_respond(blind, c)
+            msg = yield WireMessage(MSG_CHAL, self.session_id, _scalar_body(response, params))
+        s_bar = _body_scalar(_expect(msg, MSG_ISS3), params)
+        self.credential = user_unblind(blind, s_bar, params)
 
     def handle(self, msg: WireMessage) -> WireMessage | None:
-        if self.state == "await_nonce":
-            if msg.msg_type != MSG_ISS1:
-                raise SessionError(
-                    f"unexpected message type 0x{msg.msg_type:02x} before the offer"
-                )
-            self.session_id = msg.session_id
-            r_bar = Point.decode(msg.body, self._params.curve)
-            self._blind, request = user_blind(
-                r_bar,
-                self._attrs,
-                self._params,
-                self._rng,
-                interactive=self._interactive,
-                context=issuance_context(self._params, self.session_id),
-            )
-            self.state = "await_challenge" if self._interactive else "await_signature"
-            return WireMessage(MSG_ISS2, self.session_id, encode_request(request, self._params))
-        if msg.session_id != self.session_id:
+        if self.session_id is not None and msg.session_id != self.session_id:
             raise WireError("message carries a different session id")
-        if self.state == "await_challenge" and msg.msg_type == MSG_CHAL:
-            c = _body_scalar(msg.body, self._params)
-            response = user_pk_respond(self._blind, c)
-            self.state = "await_signature"
-            return WireMessage(MSG_CHAL, self.session_id, _scalar_body(response, self._params))
-        if self.state == "await_signature" and msg.msg_type == MSG_ISS3:
-            s_bar = _body_scalar(msg.body, self._params)
-            self.credential = user_unblind(self._blind, s_bar, self._params)
-            self.state = "done"
-            return None
-        raise SessionError(
-            f"unexpected message type 0x{msg.msg_type:02x} in state {self.state}"
-        )
+        return _advance(self, msg)
 
 
 # -- drivers -----------------------------------------------------------------
@@ -250,7 +253,7 @@ def _pump(conn, engine, first, inbound: int) -> Transcript:
             if msg is not None:
                 write_message(stream, msg)
                 transcript.record(outbound, msg)
-            if engine.state == "done":
+            if engine.done:
                 return transcript
             msg = read_message(stream)
             if msg is None:

@@ -17,13 +17,15 @@ import pytest
 import edcred
 from edcred import cli
 from edcred.cli import main
-from edcred.credential import check_equation, signature_of
-from edcred.disclosure import DisclosureToken
+from edcred.credential import check_equation, signature_of, verify_credential
+from edcred.curve import Point
+from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.hashing import hash_block
 from edcred.issuance import Credential
 from edcred.params import IssuerKey, SystemParams
 from edcred.protocol import IssuerEngine
 from edcred.wire import (
+    MSG_DISCLOSE,
     MSG_ISS1,
     Transcript,
     WireMessage,
@@ -240,6 +242,45 @@ def test_verify_refuses_a_neutral_public_key(deploy, tmp_path, capsys):
     assert main(["verify", "--params", str(out), "--token", str(cred_file)]) == 2
     captured = capsys.readouterr()
     assert "accept" not in captured.out and "public key is neutral" in captured.err
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_verify_refuses_a_public_key_of_small_order(prod_deploy, tmp_path, capsys, order):
+    # on curve1174, with Ppub = (0, p-1) of order 2 the exact check drops
+    # h*Ppub for every even h, so a credential made with no issuer key,
+    # R = s*P and h its true binding, passes; with (1, 0) of order 4 as
+    # well, the cofactored check of its disclosure token drops h*Ppub for
+    # any h. The params file is malformed input, refused at load
+    params, _ = prod_deploy
+    c = params.curve
+    small = SystemParams.__new__(SystemParams)
+    small.curve, small.k, small._checks = c, params.k, 0
+    small.p_pub = Point(0, c.p - 1, c) if order == 2 else Point(1, 0, c)
+    out = tmp_path / "deploy"
+    out.mkdir()
+    (out / "params.txt").write_text(small.format_file())
+    rng = random.Random(f"small-order-ppub:{order}")
+    while True:
+        attrs = (c.random_nonzero(rng), c.random_nonzero(rng))
+        s = c.random_nonzero(rng)
+        r_point = s * c.base
+        h = hash_block(c.base.multiples(attrs), r_point)
+        if h.v % 2 == 0:
+            break
+    cred = Credential(attrs=attrs, r_point=r_point, s=s, h=h)
+    token = present(cred, [1], small, rng)
+    assert verify_disclosure(token, small)
+    files = {"disclosure.tok": encode_message(
+        WireMessage(MSG_DISCLOSE, token.session_id, token.to_bytes(small)))}
+    if order == 2:
+        assert verify_credential(cred, small)
+        files["keyless.bin"] = cred.to_bytes(small)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        assert main(["verify", "--params", str(out), "--token", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert "accept" not in captured.out
+        assert "public key is neutral or of small order" in captured.err
 
 
 def test_verify_zero_token_field_is_exit_2(deploy, tmp_path, capsys):

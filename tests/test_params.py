@@ -12,6 +12,7 @@ from edcred.curve import OpCounter, Point, production_curve
 from edcred.params import _COMB_AT, IssuerKey, ParamsCheck, SystemParams, setup, validate_params
 
 from conftest import make_rng
+from oracles import enumerate_points
 
 
 def test_setup_key_matches_public(toy_deploy):
@@ -241,6 +242,28 @@ def test_parse_file_refuses_degenerate_params(toy_deploy, edits):
     text = "".join(f"{k}={v}\n" for k, v in fields.items())
     with pytest.raises(ValueError):
         SystemParams.parse_file(text)
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_constructor_refuses_every_torsion_public_key(name, request):
+    # under a Ppub of small order h*Ppub vanishes for some h, and the
+    # cofactored checks drop it for every h, so s*P == R passes with no
+    # key: the neutral point and every other point of order dividing the
+    # cofactor are refused, and a key of order q with torsion added is not
+    c = request.getfixturevalue(name)
+    if name == "toy":
+        torsion = [pt for pt in enumerate_points(c) if (c.cofactor * pt).is_neutral()]
+    else:
+        torsion = [c.neutral(), Point(0, c.p - 1, c), Point(1, 0, c), Point(c.p - 1, 0, c)]
+        assert all((4 * t).is_neutral() for t in torsion)
+    assert len(torsion) == c.cofactor
+    k = c.q.bit_length() // 2
+    for t in torsion:
+        with pytest.raises(ValueError, match="public key is neutral or of small order"):
+            SystemParams(c, t, k)
+    key = make_rng(f"torsion-key:{name}").randrange(1, c.q) * c.base
+    for t in torsion:
+        assert SystemParams(c, key + t, k).p_pub == key + t
 
 
 def test_params_import_is_lean():

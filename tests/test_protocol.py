@@ -184,6 +184,98 @@ def test_issuer_engine_opens_once(toy_deploy):
         issuer.open()
 
 
+def engine_pair(params, key, label, interactive):
+    issuer = IssuerEngine(params, key, make_rng(f"{label}:i"))
+    rng_u = make_rng(f"{label}:u")
+    return issuer, UserEngine(params, attrs_for(params, rng_u), rng_u, interactive=interactive)
+
+
+def scalar_message(params, msg_type, session_id):
+    # a well-formed body, so that only the message's place in the flow is wrong
+    return WireMessage(msg_type, session_id, params.curve.scalar(1).to_bytes(params.curve.coord_bytes))
+
+
+@pytest.mark.parametrize("interactive", [False, True])
+def test_engines_refuse_a_message_before_its_turn(toy_deploy, interactive):
+    params, key = toy_deploy
+    # the issuer before open, and CHAL before ISS2
+    issuer, user = engine_pair(params, key, "early", interactive)
+    request = user.handle(issuer.open())
+    issuer2, _ = engine_pair(params, key, "early2", interactive)
+    with pytest.raises(SessionError):
+        issuer2.handle(WireMessage(MSG_ISS2, issuer2.session_id, request.body))
+    with pytest.raises(SessionError):
+        issuer.handle(scalar_message(params, MSG_CHAL, issuer.session_id))
+    # the user: CHAL before the offer
+    _, user = engine_pair(params, key, "early3", interactive)
+    with pytest.raises(SessionError):
+        user.handle(scalar_message(params, MSG_CHAL, issuer.session_id))
+    assert user.credential is None and not user.done
+
+
+def test_issuer_refuses_a_second_request_while_its_challenge_is_out(toy_deploy):
+    params, key = toy_deploy
+    issuer, user = engine_pair(params, key, "twice", True)
+    request = user.handle(issuer.open())
+    assert issuer.handle(request).msg_type == MSG_CHAL
+    with pytest.raises(SessionError):
+        issuer.handle(request)
+    assert not issuer.done
+
+
+def test_user_refuses_a_response_while_a_challenge_is_pending(toy_deploy):
+    params, key = toy_deploy
+    issuer, user = engine_pair(params, key, "pending", True)
+    user.handle(issuer.open())
+    with pytest.raises(SessionError):
+        user.handle(scalar_message(params, MSG_ISS3, issuer.session_id))
+    assert user.credential is None and not user.done
+
+
+@pytest.mark.parametrize("interactive", [False, True])
+def test_engines_refuse_every_message_once_done(toy_deploy, interactive):
+    params, key = toy_deploy
+    issuer, user = engine_pair(params, key, "done", interactive)
+    msg = issuer.open()
+    sent = [msg]
+    while (reply := user.handle(msg)) is not None:
+        sent.append(reply)
+        msg = issuer.handle(reply)
+        sent.append(msg)
+    assert issuer.done and user.done and user.credential is not None
+    with pytest.raises(SessionError):
+        issuer.open()
+    for msg in sent:
+        for engine in (issuer, user):
+            with pytest.raises(SessionError):
+                engine.handle(msg)
+    assert user.credential is not None
+
+
+def test_a_refused_request_ends_the_issuer_session(toy_deploy):
+    # the engine gives up on the first refusal: the honest request that
+    # follows a forged one is refused as well, and nothing is signed,
+    # though the IssuerSession underneath would still sign it
+    from edcred.issuance import IssuanceRequest
+    from edcred.schnorr import SchnorrTranscript
+
+    params, key = toy_deploy
+    issuer, user = engine_pair(params, key, "forged-first", False)
+    request = user.handle(issuer.open())
+    req = decode_request(request.body, params)
+    bad = SchnorrTranscript(
+        req.proof.commitment, req.proof.challenge, req.proof.response + 1, req.proof.statement
+    )
+    forged_req = IssuanceRequest(h_bar=req.h_bar, commitment0=req.commitment0, proof=bad)
+    forged = WireMessage(MSG_ISS2, issuer.session_id, encode_request(forged_req, params))
+    with pytest.raises(InvalidProofError):
+        issuer.handle(forged)
+    with pytest.raises(SessionError):
+        issuer.handle(request)
+    assert key._nonce[1] is not None  # the session's nonce was never taken
+    assert not issuer.done
+
+
 def test_peer_closing_mid_session_is_a_wire_error(toy_deploy):
     params, _ = toy_deploy
     left, right = socket.socketpair()
