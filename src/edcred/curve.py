@@ -30,6 +30,16 @@ the doubling written out in place rather than called; _add and _dbl remain
 the reference formulas, which every other caller uses and which compute
 the same values.
 
+The pass also reduces differently: it folds where _add and _dbl divide.
+If 2^K = c (mod p), every integer v, negative ones too, satisfies
+v = (v >> K)*c + (v & (2^K - 1)) (mod p), so a fold is a shift, a small
+multiple and an addition where v % p is a long division; curve1174's
+p = 2^251 - 9 was chosen for this, with (K, c) = (251, 9). A folded value
+is congruent to the reduced one but not reduced itself, so the pass ends
+with X, Y and Z mod p, the integers the reference steps give.
+_fold_constants picks (K, c) for each curve, and _sum's docstring derives
+the bound that keeps the folded values from growing.
+
 Every multiple, sum and addition is one _sum, under one rule: a sum of
 terms k*Q is exact in its integer scalars, torsion included. A term +-1 is
 one addition. A term on a point with a comb table, which only P and Ppub
@@ -222,6 +232,30 @@ _W = 8
 _WNAF = 4
 
 
+def _fold_constants(p):
+    """(K, c) for folding mod p in _sum's pass: the least K >= bits(p)
+    with 16c < 2^(K//4), where c = 2^K mod p. That is (251, 9) on
+    curve1174 and (46, 101) on the toy curve.
+
+    The bound the pass rests on needs c small against 2^(K/4). K = bits(p)
+    alone gives c = 15 against 2^(10//4) = 4 on the toy curve, where the
+    folded values grow with every step: the sums stay exact, as every fold
+    is, but each step costs more the longer the chain. As
+    c < p < 2^bits(p), the search ends by K = 4*bits(p) + 16 for every p,
+    and each step doubles c mod p, so a huge p costs O(bits(p))
+    additions, not an exponentiation a step: about 0.1 s for the widest
+    p a params file can state, 4300 decimal digits, the limit of int().
+    """
+    K = p.bit_length()
+    c = (1 << K) % p
+    while 16 * c >= 1 << (K // 4):
+        K += 1
+        c += c
+        if c >= p:
+            c -= p
+    return K, c
+
+
 def _cache(p, d, x, y):
     return x, y, d * x % p * y % p
 
@@ -239,7 +273,8 @@ def _add(p, need_t, X1, Y1, Z1, T1, x2, y2, u2, z2=1):
     # add-2008-hwcd: 9 multiplications, 8 when the second operand is affine,
     # one fewer without T. F and G are Z1*Z2*(1 -+ d*x1*x2*y1*y2), never
     # zero on curve points. A, B and x2 + y2 stay unreduced: E and H each
-    # reduce once. _sum's pass inlines this and _dbl step for step.
+    # reduce once. _sum's pass inlines this and _dbl step for step, and
+    # folds where these reduce.
     A = X1 * x2
     B = Y1 * y2
     C = T1 * u2 % p
@@ -553,7 +588,7 @@ class CurveParams:
     The constructor owns every rule that needs no exponentiation and no
     multiple; the others are params.validate_params' audit."""
 
-    __slots__ = ("name", "p", "d", "q", "cofactor", "coord_bytes", "_base")
+    __slots__ = ("name", "p", "d", "q", "cofactor", "coord_bytes", "_fold", "_base")
 
     def __init__(self, name: str, p: int, d: int, gx: int, gy: int, q: int, cofactor: int):
         if p < 3 or q < 2 or cofactor < 1:
@@ -571,6 +606,7 @@ class CurveParams:
         self.q = q
         self.cofactor = cofactor
         self.coord_bytes = (p.bit_length() + 7) // 8
+        self._fold = _fold_constants(p)
         self._base = Point(gx, gy, self)
         if self._base.is_neutral():
             raise ValueError("curve: base point is neutral")
@@ -809,8 +845,26 @@ def _sum(curve: CurveParams, terms, ctr):
     multiples stay extended, so they are added with the general Z2 and the
     sum still inverts at most once; a term builds no multiple beyond k, as
     a digit never exceeds k.
+
+    The pass folds instead of reducing, with the curve's (K, c), ck in the
+    code: a value that only feeds the next product (A, B, E and F of a
+    doubling; T*u2, Z*z2, E and H of an addition) once, and X, Y, Z and T,
+    which carry from step to step, twice; it returns X, Y and Z mod p.
+    The bound: a fold of any |v| <= n lies within
+    f(n) = ((n >> K) + 1)*c + 2^K - 1 of zero. Let R = 2^K > p, every
+    cached operand lie in [0, p], as _cache, _cache_ext and _neg make
+    them, and X, Y, Z and T below 2R in absolute value. Then every
+    once-folded value lies below (8c + 2)*R, every product that is folded
+    twice below ((8c + 4)*R)^2, and its second fold within
+    R + c^2*(8c + 4)^2 + 2c - 1 of zero. That is below 2R: for c >= 1,
+    16c < 2^(K//4) <= R^(1/4) makes c^2*(8c + 4)^2 <= 144c^4 < R/455 and
+    2c < R/2. The loaded point is reduced, so by induction X, Y, Z and T
+    stay below 2R at every step, and the products stay below 2^(2K + 13)
+    on curve1174.
     """
     p, d, q = curve.p, curve.d, curve.q
+    K, ck = curve._fold
+    lo = (1 << K) - 1
     merged = {}
     for pt, k in terms:
         if pt.curve is not curve and pt.curve != curve:
@@ -878,34 +932,65 @@ def _sum(curve: CurveParams, terms, ctr):
     for pos in range(top, -1, -1):
         bucket = buckets[pos]
         if pos < top:
-            A = X * X % p
-            B = Y * Y % p
-            E = 2 * X * Y % p
+            A = X * X
+            A = (A >> K) * ck + (A & lo)
+            B = Y * Y
+            B = (B >> K) * ck + (B & lo)
+            E = 2 * X * Y
+            E = (E >> K) * ck + (E & lo)
             G = A + B
-            F = (G - 2 * Z * Z) % p
+            F = G - 2 * Z * Z
+            F = (F >> K) * ck + (F & lo)
             H = A - B
-            X, Y, Z = E * F % p, G * H % p, F * G % p
+            X = E * F
+            X = (X >> K) * ck + (X & lo)
+            X = (X >> K) * ck + (X & lo)
+            Y = G * H
+            Y = (Y >> K) * ck + (Y & lo)
+            Y = (Y >> K) * ck + (Y & lo)
+            Z = F * G
+            Z = (Z >> K) * ck + (Z & lo)
+            Z = (Z >> K) * ck + (Z & lo)
             if not bucket:
                 continue
-            T = E * H % p
+            T = E * H
+            T = (T >> K) * ck + (T & lo)
+            T = (T >> K) * ck + (T & lo)
         last = len(bucket) - 1
         adds += last + 1
         for i, (x2, y2, u2, z2) in enumerate(bucket):
             A = X * x2
             B = Y * y2
-            C = T * u2 % p
-            D = Z if z2 == 1 else Z * z2 % p
-            E = ((X + Y) * (x2 + y2) - A - B) % p
-            H = (B - A) % p
+            C = T * u2
+            C = (C >> K) * ck + (C & lo)
+            if z2 == 1:
+                D = Z
+            else:
+                D = Z * z2
+                D = (D >> K) * ck + (D & lo)
+            E = (X + Y) * (x2 + y2) - A - B
+            E = (E >> K) * ck + (E & lo)
+            H = B - A
+            H = (H >> K) * ck + (H & lo)
             F = D - C
             G = D + C
-            X, Y, Z = E * F % p, G * H % p, F * G % p
+            X = E * F
+            X = (X >> K) * ck + (X & lo)
+            X = (X >> K) * ck + (X & lo)
+            Y = G * H
+            Y = (Y >> K) * ck + (Y & lo)
+            Y = (Y >> K) * ck + (Y & lo)
+            Z = F * G
+            Z = (Z >> K) * ck + (Z & lo)
+            Z = (Z >> K) * ck + (Z & lo)
             if i < last:
-                T = E * H % p
+                T = E * H
+                T = (T >> K) * ck + (T & lo)
+                T = (T >> K) * ck + (T & lo)
     if ctr is not None:
         ctr.inner_doubles += dbls + top
         ctr.inner_adds += adds
-    return X, Y, Z
+    return X % p, Y % p, Z % p
 
 
 def _booked(ms: int, ap: int):

@@ -30,13 +30,14 @@ _HASH = "sha256"  # the only hash hashing.py implements; named in the file
 # build would have paid for itself in multiples: ceil(build / (wNAF Ms -
 # comb Ms)) on curve1174, from the rows comb table build, wNAF k*Q and comb
 # k*P of tools/bench_kernel.py --repeat 15 (medians, 2 vCPU, Python
-# 3.11.7), a build of 4096 entries: 62.51 / (2.20 - 0.30) = 32.8,
-# 63.60 / (2.17 - 0.28) = 33.7, 57.91 / (1.73 - 0.22) = 38.4,
-# 65.99 / (2.30 - 0.29) = 32.8 and 61.18 / (2.32 - 0.31) = 30.4 in five
-# runs, median 32.8. Where Ppub shares its chain with proof terms it saves
-# only its additions on the comb, so there the build pays off later; one
-# count serves both.
-_COMB_AT = 33
+# 3.11.7), a build of 4096 entries: 44.51 / (1.09 - 0.18) = 48.9,
+# 62.63 / (1.96 - 0.27) = 37.1, 43.46 / (1.68 - 0.25) = 30.4,
+# 58.95 / (1.84 - 0.30) = 38.3 and 65.62 / (2.01 - 0.30) = 38.4 in five
+# runs, median 38.3. The build runs the exact _add and _dbl, the wNAF and
+# the comb _sum's folding pass, which folds where those divide. Where
+# Ppub shares its chain with proof terms it saves only its additions on
+# the comb, so there the build pays off later; one count serves both.
+_COMB_AT = 39
 
 
 class SystemParams:

@@ -809,6 +809,115 @@ def test_inlined_loops_match_reference_steps(toy, prod):
                 assert affine(c, got) == expect
 
 
+# -- folding mod p in the pass -------------------------------------------------
+
+# tools/find_toy_curve.py's search with P = 769: p lies 255 below 2^10
+TOY769 = dict(name="toy769", p=769, d=14, gx=428, gy=756, q=199, cofactor=4)
+
+
+def fold_rule_holds(p, K, c):
+    """(K, c) is the least K >= bits(p) with 16c < 2^(K//4), c = 2^K mod p."""
+    bits = p.bit_length()
+    if not (bits <= K <= 4 * bits + 16 and (1 << K) % p == c and 16 * c < 1 << (K // 4)):
+        return False
+    return all(16 * ((1 << j) % p) >= 1 << (j // 4) for j in range(bits, K))
+
+
+def test_fold_constants(toy, prod):
+    assert prod._fold == (251, 9)
+    assert toy._fold == (46, 101)
+    assert CurveParams(**TOY769)._fold == (48, 173)
+    for c in (toy, prod):
+        assert fold_rule_holds(c.p, *c._fold)
+
+
+def test_fold_search_ends_for_any_p(toy):
+    """The search ends by K = 4*bits(p) + 16 for p = 1007 (the composite p
+    of test_params), for even p, 2^10 included (c = 0), and for a random
+    4096-bit p, where it runs close to that limit."""
+    assert fold_rule_holds(1007, *CurveParams("bad", 1007, toy.d, 0, 1006, toy.q, toy.cofactor)._fold)
+    assert fold_rule_holds(1008, *CurveParams("even", 1008, toy.d, 0, 1007, toy.q, toy.cofactor)._fold)
+    assert curve_mod._fold_constants(1024) == (11, 0)
+    for p in (2**64, 2**255 - 19, 3**40):
+        assert fold_rule_holds(p, *curve_mod._fold_constants(p))
+    big = make_rng("foldsearch").getrandbits(4096) | 1 << 4095 | 1
+    K, c = curve_mod._fold_constants(big)
+    assert 4096 <= K <= 4 * 4096 + 16
+    assert (1 << K) % big == c and 16 * c < 1 << (K // 4)
+
+
+def fold_reach(K, c, n):
+    """How far from zero a fold of any |v| <= n can land: _sum's f(n)."""
+    return ((n >> K) + 1) * c + (1 << K) - 1
+
+
+def test_fold_bound_of_the_docstring(toy, prod):
+    """_sum's bound in integers: from X, Y, Z and T below 2^(K+1) and
+    cached operands in [0, p], a doubling's and an addition's once-folded
+    values stay below (8c + 2)*2^K, their products below
+    ((8c + 4)*2^K)^2, and two folds of those land within
+    2^K + c^2*(8c + 4)^2 + 2c - 1 < 2^(K+1) of zero."""
+    for curve in (toy, prod):
+        K, c = curve._fold
+        R = 1 << K
+        n, op = 2 * R - 1, curve.p
+
+        def fold(v):
+            return fold_reach(K, c, v)
+
+        assert op < R
+        # doubling: A = X^2 and B = Y^2 are >= 0, so |G - 2Z^2| and
+        # |A - B| are at most the larger side
+        a, e = fold(n * n), fold(2 * n * n)
+        f = fold(max(2 * a, 2 * n * n))
+        once = [a, e, f]
+        products = [e * f, 2 * a * a, 2 * a * f, e * a]
+        # addition: T*u2, Z*z2 (or Z), E = X*y2 + Y*x2, H = Y*y2 - X*x2
+        cc, d = fold(n * op), max(n, fold(n * op))
+        e, h = fold(2 * n * op), fold(2 * n * op)
+        once += [cc, d, e, h]
+        products += [e * (d + cc), (d + cc) * h, (d + cc) ** 2, e * h]
+        top = ((8 * c + 4) * R) ** 2
+        assert max(once) < (8 * c + 2) * R
+        assert max(products) <= top
+        assert fold(fold(top)) == R - 1 + c * c * (8 * c + 4) ** 2 + 2 * c < 2 * R
+        assert 455 * 144 * c**4 < R
+    K, c = prod._fold
+    assert ((8 * c + 4) << K) ** 2 < 1 << (2 * K + 13)
+
+
+def test_fold_is_exact_far_from_a_power_of_two():
+    """On toy769, every k in [-600, 2000), on P and on P plus a point of
+    order 4, sums to the affine oracle's point and, past the reference's
+    odd multiples, to the reference steps' integers."""
+    c = CurveParams(**TOY769)
+    p, d = c.p, c.d
+    for pt in (c.base, c.base + Point(1, 0, c)):
+        assert pt._table is None
+        expect = exact_mul(-600, pt)
+        for k in range(-600, 2000):
+            got = curve_mod._sum(c, [(pt, k)], None)
+            if k == 0:
+                assert got is None and expect.is_neutral()
+            else:
+                assert affine(c, got) == expect, (pt, k)
+            if abs(k) > 7:
+                x = pt.x if k > 0 else -pt.x % p
+                assert got == reference_chain(p, d, x, pt.y, abs(k)), (pt, k)
+            expect = oracle_add(c, expect, pt)
+
+
+def test_long_chain_matches_reference_steps(toy, prod):
+    """A 4000-bit scalar, sixteen times curve1174's chain, gives the
+    reference steps' integers on both curves."""
+    for c in (toy, prod):
+        rng = make_rng(f"longchain:{c.name}")
+        k = rng.getrandbits(4000) | 1 << 3999
+        pt = rng.randrange(1, c.q) * c.base
+        plain = Point(pt.x, pt.y, c)
+        assert curve_mod._sum(c, [(plain, k)], None) == reference_chain(c.p, c.d, pt.x, pt.y, k)
+
+
 def test_multiples_is_one_multiple_each(toy, prod):
     """Point.multiples(ks) == [k * Q for k in ks], on a comb and for a point
     with no table, which builds none however long the batch."""
