@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Point, Scalar, sum_is_neutral
+from .curve import Point, Scalar, sum_is_neutral, sum_of_multiples
 from .errors import WireError
 from .hashing import hash_block
 from .issuance import Credential
@@ -77,6 +77,18 @@ def verify_credential(cred: Credential, params: SystemParams) -> bool:
     return hash_block(params.curve.base.multiples(cred.attrs), cred.r_point) == cred.h
 
 
+def _randomized(sig: PresentationSignature, r: Scalar | None, curve, sums):
+    """(sig randomized by r, the results of sums), from one batch of sums
+    with one inversion: the triple is (R + r * P, s + r, h), its sum
+    R + r * P booked as 1 Ms + 1 Ap, and each of sums, one multiple, as
+    1 Ms. r None leaves sig as it is."""
+    if r is None:
+        return sig, sum_of_multiples(curve, sums, ms=len(sums), ap=0)
+    *out, r_point = sum_of_multiples(curve, [*sums, [(sig.r_point, 1), (curve.base, r.v)]],
+                                     ms=len(sums) + 1, ap=1)
+    return PresentationSignature(r_point=r_point, s=sig.s + r, h=sig.h), out
+
+
 def randomize(
     sig: PresentationSignature,
     params: SystemParams,
@@ -86,6 +98,7 @@ def randomize(
 ) -> PresentationSignature:
     """Fresh verifying triple: (R + r * P, s + r, h) for r in [1, q-1].
 
+    R + r * P is one sum, booked as 1 Ms + 1 Ap, with one inversion.
     Randomizations compose additively: applying r1 then r2 lands on the
     same triple as applying r1 + r2 once.
     """
@@ -96,11 +109,7 @@ def randomize(
         r = curve.random_nonzero(rng)
     elif r.q != curve.q:
         raise ValueError("r is not a scalar mod q")
-    return PresentationSignature(
-        r_point=sig.r_point + r * curve.base,
-        s=sig.s + r,
-        h=sig.h,
-    )
+    return _randomized(sig, r, curve, [])[0]
 
 
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
@@ -146,14 +155,20 @@ def make_presentation(
     fresh: bool = True,
 ) -> PresentationToken:
     """Build a token under a fresh session id, randomizing the triple by
-    default."""
+    default.
+
+    Draws the session id, then r when fresh, then the proof nonce w, and
+    takes P_0 = m_0 * P, A = w * P and, when fresh, R + r * P as one batch
+    with one inversion, booked as 3 Ms + 1 Ap (2 Ms when not fresh).
+    """
     session_id = new_session_id(rng)
-    sig = signature_of(cred)
-    if fresh:
-        sig = randomize(sig, params, rng)
-    p0 = cred.attrs[0] * params.curve.base
-    ctx = presentation_context(params, session_id, sig)
-    proof = fs_prove(cred.attrs[0], p0, ctx, rng)
+    curve = params.curve
+    r = curve.random_nonzero(rng) if fresh else None
+    w = curve.random_nonzero(rng)
+    m0 = cred.attrs[0]
+    sums = [[(curve.base, m0.v)], [(curve.base, w.v)]]
+    sig, (p0, a) = _randomized(signature_of(cred), r, curve, sums)
+    proof = fs_prove(m0, p0, w, a, presentation_context(params, session_id, sig))
     return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
 
 

@@ -141,7 +141,10 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     """Build a disclosure token revealing exactly the given indices.
 
     disclose may be empty (everything stays hidden); it may never contain
-    index 0 or an index outside the credential.
+    index 0 or an index outside the credential. Draws the session id, then
+    one proof nonce w_i per hidden index, and takes the h hidden m_i * P
+    and the h commitments w_i * P as one batch of 2h Ms with one
+    inversion.
     """
     n = len(cred.attrs)
     disclose = list(disclose)
@@ -153,7 +156,10 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     session_id = new_session_id(rng)
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
-    hidden_points = curve.base.multiples([cred.attrs[i] for i in hidden])
+    secrets = [cred.attrs[i] for i in hidden]
+    nonces = [curve.random_nonzero(rng) for _ in hidden]
+    multiples = curve.base.multiples(secrets + nonces)
+    hidden_points, commitments = multiples[:len(hidden)], multiples[len(hidden):]
     token = DisclosureToken(
         sig_r=cred.r_point,
         sig_s=cred.s,
@@ -164,13 +170,7 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
         proofs={},
         session_id=session_id,
     )
-    transcripts = fs_prove_batch(
-        [cred.attrs[i] for i in hidden],
-        hidden_points,
-        token.body_prefix(params),
-        curve,
-        rng,
-    )
+    transcripts = fs_prove_batch(secrets, hidden_points, nonces, commitments, token.body_prefix(params))
     for i, t in zip(hidden, transcripts):
         token.proofs[i] = t
     return token

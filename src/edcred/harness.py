@@ -16,7 +16,7 @@ from .curve import OpCounter
 from .errors import ProtocolError
 from .issuance import issuer_start, user_blind, user_unblind
 from .params import IssuerKey, SystemParams
-from .schnorr import fs_prove, fs_verify
+from .schnorr import fs_prove, fs_verify, pk_commit
 
 
 def paper_issuance_ms(n: int) -> int:
@@ -77,7 +77,7 @@ def _measure_once(n: int, params: SystemParams, key: IssuerKey, rng):
     steps = {}
     sig = signature_of(cred)
     p0 = attrs[0] * params.curve.base
-    proof = fs_prove(attrs[0], p0, b"bench", rng)
+    proof = fs_prove(attrs[0], p0, *pk_commit(params.curve, rng), b"bench")
     with OpCounter() as steps["check equation"]:
         equation = check_equation(sig, params)
     with OpCounter() as pk:

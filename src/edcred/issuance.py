@@ -250,7 +250,9 @@ def user_blind(
     R = alpha*R' + beta*P, booked as 2 Ms + 1 Ap, and the n commitments
     m_i*P are one batch of sums with one return to affine form. R is
     exact, torsion in R' included, and user_unblind's exact check refuses
-    a session whose R' carries torsion.
+    a session whose R' carries torsion. Both modes then commit to the proof
+    nonce with pk_commit under pk_ops, the proof-of-knowledge column of
+    `edcred bench`, a batch of its own, so blinding pays two inversions.
     """
     curve = params.curve
     attrs = _check_attrs(attrs, curve.q)
@@ -271,12 +273,12 @@ def user_blind(
         attrs=attrs,
     )
     with pk_ops if pk_ops is not None else nullcontext():
+        w, a = pk_commit(curve, rng)
         if interactive:
-            w, a = pk_commit(curve, rng)
             state.pk_nonce = w
             request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], pk_commitment=a)
         else:
-            proof = fs_prove(attrs[0], commitments[0], context, rng)
+            proof = fs_prove(attrs[0], commitments[0], w, a, context)
             request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], proof=proof)
     return state, request
 

@@ -28,15 +28,18 @@ _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
 _HASH = "sha256"  # the only hash hashing.py implements; named in the file
 # Ppub builds its comb table at its _COMB_AT-th signature check, once a
 # build would have paid for itself in multiples: ceil(build / (wNAF Ms -
-# comb Ms)) on curve1174, from the rows comb table build, wNAF k*Q and comb
-# k*P of tools/bench_kernel.py --repeat 15 (medians, 2 vCPU, Python
-# 3.11.7), a build of 4096 entries: 44.51 / (1.09 - 0.18) = 48.9,
-# 62.63 / (1.96 - 0.27) = 37.1, 43.46 / (1.68 - 0.25) = 30.4,
-# 58.95 / (1.84 - 0.30) = 38.3 and 65.62 / (2.01 - 0.30) = 38.4 in five
-# runs, median 38.3. The build runs the exact _add and _dbl, the wNAF and
-# the comb _sum's folding pass, which folds where those divide. Where
-# Ppub shares its chain with proof terms it saves only its additions on
-# the comb, so there the build pays off later; one count serves both.
+# comb Ms)) on curve1174, a build of 4096 entries. tools/bench_kernel.py's
+# comb break-even row measures that ratio with the three timings of each
+# loop made back to back, on a fresh copy of Ppub (2 vCPU, Python 3.11.7):
+# at its default --repeat 100 it read 40.7 (quartiles 38.4 - 42.6) and
+# 41.2 (38.9 - 43.5). Runs of 21 loops read medians of 37.1 to 43.1, and
+# some of their quartiles exclude 39 on either side (36.1 - 37.8, 39.9 -
+# 41.9): a short run moves between runs by more than its own spread. 39
+# lies within the 100-loop quartiles, so it stays.
+# The build runs the exact _add and _dbl, the wNAF and the comb _sum's
+# folding pass, which folds where those divide. Where Ppub shares its
+# chain with proof terms it saves only its additions on the comb, so
+# there the build pays off later; one count serves both.
 _COMB_AT = 39
 
 

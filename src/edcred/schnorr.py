@@ -7,6 +7,14 @@ The non-interactive variant derives c by hashing the commitment, the
 statement and a caller-supplied context, so a transcript is bound to the
 session it was made for.
 
+The non-interactive prover (fs_prove, fs_prove_batch) takes the caller's
+nonces w and commitments A = w * P: it hashes and responds, and draws and
+multiplies nothing. A holder step draws each w fresh from [1, q-1] and
+computes every A in the one batch of multiples it makes anyway, so the
+step pays one inversion for its return to affine form, proofs included.
+pk_commit is the commit of a proof made on its own: it draws w and
+computes w * P.
+
 Several statements can be proven at once under one shared challenge; the
 challenge then hashes every commitment and every statement, which ties the
 individual transcripts into a single conjunction.
@@ -90,7 +98,8 @@ class SchnorrTranscript:
 
 
 def pk_commit(curve: CurveParams, rng) -> tuple[Scalar, Point]:
-    """Draw the proof nonce w from [1, q-1] and commit A = w * P."""
+    """Draw the proof nonce w from [1, q-1] and commit A = w * P: the
+    commit of one proof, a batch of its own."""
     w = curve.random_nonzero(rng)
     return w, w * curve.base
 
@@ -159,16 +168,18 @@ def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
 def fs_prove_batch(
     secrets: list[Scalar],
     statements: list[Point],
+    nonces: list[Scalar],
+    commitments: list[Point],
     context: bytes,
-    curve: CurveParams,
-    rng,
 ) -> list[SchnorrTranscript]:
-    """Prove every statement under one hash-derived challenge."""
-    if len(secrets) != len(statements) or not secrets:
-        raise ValueError("need matching nonempty secrets and statements")
-    nonces = [curve.random_nonzero(rng) for _ in secrets]
-    commitments = curve.base.multiples(nonces)
-    c = challenge_scalar(commitments, statements, context, curve)
+    """Prove every statement under one hash-derived challenge, with the
+    caller's nonces w_i and commitments A_i = w_i * P, which it does not
+    check. Each w_i must be drawn fresh from [1, q-1] for this proof
+    alone: a nonce used twice gives the secret away (r - r' == (c - c')*mu).
+    """
+    if not secrets or not len(secrets) == len(statements) == len(nonces) == len(commitments):
+        raise ValueError("need matching nonempty secrets, statements, nonces and commitments")
+    c = challenge_scalar(commitments, statements, context, statements[0].curve)
     return [
         SchnorrTranscript(a, c, pk_respond(mu, w, c), stmt)
         for a, w, mu, stmt in zip(commitments, nonces, secrets, statements)
@@ -200,8 +211,11 @@ def fs_verify_batch(
     return _check(transcripts, equation)
 
 
-def fs_prove(secret: Scalar, statement: Point, context: bytes, rng) -> SchnorrTranscript:
-    return fs_prove_batch([secret], [statement], context, statement.curve, rng)[0]
+def fs_prove(
+    secret: Scalar, statement: Point, nonce: Scalar, commitment: Point, context: bytes
+) -> SchnorrTranscript:
+    """fs_prove_batch for one statement."""
+    return fs_prove_batch([secret], [statement], [nonce], [commitment], context)[0]
 
 
 def fs_verify(t: SchnorrTranscript, context: bytes) -> bool:

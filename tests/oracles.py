@@ -48,7 +48,7 @@ from edcred.issuance import (
     user_unblind,
 )
 from edcred.protocol import _body_scalar, decode_request
-from edcred.schnorr import fs_prove, fs_verify
+from edcred.schnorr import fs_prove, fs_verify, pk_commit
 from edcred.wire import MSG_ISS1, MSG_ISS2, MSG_ISS3, new_session_id
 
 # Hard cap for the exhaustive helpers; anything bigger is not a toy curve.
@@ -207,7 +207,7 @@ def attempt_master_binding(h_i: Scalar, r_point: Point, params, rng) -> bool:
     curve = params.curve
     mu = curve.random_nonzero(rng)
     p0 = mu * curve.base
-    proof = fs_prove(mu, p0, b"", rng)
+    proof = fs_prove(mu, p0, *pk_commit(curve, rng), b"")
     return fs_verify(proof, b"") and hash_points(p0, r_point) == h_i
 
 
@@ -236,7 +236,7 @@ def forge_presentation(params, rng) -> PresentationToken:
     m0 = curve.random_nonzero(rng)
     p0 = m0 * curve.base
     session_id = new_session_id(rng)
-    proof = fs_prove(m0, p0, presentation_context(params, session_id, sig), rng)
+    proof = fs_prove(m0, p0, *pk_commit(curve, rng), presentation_context(params, session_id, sig))
     return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
 
 
@@ -277,7 +277,7 @@ def ros_forge(key, params, honest: tuple, other: tuple, forged: tuple, rng) -> l
     if commitments[1][0] != p0:
         raise ValueError("the two attribute lists need one master secret")
     # the proof binds no session, so one proof serves every request
-    proof = fs_prove(honest[0], p0, b"", rng)
+    proof = fs_prove(honest[0], p0, *pk_commit(curve, rng), b"")
     sessions = [issuer_start(key, params, rng) for _ in range(q.bit_length())]
     blinds = []
     for _, r_bar in sessions:

@@ -1,5 +1,6 @@
 """Randomized showings: unlinkable triples that keep verifying."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -15,11 +16,13 @@ from edcred.credential import (
     verify_presentation,
 )
 from edcred.curve import OpCounter, Point, Scalar
+from edcred.disclosure import present
 from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import SystemParams
-from edcred.schnorr import SchnorrTranscript, fs_prove, fs_verify
+from edcred.protocol import run_issuance
+from edcred.schnorr import SchnorrTranscript, fs_prove, fs_verify, pk_commit
 
 from conftest import make_rng
 
@@ -82,7 +85,8 @@ def test_verify_presentation_includes_master_proof(toy_deploy, toy_cred):
     assert verify_presentation(token, params)
     sig, p0, sid = token.sig, token.commitment0, token.session_id
     broken = PresentationSignature(sig.r_point, sig.s + 1, sig.h)
-    reproved = fs_prove(toy_cred.attrs[0], p0, presentation_context(params, sid, broken), rng)
+    reproved = fs_prove(toy_cred.attrs[0], p0, *pk_commit(params.curve, rng),
+                        presentation_context(params, sid, broken))
     assert not verify_presentation(PresentationToken(broken, p0, reproved, sid), params)
     proof = token.proof
     bad = SchnorrTranscript(proof.commitment, proof.challenge, proof.response + 1, p0)
@@ -212,3 +216,56 @@ def test_presentation_with_zero_h_refused_at_parse(toy_deploy, toy_cred):
     bad = replace(token, sig=replace(token.sig, h=params.curve.scalar(0)))
     with pytest.raises(WireError, match="h = 0"):
         PresentationToken.from_bytes(bad.to_bytes(params), params, token.session_id)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_holder_steps_pay_one_inversion(deploy, request):
+    """A show takes m_0*P, its proof nonce's w*P and, when fresh, R + r*P
+    as one batch, and a randomization R + r*P as one sum: one inversion
+    each, booked as 3 Ms + 1 Ap (2 Ms unfresh) and 1 Ms + 1 Ap."""
+    params, key = request.getfixturevalue(deploy)
+    rng = make_rng(f"show-inv:{deploy}")
+    cred, _ = run_issuance(params, key, [params.curve.random_nonzero(rng) for _ in range(4)], rng, rng)
+    for fresh, booked in ((True, (3, 1)), (False, (2, 0))):
+        with OpCounter() as ops:
+            token = make_presentation(cred, params, rng, fresh=fresh)
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (*booked, 1)
+        assert verify_presentation(token, params)
+        assert (token.sig == signature_of(cred)) is not fresh
+    with OpCounter() as ops:
+        sig = randomize(signature_of(cred), params, rng)
+    assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (1, 1, 1)
+    assert check_equation(sig, params)
+
+
+# SHA-256 of session id + token bytes for fixed seeds. How a holder step
+# batches its multiples moves no rng draw and no byte, so these stay fixed.
+HOLDER_DIGESTS = {
+    ("toy", "fresh"): "896f872b16dd44873ab909a2f5e873c6466202efc36fc1b78e7d6b84c891ecec",
+    ("toy", "unfresh"): "c0908c20b6f4dc352ddfa5580e65a3a8993446cbb7d9261416548c0f62f5e33e",
+    ("toy", "hidden"): "6877900113673203b26dd3938b1de81b2039e0a77b321dc0e4c0740532dc7f99",
+    ("prod", "fresh"): "68b2691565c229eaef9e1a6f9ce13cade768272e1283024e19bd2ffb4a9e7d23",
+    ("prod", "unfresh"): "5925d503899efbac4845b4c335efcd78cfa6047f6b478fd4d017d6f6275d7dff",
+    ("prod", "hidden"): "2d2f9231e64181501eae2486cd68e8aa647509958384ae74fdc237e14f6728f2",
+}
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_holder_tokens_match_known_answers(name, request):
+    """make_presentation, fresh and not, and present(cred, []) in process,
+    on a credential issued from fixed seeds: the bytes the criterion 10
+    digests do not reach."""
+    params, key = request.getfixturevalue(f"{name}_deploy")
+    c = params.curve
+    rng = make_rng(f"kat:{name}")
+    attrs = [c.random_nonzero(rng)] + [attr_to_scalar(f"a{i}", c) for i in range(1, 4)]
+    cred, _ = run_issuance(params, key, attrs, rng, rng)
+    makers = {
+        "fresh": lambda r: make_presentation(cred, params, r, fresh=True),
+        "unfresh": lambda r: make_presentation(cred, params, r, fresh=False),
+        "hidden": lambda r: present(cred, [], params, r),
+    }
+    for label, make in makers.items():
+        token = make(make_rng(f"kat:{name}:{label}"))
+        digest = hashlib.sha256(token.session_id + token.to_bytes(params)).hexdigest()
+        assert digest == HOLDER_DIGESTS[name, label], label

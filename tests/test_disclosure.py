@@ -374,6 +374,21 @@ def test_verify_books_split_equation_and_proofs(deploy, request):
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (3 + r + 2 * h, h + 1, min(r, 1))
 
 
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_present_pays_one_inversion(deploy, request):
+    """The h hidden m_i*P and the h proof nonces' w_i*P are one batch of
+    2h Ms with one inversion, whether none, some or all of indices
+    1..n-1 are revealed."""
+    params, key = request.getfixturevalue(deploy)
+    cred, rng = issue(params, key, 5, f"present-inv:{deploy}")
+    for subset in ([], [2], [1, 3], [1, 2, 3, 4]):
+        with OpCounter() as ops:
+            token = present(cred, subset, params, rng)
+        h = 5 - len(subset)
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2 * h, 0, 1), subset
+        assert verify_disclosure(token, params)
+
+
 @pytest.mark.parametrize("check", ["verify_disclosure", "check_equation"])
 def test_public_key_table_at_nth_check(check, prod_deploy):
     """A verifier that only checks tokens builds Ppub's comb table at its

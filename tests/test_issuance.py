@@ -238,14 +238,14 @@ def test_sign_rejects_wrong_proof_statement(toy_deploy):
 
 def test_sign_rejects_proof_for_unknown_secret(toy_deploy):
     # proving knowledge of a DIFFERENT discrete log than the commitment
-    from edcred.schnorr import fs_prove
+    from edcred.schnorr import fs_prove, pk_commit
 
     params, key = toy_deploy
     rng = make_rng("nosecret")
     session, r_bar = issuer_start(key, params, rng)
     attrs = sample_attrs(params, rng)
     state, request = user_blind(r_bar, attrs, params, rng)
-    lie = fs_prove(attrs[0] + 1, request.commitment0, b"", rng)
+    lie = fs_prove(attrs[0] + 1, request.commitment0, *pk_commit(params.curve, rng), b"")
     forged = IssuanceRequest(h_bar=request.h_bar, commitment0=request.commitment0, proof=lie)
     with pytest.raises(InvalidProofError):
         session.sign(forged)

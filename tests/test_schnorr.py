@@ -24,6 +24,12 @@ from conftest import make_rng
 from oracles import extract_witness
 
 
+def prove_batch(secrets, stmts, context, curve, rng):
+    """fs_prove_batch on fresh nonces from rng, committed as one batch."""
+    nonces = [curve.random_nonzero(rng) for _ in secrets]
+    return fs_prove_batch(secrets, stmts, nonces, curve.base.multiples(nonces), context)
+
+
 def test_respond_is_plain_field_arithmetic():
     # worked example, small modulus: r = c*mu + w = 3*5 + 2 = 17 = 6 mod 11
     q = 11
@@ -57,7 +63,7 @@ def test_interactive_soundness_wrong_secret(toy):
 def test_fs_roundtrip(toy):
     rng = make_rng("fs")
     mu = toy.random_nonzero(rng)
-    t = fs_prove(mu, mu * toy.base, b"ctx", rng)
+    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, rng), b"ctx")
     assert fs_verify(t, b"ctx")
 
 
@@ -66,7 +72,7 @@ def test_fs_rejects_mutations(toy):
     # challenge space of the toy curve cannot fake an accept
     rng = make_rng("fsmut")
     mu = toy.random_nonzero(rng)
-    t = fs_prove(mu, mu * toy.base, b"ctx", rng)
+    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, rng), b"ctx")
     bumped = SchnorrTranscript(t.commitment, t.challenge, t.response + 1, t.statement)
     assert not fs_verify(bumped, b"ctx")
     retold = SchnorrTranscript(t.commitment, t.challenge + 1, t.response, t.statement)
@@ -79,7 +85,7 @@ def test_fs_context_binding_production(prod):
     # production curve where a collision will not happen
     rng = make_rng("fsbind")
     mu = prod.random_nonzero(rng)
-    t = fs_prove(mu, mu * prod.base, b"ctx", rng)
+    t = fs_prove(mu, mu * prod.base, *pk_commit(prod, rng), b"ctx")
     assert fs_verify(t, b"ctx")
     assert not fs_verify(t, b"other-ctx")
     moved = SchnorrTranscript(t.commitment + prod.base, t.challenge, t.response, t.statement)
@@ -90,7 +96,7 @@ def test_fs_batch_shares_one_challenge(toy):
     rng = make_rng("batch")
     secrets = [toy.random_nonzero(rng) for _ in range(4)]
     stmts = [m * toy.base for m in secrets]
-    ts = fs_prove_batch(secrets, stmts, b"joint", toy, rng)
+    ts = prove_batch(secrets, stmts, b"joint", toy, rng)
     assert len({t.challenge for t in ts}) == 1
     assert fs_verify_batch(ts, b"joint")
     assert not fs_verify_batch([], b"joint")
@@ -101,7 +107,7 @@ def test_fs_batch_binding_production(prod):
     rng = make_rng("batchbind")
     secrets = [prod.random_nonzero(rng) for _ in range(4)]
     stmts = [m * prod.base for m in secrets]
-    ts = fs_prove_batch(secrets, stmts, b"joint", prod, rng)
+    ts = prove_batch(secrets, stmts, b"joint", prod, rng)
     assert fs_verify_batch(ts, b"joint")
     assert not fs_verify_batch(ts, b"split")
     assert not fs_verify_batch(ts[:2], b"joint")
@@ -111,7 +117,7 @@ def test_fs_batch_rejects_single_bad_member(toy):
     rng = make_rng("batchbad")
     secrets = [toy.random_nonzero(rng) for _ in range(3)]
     stmts = [m * toy.base for m in secrets]
-    ts = fs_prove_batch(secrets, stmts, b"joint", toy, rng)
+    ts = prove_batch(secrets, stmts, b"joint", toy, rng)
     broken = ts[:1] + [SchnorrTranscript(ts[1].commitment, ts[1].challenge,
                                          ts[1].response + 1, ts[1].statement)] + ts[2:]
     assert not fs_verify_batch(broken, b"joint")
@@ -119,10 +125,42 @@ def test_fs_batch_rejects_single_bad_member(toy):
 
 def test_fs_batch_shape_mismatch(toy):
     rng = make_rng("shape")
+    secrets = [toy.random_nonzero(rng) for _ in range(2)]
+    stmts = toy.base.multiples(secrets)
+    nonces = [toy.random_nonzero(rng) for _ in range(2)]
+    commits = toy.base.multiples(nonces)
     with pytest.raises(ValueError):
-        fs_prove_batch([toy.scalar(3)], [], b"", toy, rng)
+        fs_prove_batch(secrets[:1], [], nonces[:1], commits[:1], b"")
     with pytest.raises(ValueError):
-        fs_prove_batch([], [], b"", toy, rng)
+        fs_prove_batch([], [], [], [], b"")
+    # a nonce or a commitment too few or too many
+    for ns, cs in ((nonces[:1], commits), (nonces, commits[:1]), (nonces + nonces[:1], commits),
+                   (nonces, commits + commits[:1])):
+        with pytest.raises(ValueError):
+            fs_prove_batch(secrets, stmts, ns, cs, b"")
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_prover_is_deterministic_for_fixed_nonces(name, request):
+    """The prover draws and multiplies nothing: the same nonces and
+    commitments give the same transcripts, booked as no operation, and
+    each response is c*mu + w for the caller's w."""
+    c = request.getfixturevalue(name)
+    rng = make_rng(f"pure:{name}")
+    secrets = [c.random_nonzero(rng) for _ in range(3)]
+    stmts = c.base.multiples(secrets)
+    nonces = [c.random_nonzero(rng) for _ in range(3)]
+    commits = c.base.multiples(nonces)
+    with OpCounter() as ops:
+        first = fs_prove_batch(secrets, stmts, nonces, commits, b"pure")
+        again = fs_prove_batch(secrets, stmts, nonces, commits, b"pure")
+        one = fs_prove(secrets[0], stmts[0], nonces[0], commits[0], b"pure")
+    assert ops.as_dict() == OpCounter().as_dict()
+    assert first == again and fs_verify_batch(first, b"pure")
+    assert one == fs_prove(secrets[0], stmts[0], nonces[0], commits[0], b"pure")
+    assert fs_verify(one, b"pure")
+    for t, mu, w, a in zip(first, secrets, nonces, commits):
+        assert t.commitment == a and t.response == t.challenge * mu + w
 
 
 def test_special_soundness_extraction(toy):
@@ -157,7 +195,7 @@ def test_transcript_bytes_roundtrip(toy, prod):
         rng = make_rng(f"wire:{c.name}")
         mu = c.random_nonzero(rng)
         stmt = mu * c.base
-        t = fs_prove(mu, stmt, b"ctx", rng)
+        t = fs_prove(mu, stmt, *pk_commit(c, rng), b"ctx")
         data = t.to_bytes()
         assert len(data) == 4 * c.coord_bytes
         r = Reader(data, c)
@@ -213,7 +251,7 @@ def test_batch_verdict_equals_per_proof_reference(name, request):
     sizes = [1, 16] + [rng.randrange(2, 16) for _ in range(3)]
     for k in sizes:
         secrets = [c.random_nonzero(rng) for _ in range(k)]
-        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"ref", c, rng)
+        ts = prove_batch(secrets, [m * c.base for m in secrets], b"ref", c, rng)
         assert fs_verify_batch(ts, b"ref") == per_proof(ts, b"ref") is True
         for kind in ("response", "commitment", "statement", "challenge"):
             j = rng.randrange(k)
@@ -228,7 +266,7 @@ def test_compensating_responses_rejected(name, request):
     c = request.getfixturevalue(name)
     rng = make_rng(f"compensate:{name}")
     secrets = [c.random_nonzero(rng) for _ in range(3)]
-    ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"pair", c, rng)
+    ts = prove_batch(secrets, [m * c.base for m in secrets], b"pair", c, rng)
     delta = c.random_nonzero(rng)
     a, b = ts[0], ts[1]
     bad = [SchnorrTranscript(a.commitment, a.challenge, a.response + delta, a.statement),
@@ -278,7 +316,7 @@ def test_batch_books_its_plain_equations(name, request):
     rng = make_rng(f"book:{name}")
     for k in (1, 2, 5, 16):
         secrets = [c.random_nonzero(rng) for _ in range(k)]
-        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"ops", c, rng)
+        ts = prove_batch(secrets, [m * c.base for m in secrets], b"ops", c, rng)
         with OpCounter() as ops:
             assert fs_verify_batch(ts, b"ops")
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2 * k, k, 0)
@@ -296,7 +334,7 @@ def test_batch_folds_one_equation(name, request):
     rng = make_rng(f"fold:{name}")
     for k in (1, 4):
         secrets = [c.random_nonzero(rng) for _ in range(k)]
-        ts = fs_prove_batch(secrets, [m * c.base for m in secrets], b"eq", c, rng)
+        ts = prove_batch(secrets, [m * c.base for m in secrets], b"eq", c, rng)
         x = c.random_nonzero(rng)
         big_x = x * c.base
         with OpCounter() as ops:
@@ -453,7 +491,7 @@ def test_one_proof_runs_a_half_length_chain(prod):
     rng = make_rng("halfchain")
     for _ in range(20):
         mu = prod.random_nonzero(rng)
-        t = fs_prove(mu, mu * prod.base, b"half", rng)
+        t = fs_prove(mu, mu * prod.base, *pk_commit(prod, rng), b"half")
         with OpCounter() as ops:
             assert fs_verify(t, b"half")
         # no comb doubling, a chain from a top wNAF digit at bit 125 or

@@ -17,10 +17,8 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   alpha*R' + beta*P of user_blind (a wNAF term and a comb term in one
   pass) and in_prime_subgroup(Ppub) on Ppub's comb, the subgroup check
   validate_params makes;
-- comb table build: Point.precompute() for a fresh point Q, which with
-  the comb and wNAF rows gives the signature check at which SystemParams
-  builds Ppub's table (_COMB_AT in params.py), the one table built at
-  run time;
+- comb table build: Point.precompute() for a fresh point Q, the one
+  kind of table built at run time;
 - one-shot start: import edcred.cli, credential, disclosure and
   protocol, the modules a CLI command loads, then production_curve() and
   the first k*P, which decodes the entries of P's shipped table that it
@@ -31,19 +29,28 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   the bytecode cached under a temporary PYTHONPYCACHEPREFIX, so that the
   difference is the CLI's compile share;
 - protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
-  (the full-show holder, randomizing), present plus encoding (holder),
-  parse plus verify_disclosure (verifier), with Ppub's comb table built as
-  a long-lived verifier has it; and parse plus verify_disclosure at n = 16
-  with every index hidden, the longest check;
+  (the full-show holder, randomizing), randomize (the triple alone),
+  present plus encoding (holder), parse plus verify_disclosure
+  (verifier), with Ppub's comb table built as a long-lived verifier has
+  it; and parse plus verify_disclosure at n = 16 with every index hidden,
+  the longest check;
 - wire: parsing that disclosure token alone, and the n = 8 credential;
 - load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
   params.txt and issuer.key, written once at start, the step every CLI
   command pays before its own work.
 
-Each protocol row also prints the inner additions and doublings its one
-counted run books (OpCounter): each row draws its rng seeds from its own
-counter, so the counts repeat exactly at any --repeat and show which
-steps a change in time comes from.
+Each protocol row also prints the inner additions and doublings and the
+field inversions its one counted run books (OpCounter): each row draws
+its rng seeds from its own counter, so the counts repeat exactly at any
+--repeat and show which steps a change in time comes from.
+
+After the table, the comb break-even: the signature check at which a
+table for Ppub has paid for its build (_COMB_AT in params.py). Each of
+--repeat loops builds a table on a fresh copy of Ppub, then times a wNAF
+k*Q on another fresh copy and a comb k*Q on the built one, and divides
+the build by the difference, so that the three timings of one ratio are
+made within milliseconds of each other; it prints the median and the
+quartiles of the ratios.
 
 Two SRCs load both packages in this process under different names and
 alternate them operation by operation, which side goes first alternating
@@ -69,7 +76,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 N_ATTRS = 8
 REVEALED = [1, 2, 3]
 N_ALL_HIDDEN = 16
-PROTOCOL = ("run_issuance n=8", "make_presentation n=8", "present n=8",
+PROTOCOL = ("run_issuance n=8", "make_presentation n=8", "randomize", "present n=8",
             "verify_disclosure n=8", "verify_disclosure n=16, all hidden")
 _FIELD_REPS = 1000
 FIELD = ("mulmod", "folded product", "inversion")
@@ -126,6 +133,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
     params.save(params_file)
     key.save(key_file, params)
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
+    sig = pkg.signature_of(cred)
     # a package from before Point.multiples takes the batch one by one
     multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
     curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
@@ -146,6 +154,9 @@ def operations(pkg, src: str, workdir: str) -> dict:
 
     def show_holder(i):
         return pkg.make_presentation(cred, params, random.Random(i))
+
+    def randomized(i):
+        return pkg.randomize(sig, params, random.Random(i))
 
     def holder(i):
         return pkg.present(cred, REVEALED, params, random.Random(i)).to_bytes(params)
@@ -185,6 +196,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": seeded(issuance),
         "make_presentation n=8": seeded(show_holder),
+        "randomize": seeded(randomized),
         "present n=8": seeded(holder),
         "verify_disclosure n=8": verifier(data, token.session_id),
         "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
@@ -230,32 +242,65 @@ def unit(name: str):
     return ("ns", 1e9 / _FIELD_REPS) if name in FIELD else ("ms", 1e3)
 
 
-def inner_steps(pkg, name: str, fn) -> str:
-    """'adds/doublings' booked by one run of a protocol row, else ''; the
-    run is the row's warm-up."""
+def inner_steps(pkg, name: str, fn) -> tuple[str, str]:
+    """('adds/doublings', 'inversions') booked by one run of a protocol
+    row, else ('', ''); the run is the row's warm-up."""
     if name not in PROTOCOL:
         fn()
-        return ""
+        return "", ""
     with pkg.OpCounter() as ops:
         fn()
-    return f"{ops.inner_adds}/{ops.inner_doubles}"
+    return f"{ops.inner_adds}/{ops.inner_doubles}", str(ops.inversions)
+
+
+def break_even(pkg):
+    """A callable that runs one loop of the comb break-even and returns
+    build / (wNAF k*Q - comb k*Q) for a fresh copy of Ppub."""
+    curve = pkg.production_curve()
+    params, _ = pkg.setup(curve, random.Random("bench_kernel:setup"))
+    x, y = params.p_pub.x, params.p_pub.y
+    rng = random.Random("bench_kernel:break-even")
+
+    def loop() -> float:
+        k = rng.randrange(1, curve.q)
+        table = pkg.Point(x, y, curve)
+        plain = pkg.Point(x, y, curve)
+        t0 = time.perf_counter()
+        table.precompute()
+        t1 = time.perf_counter()
+        k * plain
+        t2 = time.perf_counter()
+        k * table
+        t3 = time.perf_counter()
+        return (t1 - t0) / ((t2 - t1) - (t3 - t2))
+    return loop
+
+
+def spread(ratios: list) -> str:
+    """'median (quartile 1 - quartile 3)' of ratios."""
+    q1, q3 = (statistics.quantiles(ratios, n=4)[::2] if len(ratios) > 1 else ratios * 2)
+    return f"{statistics.median(ratios):.1f} (IQR {q1:.1f} - {q3:.1f})"
 
 
 def single(pkg, ops: dict, repeat: int) -> None:
-    print(f"{'':34s} {'median':>10s}     {'adds/dbls':>10s}")
+    print(f"{'':34s} {'median':>10s}     {'adds/dbls':>10s} {'inv':>4s}")
     for name, fn in ops.items():
-        steps = inner_steps(pkg, name, fn)
+        steps, inv = inner_steps(pkg, name, fn)
         times = [timed(name, fn) for _ in range(repeat)]
         label, scale = unit(name)
-        print(f"{name:34s} {scale * statistics.median(times):10.3f} {label:3s} {steps:>10s}")
+        print(f"{name:34s} {scale * statistics.median(times):10.3f} {label:3s} {steps:>10s} {inv:>4s}")
+    loop = break_even(pkg)
+    ratios = [loop() for _ in range(repeat)]
+    print(f"\ncomb break-even, build / (wNAF - comb), {repeat} loops: {spread(ratios)}")
 
 
 def paired(pkgs: list, ops_a: dict, ops_b: dict, repeat: int) -> None:
     print(f"{'':34s} {'A':>10s} {'B':>10s} {'B/A':>6s}  {'B won':>5s}     "
-          f"{'A adds/dbls':>12s} {'B adds/dbls':>12s}  (medians of {repeat} pairs)")
+          f"{'A adds/dbls':>12s} {'B adds/dbls':>12s} {'A inv':>5s} {'B inv':>5s}"
+          f"  (medians of {repeat} pairs)")
     for name, fa in ops_a.items():
         fb = ops_b[name]
-        steps = inner_steps(pkgs[0], name, fa), inner_steps(pkgs[1], name, fb)
+        (steps_a, inv_a), (steps_b, inv_b) = inner_steps(pkgs[0], name, fa), inner_steps(pkgs[1], name, fb)
         ta, tb = [], []
         for i in range(repeat):
             if i % 2:
@@ -268,7 +313,15 @@ def paired(pkgs: list, ops_a: dict, ops_b: dict, repeat: int) -> None:
         won = sum(y < x for x, y in zip(ta, tb))
         label, scale = unit(name)
         print(f"{name:34s} {scale * statistics.median(ta):10.3f} {scale * statistics.median(tb):10.3f}"
-              f" {ratio:6.3f}  {f'{won}/{repeat}':>5s} {label:3s} {steps[0]:>12s} {steps[1]:>12s}")
+              f" {ratio:6.3f}  {f'{won}/{repeat}':>5s} {label:3s} {steps_a:>12s} {steps_b:>12s}"
+              f" {inv_a:>5s} {inv_b:>5s}")
+    loops = [break_even(pkg) for pkg in pkgs]
+    ratios = ([], [])
+    for i in range(repeat):
+        for side in (1, 0) if i % 2 else (0, 1):
+            ratios[side].append(loops[side]())
+    print(f"\ncomb break-even, build / (wNAF - comb), {repeat} alternating loops:"
+          f"\n  A {spread(ratios[0])}\n  B {spread(ratios[1])}")
 
 
 def main(argv=None) -> int:
