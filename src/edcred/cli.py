@@ -9,8 +9,11 @@
 
 Exit codes: 0 success or accept, 1 verification reject, 2 malformed input
 or a socket peer silent for SESSION_TIMEOUT seconds.
-Every command takes --seed for reproducible runs; the same seed and inputs
-produce byte-identical output files.
+Every command but serve takes --seed, for reproducible test runs: the same
+seed and inputs produce byte-identical output files. setup --seed and the
+first issue --seed derive issuer.key and user.key from the seed, so such
+keys are only as secret as the seed. serve takes no seed: its nonce meets
+a peer, and two sessions under one seed give the issuer key away.
 
 Attribute files carry one label per line; the first line names the master
 secret, whose value is drawn at the first issue and kept in user.key next
@@ -162,7 +165,7 @@ def cmd_serve(args) -> int:
 
     params = _load_params(args.params)
     key = _load_issuer(args.params, params)
-    rng = _rng(args.seed, "issuer")
+    rng = random.SystemRandom()
     if os.path.lexists(args.listen):
         if not stat.S_ISSOCK(os.lstat(args.listen).st_mode):
             raise ValueError(f"{args.listen} exists and is not a socket")
@@ -242,10 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edcred", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, seeded=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
-        p.add_argument("--seed", type=int, default=None, help="deterministic run seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="for reproducible test runs: equal seeds give identical files, "
+                                "and setup and a first issue derive issuer.key and user.key "
+                                "from the seed")
         return p
 
     p = add("setup", cmd_setup, help="create params and issuer key")
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true", help="interactive proof round")
     p.add_argument("--transcript", default=None, help="record wire transcript here")
 
-    p = add("serve", cmd_serve, help="serve one issuance on a unix socket")
+    p = add("serve", cmd_serve, seeded=False, help="serve one issuance on a unix socket")
     p.add_argument("--params", required=True)
     p.add_argument("--listen", required=True, help="unix socket path to create")
     p.add_argument("--transcript", default=None)

@@ -24,8 +24,8 @@ The security arguments are executable:
 
 The known attacks are executable too (tests/test_known_attacks.py pins
 each outcome): a keyless presentation token, a hidden attribute read off
-a guess list, and the ROS forgery that bits(q) concurrent signing
-sessions allow.
+a guess list, the ROS forgery that bits(q) concurrent signing
+sessions allow, and the issuer key from two sessions under one nonce.
 """
 
 from dataclasses import dataclass
@@ -224,6 +224,12 @@ def extract_witness(t1, t2) -> Scalar:
 
 
 # -- known attacks -------------------------------------------------------------
+
+def key_from_two_views(v1: IssuerView, v2: IssuerView) -> Scalar:
+    """The issuer secret from two sessions signed under one nonce k:
+    s'_i = h'_i * x + k, so x = (s'_1 - s'_2) / (h'_1 - h'_2)."""
+    return (v1.s_bar - v2.s_bar) * (v1.h_bar - v2.h_bar).inverse()
+
 
 def forge_presentation(params, rng) -> PresentationToken:
     """A full-show token with no issuance behind it: a simulate_issue

@@ -411,7 +411,7 @@ def test_socket_issuance_roundtrip(deploy, tmp_path):
     server_rc = {}
 
     def serve():
-        server_rc["rc"] = main(["serve", "--params", str(out), "--listen", sock, "--seed", "51"])
+        server_rc["rc"] = main(["serve", "--params", str(out), "--listen", sock])
 
     thread = threading.Thread(target=serve)
     thread.start()
@@ -433,7 +433,7 @@ def test_serve_refuses_to_replace_a_file_that_is_no_socket(deploy, tmp_path, cap
     result = {}
 
     def serve():
-        result["rc"] = main(["serve", "--params", str(out), "--listen", str(path), "--seed", "1"])
+        result["rc"] = main(["serve", "--params", str(out), "--listen", str(path)])
 
     # a serve that took the path would wait for a client: the join times out
     thread = threading.Thread(target=serve, daemon=True)
@@ -454,7 +454,7 @@ def test_serve_removes_its_socket_when_the_session_fails(deploy, tmp_path):
     result = {}
 
     def serve():
-        result["rc"] = main(["serve", "--params", str(out), "--listen", sock, "--seed", "1"])
+        result["rc"] = main(["serve", "--params", str(out), "--listen", sock])
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -480,7 +480,7 @@ def test_serve_times_out_on_a_silent_peer(deploy, tmp_path, monkeypatch, capsys)
     result = {}
 
     def serve():
-        result["rc"] = main(["serve", "--params", str(out), "--listen", sock, "--seed", "1"])
+        result["rc"] = main(["serve", "--params", str(out), "--listen", sock])
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()

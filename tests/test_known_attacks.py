@@ -7,21 +7,31 @@ attacks that still work only get fewer. The attack constructions live in
 tests/oracles.py.
 """
 
+import os
 import random
+import threading
+import time
 from dataclasses import fields
 
 import pytest
 
 from edcred import setup
+from edcred.cli import main
 from edcred.credential import PresentationToken, make_presentation, verify_credential, verify_presentation
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.hashing import attr_to_scalar
 from edcred.issuance import Credential
 from edcred.protocol import run_issuance
-from edcred.wire import MSG_DISCLOSE, MSG_PRESENT, WireMessage, decode_message, encode_message
+from edcred.wire import MSG_DISCLOSE, MSG_PRESENT, Transcript, WireMessage, decode_message, encode_message
 
 from conftest import make_rng
-from oracles import forge_presentation, guess_hidden, ros_forge
+from oracles import (
+    forge_presentation,
+    guess_hidden,
+    issuer_view_from_transcript,
+    key_from_two_views,
+    ros_forge,
+)
 
 LABELS = ("age=30", "role=guest", "country=FR")
 
@@ -134,3 +144,56 @@ def test_fields_two_showings_share(prod_deploy):
     assert shared_fields(full[0], full[1]) == ["commitment0"]
     assert shared_fields(full[0], full[2]) == ["commitment0"]
     assert all(verify_presentation(token, params) for token in full)
+
+
+def served(deploy, attrs, dest):
+    """One `edcred serve` session with `edcred issue --connect` as its
+    peer; the transcript serve recorded."""
+    dest.mkdir()
+    sock, record = str(dest / "iss.sock"), dest / "serve.transcript"
+    rc = {}
+
+    def serve():
+        rc["serve"] = main(["serve", "--params", str(deploy), "--listen", sock,
+                            "--transcript", str(record)])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    for _ in range(200):
+        if os.path.exists(sock):
+            break
+        time.sleep(0.05)
+    rc["issue"] = main(["issue", "--params", str(deploy), "--attrs", str(attrs),
+                        "--connect", sock, "--out", str(dest / "cred.bin")])
+    thread.join(timeout=30)
+    assert not thread.is_alive() and rc == {"serve": 0, "issue": 0}
+    return Transcript.from_bytes(record.read_bytes())
+
+
+def test_two_serve_sessions_on_one_key_give_no_key(prod_deploy, tmp_path):
+    # flipped by ROADMAP item 17's serve step: two `serve --seed 7`
+    # sessions on one key sent one R', and their transcripts gave
+    # x = (s'_1 - s'_2) / (h'_1 - h'_2). serve now refuses a seed, before
+    # it binds a socket, and draws each nonce from the system rng
+    params, key = prod_deploy
+    deploy = tmp_path / "deploy"
+    deploy.mkdir()
+    params.save(deploy / "params.txt")
+    key.save(deploy / "issuer.key", params)
+    sock, seeded = tmp_path / "seeded.sock", {}
+
+    def serve_seeded():
+        seeded["rc"] = main(["serve", "--params", str(deploy), "--listen", str(sock), "--seed", "7"])
+
+    # a serve that took the seed would wait for a client: the join times out
+    thread = threading.Thread(target=serve_seeded, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert seeded.get("rc") == 2 and not os.path.lexists(sock)
+    views = []
+    for i, labels in enumerate((LABELS, LABELS[:2])):
+        attrs = tmp_path / f"attrs{i}.txt"
+        attrs.write_text("master\n" + "\n".join(labels) + "\n")
+        views.append(issuer_view_from_transcript(served(deploy, attrs, tmp_path / f"s{i}"), params))
+    assert views[0].h_bar != views[1].h_bar and views[0].r_bar != views[1].r_bar
+    assert key_from_two_views(*views) * params.curve.base != params.p_pub

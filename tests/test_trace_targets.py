@@ -1,18 +1,21 @@
-"""perfbench/spans.py patches edcred by module attribute: each name it
-wraps must still exist and still be called where it is looked up."""
+"""perfbench/spans.py and perfbench/child.py patch edcred by module
+attribute: each name they wrap must still exist and still be called where
+it is looked up."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
-from edcred import credential, disclosure, issuance, protocol
+from edcred import cli, credential, disclosure, issuance, protocol
 
 from conftest import make_rng
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    """perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -24,7 +27,7 @@ def test_instrumented_steps_record_their_proofs(toy_deploy):
     statements it proves, and uninstall puts every original back."""
     params, key = toy_deploy
     rng = make_rng("trace-targets")
-    spans = load_spans()
+    spans = load("spans")
     originals = (credential.fs_prove, disclosure.fs_prove_batch, issuance.pk_commit, issuance.fs_prove)
     tracer = spans.Tracer()
     spans.instrument(tracer)
@@ -54,3 +57,18 @@ def test_instrumented_steps_record_their_proofs(toy_deploy):
         "credential.make_presentation": [1],
         "disclosure.present": [3],
     }
+
+
+def test_cli_patch_targets_are_what_the_parser_dispatches(monkeypatch):
+    """child.py's traced run patches cli.cmd_<name> for each name in
+    CLI_COMMANDS and then calls cli.main: each function must exist, and
+    build_parser() must dispatch its subcommand to the module attribute as
+    it stands when the parser is built."""
+    commands = load("child").CLI_COMMANDS
+    stand_ins = {}
+    for name in commands:
+        assert callable(getattr(cli, f"cmd_{name}"))
+        stand_ins[name] = lambda args: 0
+        monkeypatch.setattr(cli, f"cmd_{name}", stand_ins[name])
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: sub.choices[name].get_default("func") for name in commands} == stand_ins

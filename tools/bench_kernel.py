@@ -6,7 +6,7 @@
     python tools/bench_kernel.py [--repeat N] SRC_A SRC_B # paired comparison
 
 Each SRC is a directory holding an `edcred` package, such as a checkout's
-`src/`. One SRC prints the median time of each operation:
+`src/`. The rows:
 
 - field: a 251-bit mulmod; the same product folded twice, as _sum's pass
   reduces each X, Y, Z and T it carries (2^251 = 9 mod p, so a fold is
@@ -19,6 +19,20 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   validate_params makes;
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
+- protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
+  (the full-show holder, randomizing), randomize (the triple alone),
+  present plus encoding (holder), parse plus verify_disclosure
+  (verifier), with Ppub's comb table built as a long-lived verifier has
+  it; and parse plus verify_disclosure at n = 16 with every index hidden,
+  the longest check;
+- one-shot checks: check_equation, and parse plus verify_disclosure at
+  n = 8, each on a SystemParams built in the row from a fresh copy of
+  Ppub, as every CLI process and every holder's unblind check has it: no
+  comb table and no check counted;
+- wire: parsing that disclosure token alone, and the n = 8 credential;
+- load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
+  params.txt and issuer.key, written once at start, the step every CLI
+  command pays before its own work;
 - one-shot start: import edcred.cli, credential, disclosure and
   protocol, the modules a CLI command loads, then production_curve() and
   the first k*P, which decodes the entries of P's shipped table that it
@@ -28,36 +42,30 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   module is compiled from source as in a fresh checkout, and once with
   the bytecode cached under a temporary PYTHONPYCACHEPREFIX, so that the
   difference is the CLI's compile share;
-- protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
-  (the full-show holder, randomizing), randomize (the triple alone),
-  present plus encoding (holder), parse plus verify_disclosure
-  (verifier), with Ppub's comb table built as a long-lived verifier has
-  it; and parse plus verify_disclosure at n = 16 with every index hidden,
-  the longest check;
-- wire: parsing that disclosure token alone, and the n = 8 credential;
-- load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
-  params.txt and issuer.key, written once at start, the step every CLI
-  command pays before its own work.
+- comb break-even: the signature check at which a table for Ppub has paid
+  for its build (_COMB_AT in params.py). Each run builds a table on a
+  fresh copy of Ppub, then times a wNAF k*Q on another fresh copy and a
+  comb k*Q on the built one, and returns build / (wNAF - comb), so that
+  the three timings of one ratio are made within milliseconds of each
+  other.
 
-Each protocol row also prints the inner additions and doublings and the
-field inversions its one counted run books (OpCounter): each row draws
-its rng seeds from its own counter, so the counts repeat exactly at any
---repeat and show which steps a change in time comes from.
+Every row runs once, counted by OpCounter, then --repeat timed rounds.
+It prints, per package, the median and the quartiles of its rounds, in
+ns per operation for the field rows, in ms for the others, and as a bare
+ratio for the break-even, and the inner additions/doublings and field
+inversions its counted run booked. Each row that draws rng seeds draws
+them from its own counter, so the counts repeat exactly at any --repeat
+and show which steps a change in time comes from. The fresh-import rows
+run in a child process and so count nothing in this one; the table build
+books only its 32 inversions, one per row; the load books 31/2 and one
+inversion, the key file's x*P and the small-order check of Ppub.
 
-After the table, the comb break-even: the signature check at which a
-table for Ppub has paid for its build (_COMB_AT in params.py). Each of
---repeat loops builds a table on a fresh copy of Ppub, then times a wNAF
-k*Q on another fresh copy and a comb k*Q on the built one, and divides
-the build by the difference, so that the three timings of one ratio are
-made within milliseconds of each other; it prints the median and the
-quartiles of the ratios.
-
-Two SRCs load both packages in this process under different names and
-alternate them operation by operation, which side goes first alternating
-too, so that drift in the host's speed hits both alike. Each operation
-prints both medians, the median of the per-operation ratios B/A and the
-number of pairs B won. Both sides get identical inputs and rng seeds.
-The package needs only the standard library, and so does this script.
+Two SRCs load both packages in this process under different names. In
+round i, A runs before B when i is even and after it when i is odd, so
+that drift in the host's speed hits both alike; each row also prints the
+median of the per-round ratios B/A and the number of rounds in which B
+read less. Both sides get identical inputs and rng seeds. The package
+needs only the standard library, and so does this script.
 """
 
 import argparse
@@ -76,11 +84,9 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 N_ATTRS = 8
 REVEALED = [1, 2, 3]
 N_ALL_HIDDEN = 16
-PROTOCOL = ("run_issuance n=8", "make_presentation n=8", "randomize", "present n=8",
-            "verify_disclosure n=8", "verify_disclosure n=16, all hidden")
 _FIELD_REPS = 1000
 FIELD = ("mulmod", "folded product", "inversion")
-FRESH = ("fresh import, compiled", "fresh import, cached bytecode")
+BREAK_EVEN = "comb break-even, build/(wNAF-comb)"
 # run by `python -c` with the SRC directory and k as arguments
 _FIRST_USE = """
 import sys, time
@@ -105,18 +111,19 @@ def load(src: str, name: str):
 
 def operations(pkg, src: str, workdir: str) -> dict:
     """Name -> zero-argument callable, for one loaded package and the SRC
-    it was loaded from; the load row's files go in workdir."""
+    it was loaded from; the load row's files go in workdir. A callable
+    that returns a float reports that figure in place of its own time."""
     curve = pkg.production_curve()
     p, q, base = curve.p, curve.q, curve.base
     Point = pkg.Point
     rng = random.Random("bench_kernel")
     a, b = rng.randrange(1, p), rng.randrange(1, p)
-    # a package from before the fold is timed with curve1174's (K, c)
-    K, c = getattr(curve, "_fold", None) or (p.bit_length(), (1 << p.bit_length()) % p)
+    K, c = curve._fold
     k = rng.randrange(1, q)
     q_pt = rng.randrange(1, q) * base
     batch = [rng.randrange(1, q) for _ in range(8)]
     params, key = pkg.setup(curve, random.Random("bench_kernel:setup"))
+    px, py = params.p_pub.x, params.p_pub.y
     params.p_pub.precompute()
     attrs = [curve.random_nonzero(rng) for _ in range(N_ATTRS)]
     cred, _ = pkg.run_issuance(params, key, attrs, random.Random("i"), random.Random("u"))
@@ -134,14 +141,13 @@ def operations(pkg, src: str, workdir: str) -> dict:
     key.save(key_file, params)
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     sig = pkg.signature_of(cred)
-    # a package from before Point.multiples takes the batch one by one
-    multiples = getattr(base, "multiples", None) or (lambda ks: [k * base for k in ks])
     curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
     # the fresh-import rows run a copy of the package, so that no bytecode
     # cache next to its source is ever read
     copy = os.path.join(workdir, "src")
     shutil.copytree(os.path.join(src, "edcred"), os.path.join(copy, "edcred"),
                     ignore=shutil.ignore_patterns("__pycache__"))
+    ratio_rng = random.Random("bench_kernel:break-even")
 
     def seeded(draw):
         # each protocol row counts its own rng seeds, so that its counted
@@ -161,9 +167,14 @@ def operations(pkg, src: str, workdir: str) -> dict:
     def holder(i):
         return pkg.present(cred, REVEALED, params, random.Random(i)).to_bytes(params)
 
-    def verifier(blob, session_id):
+    def one_shot():
+        # Ppub as a CLI process has it: no comb table, no check counted
+        return pkg.SystemParams(curve, Point(px, py, curve), params.k)
+
+    def verifier(blob, session_id, deployment=lambda: params):
         def check():
-            if not pkg.verify_disclosure(DisclosureToken.from_bytes(blob, params, session_id), params):
+            ps = deployment()
+            if not pkg.verify_disclosure(DisclosureToken.from_bytes(blob, ps, session_id), ps):
                 raise SystemExit("an honest token was refused")
         return check
 
@@ -182,13 +193,25 @@ def operations(pkg, src: str, workdir: str) -> dict:
             return float(child.stdout)
         return run
 
+    def break_even() -> float:
+        k = ratio_rng.randrange(1, q)
+        table, plain = Point(px, py, curve), Point(px, py, curve)
+        t0 = time.perf_counter()
+        table.precompute()
+        t1 = time.perf_counter()
+        k * plain
+        t2 = time.perf_counter()
+        k * table
+        t3 = time.perf_counter()
+        return (t1 - t0) / ((t2 - t1) - (t3 - t2))
+
     return {
         "mulmod": lambda: mulmod(a, b, p),
         "folded product": lambda: folded(a, b, K, c),
         "inversion": lambda: [pow(a, -1, p) for _ in range(_FIELD_REPS)],
         "comb k*P": lambda: k * base,
         "wNAF k*Q": lambda: k * Point(q_pt.x, q_pt.y, curve),
-        "batch of 8 k*P": lambda: multiples(batch),
+        "batch of 8 k*P": lambda: base.multiples(batch),
         "one addition P + Q": lambda: base + q_pt,
         "blinding sum alpha*R' + beta*P": lambda: curve_mod.sum_of_multiples(
             curve, [[(r_bar, alpha), (base, beta)]], ms=2, ap=1),
@@ -200,12 +223,15 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "present n=8": seeded(holder),
         "verify_disclosure n=8": verifier(data, token.session_id),
         "verify_disclosure n=16, all hidden": verifier(wide_data, wide_token.session_id),
+        "check_equation, fresh Ppub": lambda: pkg.check_equation(sig, one_shot()),
+        "verify_disclosure n=8, fresh Ppub": verifier(data, token.session_id, one_shot),
         "parse token n=8": lambda: DisclosureToken.from_bytes(data, params, token.session_id),
         "parse credential n=8": lambda: Credential.from_bytes(cred_data, params),
         "load params + issuer key": lambda: pkg.IssuerKey.load(
             key_file, pkg.SystemParams.load(params_file)),
-        FRESH[0]: first_use(cached=False),
-        FRESH[1]: first_use(cached=True),
+        "fresh import, compiled": first_use(cached=False),
+        "fresh import, cached bytecode": first_use(cached=True),
+        BREAK_EVEN: break_even,
     }
 
 
@@ -227,119 +253,79 @@ def folded(a, b, K, c):
     return v
 
 
-def timed(name: str, fn) -> float:
-    # a fresh-process operation returns the seconds its child measured
-    if name in FRESH:
-        return fn()
+def measure(fn) -> float:
+    """fn's wall time in seconds, or the float it returns: the seconds a
+    fresh-import child measured, or the break-even ratio."""
     t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    out = fn()
+    t1 = time.perf_counter()
+    return out if isinstance(out, float) else t1 - t0
 
 
 def unit(name: str):
-    # a field operation runs _FIELD_REPS times per call and prints in ns
-    # per operation; everything else prints in ms
-    return ("ns", 1e9 / _FIELD_REPS) if name in FIELD else ("ms", 1e3)
+    # a field row runs _FIELD_REPS operations per call and prints in ns
+    # per operation; the break-even is a ratio; everything else is in ms
+    if name in FIELD:
+        return "ns", 1e9 / _FIELD_REPS
+    return ("", 1.0) if name == BREAK_EVEN else ("ms", 1e3)
 
 
-def inner_steps(pkg, name: str, fn) -> tuple[str, str]:
-    """('adds/doublings', 'inversions') booked by one run of a protocol
-    row, else ('', ''); the run is the row's warm-up."""
-    if name not in PROTOCOL:
-        fn()
-        return "", ""
+def counted(pkg, fn) -> tuple[str, str]:
+    """('adds/doublings', 'inversions') booked by one run of fn, the row's
+    warm-up."""
     with pkg.OpCounter() as ops:
         fn()
     return f"{ops.inner_adds}/{ops.inner_doubles}", str(ops.inversions)
 
 
-def break_even(pkg):
-    """A callable that runs one loop of the comb break-even and returns
-    build / (wNAF k*Q - comb k*Q) for a fresh copy of Ppub."""
-    curve = pkg.production_curve()
-    params, _ = pkg.setup(curve, random.Random("bench_kernel:setup"))
-    x, y = params.p_pub.x, params.p_pub.y
-    rng = random.Random("bench_kernel:break-even")
-
-    def loop() -> float:
-        k = rng.randrange(1, curve.q)
-        table = pkg.Point(x, y, curve)
-        plain = pkg.Point(x, y, curve)
-        t0 = time.perf_counter()
-        table.precompute()
-        t1 = time.perf_counter()
-        k * plain
-        t2 = time.perf_counter()
-        k * table
-        t3 = time.perf_counter()
-        return (t1 - t0) / ((t2 - t1) - (t3 - t2))
-    return loop
-
-
-def spread(ratios: list) -> str:
-    """'median (quartile 1 - quartile 3)' of ratios."""
-    q1, q3 = (statistics.quantiles(ratios, n=4)[::2] if len(ratios) > 1 else ratios * 2)
-    return f"{statistics.median(ratios):.1f} (IQR {q1:.1f} - {q3:.1f})"
-
-
-def single(pkg, ops: dict, repeat: int) -> None:
-    print(f"{'':34s} {'median':>10s}     {'adds/dbls':>10s} {'inv':>4s}")
-    for name, fn in ops.items():
-        steps, inv = inner_steps(pkg, name, fn)
-        times = [timed(name, fn) for _ in range(repeat)]
-        label, scale = unit(name)
-        print(f"{name:34s} {scale * statistics.median(times):10.3f} {label:3s} {steps:>10s} {inv:>4s}")
-    loop = break_even(pkg)
-    ratios = [loop() for _ in range(repeat)]
-    print(f"\ncomb break-even, build / (wNAF - comb), {repeat} loops: {spread(ratios)}")
-
-
-def paired(pkgs: list, ops_a: dict, ops_b: dict, repeat: int) -> None:
-    print(f"{'':34s} {'A':>10s} {'B':>10s} {'B/A':>6s}  {'B won':>5s}     "
-          f"{'A adds/dbls':>12s} {'B adds/dbls':>12s} {'A inv':>5s} {'B inv':>5s}"
-          f"  (medians of {repeat} pairs)")
-    for name, fa in ops_a.items():
-        fb = ops_b[name]
-        (steps_a, inv_a), (steps_b, inv_b) = inner_steps(pkgs[0], name, fa), inner_steps(pkgs[1], name, fb)
-        ta, tb = [], []
+def bench(sides: list, repeat: int) -> None:
+    """Print one line per row of sides[0]: for each side, the median and
+    quartiles of `repeat` timed rounds and the counts of one warm-up run;
+    with two sides, also the median of the ratios B/A and the rounds B
+    read less. Each side is (package, rows), rows as operations() makes
+    them; in round i the sides run in order when i is even, else reversed."""
+    order = range(len(sides))
+    paired = len(sides) == 2
+    head = f"{'':34s} {'':2s}"
+    for tag in ("A ", "B ") if paired else ("",):
+        head += (f" {tag + 'median':>10s} {tag + 'q1':>10s} {tag + 'q3':>10s}"
+                 f" {tag + 'adds/dbls':>11s} {tag + 'inv':>5s}")
+    print(head + ("   B/A B won" if paired else "") + f"   ({repeat} rounds)")
+    for name in sides[0][1]:
+        fns = [rows[name] for _, rows in sides]
+        counts = [counted(pkg, fn) for (pkg, _), fn in zip(sides, fns)]
+        times = [[] for _ in sides]
         for i in range(repeat):
-            if i % 2:
-                tb.append(timed(name, fb))
-                ta.append(timed(name, fa))
-            else:
-                ta.append(timed(name, fa))
-                tb.append(timed(name, fb))
-        ratio = statistics.median(y / x for x, y in zip(ta, tb))
-        won = sum(y < x for x, y in zip(ta, tb))
+            for s in (order if i % 2 == 0 else reversed(order)):
+                times[s].append(measure(fns[s]))
         label, scale = unit(name)
-        print(f"{name:34s} {scale * statistics.median(ta):10.3f} {scale * statistics.median(tb):10.3f}"
-              f" {ratio:6.3f}  {f'{won}/{repeat}':>5s} {label:3s} {steps_a:>12s} {steps_b:>12s}"
-              f" {inv_a:>5s} {inv_b:>5s}")
-    loops = [break_even(pkg) for pkg in pkgs]
-    ratios = ([], [])
-    for i in range(repeat):
-        for side in (1, 0) if i % 2 else (0, 1):
-            ratios[side].append(loops[side]())
-    print(f"\ncomb break-even, build / (wNAF - comb), {repeat} alternating loops:"
-          f"\n  A {spread(ratios[0])}\n  B {spread(ratios[1])}")
+        line = f"{name:34s} {label:2s}"
+        for ts, (steps, inv) in zip(times, counts):
+            q1, q3 = statistics.quantiles(ts, n=4)[::2] if repeat > 1 else ts * 2
+            line += (f" {scale * statistics.median(ts):10.3f} {scale * q1:10.3f}"
+                     f" {scale * q3:10.3f} {steps:>11s} {inv:>5s}")
+        if paired:
+            ratio = statistics.median(y / x for x, y in zip(*times))
+            won = sum(y < x for x, y in zip(*times))
+            line += f" {ratio:5.3f} {won:>5d}"
+        print(line)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", nargs="*", help="directories holding an edcred package (default: this checkout's src/)")
-    ap.add_argument("--repeat", type=int, default=100, help="timed runs (or pairs) per operation")
+    ap.add_argument("--repeat", type=int, default=100, help="timed rounds per row")
     args = ap.parse_args(argv)
     if len(args.src) > 2 or args.repeat < 1:
         ap.error("give at most two SRC directories and a positive --repeat")
     srcs = args.src or [_SRC]
     pkgs = [load(src, f"edcred_bench_{i}") for i, src in enumerate(srcs)]
     with tempfile.TemporaryDirectory(prefix="bench_kernel_") as tmp:
-        ops = [operations(pkg, src, tempfile.mkdtemp(dir=tmp)) for pkg, src in zip(pkgs, srcs)]
-        if len(ops) == 1:
-            single(pkgs[0], ops[0], args.repeat)
-        else:
+        sides = [(pkg, operations(pkg, src, tempfile.mkdtemp(dir=tmp)))
+                 for pkg, src in zip(pkgs, srcs)]
+        if len(sides) == 2:
             print(f"A = {srcs[0]}\nB = {srcs[1]}")
-            paired(pkgs, ops[0], ops[1], args.repeat)
+        bench(sides, args.repeat)
     return 0
 
 
