@@ -23,14 +23,14 @@ from importlib import import_module
 _EXPORTS = {
     "curve": ("CurveParams", "OpCounter", "Point", "Scalar", "curve_by_name",
               "production_curve", "toy_curve"),
-    "credential": ("PresentationToken", "check_equation", "make_presentation", "randomize",
-                   "signature_of", "verify_credential", "verify_presentation"),
+    "credential": ("Credential", "PresentationToken", "check_equation", "make_presentation",
+                   "randomize", "signature_of", "verify_credential", "verify_presentation"),
     "disclosure": ("DisclosureToken", "present", "verify_disclosure"),
     "errors": ("InvalidProofError", "IssuerMisbehavior", "ProtocolError", "RngError",
                "SessionError", "WireError"),
     "harness": ("opcount_bench", "render_table"),
     "hashing": ("attr_to_scalar", "hash_block", "hash_points"),
-    "issuance": ("Credential", "issuer_start", "user_blind", "user_unblind"),
+    "issuance": ("issuer_start", "user_blind", "user_unblind"),
     "params": ("IssuerKey", "SystemParams", "setup", "validate_params"),
     "protocol": ("IssuerEngine", "UserEngine", "request_issuance", "run_issuance",
                  "serve_issuance"),

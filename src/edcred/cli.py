@@ -29,6 +29,7 @@ import stat
 import sys
 
 from .credential import (
+    Credential,
     PresentationToken,
     make_presentation,
     verify_credential,
@@ -38,7 +39,6 @@ from .curve import Scalar, curve_by_name
 from .disclosure import DisclosureToken, present as build_disclosure, verify_disclosure
 from .errors import InvalidProofError, IssuerMisbehavior, ProtocolError, WireError
 from .hashing import attr_to_scalar
-from .issuance import Credential
 from .params import IssuerKey, SystemParams, read_secret, setup, validate_params, write_secret
 from .protocol import request_issuance, run_issuance, serve_issuance
 from .wire import (

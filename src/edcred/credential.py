@@ -1,6 +1,8 @@
-"""Verification, randomization and full-show presentation tokens.
+"""Credentials, their verification, randomization and full-show
+presentation tokens.
 
-A signature triple (R, s, h) verifies through s * P == h * Ppub + R. Anyone
+A credential is attribute scalars and the signature triple (R, s, h) that
+issuance (issuance.py) leaves the holder. A signature triple (R, s, h) verifies through s * P == h * Ppub + R. Anyone
 holding one can re-randomize it: pick r, set s^ = s + r and R^ = R + r * P;
 the triple (R^, s^, h) verifies again and is unlinkable to the original as
 a pair, while h deliberately stays fixed. Verifiers of a triple use the h
@@ -20,10 +22,11 @@ from dataclasses import dataclass
 from .curve import Point, Scalar, sum_is_neutral, sum_of_multiples
 from .errors import WireError
 from .hashing import hash_block
-from .issuance import Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify
 from .wire import Reader, new_session_id
+
+MAX_ATTRIBUTES = 64
 
 
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
@@ -46,6 +49,51 @@ class PresentationSignature:
         if sig.h.v == 0:
             raise WireError("signature carries h = 0")
         return sig
+
+
+class Credential:
+    """What the user walks away with: attribute scalars and the signature
+    triple (R, s, h) satisfying s * P == h * Ppub + R."""
+
+    __slots__ = ("attrs", "r_point", "s", "h")
+
+    MAGIC = b"CRD1"
+
+    def __init__(self, attrs: tuple, r_point: Point, s: Scalar, h: Scalar):
+        self.attrs = attrs
+        self.r_point = r_point
+        self.s = s
+        self.h = h
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.attrs, self.r_point, self.s, self.h) == (
+            other.attrs, other.r_point, other.s, other.h)
+
+    def to_bytes(self, params: SystemParams) -> bytes:
+        w = params.curve.coord_bytes
+        body = [self.MAGIC, params.digest(), len(self.attrs).to_bytes(2, "big")]
+        body += [m.to_bytes(w) for m in self.attrs]
+        body.append(signature_of(self).encode())
+        return b"".join(body)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, params: SystemParams) -> "Credential":
+        r = Reader(data, params.curve)
+        if r.take(4) != cls.MAGIC:
+            raise WireError("not a credential file")
+        if r.take(32) != params.digest():
+            raise WireError("credential was issued under different parameters")
+        n = r.uint(2)
+        if not 1 <= n <= MAX_ATTRIBUTES:
+            raise WireError("attribute count out of range")
+        attrs = tuple(r.scalar() for _ in range(n))
+        sig = PresentationSignature.read(r)
+        r.end()
+        if not all(attrs):
+            raise WireError("credential carries a zero attribute")
+        return cls(attrs=attrs, r_point=sig.r_point, s=sig.s, h=sig.h)
 
 
 def signature_of(cred: Credential) -> PresentationSignature:

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .credential import MAX_ATTRIBUTES, Credential
 from .curve import Point, Scalar
 from .errors import WireError
 # hash_points is unused here, but perfbench/spans.py wraps disclosure.hash_points
 from .hashing import hash_block, hash_points  # noqa: F401
-from .issuance import MAX_ATTRIBUTES, Credential
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove_batch, fs_verify_batch
 from .wire import Reader, new_session_id

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
-from .curve import OpCounter, Point, Scalar, sum_is_neutral, sum_of_multiples
-from .errors import InvalidProofError, IssuerMisbehavior, SessionError, WireError
+from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature, check_equation
+from .curve import OpCounter, Point, Scalar, sum_of_multiples
+from .errors import InvalidProofError, IssuerMisbehavior, SessionError
 from .hashing import hash_block
 from .params import IssuerKey, SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify, pk_commit, pk_respond, pk_verify
-from .wire import Reader
-
-MAX_ATTRIBUTES = 64
 
 
 def _check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
@@ -45,51 +43,6 @@ def _check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
             raise ValueError(f"attribute {i} is zero")
         out.append(m)
     return tuple(out)
-
-
-class Credential:
-    """What the user walks away with: attribute scalars and the signature
-    triple (R, s, h) satisfying s * P == h * Ppub + R."""
-
-    __slots__ = ("attrs", "r_point", "s", "h")
-
-    MAGIC = b"CRD1"
-
-    def __init__(self, attrs: tuple, r_point: Point, s: Scalar, h: Scalar):
-        self.attrs = attrs
-        self.r_point = r_point
-        self.s = s
-        self.h = h
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.attrs, self.r_point, self.s, self.h) == (
-            other.attrs, other.r_point, other.s, other.h)
-
-    def to_bytes(self, params: SystemParams) -> bytes:
-        w = params.curve.coord_bytes
-        body = [self.MAGIC, params.digest(), len(self.attrs).to_bytes(2, "big")]
-        body += [m.to_bytes(w) for m in self.attrs]
-        body += [self.r_point.encode(), self.s.to_bytes(w), self.h.to_bytes(w)]
-        return b"".join(body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: SystemParams) -> "Credential":
-        r = Reader(data, params.curve)
-        if r.take(4) != cls.MAGIC:
-            raise WireError("not a credential file")
-        if r.take(32) != params.digest():
-            raise WireError("credential was issued under different parameters")
-        n = r.uint(2)
-        if not 1 <= n <= MAX_ATTRIBUTES:
-            raise WireError("attribute count out of range")
-        cred = cls(attrs=tuple(r.scalar() for _ in range(n)),
-                   r_point=r.point(), s=r.scalar(), h=r.scalar())
-        r.end()
-        if not all(cred.attrs) or cred.h.v == 0:
-            raise WireError("credential carries a zero attribute or h = 0")
-        return cred
 
 
 class IssuanceRequest:
@@ -295,15 +248,13 @@ def user_unblind(state: UserBlindState, s_bar: Scalar, params: SystemParams) -> 
     """Check the issuer's response against its nonce, then strip the blinding:
     s = alpha * s' + beta. Raises IssuerMisbehavior when the check fails.
 
-    The check s' * P == h' * Ppub + R' is exact, one projective sum
-    s'*P - h'*Ppub - R' == O booked as 2 Ms + 1 Ap, so a torsion error in
-    R' is refused.
+    The check s' * P == h' * Ppub + R' is credential.check_equation on the
+    blinded triple (R', s', h'): exact, so a torsion error in R' is
+    refused.
     """
-    curve = params.curve
-    if s_bar.q != curve.q:
+    if s_bar.q != params.curve.q:
         raise ValueError("response is not a scalar mod q")
-    terms = params.signature_terms(s_bar.v, state.h_bar.v, state.r_bar)
-    if not sum_is_neutral(curve, terms, ms=2, ap=1, cofactored=False):
+    if not check_equation(PresentationSignature(state.r_bar, s_bar, state.h_bar), params):
         raise IssuerMisbehavior("blinded response fails the check equation")
     s = state.alpha * s_bar + state.beta
     return Credential(attrs=state.attrs, r_point=state.r_point, s=s, h=state.h)
