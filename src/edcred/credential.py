@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .curve import Point, Scalar, sum_is_neutral, sum_of_multiples
 from .errors import WireError
-from .hashing import hash_block
+from .hashing import hash_block, hedged_scalar
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify
 from .wire import Reader, new_session_id
@@ -205,15 +205,17 @@ def make_presentation(
     """Build a token under a fresh session id, randomizing the triple by
     default.
 
-    Draws the session id, then r when fresh, then the proof nonce w, and
-    takes P_0 = m_0 * P, A = w * P and, when fresh, R + r * P as one batch
-    with one inversion, booked as 3 Ms + 1 Ap (2 Ms when not fresh).
+    Draws the session id, then r when fresh, then the proof nonce w, r and
+    w each hedged with m_0 (hashing.hedged_scalar), and takes
+    P_0 = m_0 * P, A = w * P and, when fresh, R + r * P as one batch with
+    one inversion, booked as 3 Ms + 1 Ap (2 Ms when not fresh).
     """
     session_id = new_session_id(rng)
     curve = params.curve
-    r = curve.random_nonzero(rng) if fresh else None
-    w = curve.random_nonzero(rng)
     m0 = cred.attrs[0]
+    context = params.digest() + session_id
+    r = hedged_scalar(curve, m0, rng, b"SHOW-R:" + context) if fresh else None
+    w = hedged_scalar(curve, m0, rng, b"SHOW-W:" + context)
     sums = [[(curve.base, m0.v)], [(curve.base, w.v)]]
     sig, (p0, a) = _randomized(signature_of(cred), r, curve, sums)
     proof = fs_prove(m0, p0, w, a, presentation_context(params, session_id, sig))

@@ -39,7 +39,7 @@ from .credential import MAX_ATTRIBUTES, Credential
 from .curve import Point, Scalar
 from .errors import WireError
 # hash_points is unused here, but perfbench/spans.py wraps disclosure.hash_points
-from .hashing import hash_block, hash_points  # noqa: F401
+from .hashing import hash_block, hash_points, hedged_scalar  # noqa: F401
 from .params import SystemParams
 from .schnorr import SchnorrTranscript, fs_prove_batch, fs_verify_batch
 from .wire import Reader, new_session_id
@@ -142,9 +142,9 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
 
     disclose may be empty (everything stays hidden); it may never contain
     index 0 or an index outside the credential. Draws the session id, then
-    one proof nonce w_i per hidden index, and takes the h hidden m_i * P
-    and the h commitments w_i * P as one batch of 2h Ms with one
-    inversion.
+    one proof nonce w_i per hidden index, hedged with m_i
+    (hashing.hedged_scalar), and takes the h hidden m_i * P and the h
+    commitments w_i * P as one batch of 2h Ms with one inversion.
     """
     n = len(cred.attrs)
     disclose = list(disclose)
@@ -157,7 +157,9 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
     secrets = [cred.attrs[i] for i in hidden]
-    nonces = [curve.random_nonzero(rng) for _ in hidden]
+    context = params.digest() + session_id
+    nonces = [hedged_scalar(curve, cred.attrs[i], rng, b"PRESENT-W:" + context + i.to_bytes(2, "big"))
+              for i in hidden]
     multiples = curve.base.multiples(secrets + nonces)
     hidden_points, commitments = multiples[:len(hidden)], multiples[len(hidden):]
     token = DisclosureToken(

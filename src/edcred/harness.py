@@ -77,7 +77,7 @@ def _measure_once(n: int, params: SystemParams, key: IssuerKey, rng):
     steps = {}
     sig = signature_of(cred)
     p0 = attrs[0] * params.curve.base
-    proof = fs_prove(attrs[0], p0, *pk_commit(params.curve, rng), b"bench")
+    proof = fs_prove(attrs[0], p0, *pk_commit(params.curve, attrs[0], rng), b"bench")
     with OpCounter() as steps["check equation"]:
         equation = check_equation(sig, params)
     with OpCounter() as pk:

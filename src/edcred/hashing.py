@@ -18,6 +18,7 @@ TAG_ATTRIBUTE = b"ATTR"
 TAG_POINT_PAIR = b"HPOINT"
 TAG_CHALLENGE = b"FSCHAL"
 TAG_BATCH_WEIGHT = b"FSBATCH"
+TAG_HEDGE = b"HEDGE"
 
 # two vectors (t0, r0), (t1, r1), each with r == c*t (mod q)
 Basis = tuple[tuple[int, int], tuple[int, int]]
@@ -27,6 +28,22 @@ def _to_scalar(tag: bytes, payload: bytes, curve: CurveParams) -> Scalar:
     digest = hashlib.sha256(tag + b":" + payload).digest()
     v = int.from_bytes(digest, "big") % curve.q
     return Scalar(v if v else 1, curve.q)
+
+
+def hedged_scalar(curve: CurveParams, secret: Scalar, rng, context: bytes) -> Scalar:
+    """A secret draw hedged with the secret it guards:
+    H(tag, secret, rng.randrange(q), context) mod q, 0 mapped to 1.
+
+    Takes one rng draw, so a seeded rng still gives identical bytes, but a
+    guessed or weak stream no longer gives the drawn scalar to whoever
+    lacks the secret (hedged randomness: Bellare et al., ASIACRYPT 2009;
+    RFC 6979, section 3.6). A stream that repeats is still unsafe: equal
+    draws under one secret and context give one scalar. context names the
+    use site first, so that the draws one secret guards stay apart.
+    """
+    w = curve.coord_bytes
+    draw = rng.randrange(curve.q)
+    return _to_scalar(TAG_HEDGE, secret.to_bytes(w) + draw.to_bytes(w, "big") + context, curve)
 
 
 def hash_points(a: Point, b: Point) -> Scalar:

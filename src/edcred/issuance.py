@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature, check_equation
 from .curve import OpCounter, Point, Scalar, sum_of_multiples
 from .errors import InvalidProofError, IssuerMisbehavior, SessionError
-from .hashing import hash_block
+from .hashing import hash_block, hedged_scalar
 from .params import IssuerKey, SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify, pk_commit, pk_respond, pk_verify
 
@@ -74,12 +74,18 @@ class IssuerSession:
     one credential more than the issuer signed (ROS). Signing takes the
     nonce, so a session never signs twice. A refused request (sign raising
     on a bad blinded hash, commitment or proof) leaves the nonce live, so
-    the same session can still sign a valid request."""
+    the same session can still sign a valid request.
+
+    k hashes x and the params digest with its rng draw
+    (hashing.hedged_scalar), so a guessed rng stream does not give k, and
+    with it x, from one transcript. Two sessions whose streams repeat
+    still share k, whatever it hashes, and give x away: the rng must never
+    repeat."""
 
     def __init__(self, key: IssuerKey, params: SystemParams, rng):
         self._key = key
         self._params = params
-        k = params.curve.random_nonzero(rng)
+        k = hedged_scalar(params.curve, key.x, rng, b"ISSUER-K:" + params.digest())
         self.r_bar = k * params.curve.base
         self._challenge = None
         with key._lock:
@@ -206,11 +212,15 @@ def user_blind(
     a session whose R' carries torsion. Both modes then commit to the proof
     nonce with pk_commit under pk_ops, the proof-of-knowledge column of
     `edcred bench`, a batch of its own, so blinding pays two inversions.
+    alpha, beta and the proof nonce each hash m_0 and context with their
+    rng draw (hashing.hedged_scalar), so an issuer that guesses the user's
+    rng neither links the credential nor learns m_0.
     """
     curve = params.curve
     attrs = _check_attrs(attrs, curve.q)
-    alpha = curve.random_nonzero(rng)
-    beta = curve.random_nonzero(rng)
+    m0 = attrs[0]
+    alpha = hedged_scalar(curve, m0, rng, b"BLIND-ALPHA:" + context)
+    beta = hedged_scalar(curve, m0, rng, b"BLIND-BETA:" + context)
     sums = [[(r_bar, alpha.v), (curve.base, beta.v)]] + [[(curve.base, m.v)] for m in attrs]
     r_point, *commitments = sum_of_multiples(curve, sums, ms=2 + len(attrs), ap=1)
     h = hash_block(commitments, r_point)
@@ -226,12 +236,12 @@ def user_blind(
         attrs=attrs,
     )
     with pk_ops if pk_ops is not None else nullcontext():
-        w, a = pk_commit(curve, rng)
+        w, a = pk_commit(curve, m0, rng, context)
         if interactive:
             state.pk_nonce = w
             request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], pk_commitment=a)
         else:
-            proof = fs_prove(attrs[0], commitments[0], w, a, context)
+            proof = fs_prove(m0, commitments[0], w, a, context)
             request = IssuanceRequest(h_bar=h_bar, commitment0=commitments[0], proof=proof)
     return state, request
 

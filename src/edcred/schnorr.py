@@ -9,11 +9,11 @@ session it was made for.
 
 The non-interactive prover (fs_prove, fs_prove_batch) takes the caller's
 nonces w and commitments A = w * P: it hashes and responds, and draws and
-multiplies nothing. A holder step draws each w fresh from [1, q-1] and
-computes every A in the one batch of multiples it makes anyway, so the
-step pays one inversion for its return to affine form, proofs included.
-pk_commit is the commit of a proof made on its own: it draws w and
-computes w * P.
+multiplies nothing. A holder step draws each w fresh, hedged with the
+secret it proves (hashing.hedged_scalar), and computes every A in the one
+batch of multiples it makes anyway, so the step pays one inversion for its
+return to affine form, proofs included. pk_commit is the commit of a
+proof made on its own: it draws w the same way and computes w * P.
 
 Several statements can be proven at once under one shared challenge; the
 challenge then hashes every commitment and every statement, which ties the
@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import CurveParams, Point, Scalar, sum_is_neutral
-from .hashing import Basis, batch_weights, challenge_scalar, weight_basis
+from .hashing import Basis, batch_weights, challenge_scalar, hedged_scalar, weight_basis
 from .wire import Reader
 
 
@@ -97,10 +97,11 @@ class SchnorrTranscript:
         return cls(reader.point(), reader.scalar(), reader.scalar(), statement)
 
 
-def pk_commit(curve: CurveParams, rng) -> tuple[Scalar, Point]:
-    """Draw the proof nonce w from [1, q-1] and commit A = w * P: the
-    commit of one proof, a batch of its own."""
-    w = curve.random_nonzero(rng)
+def pk_commit(curve: CurveParams, secret: Scalar, rng, context: bytes = b"") -> tuple[Scalar, Point]:
+    """Draw the proof nonce w for a proof of knowledge of secret, hedged
+    with it (hashing.hedged_scalar), and commit A = w * P: the commit of
+    one proof, a batch of its own."""
+    w = hedged_scalar(curve, secret, rng, b"PK:" + context)
     return w, w * curve.base
 
 

@@ -25,9 +25,11 @@ The security arguments are executable:
 The known attacks are executable too (tests/test_known_attacks.py pins
 each outcome): a keyless presentation token, a hidden attribute read off
 a guess list, the ROS forgery that bits(q) concurrent signing
-sessions allow, and the issuer key from two sessions under one nonce.
+sessions allow, the issuer key from two sessions under one nonce, and the
+secrets behind a token or transcript drawn from a guessable seed.
 """
 
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,7 +209,7 @@ def attempt_master_binding(h_i: Scalar, r_point: Point, params, rng) -> bool:
     curve = params.curve
     mu = curve.random_nonzero(rng)
     p0 = mu * curve.base
-    proof = fs_prove(mu, p0, *pk_commit(curve, rng), b"")
+    proof = fs_prove(mu, p0, *pk_commit(curve, mu, rng), b"")
     return fs_verify(proof, b"") and hash_points(p0, r_point) == h_i
 
 
@@ -231,6 +233,42 @@ def key_from_two_views(v1: IssuerView, v2: IssuerView) -> Scalar:
     return (v1.s_bar - v2.s_bar) * (v1.h_bar - v2.h_bar).inverse()
 
 
+def guessed_stream(session_id: bytes, role: str, seeds):
+    """The stream random.Random(f"{role}:{seed}"), as `edcred <command>
+    --seed` draws it, of the first seed in seeds whose first draw is
+    session_id, positioned after that draw; None if no seed gives it."""
+    for seed in seeds:
+        rng = random.Random(f"{role}:{seed}")
+        if new_session_id(rng) == session_id:
+            return rng
+    return None
+
+
+def secrets_from_a_guessed_seed(token, params, seeds) -> dict:
+    """{index: m_i} for each proof of a holder token, read off the nonces a
+    guessed seed redraws: m_i = (r_i - w_i) / c. The stream gives the
+    session id, then a full show's r and w, or a disclosure token's w_i
+    in index order."""
+    rng = guessed_stream(token.session_id, "present", seeds)
+    q = params.curve.q
+    if isinstance(token, PresentationToken):
+        rng.randrange(q)  # r
+        proofs = {0: token.proof}
+    else:
+        proofs = {i: token.proofs[i] for i in token.hidden_indices()}
+    return {i: (t.response - Scalar(rng.randrange(q), q)) * t.challenge.inverse()
+            for i, t in proofs.items()}
+
+
+def key_from_a_guessed_seed(transcript, params, seeds) -> Scalar:
+    """The issuer secret from one issuance transcript, read off the nonce k
+    a guessed seed redraws after the session id: x = (s' - k) / h'."""
+    view = issuer_view_from_transcript(transcript, params)
+    session_id = next(iter(transcript)).message.session_id
+    k = guessed_stream(session_id, "issuer", seeds).randrange(params.curve.q)
+    return (view.s_bar - k) * view.h_bar.inverse()
+
+
 def forge_presentation(params, rng) -> PresentationToken:
     """A full-show token with no issuance behind it: a simulate_issue
     triple on a random h, with the forger's own master secret, P_0 and a
@@ -242,7 +280,7 @@ def forge_presentation(params, rng) -> PresentationToken:
     m0 = curve.random_nonzero(rng)
     p0 = m0 * curve.base
     session_id = new_session_id(rng)
-    proof = fs_prove(m0, p0, *pk_commit(curve, rng), presentation_context(params, session_id, sig))
+    proof = fs_prove(m0, p0, *pk_commit(curve, m0, rng), presentation_context(params, session_id, sig))
     return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
 
 
@@ -283,7 +321,7 @@ def ros_forge(key, params, honest: tuple, other: tuple, forged: tuple, rng) -> l
     if commitments[1][0] != p0:
         raise ValueError("the two attribute lists need one master secret")
     # the proof binds no session, so one proof serves every request
-    proof = fs_prove(honest[0], p0, *pk_commit(curve, rng), b"")
+    proof = fs_prove(honest[0], p0, *pk_commit(curve, honest[0], rng), b"")
     sessions = [issuer_start(key, params, rng) for _ in range(q.bit_length())]
     blinds = []
     for _, r_bar in sessions:

@@ -332,7 +332,7 @@ def test_criterion_09_schnorr_properties(toy):
     for _ in range(1000):
         mu = toy.random_nonzero(rng)
         stmt = mu * toy.base
-        w, a = pk_commit(toy, rng)
+        w, a = pk_commit(toy, mu, rng)
         chal = toy.random_nonzero(rng)
         if pk_verify(SchnorrTranscript(a, chal, pk_respond(mu, w, chal), stmt)):
             complete += 1

@@ -547,21 +547,21 @@ GOLDEN = {
         "deploy/params.txt": "f13a82733d32790069ae7c60dbbc032601551f30dc3715f1bf77eb078e4d2a92",
         "deploy/issuer.key": "1e752187dbda720db0a95fbf483f8d6674f431cb865eb8ba8380a0afad23be35",
         "deploy/user.key": "a1a63169b0de8bbdad77ada9906ff47b16b02afed28079cf7eaed9cd6d9beef7",
-        "cred.bin": "38a30eb393a45d43af08fc8acdeceaea77bdcc4949c571d8150f9833f1f2afe8",
-        "t.bin": "da503829bc24dcbd6cd61cb37d7eb913d309ed9fb29bd649a872a143693ee9b0",
-        "ti.bin": "0d91cf7d1e5abe67c36c7f5677ef07d842e95551846e8a4080e96c5a0d454e79",
-        "p.tok": "97aae63b991850e920e6ef85d8aa09a24fa2a15003a192273f9f3c5fa3efd7ac",
-        "d.tok": "ba2503642cc2ce38ab475e62858886a09b2dc1a1301cd2f30354f05979a12aa7",
+        "cred.bin": "334d660afac95b6de8a7722e7590d324e7d9277927187be0fa508ffc498fd55a",
+        "t.bin": "b86da9e3391ab2584eb4d0c31cb1be4142336f027bef6b09b1ad9cd2c77f59b3",
+        "ti.bin": "ffacdfe4e96cd9d8345b21e3a8e2f29cc0192277e2ea6c1d7143f44b287281f1",
+        "p.tok": "4a9e758c3ef8248a038dd4ab18f6bfb25c4027b06fffdf9aa8728a64c5e015a4",
+        "d.tok": "4a9cee204afd3e1ac141a325f1d64f5c8edc7cfbde5876271d82d525521f9c14",
     },
     "prod": {
         "deploy/params.txt": "cef1fbe984db823c483c14d512e28c506728ac6d47bbdfc32412e3809bb09e82",
         "deploy/issuer.key": "4f350aa4427b89e518ee5f787a363caff48fdb379c53b69576b1a7edaeaf6105",
         "deploy/user.key": "261b5e1ea3a9cf2bfd31f73dbd9f0d9310ce279d6d6dd08025c9c3ec877e2d4c",
-        "cred.bin": "a7ea4921c6edde3e8933d2a804ce58e2611ff14a24fae8a932ddf7a5623341af",
-        "t.bin": "a93f8878ac6f09cc1bdc2424a989cbc648c745d025744fd5c81cf11d82e8da4b",
-        "ti.bin": "66e894bdb87593df6ddc1779a9137d5494b7ce3fb591e8427e80550b85fd7f19",
-        "p.tok": "9b6b7cdc0994556b24e5e75d3c14e431dd0aa883d0619b6c02fdcad709fd9109",
-        "d.tok": "0c27999d6925a65042c39874a9d838b52b4ee460c452fceac384873aa1f0366d",
+        "cred.bin": "ad961d4dbaebad2e1d471ad7c92ca069cf9fb0d62d4382fb7340e58a8def306b",
+        "t.bin": "359813aa501acef72d73c43145dc04b79f5ca9b16be8a7a8ab8f89924ba0bc14",
+        "ti.bin": "b32b77b0cb1aeab962dc6b393105b745fced06f86dd653ba176609d5e55734bf",
+        "p.tok": "5018f00f9d955e05e2e33656550a9e4919690a10016780826e373bdf580f11ab",
+        "d.tok": "abcf4931fab1e2adbad7a599ea61bd1d31c47ecab8da944a9d649c8d3e37eaab",
     },
 }
 

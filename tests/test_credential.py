@@ -85,7 +85,8 @@ def test_verify_presentation_includes_master_proof(toy_deploy, toy_cred):
     assert verify_presentation(token, params)
     sig, p0, sid = token.sig, token.commitment0, token.session_id
     broken = PresentationSignature(sig.r_point, sig.s + 1, sig.h)
-    reproved = fs_prove(toy_cred.attrs[0], p0, *pk_commit(params.curve, rng),
+    m0 = toy_cred.attrs[0]
+    reproved = fs_prove(m0, p0, *pk_commit(params.curve, m0, rng),
                         presentation_context(params, sid, broken))
     assert not verify_presentation(PresentationToken(broken, p0, reproved, sid), params)
     proof = token.proof
@@ -239,14 +240,15 @@ def test_holder_steps_pay_one_inversion(deploy, request):
 
 
 # SHA-256 of session id + token bytes for fixed seeds. How a holder step
-# batches its multiples moves no rng draw and no byte, so these stay fixed.
+# batches its multiples moves no rng draw and no byte; hedging each secret
+# draw with its secret changed the bytes once, and the draws not at all.
 HOLDER_DIGESTS = {
-    ("toy", "fresh"): "896f872b16dd44873ab909a2f5e873c6466202efc36fc1b78e7d6b84c891ecec",
-    ("toy", "unfresh"): "c0908c20b6f4dc352ddfa5580e65a3a8993446cbb7d9261416548c0f62f5e33e",
-    ("toy", "hidden"): "6877900113673203b26dd3938b1de81b2039e0a77b321dc0e4c0740532dc7f99",
-    ("prod", "fresh"): "68b2691565c229eaef9e1a6f9ce13cade768272e1283024e19bd2ffb4a9e7d23",
-    ("prod", "unfresh"): "5925d503899efbac4845b4c335efcd78cfa6047f6b478fd4d017d6f6275d7dff",
-    ("prod", "hidden"): "2d2f9231e64181501eae2486cd68e8aa647509958384ae74fdc237e14f6728f2",
+    ("toy", "fresh"): "f340e26309bd30eb893e9bdc2d400d8ca04a0a02bd1bdd1c9da873b0f6bc62fc",
+    ("toy", "unfresh"): "22aa16d899dbb25845e6a7beabc105189767cb6f050ac27b4ab6a905a893dab2",
+    ("toy", "hidden"): "c1bb161b6db7dabb4f393b2e6b94bb11d7e121fc48b0d628f3fb16b46aa05229",
+    ("prod", "fresh"): "25b291f91e1c08d8054928e2566f20a3b8b3b7a8d3450c0da0749be36a480947",
+    ("prod", "unfresh"): "aba3d64cb343fca284f67d9c2fee85612f7120ea078c298f2134397fe46e48e5",
+    ("prod", "hidden"): "31577b5168ed2c371ee36dca36dcd2fe629b13b5b5facd02598fc06eb0665682",
 }
 
 

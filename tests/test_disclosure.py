@@ -290,10 +290,26 @@ def test_all_hidden_token_is_smallest_valid(toy_deploy):
     assert verify_disclosure(token, params)
 
 
+def keeps_challenge(token, params) -> bool:
+    """Whether the challenge hashed over token's proofs and body is the one
+    its proofs carry."""
+    ts = [token.proofs[i] for i in token.hidden_indices()]
+    c = challenge_scalar([t.commitment for t in ts], [t.statement for t in ts],
+                         token.body_prefix(params), params.curve)
+    return all(t.challenge == c for t in ts)
+
+
 def check_against_reference(token, params, rng):
+    """Both verifiers accept token and agree on each mutation, which they
+    refuse unless it keeps the challenge: on the toy curve, whose
+    challenges take q = 131 values, an edit to a field that only the
+    challenge binds (the session id, h) keeps it one time in q and leaves
+    a token both verifiers accept."""
     assert verify_disclosure(token, params) == reference_verify_disclosure(token, params) is True
     for bad in mutations(token, params, rng):
-        assert verify_disclosure(bad, params) == reference_verify_disclosure(bad, params) is False
+        verdict = verify_disclosure(bad, params)
+        assert verdict == reference_verify_disclosure(bad, params)
+        assert not verdict or keeps_challenge(bad, params)
 
 
 def test_verdict_equals_reference_toy(toy_deploy):

@@ -7,11 +7,13 @@ import pytest
 from edcred.curve import Scalar
 from edcred.hashing import (
     TAG_ATTRIBUTE,
+    TAG_HEDGE,
     TAG_POINT_PAIR,
     attr_to_scalar,
     challenge_scalar,
     hash_block,
     hash_points,
+    hedged_scalar,
 )
 
 from conftest import make_rng
@@ -103,3 +105,26 @@ def test_challenge_scalar_length_prefixing(toy):
     # though the concatenated bytes would be identical
     a, b = 3 * toy.base, 7 * toy.base
     assert challenge_scalar([a, b], [a], b"", toy) != challenge_scalar([a], [b, a], b"", toy)
+
+
+def test_hedged_scalar_matches_oracle_and_takes_one_draw(toy, prod):
+    """H(HEDGE, secret, draw, context) mod q with one rng.randrange(q)
+    draw, so that a seeded stream runs on exactly as a plain draw leaves
+    it; another secret or context gives another scalar."""
+    for c in (toy, prod):
+        w = c.coord_bytes
+        rng, twin = make_rng(f"hedge:{c.name}"), make_rng(f"hedge:{c.name}")
+        secrets = make_rng(f"hedge:secrets:{c.name}")
+        for _ in range(30):
+            secret = c.random_nonzero(secrets)
+            got = hedged_scalar(c, secret, rng, b"ctx")
+            draw = twin.randrange(c.q)
+            assert rng.getstate() == twin.getstate()
+            digest = hashlib.sha256(TAG_HEDGE + b":" + secret.to_bytes(w)
+                                    + draw.to_bytes(w, "big") + b"ctx").digest()
+            assert got == Scalar(int.from_bytes(digest, "big") % c.q or 1, c.q)
+        if c is prod:
+            draws = [make_rng("hedge:same") for _ in range(3)]
+            one = c.scalar(1)
+            assert len({hedged_scalar(c, one, draws[0], b"a"), hedged_scalar(c, one + 1, draws[1], b"a"),
+                        hedged_scalar(c, one, draws[2], b"b")}) == 3

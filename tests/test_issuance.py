@@ -77,19 +77,23 @@ def test_issuance_on_production_curve(prod_deploy):
 
 
 def test_unblinding_algebra_with_scripted_randomness(toy_deploy):
-    # alpha=1, beta=1: R = R' + P, s = s' + 1, h' = h, all directly checkable
+    # draws of 1 and 1, each hedged with m_0 into its own alpha and beta:
+    # R = alpha*R' + beta*P, h' = h/alpha, s = alpha*s' + beta
     params, key = toy_deploy
     rng = make_rng("scripted")
     session, r_bar = issuer_start(key, params, rng)
     attrs = sample_attrs(params, rng)
     state, request = user_blind(r_bar, attrs, params, Feed([1, 1], rng))
-    assert state.alpha.v == 1 and state.beta.v == 1
-    assert request.h_bar == state.h
+    alpha, beta = state.alpha, state.beta
+    assert alpha != beta
+    again, _ = user_blind(r_bar, attrs, params, Feed([1, 1], rng))
+    assert (again.alpha, again.beta) == (alpha, beta)
+    assert request.h_bar * alpha == state.h
     s_bar = session.sign(request)
     cred = user_unblind(state, s_bar, params)
-    assert cred.r_point == r_bar + params.curve.base
-    assert cred.s == s_bar + 1
-    assert cred.h == request.h_bar
+    assert cred.r_point == alpha * r_bar + beta * params.curve.base
+    assert cred.s == alpha * s_bar + beta
+    assert cred.h == state.h
     assert check_equation(signature_of(cred), params)
 
 
@@ -245,7 +249,8 @@ def test_sign_rejects_proof_for_unknown_secret(toy_deploy):
     session, r_bar = issuer_start(key, params, rng)
     attrs = sample_attrs(params, rng)
     state, request = user_blind(r_bar, attrs, params, rng)
-    lie = fs_prove(attrs[0] + 1, request.commitment0, *pk_commit(params.curve, rng), b"")
+    lie = fs_prove(attrs[0] + 1, request.commitment0,
+                   *pk_commit(params.curve, attrs[0] + 1, rng), b"")
     forged = IssuanceRequest(h_bar=request.h_bar, commitment0=request.commitment0, proof=lie)
     with pytest.raises(InvalidProofError):
         session.sign(forged)

@@ -16,7 +16,7 @@ from dataclasses import fields
 import pytest
 
 from edcred import setup
-from edcred.cli import main
+from edcred.cli import _rng, main
 from edcred.credential import PresentationToken, make_presentation, verify_credential, verify_presentation
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.hashing import attr_to_scalar
@@ -29,8 +29,10 @@ from oracles import (
     forge_presentation,
     guess_hidden,
     issuer_view_from_transcript,
+    key_from_a_guessed_seed,
     key_from_two_views,
     ros_forge,
+    secrets_from_a_guessed_seed,
 )
 
 LABELS = ("age=30", "role=guest", "country=FR")
@@ -197,3 +199,33 @@ def test_two_serve_sessions_on_one_key_give_no_key(prod_deploy, tmp_path):
         views.append(issuer_view_from_transcript(served(deploy, attrs, tmp_path / f"s{i}"), params))
     assert views[0].h_bar != views[1].h_bar and views[0].r_bar != views[1].r_bar
     assert key_from_two_views(*views) * params.curve.base != params.p_pub
+
+
+def test_a_seeded_holder_token_gives_no_secret(prod_deploy):
+    # flipped by ROADMAP item 17's source steps: a token made as
+    # `present --disclose '' --seed 80` gave up m_0 and every hidden
+    # attribute, and one made as `randomize --seed 79` gave up m_0, as
+    # (r_i - w_i) / c from the nonces a guess over seeds 0..99 redrew. A
+    # guess still finds the seed by the session id, but each nonce now
+    # hashes the attribute it proves with its draw
+    params, key = prod_deploy
+    cred = issued(params, key, make_rng("ledger:seeded-holder"))
+    base = params.curve.base
+    shown = present(cred, [], params, _rng(80, "present"))
+    full = make_presentation(cred, params, _rng(79, "present"), fresh=True)
+    for token, points in ((shown, shown.hidden_points), (full, {0: full.commitment0})):
+        found = secrets_from_a_guessed_seed(token, params, range(100))
+        assert sorted(found) == sorted(points)
+        assert not any(m * base == points[i] for i, m in found.items())
+        assert found[0] != cred.attrs[0]
+
+
+def test_one_seeded_issuance_gives_no_key(prod_deploy):
+    # flipped by ROADMAP item 17's source steps: the issuer of
+    # `issue --seed 78` gave up x as (s' - k) / h' from the nonce k that a
+    # guess over seeds 0..99 redrew. k now hashes x with its draw
+    params, key = prod_deploy
+    attrs = [params.curve.random_nonzero(make_rng("ledger:seeded-issuer"))]
+    _, transcript = run_issuance(params, key, attrs, _rng(78, "issuer"), _rng(78, "user"))
+    x = key_from_a_guessed_seed(transcript, params, range(100))
+    assert x * params.curve.base != params.p_pub

@@ -42,7 +42,7 @@ def test_interactive_completeness(toy):
     for _ in range(50):
         mu = toy.random_nonzero(rng)
         stmt = mu * toy.base
-        w, a = pk_commit(toy, rng)
+        w, a = pk_commit(toy, mu, rng)
         c = toy.random_nonzero(rng)
         r = pk_respond(mu, w, c)
         assert pk_verify(SchnorrTranscript(a, c, r, stmt))
@@ -54,7 +54,7 @@ def test_interactive_soundness_wrong_secret(toy):
         mu = toy.random_nonzero(rng)
         lie = mu + 1
         stmt = mu * toy.base
-        w, a = pk_commit(toy, rng)
+        w, a = pk_commit(toy, lie, rng)
         c = toy.random_nonzero(rng)
         r = pk_respond(lie, w, c)
         assert not pk_verify(SchnorrTranscript(a, c, r, stmt))
@@ -63,7 +63,7 @@ def test_interactive_soundness_wrong_secret(toy):
 def test_fs_roundtrip(toy):
     rng = make_rng("fs")
     mu = toy.random_nonzero(rng)
-    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, rng), b"ctx")
+    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, mu, rng), b"ctx")
     assert fs_verify(t, b"ctx")
 
 
@@ -72,7 +72,7 @@ def test_fs_rejects_mutations(toy):
     # challenge space of the toy curve cannot fake an accept
     rng = make_rng("fsmut")
     mu = toy.random_nonzero(rng)
-    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, rng), b"ctx")
+    t = fs_prove(mu, mu * toy.base, *pk_commit(toy, mu, rng), b"ctx")
     bumped = SchnorrTranscript(t.commitment, t.challenge, t.response + 1, t.statement)
     assert not fs_verify(bumped, b"ctx")
     retold = SchnorrTranscript(t.commitment, t.challenge + 1, t.response, t.statement)
@@ -85,7 +85,7 @@ def test_fs_context_binding_production(prod):
     # production curve where a collision will not happen
     rng = make_rng("fsbind")
     mu = prod.random_nonzero(rng)
-    t = fs_prove(mu, mu * prod.base, *pk_commit(prod, rng), b"ctx")
+    t = fs_prove(mu, mu * prod.base, *pk_commit(prod, mu, rng), b"ctx")
     assert fs_verify(t, b"ctx")
     assert not fs_verify(t, b"other-ctx")
     moved = SchnorrTranscript(t.commitment + prod.base, t.challenge, t.response, t.statement)
@@ -167,7 +167,7 @@ def test_special_soundness_extraction(toy):
     rng = make_rng("extract")
     mu = toy.random_nonzero(rng)
     stmt = mu * toy.base
-    w, a = pk_commit(toy, rng)
+    w, a = pk_commit(toy, mu, rng)
     c1, c2 = toy.scalar(17), toy.scalar(45)
     t1 = SchnorrTranscript(a, c1, pk_respond(mu, w, c1), stmt)
     t2 = SchnorrTranscript(a, c2, pk_respond(mu, w, c2), stmt)
@@ -179,12 +179,12 @@ def test_extraction_guards(toy):
     rng = make_rng("guards")
     mu = toy.random_nonzero(rng)
     stmt = mu * toy.base
-    w, a = pk_commit(toy, rng)
+    w, a = pk_commit(toy, mu, rng)
     c = toy.scalar(9)
     t = SchnorrTranscript(a, c, pk_respond(mu, w, c), stmt)
     with pytest.raises(ValueError):
         extract_witness(t, t)  # same challenge
-    w2, a2 = pk_commit(toy, rng)
+    w2, a2 = pk_commit(toy, mu, rng)
     other = SchnorrTranscript(a2, toy.scalar(10), pk_respond(mu, w2, toy.scalar(10)), stmt)
     with pytest.raises(ValueError):
         extract_witness(t, other)  # different commitment
@@ -195,7 +195,7 @@ def test_transcript_bytes_roundtrip(toy, prod):
         rng = make_rng(f"wire:{c.name}")
         mu = c.random_nonzero(rng)
         stmt = mu * c.base
-        t = fs_prove(mu, stmt, *pk_commit(c, rng), b"ctx")
+        t = fs_prove(mu, stmt, *pk_commit(c, mu, rng), b"ctx")
         data = t.to_bytes()
         assert len(data) == 4 * c.coord_bytes
         r = Reader(data, c)
@@ -211,7 +211,7 @@ def test_nonce_reuse_leaks_witness(toy):
     rng = make_rng("reuse")
     mu = toy.random_nonzero(rng)
     stmt = mu * toy.base
-    w, a = pk_commit(toy, rng)
+    w, a = pk_commit(toy, mu, rng)
     c1, c2 = toy.scalar(3), toy.scalar(8)
     r1, r2 = pk_respond(mu, w, c1), pk_respond(mu, w, c2)
     recovered = (r1 - r2) * (c1 - c2).inverse()
@@ -491,7 +491,7 @@ def test_one_proof_runs_a_half_length_chain(prod):
     rng = make_rng("halfchain")
     for _ in range(20):
         mu = prod.random_nonzero(rng)
-        t = fs_prove(mu, mu * prod.base, *pk_commit(prod, rng), b"half")
+        t = fs_prove(mu, mu * prod.base, *pk_commit(prod, mu, rng), b"half")
         with OpCounter() as ops:
             assert fs_verify(t, b"half")
         # no comb doubling, a chain from a top wNAF digit at bit 125 or
