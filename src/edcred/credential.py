@@ -1,8 +1,10 @@
 """Credentials, their verification, randomization and full-show
 presentation tokens.
 
-A credential is attribute scalars and the signature triple (R, s, h) that
-issuance (issuance.py) leaves the holder. A signature triple (R, s, h) verifies through s * P == h * Ppub + R. Anyone
+A credential is the attribute scalars and the signature triple (R, s, h)
+that issuance (issuance.py) leaves the holder; this module owns its bytes,
+the triple's bytes and the one exact check of the triple. A signature
+triple (R, s, h) verifies through s * P == h * Ppub + R. Anyone
 holding one can re-randomize it: pick r, set s^ = s + r and R^ = R + r * P;
 the triple (R^, s^, h) verifies again and is unlinkable to the original as
 a pair, while h deliberately stays fixed. Verifiers of a triple use the h

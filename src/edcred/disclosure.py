@@ -157,8 +157,8 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     curve = params.curve
     hidden = [i for i in range(n) if i not in disclose]
     secrets = [cred.attrs[i] for i in hidden]
-    context = params.digest() + session_id
-    nonces = [hedged_scalar(curve, cred.attrs[i], rng, b"PRESENT-W:" + context + i.to_bytes(2, "big"))
+    context = b"PRESENT-W:" + params.digest() + session_id
+    nonces = [hedged_scalar(curve, cred.attrs[i], rng, context + i.to_bytes(2, "big"))
               for i in hidden]
     multiples = curve.base.multiples(secrets + nonces)
     hidden_points, commitments = multiples[:len(hidden)], multiples[len(hidden):]

@@ -280,7 +280,8 @@ def forge_presentation(params, rng) -> PresentationToken:
     m0 = curve.random_nonzero(rng)
     p0 = m0 * curve.base
     session_id = new_session_id(rng)
-    proof = fs_prove(m0, p0, *pk_commit(curve, m0, rng), presentation_context(params, session_id, sig))
+    proof = fs_prove(m0, p0, *pk_commit(curve, m0, rng),
+                     presentation_context(params, session_id, sig))
     return PresentationToken(sig=sig, commitment0=p0, proof=proof, session_id=session_id)
 
 
