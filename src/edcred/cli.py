@@ -12,8 +12,11 @@ or a socket peer silent for SESSION_TIMEOUT seconds.
 Every command but serve takes --seed, for reproducible test runs: the same
 seed and inputs produce byte-identical output files. setup --seed and the
 first issue --seed derive issuer.key and user.key from the seed, so such
-keys are only as secret as the seed. serve takes no seed: its nonce meets
-a peer, and two sessions under one seed give the issuer key away.
+keys are only as secret as the seed. Every other secret a seeded command
+draws (nonces, blinding factors) also hashes the key or attribute it
+guards, so a guessed seed alone does not give it. serve takes no seed:
+its nonce meets a peer, and two sessions under one seed give the issuer
+key away.
 
 Attribute files carry one label per line; the first line names the master
 secret, whose value is drawn at the first issue and kept in user.key next
@@ -252,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="for reproducible test runs: equal seeds give identical files, "
                                 "and setup and a first issue derive issuer.key and user.key "
-                                "from the seed")
+                                "from the seed; every other secret also hashes the key or "
+                                "attribute it guards")
         return p
 
     p = add("setup", cmd_setup, help="create params and issuer key")

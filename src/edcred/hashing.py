@@ -6,6 +6,12 @@ zero result is remapped to 1 so products of hash values stay invertible.
 Each use site has its own domain tag, and points enter the digest through
 their fixed-width encoding, so colliding inputs across roles would need a
 SHA-256 collision.
+
+Every secret a protocol step draws (a nonce, a blinding factor) goes through
+hedged_scalar, which hashes the secret it guards with the rng's draw. The
+lattice helpers (euclid_rows, reduced, odd_multiplier, weight_basis) give
+the short multipliers that keep the checks' doubling chains near half of
+q's bits, for the proof weights and for the signature check alike.
 """
 
 from __future__ import annotations

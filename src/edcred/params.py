@@ -23,7 +23,6 @@ from .curve import (
     parse_kv,
     sum_is_neutral,
 )
-from .hashing import odd_multiplier
 
 _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
 _HASH = "sha256"  # the only hash hashing.py implements; named in the file
@@ -91,6 +90,10 @@ class SystemParams:
             self.p_pub.precompute()
         q = self.curve.q
         if self.p_pub._table is None and r_point._table is None:
+            # not imported with params, which set-up loads and which runs
+            # no check: a check's own module has imported hashing already
+            from .hashing import odd_multiplier
+
             z, w = odd_multiplier(h, q)
         else:
             z, w = 1, h

@@ -59,7 +59,7 @@ A caller can fold one more equation sum k_j*X_j == O into the same check
 takes a hashed weight pair, z_i >= 2, hashed over the equation's scalars
 too. A weight of 1 on both would let an error in the equation cancel the
 opposite error in a proof. The disclosure verifier folds its signature
-equation in this way.
+equation in this way, already multiplied by its own z (disclosure.py).
 """
 
 from __future__ import annotations
