@@ -106,11 +106,10 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
     """The bare curve equation s*P == h*Ppub + R, booked as the two
     multiplications and one addition it stands for.
 
-    Checked exactly, as z*(s*P - h*Ppub - R) == O in one projective sum
-    with no inversion, z odd and prime to the group order
-    (SystemParams.signature_terms): a torsion error in R is refused. This
-    is the one exact check of a triple; user_unblind checks the blinded
-    triple (R', s', h') through it.
+    Checked exactly, as s*P - h*Ppub - R == O in one projective sum with
+    no inversion: a torsion error in R is refused. This is the one exact
+    check of a triple; user_unblind checks the blinded triple (R', s', h')
+    through it.
     """
     if sig.h.v == 0:
         return False

@@ -18,26 +18,15 @@ The verifier checks the signature and every proof with one cofactored
 equation (schnorr.fs_verify_batch with the signature as its extra
 equation):
 
-    [cofactor] * ((z*s + sum z_i*r_i) * P - w * Ppub - z * R
+    [cofactor] * ((s + sum z_i*r_i) * P - h * Ppub - R
                   - sum z_i*A_i - sum w_i*Q_i) == O
 
-with the signature's terms from SystemParams.signature_terms: (z, w) =
-(1, h) once Ppub has its comb table, and before that an odd z and
-w == z*h (mod q), both near sqrt(q), so that a verifier without the
-table runs no ~250-bit term. Every proof takes a hashed weight pair
+with the signature at weight 1 and every proof at a hashed weight pair
 (z_i, w_i), w_i == c*z_i (mod q) and z_i >= 2, both of about 190 bits:
 one comb multiple for P, one for Ppub once it has its table, and one
-doubling chain over R, Ppub without its table, and every commitment and
-hidden point.
-
-The signature thus enters the batch at weight z, which h fixes, not 1.
-z is nonzero mod q, so a signature error E with a prime-order part
-leaves z*E with one; the proofs' weights hash the equation's scalars
-(z*s, w and z) and every response, so they are fixed only after every
-scalar of the token is, and a bad proof cancels z*E, or another bad
-proof, with probability about 2^-128, as in a batch of proofs alone. A
-bad signature or proof makes the whole token fail; the verdict does not
-say which. As for proofs, the cofactor admits a signature whose error
+doubling chain over R and every commitment and hidden point. A bad
+signature or proof makes the whole token fail; the verdict does not say
+which. As for proofs, the cofactor admits a signature whose error
 s * P - h * Ppub - R is pure torsion; since R is hashed into h, that gives
 no forgery (see the README's Security notes).
 """
@@ -213,8 +202,8 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     points = dict(zip(revealed, curve.base.multiples([token.disclosed[i] for i in revealed])))
     points.update(token.hidden_points)
     h = hash_block([points[i] for i in range(n)], token.sig_r).v
-    # z*(s*P - h*Ppub - R) == O, booked as 3 Ms + 1 Ap: the count of the
-    # split form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
+    # s*P - h*Ppub - R == O, booked as 3 Ms + 1 Ap: the count of the split
+    # form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
     # disclosure count gate pins
     signature = (params.signature_terms(token.sig_s.v, h, token.sig_r), 3, 1)
     transcripts = [token.proofs[i] for i in sorted(hidden)]

@@ -8,16 +8,12 @@ their fixed-width encoding, so colliding inputs across roles would need a
 SHA-256 collision.
 
 Every secret a protocol step draws (a nonce, a blinding factor) goes through
-hedged_scalar, which hashes the secret it guards with the rng's draw. The
-lattice helpers (euclid_rows, reduced, odd_multiplier, weight_basis) give
-the short multipliers that keep the checks' doubling chains near half of
-q's bits, for the proof weights and for the signature check alike.
+hedged_scalar, which hashes the secret it guards with the rng's draw.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 from .curve import CurveParams, Point, Scalar
 
@@ -101,64 +97,10 @@ def challenge_scalar(
     return _to_scalar(TAG_CHALLENGE, b"".join(parts), curve)
 
 
-def euclid_rows(c: int, q: int) -> Basis:
-    """The last two rows (t0, r0), (t1, r1) of the extended Euclidean
-    algorithm on (q, c), stopped at the first remainder r1 below sqrt(q).
-
-    Every row keeps r_i == t_i*c (mod q), and t0*r1 - t1*r0 == +-q, so the
-    two rows are a basis of the lattice {(t, r) : r == c*t (mod q)}. The
-    last one is the short multiplier of c: t1 != 0 and |t1|, r1 <= sqrt(q),
-    because |t_i|*r_(i-1) + |t_(i-1)|*r_i == q bounds |t1| by q over r0,
-    which is still at least sqrt(q); t_i is never 0, since the t_i
-    alternate in sign and grow from t_1 = 1.
-    """
-    bound = math.isqrt(q - 1) + 1  # r1*r1 >= q exactly when r1 >= bound
-    r0, r1 = q, c % q
-    t0, t1 = 0, 1
-    while r1 >= bound:
-        quo = r0 // r1
-        r0, r1 = r1, r0 - quo * r1
-        t0, t1 = t1, t0 - quo * t1
-    return (t0, r0), (t1, r1)
-
-
-def reduced(rows: Basis) -> Basis:
-    """rows, a basis of a two-dimensional lattice, Lagrange-Gauss reduced:
-    the shorter vector last, and the other no longer for subtracting any
-    multiple of it."""
-    (t0, r0), (t1, r1) = rows
-    n0, n1 = t0 * t0 + r0 * r0, t1 * t1 + r1 * r1
-    if n0 < n1:
-        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
-    # (t1, r1) is the shorter: take from (t0, r0) the nearest multiple of
-    # it, and swap while that makes (t0, r0) the shorter
-    while True:
-        m = (2 * (t0 * t1 + r0 * r1) + n1) // (2 * n1)
-        t0, r0 = t0 - m * t1, r0 - m * r1
-        n0 = t0 * t0 + r0 * r0
-        if n0 >= n1:
-            break
-        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
-    return (t0, r0), (t1, r1)
-
-
-def odd_multiplier(h: int, q: int) -> tuple[int, int]:
-    """(z, w) with w == z*h (mod q) and z odd, both near sqrt(q): of the two
-    vectors of euclid_rows(h, q), reduced, the one with an odd t and the
-    smaller larger coordinate, or (1, h) when it is no smaller than h.
-
-    One of the two t is odd: (1, h) is an integer combination of the two
-    vectors, so their t are coprime. Every candidate has max(|z|, |w|) at
-    most h < q, so 0 < |z| < q.
-    """
-    size, z, w = min((max(abs(t), abs(r)), t, r) for t, r in reduced(euclid_rows(h, q)) if t & 1)
-    return (z, w) if size < h else (1, h)
-
-
 def weight_basis(rows: Basis, c: int, q: int) -> Basis:
     """The two vectors that batch_weights maps its 64-bit halves through:
     rows, a basis of the lattice {(t, r) : r == c*t (mod q)} such as
-    euclid_rows gives, Lagrange-Gauss reduced, when 2^64 times the
+    schnorr.euclid_rows gives, Lagrange-Gauss reduced, when 2^64 times the
     sum of its |t| and of its |r| are both below q; (2^64, 2^64*c) and
     (1, c) otherwise.
 
@@ -173,7 +115,19 @@ def weight_basis(rows: Basis, c: int, q: int) -> Basis:
     much shorter than sqrt(q), such as 1, 2 or q - 1, and every c on a
     curve whose q is below 2^128.
     """
-    (t0, r0), (t1, r1) = reduced(rows)
+    (t0, r0), (t1, r1) = rows
+    n0, n1 = t0 * t0 + r0 * r0, t1 * t1 + r1 * r1
+    if n0 < n1:
+        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
+    # (t1, r1) is the shorter: take from (t0, r0) the nearest multiple of
+    # it, and swap while that makes (t0, r0) the shorter
+    while True:
+        m = (2 * (t0 * t1 + r0 * r1) + n1) // (2 * n1)
+        t0, r0 = t0 - m * t1, r0 - m * r1
+        n0 = t0 * t0 + r0 * r0
+        if n0 >= n1:
+            break
+        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
     if (abs(t0) + abs(t1)) << 64 < q and (abs(r0) + abs(r1)) << 64 < q:
         return (t0, r0), (t1, r1)
     return (1 << 64, c << 64), (1, c)

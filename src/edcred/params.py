@@ -27,22 +27,20 @@ from .curve import (
 _PARAMS_KEYS = ("Ppubx", "Ppuby", "hash", "k")
 _HASH = "sha256"  # the only hash hashing.py implements; named in the file
 # Ppub builds its comb table at its _COMB_AT-th signature check, once a
-# build would have paid for itself in checks: build / (one-shot check -
-# tabled check) on curve1174, a build of 4096 entries, where the one-shot
-# check is the short form (signature_terms). tools/bench_kernel.py's comb
-# break-even row measures that ratio with the three timings of each loop
-# made back to back: the build on a fresh copy of Ppub, then
-# check_equation under a SystemParams of another fresh copy and under one
-# of the built copy (2 vCPU, Python 3.11.7). At its default --repeat 100
-# it read 61.0 (quartiles 59.6 - 62.7), 62.5 (60.8 - 63.6) and 61.4
-# (58.9 - 63.4); 61 lies within all three. Against a check that ran h on
-# the wNAF chain it read 39: the short form halves what a table saves.
+# build would have paid for itself in multiples: ceil(build / (wNAF Ms -
+# comb Ms)) on curve1174, a build of 4096 entries. tools/bench_kernel.py's
+# comb break-even row measures that ratio with the three timings of each
+# loop made back to back, on a fresh copy of Ppub (2 vCPU, Python 3.11.7):
+# at its default --repeat 100 it read 40.7 (quartiles 38.4 - 42.6) and
+# 41.2 (38.9 - 43.5). Runs of 21 loops read medians of 37.1 to 43.1, and
+# some of their quartiles exclude 39 on either side (36.1 - 37.8, 39.9 -
+# 41.9): a short run moves between runs by more than its own spread. 39
+# lies within the 100-loop quartiles, so it stays.
 # The build runs the exact _add and _dbl, the wNAF and the comb _sum's
 # folding pass, which folds where those divide. Where Ppub shares its
-# chain with proof terms, as in verify_disclosure, its short-form term
-# adds no doubling and the comb saves only its additions, so there the
-# build pays off later still; one count serves both.
-_COMB_AT = 61
+# chain with proof terms it saves only its additions on the comb, so
+# there the build pays off later; one count serves both.
+_COMB_AT = 39
 
 
 class SystemParams:
@@ -66,20 +64,8 @@ class SystemParams:
         self._checks = 0
 
     def signature_terms(self, s: int, h: int, r_point: Point) -> list:
-        """The terms of z*s*P - w*Ppub - z*R == O, the equation of every
-        signature check, for curve.sum_is_neutral: (z, w) = (1, h) once
-        Ppub has its comb table, and hashing.odd_multiplier(h, q) before,
-        z odd and w == z*h (mod q), both near sqrt(q), so that the doubling
-        chain runs about half of q's bits, not all of them. An R with a
-        comb table, which only a caller's precompute() gives it, also
-        keeps z = 1: its comb would count z mod q and drop R's torsion.
-
-        The sum is z times s*P - h*Ppub - R when Ppub has order q, which
-        its comb term assumes too; the constructor refuses only a Ppub of
-        small order, and validate_params checks the rest. An odd z with
-        0 < |z| < q is prime to the group order, q times a power of two,
-        so the sum vanishes exactly when s*P - h*Ppub - R does: a torsion
-        error in R is still refused.
+        """The terms of s*P - h*Ppub - R == O, the equation of every
+        signature check, for curve.sum_is_neutral.
 
         Counts one check, and builds Ppub's comb table at the _COMB_AT-th.
         Unlocked: a count lost to another thread delays the build, and the
@@ -88,16 +74,7 @@ class SystemParams:
         checks = self._checks = self._checks + 1
         if checks == _COMB_AT:
             self.p_pub.precompute()
-        q = self.curve.q
-        if self.p_pub._table is None and r_point._table is None:
-            # not imported with params, which set-up loads and which runs
-            # no check: a check's own module has imported hashing already
-            from .hashing import odd_multiplier
-
-            z, w = odd_multiplier(h, q)
-        else:
-            z, w = 1, h
-        return [(self.curve.base, z * s % q), (self.p_pub, -w), (r_point, -z)]
+        return [(self.curve.base, s), (self.p_pub, -h), (r_point, -1)]
 
     def format_file(self) -> str:
         return (

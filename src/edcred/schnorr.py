@@ -59,15 +59,16 @@ A caller can fold one more equation sum k_j*X_j == O into the same check
 takes a hashed weight pair, z_i >= 2, hashed over the equation's scalars
 too. A weight of 1 on both would let an error in the equation cancel the
 opposite error in a proof. The disclosure verifier folds its signature
-equation in this way, already multiplied by its own z (disclosure.py).
+equation in this way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .curve import CurveParams, Point, Scalar, sum_is_neutral
-from .hashing import batch_weights, challenge_scalar, euclid_rows, hedged_scalar, weight_basis
+from .hashing import Basis, batch_weights, challenge_scalar, hedged_scalar, weight_basis
 from .wire import Reader
 
 
@@ -112,6 +113,27 @@ def pk_respond(secret: Scalar, nonce: Scalar, challenge: Scalar) -> Scalar:
 
 def pk_verify(t: SchnorrTranscript) -> bool:
     return _check([t])
+
+
+def euclid_rows(c: int, q: int) -> Basis:
+    """The last two rows (t0, r0), (t1, r1) of the extended Euclidean
+    algorithm on (q, c), stopped at the first remainder r1 below sqrt(q).
+
+    Every row keeps r_i == t_i*c (mod q), and t0*r1 - t1*r0 == +-q, so the
+    two rows are a basis of the lattice {(t, r) : r == c*t (mod q)}. The
+    last one is the short multiplier of c: t1 != 0 and |t1|, r1 <= sqrt(q),
+    because |t_i|*r_(i-1) + |t_(i-1)|*r_i == q bounds |t1| by q over r0,
+    which is still at least sqrt(q); t_i is never 0, since the t_i
+    alternate in sign and grow from t_1 = 1.
+    """
+    bound = math.isqrt(q - 1) + 1  # r1*r1 >= q exactly when r1 >= bound
+    r0, r1 = q, c % q
+    t0, t1 = 0, 1
+    while r1 >= bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    return (t0, r0), (t1, r1)
 
 
 def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:

@@ -20,7 +20,7 @@ from edcred.cli import main
 from edcred.credential import check_equation, signature_of, verify_credential
 from edcred.curve import Point
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
-from edcred.hashing import hash_block, odd_multiplier
+from edcred.hashing import hash_block
 from edcred.issuance import Credential
 from edcred.params import IssuerKey, SystemParams
 from edcred.protocol import IssuerEngine
@@ -247,10 +247,8 @@ def test_verify_refuses_a_neutral_public_key(deploy, tmp_path, capsys):
 @pytest.mark.parametrize("order", [2, 4])
 def test_verify_refuses_a_public_key_of_small_order(prod_deploy, tmp_path, capsys, order):
     # on curve1174, with Ppub = (0, p-1) of order 2 the exact check drops
-    # w*Ppub for every even w, its multiplier of Ppub (h, or
-    # odd_multiplier's w while Ppub has no table), so a credential made
-    # with no issuer key, R = s*P and h its true binding, passes for every
-    # h whose w is even; with (1, 0) of order 4 as
+    # h*Ppub for every even h, so a credential made with no issuer key,
+    # R = s*P and h its true binding, passes; with (1, 0) of order 4 as
     # well, the cofactored check of its disclosure token drops h*Ppub for
     # any h. The params file is malformed input, refused at load
     params, _ = prod_deploy
@@ -267,7 +265,7 @@ def test_verify_refuses_a_public_key_of_small_order(prod_deploy, tmp_path, capsy
         s = c.random_nonzero(rng)
         r_point = s * c.base
         h = hash_block(c.base.multiples(attrs), r_point)
-        if odd_multiplier(h.v, c.q)[1] % 2 == 0:
+        if h.v % 2 == 0:
             break
     cred = Credential(attrs=attrs, r_point=r_point, s=s, h=h)
     token = present(cred, [1], small, rng)

@@ -21,7 +21,7 @@ from edcred.credential import (
 from edcred.curve import OpCounter, Point, Scalar
 from edcred.disclosure import present
 from edcred.errors import WireError
-from edcred.hashing import attr_to_scalar, euclid_rows, odd_multiplier, reduced
+from edcred.hashing import attr_to_scalar
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import SystemParams
 from edcred.protocol import run_issuance
@@ -150,32 +150,6 @@ def test_credential_module_owns_the_one_exact_signature_check():
                     imported += [a.name for a in node.names]
             assert not [m for m in imported if "issuance" in m.split(".")], imported
     assert exact == {"curve.py", "credential.py"}
-
-
-@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
-def test_short_form_check_on_a_fresh_public_key(deploy, request):
-    """While Ppub has no table, an honest signature is accepted and s + 1
-    is refused, whether the shorter reduced vector of h's lattice has an
-    odd t, which then is z, or an even one, when z comes from the other
-    vector. On curve1174 the chain runs as long as the longer of z and w,
-    about half of q's bits, plus the 3X tables of R and Ppub, where h*Ppub
-    ran 250 doublings."""
-    params, key = request.getfixturevalue(deploy)
-    c = params.curve
-    rng = make_rng(f"short-form:{deploy}")
-    verifier = SystemParams(c, Point(params.p_pub.x, params.p_pub.y, c), params.k)
-    parities = []
-    for _ in range(12):
-        rho, h = c.random_nonzero(rng), c.random_nonzero(rng)
-        sig = PresentationSignature(rho * c.base, h * key.x + rho, h)
-        with OpCounter() as ops:
-            assert check_equation(sig, verifier)
-        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (2, 1, 0)
-        if c.name == "curve1174":
-            assert ops.inner_doubles <= max(map(abs, odd_multiplier(h.v, c.q))).bit_length() + 2 < 140
-        assert not check_equation(PresentationSignature(sig.r_point, sig.s + 1, h), verifier)
-        parities.append(reduced(euclid_rows(h.v, c.q))[1][0] % 2)
-    assert set(parities) == {0, 1} and verifier.p_pub._table is None
 
 
 def test_presentation_roundtrip(toy_deploy, toy_cred):

@@ -468,34 +468,3 @@ def test_reduced_weights_shorten_the_chain(prod_deploy):
             assert verify_disclosure(token, params)
         assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (16, 6, 1)
         assert ops.inner_doubles <= 192 + 10 + 3
-
-@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
-def test_fresh_public_key_checks_the_short_form(deploy, request):
-    """A verifier whose Ppub has no table puts the signature in the batch
-    as z*s*P - w*Ppub - z*R, at the weight z that h fixes: an honest token
-    is accepted, and so, cofactored, is one whose R carries torsion
-    (test_signature_torsion_policy's), while s + 1 and a bumped response
-    are refused. On curve1174, n = 8 with 3 revealed, the chain runs the
-    proofs' ~190 doublings, not h's ~250: with the ten 3X tables of
-    test_reduced_weights_shorten_the_chain and those of R and Ppub."""
-    params, key = request.getfixturevalue(deploy)
-    c = params.curve
-    rng = make_rng(f"fresh-ppub:{deploy}")
-    fresh = SystemParams(c, Point(params.p_pub.x, params.p_pub.y, c), params.k)
-    cred, _ = issue(params, key, 8, f"fresh-ppub:{deploy}", rng)
-    rho = c.random_nonzero(rng)
-    r_point = rho * c.base + Point(0, c.p - 1, c)
-    s = hash_block([m * c.base for m in cred.attrs], r_point) * key.x + rho
-    for disclose in ([], [1, 2, 3]):
-        token = present(cred, disclose, params, rng)
-        with OpCounter() as ops:
-            assert verify_disclosure(token, fresh)
-        if c.name == "curve1174" and disclose:
-            assert ops.inner_doubles <= 192 + 12 + 3
-        assert not verify_disclosure(replace(token, sig_s=token.sig_s + 1), fresh)
-        assert not verify_disclosure(bump_response(token, 0), fresh)
-        torsion = signed_token(fresh, list(cred.attrs), r_point, s, disclose, rng)
-        assert verify_disclosure(torsion, fresh)
-        assert not verify_disclosure(signed_token(fresh, list(cred.attrs), r_point, s + 1,
-                                                  disclose, rng), fresh)
-    assert fresh.p_pub._table is None

@@ -13,9 +13,7 @@ from edcred.hashing import (
     challenge_scalar,
     hash_block,
     hash_points,
-    euclid_rows,
     hedged_scalar,
-    odd_multiplier,
 )
 
 from conftest import make_rng
@@ -131,25 +129,3 @@ def test_hedged_scalar_matches_oracle_and_takes_one_draw(toy, prod):
             assert len({hedged_scalar(c, one, draws[0], b"a"), hedged_scalar(c, one + 1, draws[1], b"a"),
                         hedged_scalar(c, one, draws[2], b"b")}) == 3
 
-
-def test_odd_multiplier(toy, prod):
-    """w == z*h (mod q) with z odd and 0 < |z| < q, so that z is prime to
-    the group order; for random h on curve1174 both sides run about half
-    of q's bits, longer when the shorter vector has an even t and the
-    other is long, and an h whose lattice holds a tiny vector keeps it or
-    falls back to (1, h)."""
-    for c in (toy, prod):
-        q = c.q
-        rng = make_rng(f"odd-multiplier:{c.name}")
-        hs = [rng.randrange(1, q) for _ in range(200)] + [1, 2, 3, q - 1, q - 2, (q - 1) // 2]
-        for h in hs:
-            z, w = odd_multiplier(h, q)
-            assert z % 2 == 1 and 0 < abs(z) < q and (w - z * h) % q == 0
-            assert max(abs(z), abs(w)) <= h
-        if c is prod:
-            sizes = sorted(max(map(abs, odd_multiplier(h, q))).bit_length() for h in hs[:200])
-            assert sizes[100] <= 125 and sizes[-1] < 140
-        assert odd_multiplier(1, q) == (1, 1) and odd_multiplier(q - 1, q) == (-1, 1)
-        assert odd_multiplier(2, q) == (1, 2)
-        # (t1, r1) of euclid_rows is short but may have an even t
-        assert any(euclid_rows(h, q)[1][0] % 2 == 0 for h in hs)

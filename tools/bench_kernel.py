@@ -44,11 +44,10 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   difference is the CLI's compile share;
 - comb break-even: the signature check at which a table for Ppub has paid
   for its build (_COMB_AT in params.py). Each run builds a table on a
-  fresh copy of Ppub, then times check_equation on a random signature
-  under a SystemParams of another fresh copy (the short form) and under
-  one of the built copy (the comb), and returns build / (fresh - comb),
-  so that the three timings of one ratio are made within milliseconds of
-  each other.
+  fresh copy of Ppub, then times a wNAF k*Q on another fresh copy and a
+  comb k*Q on the built one, and returns build / (wNAF - comb), so that
+  the three timings of one ratio are made within milliseconds of each
+  other.
 
 Every row runs once, counted by OpCounter, then --repeat timed rounds.
 It prints, per package, the median and the quartiles of its rounds, in
@@ -87,7 +86,7 @@ REVEALED = [1, 2, 3]
 N_ALL_HIDDEN = 16
 _FIELD_REPS = 1000
 FIELD = ("mulmod", "folded product", "inversion")
-BREAK_EVEN = "comb break-even, build/(fresh-comb)"
+BREAK_EVEN = "comb break-even, build/(wNAF-comb)"
 # run by `python -c` with the SRC directory and k as arguments
 _FIRST_USE = """
 import sys, time
@@ -143,7 +142,6 @@ def operations(pkg, src: str, workdir: str) -> dict:
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     sig = pkg.signature_of(cred)
     curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
-    Signature = importlib.import_module(f"{pkg.__name__}.credential").PresentationSignature
     # the fresh-import rows run a copy of the package, so that no bytecode
     # cache next to its source is ever read
     copy = os.path.join(workdir, "src")
@@ -196,16 +194,14 @@ def operations(pkg, src: str, workdir: str) -> dict:
         return run
 
     def break_even() -> float:
-        rho, h = curve.random_nonzero(ratio_rng), curve.random_nonzero(ratio_rng)
-        signed = Signature(rho * base, h * key.x + rho, h)
+        k = ratio_rng.randrange(1, q)
         table, plain = Point(px, py, curve), Point(px, py, curve)
-        tabled, fresh = (pkg.SystemParams(curve, pt, params.k) for pt in (table, plain))
         t0 = time.perf_counter()
         table.precompute()
         t1 = time.perf_counter()
-        pkg.check_equation(signed, fresh)
+        k * plain
         t2 = time.perf_counter()
-        pkg.check_equation(signed, tabled)
+        k * table
         t3 = time.perf_counter()
         return (t1 - t0) / ((t2 - t1) - (t3 - t2))
 
