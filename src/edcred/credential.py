@@ -85,8 +85,7 @@ class Credential:
         r = Reader(data, params.curve)
         if r.take(4) != cls.MAGIC:
             raise WireError("not a credential file")
-        if r.take(32) != params.digest():
-            raise WireError("credential was issued under different parameters")
+        r.deployment(params)
         n = r.uint(2)
         if not 1 <= n <= MAX_ATTRIBUTES:
             raise WireError("attribute count out of range")
@@ -185,8 +184,7 @@ class PresentationToken:
     @classmethod
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "PresentationToken":
         r = Reader(data, params.curve)
-        if r.take(32) != params.digest():
-            raise WireError("token was made under different parameters")
+        r.deployment(params)
         sig = PresentationSignature.read(r)
         commitment0 = r.point()
         proof = SchnorrTranscript.read(r, commitment0)

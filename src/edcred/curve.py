@@ -41,24 +41,24 @@ _fold_constants picks (K, c) for each curve, and _sum's docstring derives
 the bound that keeps the folded values from growing.
 
 Every multiple, sum and addition is one _sum, under one rule: a sum of
-terms k*Q is exact in its integer scalars, torsion included. A term +-1 is
-one addition. A term on a point with a comb table, which only P and Ppub
-have, both of order q, counts k mod q and is multiplied by a signed
-radix-256 comb one level deep: row j of the table holds m*2^(8j)*B for
+terms k*Q is exact in its integer scalars, torsion included. A term on a
+point with a comb table, which only P and Ppub have, both of order q,
+counts k mod q, unless k is +-1, and is multiplied by a signed radix-256
+comb one level deep: row j of the table holds m*2^(8j)*B for
 m = 1..128, so a multiple looks up one entry and makes one mixed addition
 per nonzero digit, about 31 additions and no doubling. Interleaving the
 rows over three levels (Lim and Lee, CRYPTO 1994) would keep a third of
 the entries for doublings on every multiple; the doublings cost more time
 than the entries cost memory. Any other term runs as |k| times +-Q, with
 no reduction mod q, as a width-4 wNAF: about 250 doublings and 50
-additions for a 249-bit k. Every term of a sum drops its points into
-buckets by position, the +-1 and comb ones at position 0, and one pass
-walks down the positions, doubling once per position and adding each
-bucket, so all the wNAF terms share one doubling chain (Straus's trick;
-Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve Cryptography",
-3.3.3). The pass only adds and doubles with the complete formulas, so it
-needs no case for the neutral point, a torsion point or an addition whose
-two operands are equal.
+additions for a 249-bit k, one addition for k = +-1. Every term of a sum
+drops its points into buckets by position, the comb ones at position 0,
+and one pass walks down the positions, doubling once per position and
+adding each bucket, so all the wNAF terms share one doubling chain
+(Straus's trick; Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve
+Cryptography", 3.3.3). The pass only adds and doubles with the complete
+formulas, so it needs no case for the neutral point, a torsion point or
+an addition whose two operands are equal.
 
 Point.multiples, and so k*Q, takes k mod q first, as a Scalar holds it, so
 k*Q == (k mod q)*Q exactly for every Q; P + Q is the sum 1*P + 1*Q. A
@@ -155,10 +155,10 @@ class OpCounter:
     the headline numbers. A sum is one pass that adds every point its
     terms drop into a bucket, the first loaded rather than added, and
     doubles once per position below the highest wNAF digit of any term:
-    a +-1 term drops one point; a term on a comb one table entry per
-    nonzero digit, at position 0, so a sum of those never doubles; a
-    wNAF term one odd multiple per nonzero digit, and it books one
-    doubling and up to three additions for its table of odd multiples.
+    a term on a comb drops one table entry per nonzero digit, at position
+    0, so a sum of those never doubles; a wNAF term drops one odd multiple
+    per nonzero digit, and it books one doubling and up to three additions
+    for its table of odd multiples.
     inversions counts field inversions mod p: one per batch, the return to
     affine form (so one per k*P, per Point.multiples() call and per
     addition), none for a batch whose every sum has no nonzero term, none
@@ -820,22 +820,22 @@ def _sum(curve: CurveParams, terms, ctr):
     inner steps on ctr.
 
     The module's one rule: terms on equal points are summed first, and
-    then a term +-1 is one addition, a term on a point with a comb table
-    (P or Ppub, of order q) counts k_i mod q on its comb, and any other
-    term runs as |k_i|*(+-Q_i), with no reduction mod q, so the sum is
-    exact in the scalars as given.
+    then a term on a point with a comb table (P or Ppub, of order q)
+    counts k_i mod q on its comb unless k_i is +-1, which the comb reads
+    as q - 1, and any other term runs as |k_i|*(+-Q_i) on the chain, with
+    no reduction mod q, so the sum is exact in the scalars as given.
 
     Every term drops cached points into buckets by position, and one pass
     adds them all on one doubling chain (Straus's trick, as interleaving
-    with NAFs in Hankerson, Menezes, Vanstone): a +-1 term drops its point
-    at position 0; a comb term drops one row entry per nonzero signed
-    radix-2^_W digit, negated for a negative digit, also at position 0;
-    any other term drops one of +-Q, +-3Q, ... per nonzero width-_WNAF
-    NAF digit, at that digit's position. The pass starts from one point,
-    loaded rather than added: the top digit of the chain term whose top
-    position is highest, taken out of its bucket, or with no chain term
-    the first comb entry or +-1 point. It then doubles once per position
-    below and adds each position's bucket, with _dbl and _add written out.
+    with NAFs in Hankerson, Menezes, Vanstone): a comb term drops one row
+    entry per nonzero signed radix-2^_W digit, negated for a negative
+    digit, at position 0; a chain term drops one of +-Q, +-3Q, ... per
+    nonzero width-_WNAF NAF digit, at that digit's position. The pass
+    starts from one point, loaded rather than added: the top digit of the
+    chain term whose top position is highest, taken out of its bucket, or
+    with no chain term the first comb entry. It then doubles once per
+    position below and adds each position's bucket, with _dbl and _add
+    written out.
     Only an addition reads T, so a doubling makes T only before a
     non-empty bucket, and an addition only when another one follows it.
 
@@ -875,12 +875,10 @@ def _sum(curve: CurveParams, terms, ctr):
         else:
             merged[key] = [pt, k]
     half, mask = 1 << (_W - 1), (1 << _W) - 1
-    # position 0's bucket, +-1 points, chain terms (+-x, y, |k|)
-    zero, ones, chain = [], [], []
+    # position 0's bucket, chain terms (+-x, y, |k|)
+    zero, chain = [], []
     for pt, k in merged.values():
-        if k == 1 or k == -1:
-            ones.append((pt.x if k == 1 else -pt.x % p, pt.y))
-        elif pt._table is not None:
+        if pt._table is not None and k != 1 and k != -1:
             k %= q
             for row in pt._table:
                 dgt = k & mask
@@ -918,17 +916,16 @@ def _sum(curve: CurveParams, terms, ctr):
         for at, digit in digits:
             buckets[at].append(lut[digit])
         if pos > top:
-            top, load, entry = pos, odd[dgt >> 1], lut[dgt]
+            top, load, slot = pos, odd[dgt >> 1], len(buckets[pos]) - 1
     if chain:
-        buckets[top].remove(entry)
+        del buckets[top][slot]
         X, Y, Z, T = load
-    elif zero or ones:
+    elif zero:
         top = 0
-        x, y = zero.pop(0)[:2] if zero else ones.pop(0)
+        x, y = zero.pop(0)[:2]
         X, Y, Z, T = x, y, 1, x * y % p
     else:
         return None
-    zero += [_cache(p, d, x, y) + (1,) for x, y in ones]
     for pos in range(top, -1, -1):
         bucket = buckets[pos]
         if pos < top:

@@ -102,8 +102,7 @@ class DisclosureToken:
     @classmethod
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "DisclosureToken":
         r = Reader(data, params.curve)
-        if r.take(32) != params.digest():
-            raise WireError("token was made under different parameters")
+        r.deployment(params)
         sig_r, sig_s, sig_h = r.point(), r.scalar(), r.scalar()
         n = r.uint(2)
         if not 1 <= n <= MAX_ATTRIBUTES:

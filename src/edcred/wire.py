@@ -66,6 +66,11 @@ class Reader:
     def scalar(self) -> Scalar:
         return Scalar.from_bytes(self.take(self.curve.coord_bytes), self.curve.q)
 
+    def deployment(self, params) -> None:
+        """Read a record's leading digest: a WireError unless params'."""
+        if self.take(32) != params.digest():
+            raise WireError("record was made under different parameters")
+
     def end(self) -> None:
         if self.pos != len(self.data):
             raise WireError("trailing bytes after record")

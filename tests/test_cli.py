@@ -11,6 +11,7 @@ import threading
 import time
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -525,6 +526,19 @@ def test_bench_prints_count_table(capsys):
     text = capsys.readouterr().out
     assert text.splitlines()[0].split()[:4] == ["protocol", "n", "measured_Ms", "paper_Ms"]
     assert "issuance" in text and "verification" in text
+
+
+def test_readme_bench_blocks_are_the_command_output(capsys):
+    # README's "Operation counts" prints the table and the step breakdown
+    # of `edcred bench --attrs 1 --seed 1`; both must be what it prints
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Operation counts\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```\n")[1::2]
+    assert len(blocks) == 2
+    assert main(["bench", "--attrs", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    for block in blocks:
+        assert block in out
 
 
 def test_console_entry_point(tmp_path):

@@ -585,6 +585,53 @@ def test_opcounter_inner_steps_for_q_minus_1(prod):
     assert (ops.inner_adds, ops.inner_doubles) == (29, 250)
 
 
+class ReadRow:
+    """A comb row that logs each digit a sum reads from it."""
+
+    def __init__(self, row, log):
+        self.row, self.log = row, log
+
+    def __getitem__(self, m):
+        self.log.append(m)
+        return self.row[m]
+
+
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_plus_minus_one_stays_off_the_comb(name, request):
+    """A term +-1 is one addition even on a point with a comb table, which
+    would read -1 as q - 1, 17 entries on curve1174: P + Q, and
+    -P + Ppub + Q with Ppub's table built, read no entry of P's or Ppub's
+    rows, book one addition per term but the first, loaded, and no
+    doubling, and equal the affine oracle."""
+    c = request.getfixturevalue(name)
+    params, _ = request.getfixturevalue(f"{name}_deploy")
+    log = []
+
+    def logged(pt):
+        copy = Point(pt.x, pt.y, c)
+        table = pt._table or Point(pt.x, pt.y, c).precompute()._table
+        copy._table = [ReadRow(row, log) for row in table]
+        return copy
+
+    base, p_pub, q_pt = logged(c.base), logged(params.p_pub), 5 * c.base
+    minus_p_plus_ppub = oracle_add(c, -c.base, params.p_pub)
+    cases = [
+        (lambda: base + q_pt, 1, oracle_add(c, c.base, q_pt)),
+        (lambda: curve_mod.sum_of_multiples(c, [[(base, -1), (p_pub, 1)]], ms=0, ap=1)[0],
+         1, minus_p_plus_ppub),
+        (lambda: curve_mod.sum_of_multiples(
+            c, [[(base, -1), (p_pub, 1), (q_pt, 1)]], ms=0, ap=2)[0],
+         2, oracle_add(c, minus_p_plus_ppub, q_pt)),
+    ]
+    for run, adds, expect in cases:
+        with OpCounter() as ops:
+            got = run()
+        assert (ops.scalar_mults, ops.point_adds) == (0, adds)
+        assert (ops.inner_adds, ops.inner_doubles, ops.inversions) == (adds, 0, 1)
+        assert got == expect
+    assert log == []
+
+
 def one_pass(c, terms):
     """_sum's (X, Y, Z) of terms, with the doublings and additions it
     books."""

@@ -11,6 +11,7 @@ its verifier; the toy curve's 1/q soundness lets chance edits pass there.
 
 import pytest
 
+from edcred import setup
 from edcred.credential import (
     PresentationToken,
     make_presentation,
@@ -81,3 +82,25 @@ def test_every_parser_refuses_malformed_bytes_with_wire_error(deploy, request):
                 verified += 1
         assert parsed_cuts == cuts_that_parse, name
         assert verify is None or verified, name
+
+
+def test_records_refuse_another_deployment(toy_deploy):
+    """A credential and both kinds of token lead with their deployment's
+    digest: read under another deployment, each is refused with the one
+    WireError of Reader.deployment."""
+    params, key = toy_deploy
+    other, _ = setup("toy", make_rng("malformed:other deployment"))
+    assert other.digest() != params.digest()
+    rng = make_rng("malformed:deployment")
+    attrs = [params.curve.random_nonzero(rng) for _ in range(2)]
+    cred, _ = run_issuance(params, key, attrs, rng, rng)
+    show = make_presentation(cred, params, rng)
+    disc = present(cred, [1], params, rng)
+    for data, parse in (
+        (cred.to_bytes(params), lambda b, ps: Credential.from_bytes(b, ps)),
+        (show.to_bytes(params), lambda b, ps: PresentationToken.from_bytes(b, ps, show.session_id)),
+        (disc.to_bytes(params), lambda b, ps: DisclosureToken.from_bytes(b, ps, disc.session_id)),
+    ):
+        parse(data, params)
+        with pytest.raises(WireError, match="^record was made under different parameters$"):
+            parse(data, other)

@@ -15,8 +15,9 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table), a
   batch of 8 multiples of P, one addition P + Q, the blinding sum
   alpha*R' + beta*P of user_blind (a wNAF term and a comb term in one
-  pass) and in_prime_subgroup(Ppub) on Ppub's comb, the subgroup check
-  validate_params makes;
+  pass) and in_prime_subgroup(Ppub), the subgroup check validate_params
+  makes, on a fresh copy of Ppub with no comb table, as `edcred setup`
+  runs it;
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
 - protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
@@ -215,7 +216,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "one addition P + Q": lambda: base + q_pt,
         "blinding sum alpha*R' + beta*P": lambda: curve_mod.sum_of_multiples(
             curve, [[(r_bar, alpha), (base, beta)]], ms=2, ap=1),
-        "in_prime_subgroup(Ppub)": lambda: curve_mod.in_prime_subgroup(params.p_pub),
+        "in_prime_subgroup(Ppub)": lambda: curve_mod.in_prime_subgroup(Point(px, py, curve)),
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": seeded(issuance),
         "make_presentation n=8": seeded(show_holder),
