@@ -49,7 +49,7 @@ class PresentationSignature:
         """The fields encode writes, from a Reader over the enclosing record."""
         sig = cls(reader.point(), reader.scalar(), reader.scalar())
         if sig.h.v == 0:
-            raise WireError("signature carries h = 0")
+            raise WireError("signature carries a zero h: h = 0")
         return sig
 
 

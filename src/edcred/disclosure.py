@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .credential import MAX_ATTRIBUTES, Credential
+from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature
 from .curve import Point, Scalar
 from .errors import WireError
 # hash_points is unused here, but perfbench/spans.py wraps disclosure.hash_points
@@ -72,9 +72,7 @@ class DisclosureToken:
         for i in self.hidden_points:
             bits |= 1 << i
         parts = [
-            self.sig_r.encode(),
-            self.sig_s.to_bytes(w),
-            self.sig_h.to_bytes(w),
+            PresentationSignature(self.sig_r, self.sig_s, self.sig_h).encode(),
             self.n_attrs.to_bytes(2, "big"),
             bits.to_bytes(_BITMAP_BYTES, "big"),
         ]
@@ -103,7 +101,7 @@ class DisclosureToken:
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "DisclosureToken":
         r = Reader(data, params.curve)
         r.deployment(params)
-        sig_r, sig_s, sig_h = r.point(), r.scalar(), r.scalar()
+        sig = PresentationSignature.read(r)
         n = r.uint(2)
         if not 1 <= n <= MAX_ATTRIBUTES:
             raise WireError("attribute count out of range")
@@ -112,10 +110,10 @@ class DisclosureToken:
             raise WireError("hidden bitmap names indices out of range")
         hidden = [i for i in range(n) if bits >> i & 1]
         disclosed = {i: r.scalar() for i in range(n) if not bits >> i & 1}
-        # refused here, as Credential.from_bytes and PresentationSignature
-        # refuse them; verify_disclosure still refuses a token built with them
-        if sig_h.v == 0 or not all(disclosed.values()):
-            raise WireError("token carries h = 0 or a zero disclosed attribute")
+        # refused here, as Credential.from_bytes refuses a zero attribute;
+        # verify_disclosure still refuses a token built with one
+        if not all(disclosed.values()):
+            raise WireError("token carries a zero disclosed attribute")
         hidden_points = {i: r.point() for i in hidden}
         pairs = [(i, r.point(), r.scalar()) for i in hidden]
         c = r.scalar()
@@ -125,9 +123,9 @@ class DisclosureToken:
             for i, a, resp in pairs
         }
         return cls(
-            sig_r=sig_r,
-            sig_s=sig_s,
-            sig_h=sig_h,
+            sig_r=sig.r_point,
+            sig_s=sig.s,
+            sig_h=sig.h,
             n_attrs=n,
             disclosed=disclosed,
             hidden_points=hidden_points,

@@ -97,8 +97,10 @@ def opcount_bench(
     With repeat > 1 the measurement runs repeatedly and its table cells
     must come out identical every time; Ms and Ap are determined by the
     protocol, not the inputs. The inner steps vary with the drawn scalars,
-    so they are not compared.
+    so they are not compared. A repeat below 1 is a ValueError.
     """
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, not {repeat}")
     rows = _measure_once(n, params, key, rng)
     for _ in range(repeat - 1):
         again = _measure_once(n, params, key, rng)

@@ -24,7 +24,7 @@ Every check, of one transcript or of a batch, is one cofactored equation
     [cofactor] * ((sum z_i*r_i) * P - sum z_i*A_i - sum w_i*Q_i) == O
 
 with weight pairs w_i == c*z_i (mod q), z_i >= 2, hashed from the
-challenge and every response (hashing.batch_weights) for every transcript
+challenge and every response (check_weights) for every transcript
 after the first: one multiple on P's comb and one doubling chain over
 every A_i and Q_i (curve.sum_is_neutral), however many transcripts there
 are. One bad transcript always makes it fail. Multiplying by the cofactor
@@ -36,7 +36,7 @@ since the challenge hashes every point. A transcript still books the
 The chain is as long as the longest weight. A pair is not (z, c*z), a
 128-bit z and a full ~250-bit c*z, but the two 64-bit halves of the hashed
 128 bits taken through a reduced basis of the lattice of (t, r) with
-r == c*t (mod q) (euclid_rows, hashing.weight_basis), so both z_i and w_i
+r == c*t (mod q) (euclid_rows, weight_basis), so both z_i and w_i
 have about 190 bits and the chain about 190 doublings. The map from the
 halves to z mod q is one-to-one, so z_i stays uniform over 2^128 residues;
 a c whose lattice is too skewed for that falls back to (z, c*z) itself.
@@ -64,11 +64,12 @@ equation in this way.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 from .curve import CurveParams, Point, Scalar, sum_is_neutral
-from .hashing import Basis, batch_weights, challenge_scalar, hedged_scalar, weight_basis
+from .hashing import TAG_BATCH_WEIGHT, challenge_scalar, hedged_scalar
 from .wire import Reader
 
 
@@ -115,7 +116,7 @@ def pk_verify(t: SchnorrTranscript) -> bool:
     return _check([t])
 
 
-def euclid_rows(c: int, q: int) -> Basis:
+def euclid_rows(c: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The last two rows (t0, r0), (t1, r1) of the extended Euclidean
     algorithm on (q, c), stopped at the first remainder r1 below sqrt(q).
 
@@ -136,22 +137,97 @@ def euclid_rows(c: int, q: int) -> Basis:
     return (t0, r0), (t1, r1)
 
 
+def weight_basis(
+    rows: tuple[tuple[int, int], tuple[int, int]], c: int, q: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two vectors that check_weights maps its 64-bit halves through:
+    rows, a basis of the lattice {(t, r) : r == c*t (mod q)} such as
+    euclid_rows gives, Lagrange-Gauss reduced, when 2^64 times the sum of
+    its |t| and of its |r| are both below q; (2^64, 2^64*c) and (1, c)
+    otherwise.
+
+    Then two pairs (u, v) != (u', v') in [0, 2^64)^2 cannot give one z
+    mod q: the difference vector (dz, dw) = du*(t0, r0) + dv*(t1, r1) has
+    dz == 0 (mod q) and |dz| < q, so dz = 0, then dw == c*dz == 0 and
+    |dw| < q, so dw = 0, and the basis has determinant +-q != 0, so
+    du = dv = 0. A reduced basis of this lattice has both vectors near
+    sqrt(q), so z and w run to about half q's bits plus 64: about 190 on
+    curve1174, against 128 and 250 for (z, c*z). The fallback, whose z is
+    u*2^64 + v itself and w = c*z, serves a c whose lattice has a vector
+    much shorter than sqrt(q), such as 1, 2 or q - 1, and every c on a
+    curve whose q is below 2^128.
+    """
+    (t0, r0), (t1, r1) = rows
+    n0, n1 = t0 * t0 + r0 * r0, t1 * t1 + r1 * r1
+    if n0 < n1:
+        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
+    # (t1, r1) is the shorter: take from (t0, r0) the nearest multiple of
+    # it, and swap while that makes (t0, r0) the shorter
+    while True:
+        m = (2 * (t0 * t1 + r0 * r1) + n1) // (2 * n1)
+        t0, r0 = t0 - m * t1, r0 - m * r1
+        n0 = t0 * t0 + r0 * r0
+        if n0 >= n1:
+            break
+        t0, r0, n0, t1, r1, n1 = t1, r1, n1, t0, r0, n0
+    if (abs(t0) + abs(t1)) << 64 < q and (abs(r0) + abs(r1)) << 64 < q:
+        return (t0, r0), (t1, r1)
+    return (1 << 64, c << 64), (1, c)
+
+
+def check_weights(
+    curve: CurveParams, challenge: Scalar, folded: list[int], responses: list[Scalar]
+) -> list[tuple[int, int]]:
+    """One weight pair (z_i, w_i), w_i == c*z_i (mod q), per response: _check
+    checks the transcripts of challenge c, and the caller's equation, whose
+    scalars are folded, at weight 1, as one random linear combination
+    (Bellare, Garay, Rabin, EUROCRYPT 1998), in which transcript i takes
+    z_i on its response and commitment and w_i on its statement.
+
+    With nothing folded, the first transcript takes the short multiplier
+    of c, the last of euclid_rows. Every other pair maps the top 128 bits
+    of SHA-256 over a seed and its index j, split into 64-bit halves u and
+    v, through weight_basis = ((t0, r0), (t1, r1)): z_i = u*t0 + v*t1 and
+    w_i = u*r0 + v*r1, both reduced mod q, with a z_i of 0 or 1 moved to
+    (z_i + 2, w_i + 2c), so each hashed z_i is in [2, q-1] and none takes
+    the folded equation's weight 1. The indices count the folded scalars
+    first: transcript i takes j = len(folded) + i. For a reduced basis
+    the map is injective, and for the fallback (2^64, 2^64*c), (1, c) it
+    gives z_i the 128 bits themselves, mod q. Either way z_i is one of
+    2^128 residues, all equally likely, when q exceeds 2^128: one bad
+    equation always shows, and bad ones cancel each other with
+    probability about 2^-128 (1/q on the toy curve).
+    The seed hashes the challenge, which binds every commitment, every
+    statement and the context, then the folded scalars and every
+    response, so the weights fall out only once the whole batch is fixed.
+    """
+    q, c = curve.q, challenge.v
+    rows = euclid_rows(c, q)
+    weights = [] if folded else [rows[1]]
+    hashed = range(len(folded) + len(weights), len(folded) + len(responses))
+    if not hashed:
+        return weights
+    (t0, r0), (t1, r1) = weight_basis(rows, c, q)
+    scalars = [c] + [k % q for k in folded] + [r.v for r in responses]
+    payload = b"".join(k.to_bytes(curve.coord_bytes, "big") for k in scalars)
+    seed = hashlib.sha256(TAG_BATCH_WEIGHT + b":" + payload).digest()
+    for j in hashed:
+        digest = hashlib.sha256(seed + j.to_bytes(2, "big")).digest()
+        u, v = int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")
+        z, w = (u * t0 + v * t1) % q, (u * r0 + v * r1) % q
+        weights.append((z, w) if z > 1 else (z + 2, (w + 2 * c) % q))
+    return weights
+
+
 def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
     """The cofactored equation over transcripts that share one challenge,
-    plus the caller's equation (terms, ms, ap) at weight 1. The weights
-    hash the equation's scalars ahead of the responses, and the
-    transcripts take those after the equation's; with no equation, the
-    first transcript takes the challenge's short multiplier in place of
-    batch_weights' (1, c)."""
+    each under its pair from check_weights, plus the caller's equation
+    (terms, ms, ap) at weight 1."""
     curve = transcripts[0].statement.curve
-    c = transcripts[0].challenge
     q = curve.q
     terms, ms, ap = equation
-    rows = euclid_rows(c.v, q)
-    seed = [curve.scalar(k) for _, k in terms] + [t.response for t in transcripts]
-    weights = batch_weights(c, seed, curve, weight_basis(rows, c.v, q))[len(terms):]
-    if not terms:
-        weights[0] = rows[1]
+    weights = check_weights(curve, transcripts[0].challenge, [k for _, k in terms],
+                            [t.response for t in transcripts])
 
     def near(k):
         # the representative of k nearest zero: the chain doubles about

@@ -399,10 +399,15 @@ def test_degenerate_params_file_is_exit_2(deploy, tmp_path, key, value):
     assert not (tmp_path / "c2.bin").exists() and not (tmp_path / "d.tok").exists()
 
 
-def test_usage_errors_are_exit_2(tmp_path):
+def test_usage_errors_are_exit_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     assert main(["setup", "--curve", "p256", "--out", str(tmp_path / "x")]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+    for repeat in ("0", "-3"):
+        assert main(["bench", "--attrs", "1", "--curve", "toy", "--repeat", repeat]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "repeat" in err
 
 
 def test_socket_issuance_roundtrip(deploy, tmp_path):

@@ -150,6 +150,9 @@ def test_opcount_bench_repeat_consistency(toy_deploy):
     params, key = toy_deploy
     rows = opcount_bench(2, params, key, make_rng("rep"), repeat=3)
     assert len(rows) == 2  # repeats collapse when they agree
+    for repeat in (0, -3):
+        with pytest.raises(ValueError, match="repeat"):
+            opcount_bench(2, params, key, make_rng("rep"), repeat=repeat)
 
 
 def test_opcount_growth_is_one_per_attribute(toy_deploy):

@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from edcred import schnorr
 from edcred.curve import OpCounter, Point, Scalar
-from edcred.hashing import TAG_BATCH_WEIGHT, batch_weights, challenge_scalar, weight_basis
+from edcred.hashing import TAG_BATCH_WEIGHT, challenge_scalar
 from edcred.schnorr import (
     SchnorrTranscript,
+    check_weights,
     euclid_rows,
     fs_prove,
     fs_prove_batch,
@@ -17,6 +19,7 @@ from edcred.schnorr import (
     pk_commit,
     pk_respond,
     pk_verify,
+    weight_basis,
 )
 from edcred.wire import Reader
 
@@ -362,7 +365,7 @@ def hashed_weights(challenge, responses, curve):
     w = curve.coord_bytes
     payload = challenge.to_bytes(w) + b"".join(r.to_bytes(w) for r in responses)
     seed = hashlib.sha256(TAG_BATCH_WEIGHT + b":" + payload).digest()
-    out = [1]
+    out = []
     for i in range(1, len(responses)):
         z = int.from_bytes(hashlib.sha256(seed + i.to_bytes(2, "big")).digest()[:16], "big") % curve.q
         out.append(z if z > 1 else z + 2)
@@ -374,33 +377,69 @@ def test_batch_weights(prod, toy):
     for c in (prod, toy):
         ch = c.random_nonzero(rng)
         rs = [c.random_nonzero(rng) for _ in range(16)]
-        basis = basis_for(ch.v, c.q)
-        z = batch_weights(ch, rs, c, basis)
-        assert z[0] == (1, ch.v) and len(z) == 16
+        z = check_weights(c, ch, [], rs)
+        assert len(z) == 16
         for zi, wi in z[1:]:
             assert 2 <= zi < c.q and 0 <= wi < c.q and wi == ch.v * zi % c.q
-        assert batch_weights(ch, rs, c, basis) == z  # deterministic
-        assert batch_weights(ch, rs[:1], c, basis) == [(1, ch.v)]
+        assert check_weights(c, ch, [], rs) == z  # deterministic
+        assert check_weights(c, ch, [], rs[:1]) == [euclid_rows(ch.v, c.q)[1]]
     # the challenge and every response move every weight after the first
     ch = prod.random_nonzero(rng)
     rs = [prod.random_nonzero(rng) for _ in range(4)]
-    z = batch_weights(ch, rs, prod, basis_for(ch.v, prod.q))
+    z = check_weights(prod, ch, [], rs)
     assert all(min(zi, prod.q - zi) > 1 << 100 for zi, _ in z[1:])  # not small exponents
     for j in range(4):
         bumped = rs[:j] + [rs[j] + 1] + rs[j + 1:]
-        other = batch_weights(ch, bumped, prod, basis_for(ch.v, prod.q))
+        other = check_weights(prod, ch, [], bumped)
         assert all(u != v for u, v in zip(z[1:], other[1:]))
-    moved = batch_weights(ch + 1, rs, prod, basis_for(ch.v + 1, prod.q))
+    moved = check_weights(prod, ch + 1, [], rs)
     assert all(u != v for u, v in zip(z[1:], moved[1:]))
 
 
-def test_batch_weights_move_zero_up(prod):
+def test_batch_weights_move_zero_up(prod, monkeypatch):
     """A z of 0 mod q takes (2, 2c), as the hashed weights did; only a
     degenerate basis reaches it."""
     ch = prod.scalar(12345)
     rs = [prod.scalar(v) for v in (1, 2, 3)]
-    z = batch_weights(ch, rs, prod, ((prod.q, 0), (0, prod.q)))
-    assert z == [(1, 12345)] + [(2, 2 * 12345)] * 2
+    monkeypatch.setattr(schnorr, "weight_basis", lambda rows, c, q: ((q, 0), (0, q)))
+    z = check_weights(prod, ch, [], rs)
+    assert z[1:] == [(2, 2 * 12345)] * 2
+
+
+# SHA-256 of repr([weights under a seeded challenge, weights under q - 1]),
+# from the weights _check computed inline before check_weights held them
+WEIGHT_DIGESTS = {
+    "prod": {
+        "lone": "5d0507c98ec904d65e9607a11929d3e2bbafb1a64e8c921afa3d2f15f23ecdd3",
+        "batch": "9913b85b51eaa37575d676f480618cbc7c3dd811b48240a24f6c2995fb1d17f4",
+        "equation": "5880adb03bee25f48dd0afc0d517ccf0536655f67e5f2c1f1c28d4374022768f",
+    },
+    "toy": {
+        "lone": "a6767f4dc498e304f735b364a359c38bc6d7d77c565ef207bc8491bf2ed911e9",
+        "batch": "48b1dd64b54b35e52f5854787fba6d3d9d1f589842a1e4f1597c02229196c1df",
+        "equation": "7bb901b4d3b6044d341a67d2e4af91eb0afe5020b6485d78974da24c00955180",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["prod", "toy"])
+def test_check_weights_known_answers(request, name):
+    """The weight pairs of a lone proof, of a batch of 4 and of a batch of
+    4 with a folded 3-term equation, pinned. q - 1 takes the fallback
+    basis on curve1174; every challenge takes it on the toy curve."""
+    curve = request.getfixturevalue(name)
+    rng = make_rng(f"check_weights:{name}")
+    challenges = [curve.random_nonzero(rng), curve.scalar(curve.q - 1)]
+    responses = [curve.random_nonzero(rng) for _ in range(4)]
+    folded = [rng.randrange(1, curve.q), rng.randrange(1, curve.q), -1]
+    if name == "prod":
+        assert weight_basis(euclid_rows(curve.q - 1, curve.q), curve.q - 1, curve.q) == \
+            fallback(curve.q - 1) != basis_for(challenges[0].v, curve.q)
+    for case, eq, rs in (("lone", [], responses[:1]), ("batch", [], responses),
+                         ("equation", folded, responses)):
+        got = [check_weights(curve, c, eq, rs) for c in challenges]
+        assert all(len(weights) == len(rs) for weights in got)
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == WEIGHT_DIGESTS[name][case], case
 
 
 def test_short_multiplier(toy, prod):
@@ -449,8 +488,8 @@ def test_weight_basis(toy, prod):
         if basis == fallback(v):
             ch = curve.scalar(v)
             rs = [curve.random_nonzero(rng) for _ in range(5)]
-            weights = batch_weights(ch, rs, curve, basis)
-            assert [z for z, _ in weights] == hashed_weights(ch, rs, curve), v
+            weights = check_weights(curve, ch, [], rs)
+            assert [z for z, _ in weights[1:]] == hashed_weights(ch, rs, curve), v
             assert all(w == v * z % q for z, w in weights), v
         else:
             (t0, r0), (t1, r1) = basis

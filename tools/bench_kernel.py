@@ -21,11 +21,12 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
 - protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
-  (the full-show holder, randomizing), randomize (the triple alone),
-  present plus encoding (holder), parse plus verify_disclosure
-  (verifier), with Ppub's comb table built as a long-lived verifier has
-  it; and parse plus verify_disclosure at n = 16 with every index hidden,
-  the longest check;
+  (the full-show holder, randomizing), parse plus verify_presentation
+  (its verifier, as perfbench's show workload runs it), randomize (the
+  triple alone), present plus encoding (holder), parse plus
+  verify_disclosure (verifier), with Ppub's comb table built as a
+  long-lived verifier has it; and parse plus verify_disclosure at n = 16
+  with every index hidden, the longest check;
 - one-shot checks: check_equation, and parse plus verify_disclosure at
   n = 8, each on a SystemParams built in the row from a fresh copy of
   Ppub, as every CLI process and every holder's unblind check has it: no
@@ -130,6 +131,8 @@ def operations(pkg, src: str, workdir: str) -> dict:
     cred, _ = pkg.run_issuance(params, key, attrs, random.Random("i"), random.Random("u"))
     token = pkg.present(cred, REVEALED, params, random.Random("token"))
     data = token.to_bytes(params)
+    show = pkg.make_presentation(cred, params, random.Random("show"))
+    show_data = show.to_bytes(params)
     cred_data = cred.to_bytes(params)
     wide = [curve.random_nonzero(rng) for _ in range(N_ALL_HIDDEN)]
     wide_cred, _ = pkg.run_issuance(params, key, wide, random.Random("wi"), random.Random("wu"))
@@ -172,10 +175,11 @@ def operations(pkg, src: str, workdir: str) -> dict:
         # Ppub as a CLI process has it: no comb table, no check counted
         return pkg.SystemParams(curve, Point(px, py, curve), params.k)
 
-    def verifier(blob, session_id, deployment=lambda: params):
+    def verifier(blob, session_id, deployment=lambda: params,
+                 kind=DisclosureToken, verify=pkg.verify_disclosure):
         def check():
             ps = deployment()
-            if not pkg.verify_disclosure(DisclosureToken.from_bytes(blob, ps, session_id), ps):
+            if not verify(kind.from_bytes(blob, ps, session_id), ps):
                 raise SystemExit("an honest token was refused")
         return check
 
@@ -220,6 +224,8 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": seeded(issuance),
         "make_presentation n=8": seeded(show_holder),
+        "verify_presentation": verifier(show_data, show.session_id, kind=pkg.PresentationToken,
+                                        verify=pkg.verify_presentation),
         "randomize": seeded(randomized),
         "present n=8": seeded(holder),
         "verify_disclosure n=8": verifier(data, token.session_id),
