@@ -33,7 +33,7 @@ no forgery (see the README's Security notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature
 from .curve import Point, Scalar
@@ -56,7 +56,8 @@ class DisclosureToken:
     n_attrs: int
     disclosed: dict  # index -> Scalar
     hidden_points: dict  # index -> Point
-    proofs: dict  # index -> SchnorrTranscript, statement == hidden_points[i]
+    proofs: dict  # index -> (A_i, r_i), proving knowledge of hidden_points[i]
+    challenge: Scalar  # the one challenge every proof shares
     session_id: bytes
 
     def hidden_indices(self) -> list[int]:
@@ -81,20 +82,18 @@ class DisclosureToken:
         return parts
 
     def body_prefix(self, params: SystemParams) -> bytes:
-        """The challenge context: every token field except the proofs."""
+        """The challenge context: every token field except the proofs and
+        their challenge."""
         head = [b"DISCLOSE:", params.digest(), self.session_id]
         return b"".join(head + self._fields(params.curve.coord_bytes))
 
     def to_bytes(self, params: SystemParams) -> bytes:
         w = params.curve.coord_bytes
         parts = [params.digest()] + self._fields(w)
-        hidden = self.hidden_indices()
-        # proofs share one challenge; store it once after the (A_i, r_i) pairs
-        for i in hidden:
-            t = self.proofs[i]
-            parts.append(t.commitment.encode())
-            parts.append(t.response.to_bytes(w))
-        parts.append(self.proofs[hidden[0]].challenge.to_bytes(w))
+        for i in self.hidden_indices():
+            a, resp = self.proofs[i]
+            parts += [a.encode(), resp.to_bytes(w)]
+        parts.append(self.challenge.to_bytes(w))
         return b"".join(parts)
 
     @classmethod
@@ -115,13 +114,9 @@ class DisclosureToken:
         if not all(disclosed.values()):
             raise WireError("token carries a zero disclosed attribute")
         hidden_points = {i: r.point() for i in hidden}
-        pairs = [(i, r.point(), r.scalar()) for i in hidden]
-        c = r.scalar()
+        proofs = {i: (r.point(), r.scalar()) for i in hidden}
+        challenge = r.scalar()
         r.end()
-        proofs = {
-            i: SchnorrTranscript(commitment=a, challenge=c, response=resp, statement=hidden_points[i])
-            for i, a, resp in pairs
-        }
         return cls(
             sig_r=sig.r_point,
             sig_s=sig.s,
@@ -130,6 +125,7 @@ class DisclosureToken:
             disclosed=disclosed,
             hidden_points=hidden_points,
             proofs=proofs,
+            challenge=challenge,
             session_id=session_id,
         )
 
@@ -159,7 +155,8 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
               for i in hidden]
     multiples = curve.base.multiples(secrets + nonces)
     hidden_points, commitments = multiples[:len(hidden)], multiples[len(hidden):]
-    token = DisclosureToken(
+    # body_prefix reads neither proofs nor challenge
+    body = DisclosureToken(
         sig_r=cred.r_point,
         sig_s=cred.s,
         sig_h=cred.h,
@@ -167,12 +164,12 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
         disclosed={i: cred.attrs[i] for i in disclose},
         hidden_points=dict(zip(hidden, hidden_points)),
         proofs={},
+        challenge=curve.scalar(0),
         session_id=session_id,
     )
-    transcripts = fs_prove_batch(secrets, hidden_points, nonces, commitments, token.body_prefix(params))
-    for i, t in zip(hidden, transcripts):
-        token.proofs[i] = t
-    return token
+    transcripts = fs_prove_batch(secrets, hidden_points, nonces, commitments, body.body_prefix(params))
+    proofs = {i: (t.commitment, t.response) for i, t in zip(hidden, transcripts)}
+    return replace(body, proofs=proofs, challenge=transcripts[0].challenge)
 
 
 def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
@@ -191,9 +188,6 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     for m in token.disclosed.values():
         if m.v == 0:
             return False
-    for i in hidden:
-        if token.proofs[i].statement != token.hidden_points[i]:
-            return False
 
     revealed = token.disclosed_indices()
     points = dict(zip(revealed, curve.base.multiples([token.disclosed[i] for i in revealed])))
@@ -203,5 +197,6 @@ def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
     # form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
     # disclosure count gate pins
     signature = (params.signature_terms(token.sig_s.v, h, token.sig_r), 3, 1)
-    transcripts = [token.proofs[i] for i in sorted(hidden)]
+    transcripts = [SchnorrTranscript(a, token.challenge, resp, token.hidden_points[i])
+                   for i, (a, resp) in sorted(token.proofs.items())]
     return fs_verify_batch(transcripts, token.body_prefix(params), signature)

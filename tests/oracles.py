@@ -122,13 +122,12 @@ def reference_verify_disclosure(token, params) -> bool:
     h = hash_block([points[i] for i in range(n)], token.sig_r)
     if token.sig_s * curve.base != h * params.p_pub + token.sig_r:
         return False
-    ts = [token.proofs[i] for i in sorted(hidden)]
-    if any(t.statement != token.hidden_points[i] for i, t in zip(sorted(hidden), ts)):
-        return False
-    c = challenge_scalar([t.commitment for t in ts], [t.statement for t in ts],
+    order = sorted(hidden)
+    c = challenge_scalar([token.proofs[i][0] for i in order],
+                         [token.hidden_points[i] for i in order],
                          token.body_prefix(params), curve)
-    return all(t.challenge == c and t.response * curve.base == t.commitment + c * t.statement
-               for t in ts)
+    return token.challenge == c and all(
+        r * curve.base == a + c * token.hidden_points[i] for i, (a, r) in token.proofs.items())
 
 
 # -- blindness ---------------------------------------------------------------
@@ -253,11 +252,11 @@ def secrets_from_a_guessed_seed(token, params, seeds) -> dict:
     q = params.curve.q
     if isinstance(token, PresentationToken):
         rng.randrange(q)  # r
-        proofs = {0: token.proof}
+        responses, c = {0: token.proof.response}, token.proof.challenge
     else:
-        proofs = {i: token.proofs[i] for i in token.hidden_indices()}
-    return {i: (t.response - Scalar(rng.randrange(q), q)) * t.challenge.inverse()
-            for i, t in proofs.items()}
+        responses = {i: token.proofs[i][1] for i in token.hidden_indices()}
+        c = token.challenge
+    return {i: (r - Scalar(rng.randrange(q), q)) * c.inverse() for i, r in responses.items()}
 
 
 def key_from_a_guessed_seed(transcript, params, seeds) -> Scalar:

@@ -281,7 +281,7 @@ def test_criterion_07_disclosure(toy_deploy, prod_deploy):
         else:
             sid = bytes(16 - len(str(i))) + str(i).encode()
         mutated = DisclosureToken(
-            token.sig_r, sig_s, sig_h, token.n_attrs, d, hp, pr, sid
+            token.sig_r, sig_s, sig_h, token.n_attrs, d, hp, pr, token.challenge, sid
         )
         if not verify_disclosure(mutated, params):
             detected += 1

@@ -12,7 +12,6 @@ from edcred.errors import WireError
 from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block
 from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import _COMB_AT, SystemParams
-from edcred.schnorr import SchnorrTranscript
 
 from conftest import make_rng
 from oracles import reference_verify_disclosure
@@ -31,12 +30,8 @@ def issue(params, key, n, label, rng=None):
 def bump_response(token, i):
     """token with hidden index i's proof response moved by one; the shared
     challenge does not hash responses, so only the proof check sees it."""
-    t = token.proofs[i]
-    proofs = {**token.proofs,
-              i: SchnorrTranscript(t.commitment, t.challenge, t.response + 1, t.statement)}
-    return DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        token.disclosed, token.hidden_points, proofs, token.session_id)
+    a, r = token.proofs[i]
+    return replace(token, proofs={**token.proofs, i: (a, r + 1)})
 
 
 def signed_token(params, attrs, r_point, s, disclose, rng, first=None):
@@ -48,17 +43,18 @@ def signed_token(params, attrs, r_point, s, disclose, rng, first=None):
     hidden = [i for i in range(len(attrs)) if i not in disclose]
     token = DisclosureToken(
         r_point, s, hash_block(points, r_point), len(attrs),
-        {i: attrs[i] for i in disclose}, {i: points[i] for i in hidden}, {}, b"S" * 16)
+        {i: attrs[i] for i in disclose}, {i: points[i] for i in hidden}, {}, curve.scalar(0),
+        b"S" * 16)
     nonces = {i: curve.random_nonzero(rng) for i in hidden}
     commits = {i: nonces[i] * curve.base for i in hidden}
     if first is not None:
         commits[0] = first[0]
     c = challenge_scalar([commits[i] for i in hidden], [points[i] for i in hidden],
                          token.body_prefix(params), curve)
-    for i in hidden:
-        r = first[1](c) if first is not None and i == 0 else c * attrs[i] + nonces[i]
-        token.proofs[i] = SchnorrTranscript(commits[i], c, r, points[i])
-    return token
+    proofs = {i: (commits[i], c * attrs[i] + nonces[i]) for i in hidden}
+    if first is not None:
+        proofs[0] = (first[0], first[1](c))
+    return replace(token, proofs=proofs, challenge=c)
 
 
 def mutations(token, params, rng):
@@ -153,31 +149,43 @@ def test_mutated_tokens_rejected_production(prod_deploy):
     assert verify_disclosure(token, params)
     c = params.curve
 
-    lied = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        {1: token.disclosed[1] + 1, 2: token.disclosed[2]},
-        token.hidden_points, token.proofs, token.session_id)
+    lied = replace(token, disclosed={1: token.disclosed[1] + 1, 2: token.disclosed[2]})
     assert not verify_disclosure(lied, params)
 
-    moved = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        token.disclosed,
-        {0: token.hidden_points[0] + c.base, 3: token.hidden_points[3]},
-        token.proofs, token.session_id)
+    moved = replace(token, hidden_points={0: token.hidden_points[0] + c.base,
+                                          3: token.hidden_points[3]})
     assert not verify_disclosure(moved, params)
 
-    resigned = DisclosureToken(
-        token.sig_r, token.sig_s + 1, token.sig_h, token.n_attrs,
-        token.disclosed, token.hidden_points, token.proofs, token.session_id)
+    resigned = replace(token, sig_s=token.sig_s + 1)
     assert not verify_disclosure(resigned, params)
 
-    resession = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        token.disclosed, token.hidden_points, token.proofs, b"Z" * 16)
+    resession = replace(token, session_id=b"Z" * 16)
     assert not verify_disclosure(resession, params)
 
     for i in token.hidden_indices():
         assert not verify_disclosure(bump_response(token, i), params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_bumped_challenge_refused_before_the_equation(deploy, request):
+    """A stored challenge off by one is refused when the recomputed one
+    differs, in memory and after a round trip through the bytes: after the
+    revealed m_i*P, at most one inversion, and before the cofactored
+    equation, whose doubling chain every honest check runs."""
+    params, key = request.getfixturevalue(deploy)
+    cred, rng = issue(params, key, 5, f"bump-challenge:{deploy}")
+    for subset in ([], [2], [1, 3, 4]):
+        token = present(cred, subset, params, rng)
+        with OpCounter() as ops:
+            assert verify_disclosure(token, params)
+        assert ops.inner_doubles > 0
+        bumped = replace(token, challenge=token.challenge + 1)
+        parsed = DisclosureToken.from_bytes(bumped.to_bytes(params), params, token.session_id)
+        assert parsed == bumped
+        for bad in (bumped, parsed):
+            with OpCounter() as ops:
+                assert not verify_disclosure(bad, params)
+            assert (ops.inner_doubles, ops.inversions) == (0, min(len(subset), 1)), subset
 
 
 def test_bumped_hidden_response_rejected_toy(toy_deploy):
@@ -197,24 +205,17 @@ def test_partition_audit_rejects_overlap_and_gaps(toy_deploy):
     cred, rng = issue(params, key, 3, "audit")
     token = present(cred, [1], params, rng)
 
-    overlap = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        {**token.disclosed, 2: cred.attrs[2]},  # 2 both disclosed and hidden
-        token.hidden_points, token.proofs, token.session_id)
+    # 2 both disclosed and hidden
+    overlap = replace(token, disclosed={**token.disclosed, 2: cred.attrs[2]})
     assert not verify_disclosure(overlap, params)
 
-    no_master = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        token.disclosed,
-        {2: token.hidden_points[2]},  # index 0 dropped
-        {2: token.proofs[2]}, token.session_id)
+    # index 0 dropped
+    no_master = replace(token, hidden_points={2: token.hidden_points[2]},
+                        proofs={2: token.proofs[2]})
     assert not verify_disclosure(no_master, params)
 
-    orphan_proof = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        token.disclosed, token.hidden_points,
-        {0: token.proofs[0]},  # proof for 2 missing
-        token.session_id)
+    # proof for 2 missing
+    orphan_proof = replace(token, proofs={0: token.proofs[0]})
     assert not verify_disclosure(orphan_proof, params)
 
 
@@ -222,14 +223,9 @@ def test_degenerate_fields_rejected(toy_deploy):
     params, key = toy_deploy
     cred, rng = issue(params, key, 3, "degen")
     token = present(cred, [1], params, rng)
-    zero_h = DisclosureToken(
-        token.sig_r, token.sig_s, Scalar(0, params.curve.q), token.n_attrs,
-        token.disclosed, token.hidden_points, token.proofs, token.session_id)
+    zero_h = replace(token, sig_h=Scalar(0, params.curve.q))
     assert not verify_disclosure(zero_h, params)
-    zero_attr = DisclosureToken(
-        token.sig_r, token.sig_s, token.sig_h, token.n_attrs,
-        {1: Scalar(0, params.curve.q)}, token.hidden_points, token.proofs,
-        token.session_id)
+    zero_attr = replace(token, disclosed={1: Scalar(0, params.curve.q)})
     assert not verify_disclosure(zero_attr, params)
 
 
@@ -292,11 +288,12 @@ def test_all_hidden_token_is_smallest_valid(toy_deploy):
 
 def keeps_challenge(token, params) -> bool:
     """Whether the challenge hashed over token's proofs and body is the one
-    its proofs carry."""
-    ts = [token.proofs[i] for i in token.hidden_indices()]
-    c = challenge_scalar([t.commitment for t in ts], [t.statement for t in ts],
+    it carries."""
+    hidden = token.hidden_indices()
+    c = challenge_scalar([token.proofs[i][0] for i in hidden],
+                         [token.hidden_points[i] for i in hidden],
                          token.body_prefix(params), params.curve)
-    return all(t.challenge == c for t in ts)
+    return c == token.challenge
 
 
 def check_against_reference(token, params, rng, lucky=()):
@@ -345,8 +342,8 @@ def test_keyless_fold_forgery_rejected(deploy, request):
     for disclose in ([], [1]):
         token = signed_token(params, attrs, r_point, s, disclose, rng, first)
         sig_err = s * c.base - h * params.p_pub - r_point
-        t = token.proofs[0]
-        proof_err = t.response * c.base - t.commitment - t.challenge * t.statement
+        commit, resp = token.proofs[0]
+        proof_err = resp * c.base - commit - token.challenge * token.hidden_points[0]
         assert not sig_err.is_neutral() and (sig_err + proof_err).is_neutral()
         assert not verify_disclosure(token, params)
         assert not reference_verify_disclosure(token, params)
@@ -448,9 +445,8 @@ def test_cached_token_rechecks_book_alike(prod_deploy):
             assert verify_disclosure(token, params)
         books.append(ops.as_dict())
     assert books == [books[0]] * 40
-    points = [token.sig_r, *token.hidden_points.values()]
-    points += [pt for t in token.proofs.values() for pt in (t.commitment, t.statement)]
-    assert len(points) == 1 + 8 + 2 * 8 and all(pt._table is None for pt in points)
+    points = [token.sig_r, *token.hidden_points.values(), *(a for a, _ in token.proofs.values())]
+    assert len(points) == 1 + 8 + 8 and all(pt._table is None for pt in points)
 
 
 def test_reduced_weights_shorten_the_chain(prod_deploy):

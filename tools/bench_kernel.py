@@ -20,7 +20,12 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   runs it;
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
-- protocol, n = 8 attributes, 3 revealed: run_issuance, make_presentation
+- protocol, n = 8 attributes, 3 revealed: run_issuance; the same session
+  over a fresh socket.socketpair(), protocol.serve_issuance in a
+  threading.Thread and protocol.request_issuance in the caller, as
+  perfbench's issue workload runs one, both sockets closed and the thread
+  joined in the row, whose counts cover the user side only, since the
+  issuer thread has no OpCounter; make_presentation
   (the full-show holder, randomizing), parse plus verify_presentation
   (its verifier, as perfbench's show workload runs it), randomize (the
   triple alone), present plus encoding (holder), parse plus
@@ -76,10 +81,12 @@ import itertools
 import os
 import random
 import shutil
+import socket
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -146,6 +153,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
     DisclosureToken, Credential = pkg.DisclosureToken, pkg.Credential
     sig = pkg.signature_of(cred)
     curve_mod = importlib.import_module(f"{pkg.__name__}.curve")
+    protocol = importlib.import_module(f"{pkg.__name__}.protocol")
     # the fresh-import rows run a copy of the package, so that no bytecode
     # cache next to its source is ever read
     copy = os.path.join(workdir, "src")
@@ -161,6 +169,19 @@ def operations(pkg, src: str, workdir: str) -> dict:
 
     def issuance(i):
         return pkg.run_issuance(params, key, attrs, random.Random(i), random.Random(-i))
+
+    def socket_issuance(i):
+        user, issuer = socket.socketpair()
+        server = threading.Thread(target=protocol.serve_issuance,
+                                  args=(issuer, params, key, random.Random(i)))
+        server.start()
+        try:
+            # closing the user's end first ends a failed session's issuer
+            with user:
+                return protocol.request_issuance(user, params, attrs, random.Random(-i))
+        finally:
+            server.join()
+            issuer.close()
 
     def show_holder(i):
         return pkg.make_presentation(cred, params, random.Random(i))
@@ -223,6 +244,7 @@ def operations(pkg, src: str, workdir: str) -> dict:
         "in_prime_subgroup(Ppub)": lambda: curve_mod.in_prime_subgroup(Point(px, py, curve)),
         "comb table build": lambda: Point(q_pt.x, q_pt.y, curve).precompute(),
         "run_issuance n=8": seeded(issuance),
+        "serve/request n=8, socketpair": seeded(socket_issuance),
         "make_presentation n=8": seeded(show_holder),
         "verify_presentation": verifier(show_data, show.session_id, kind=pkg.PresentationToken,
                                         verify=pkg.verify_presentation),
