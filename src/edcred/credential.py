@@ -31,14 +31,27 @@ from .wire import Reader, new_session_id
 MAX_ATTRIBUTES = 64
 
 
+def refuse_zero_h(h: Scalar) -> None:
+    """The rule on every signature triple's h, stated once: with h = 0 the
+    equation s*P == h*Ppub + R no longer involves the key, and any
+    s*P == R passes it. Raises ValueError."""
+    if h.v == 0:
+        raise ValueError("signature carries a zero h: h = 0")
+
+
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class PresentationSignature:
-    """The public part of a credential: the triple (R, s, h)."""
+    """The public part of a credential: the triple (R, s, h), immutable once
+    built. h is never zero by construction (refuse_zero_h), and read
+    reports the refusal as WireError, so no check looks again."""
 
     r_point: Point
     s: Scalar
     h: Scalar
+
+    def __post_init__(self):
+        refuse_zero_h(self.h)
 
     def encode(self) -> bytes:
         w = self.r_point.curve.coord_bytes
@@ -47,10 +60,11 @@ class PresentationSignature:
     @classmethod
     def read(cls, reader: Reader) -> "PresentationSignature":
         """The fields encode writes, from a Reader over the enclosing record."""
-        sig = cls(reader.point(), reader.scalar(), reader.scalar())
-        if sig.h.v == 0:
-            raise WireError("signature carries a zero h: h = 0")
-        return sig
+        r_point, s, h = reader.point(), reader.scalar(), reader.scalar()
+        try:
+            return cls(r_point, s, h)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
 
 
 class Credential:
@@ -110,8 +124,6 @@ def check_equation(sig: PresentationSignature, params: SystemParams) -> bool:
     check of a triple; user_unblind checks the blinded triple (R', s', h')
     through it.
     """
-    if sig.h.v == 0:
-        return False
     terms = params.signature_terms(sig.s.v, sig.h.v, sig.r_point)
     return sum_is_neutral(params.curve, terms, ms=2, ap=1, cofactored=False)
 
@@ -166,7 +178,8 @@ def randomize(
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class PresentationToken:
-    """A full show: randomized triple, P_0 and its proof of knowledge."""
+    """A full show: randomized triple, P_0 and its proof of knowledge,
+    immutable once built."""
 
     sig: PresentationSignature
     commitment0: Point

@@ -33,9 +33,15 @@ no forgery (see the README's Security notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature
+from .credential import (
+    MAX_ATTRIBUTES,
+    Credential,
+    PresentationSignature,
+    refuse_zero_h,
+    signature_of,
+)
 from .curve import Point, Scalar
 from .errors import WireError
 # hash_points is unused here, but perfbench/spans.py wraps disclosure.hash_points
@@ -47,9 +53,39 @@ from .wire import Reader, new_session_id
 _BITMAP_BYTES = 8  # one bit per attribute index, MAX_ATTRIBUTES = 64
 
 
+def _encode_fields(params: SystemParams, sig: PresentationSignature, n: int, disclosed: dict,
+                   hidden_points: dict) -> bytes:
+    """Every field from R to the hidden points, in token order: what the
+    challenge context and the encoding both carry."""
+    w = params.curve.coord_bytes
+    bits = sum(1 << i for i in hidden_points)
+    parts = [sig.encode(), n.to_bytes(2, "big"), bits.to_bytes(_BITMAP_BYTES, "big")]
+    parts += [disclosed[i].to_bytes(w) for i in sorted(disclosed)]
+    parts += [hidden_points[i].encode() for i in sorted(hidden_points)]
+    return b"".join(parts)
+
+
+def _context(params: SystemParams, session_id: bytes, fields: bytes) -> bytes:
+    """The challenge context: every token field except the proofs and
+    their challenge, from the fields _encode_fields wrote."""
+    return b"DISCLOSE:" + params.digest() + session_id + fields
+
+
 # a dataclass: perfbench/workloads.py's tamper helpers call dataclasses.replace on it
 @dataclass(frozen=True)
 class DisclosureToken:
+    """A disclosure token, well-formed by construction and immutable once
+    built. The constructor raises ValueError, which from_bytes reports as
+    WireError, unless n_attrs lies in [1, MAX_ATTRIBUTES], the disclosed
+    and hidden indices partition range(n_attrs), index 0 is hidden, no
+    disclosed scalar is zero, proofs holds one pair per hidden index and
+    the signature triple has h != 0. verify_disclosure checks none of
+    these again.
+
+    Index 0 stays hidden because m_0 is the master secret: revealing it
+    hands the verifier the secret that every later proof of the holder
+    rests on."""
+
     sig_r: Point
     sig_s: Scalar
     sig_h: Scalar
@@ -60,36 +96,37 @@ class DisclosureToken:
     challenge: Scalar  # the one challenge every proof shares
     session_id: bytes
 
+    def __post_init__(self):
+        n = self.n_attrs
+        if not 1 <= n <= MAX_ATTRIBUTES:
+            raise ValueError(f"attribute count must be in [1, {MAX_ATTRIBUTES}]")
+        if sorted([*self.hidden_points, *self.disclosed]) != list(range(n)):
+            raise ValueError("disclosed and hidden indices do not partition the attributes")
+        if 0 in self.disclosed:
+            raise ValueError("index 0, the master secret, is disclosed")
+        if not all(self.disclosed.values()):
+            raise ValueError("token carries a zero disclosed attribute")
+        if self.proofs.keys() != self.hidden_points.keys():
+            raise ValueError("proofs are not one per hidden index")
+        refuse_zero_h(self.sig_h)
+
     def hidden_indices(self) -> list[int]:
         return sorted(self.hidden_points)
 
     def disclosed_indices(self) -> list[int]:
         return sorted(self.disclosed)
 
-    def _fields(self, w: int) -> list[bytes]:
-        """Every field from R to the hidden points, in token order: what the
-        challenge context and the encoding both carry."""
-        bits = 0
-        for i in self.hidden_points:
-            bits |= 1 << i
-        parts = [
-            PresentationSignature(self.sig_r, self.sig_s, self.sig_h).encode(),
-            self.n_attrs.to_bytes(2, "big"),
-            bits.to_bytes(_BITMAP_BYTES, "big"),
-        ]
-        parts += [self.disclosed[i].to_bytes(w) for i in self.disclosed_indices()]
-        parts += [self.hidden_points[i].encode() for i in self.hidden_indices()]
-        return parts
+    def _fields(self, params: SystemParams) -> bytes:
+        sig = PresentationSignature(self.sig_r, self.sig_s, self.sig_h)
+        return _encode_fields(params, sig, self.n_attrs, self.disclosed, self.hidden_points)
 
     def body_prefix(self, params: SystemParams) -> bytes:
-        """The challenge context: every token field except the proofs and
-        their challenge."""
-        head = [b"DISCLOSE:", params.digest(), self.session_id]
-        return b"".join(head + self._fields(params.curve.coord_bytes))
+        """The token's challenge context (_context)."""
+        return _context(params, self.session_id, self._fields(params))
 
     def to_bytes(self, params: SystemParams) -> bytes:
         w = params.curve.coord_bytes
-        parts = [params.digest()] + self._fields(w)
+        parts = [params.digest(), self._fields(params)]
         for i in self.hidden_indices():
             a, resp = self.proofs[i]
             parts += [a.encode(), resp.to_bytes(w)]
@@ -102,32 +139,19 @@ class DisclosureToken:
         r.deployment(params)
         sig = PresentationSignature.read(r)
         n = r.uint(2)
-        if not 1 <= n <= MAX_ATTRIBUTES:
-            raise WireError("attribute count out of range")
         bits = r.uint(_BITMAP_BYTES)
-        if bits >> n or not bits:
+        if bits >> n:
             raise WireError("hidden bitmap names indices out of range")
-        hidden = [i for i in range(n) if bits >> i & 1]
         disclosed = {i: r.scalar() for i in range(n) if not bits >> i & 1}
-        # refused here, as Credential.from_bytes refuses a zero attribute;
-        # verify_disclosure still refuses a token built with one
-        if not all(disclosed.values()):
-            raise WireError("token carries a zero disclosed attribute")
-        hidden_points = {i: r.point() for i in hidden}
-        proofs = {i: (r.point(), r.scalar()) for i in hidden}
+        hidden_points = {i: r.point() for i in range(n) if bits >> i & 1}
+        proofs = {i: (r.point(), r.scalar()) for i in hidden_points}
         challenge = r.scalar()
         r.end()
-        return cls(
-            sig_r=sig.r_point,
-            sig_s=sig.s,
-            sig_h=sig.h,
-            n_attrs=n,
-            disclosed=disclosed,
-            hidden_points=hidden_points,
-            proofs=proofs,
-            challenge=challenge,
-            session_id=session_id,
-        )
+        try:
+            return cls(sig.r_point, sig.s, sig.h, n, disclosed, hidden_points, proofs, challenge,
+                       session_id)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
 
 
 def present(cred: Credential, disclose, params: SystemParams, rng) -> DisclosureToken:
@@ -154,45 +178,26 @@ def present(cred: Credential, disclose, params: SystemParams, rng) -> Disclosure
     nonces = [hedged_scalar(curve, cred.attrs[i], rng, context + i.to_bytes(2, "big"))
               for i in hidden]
     multiples = curve.base.multiples(secrets + nonces)
-    hidden_points, commitments = multiples[:len(hidden)], multiples[len(hidden):]
-    # body_prefix reads neither proofs nor challenge
-    body = DisclosureToken(
-        sig_r=cred.r_point,
-        sig_s=cred.s,
-        sig_h=cred.h,
-        n_attrs=n,
-        disclosed={i: cred.attrs[i] for i in disclose},
-        hidden_points=dict(zip(hidden, hidden_points)),
-        proofs={},
-        challenge=curve.scalar(0),
-        session_id=session_id,
-    )
-    transcripts = fs_prove_batch(secrets, hidden_points, nonces, commitments, body.body_prefix(params))
+    points, commitments = multiples[:len(hidden)], multiples[len(hidden):]
+    disclosed = {i: cred.attrs[i] for i in disclose}
+    hidden_points = dict(zip(hidden, points))
+    fields = _encode_fields(params, signature_of(cred), n, disclosed, hidden_points)
+    transcripts = fs_prove_batch(secrets, points, nonces, commitments,
+                                 _context(params, session_id, fields))
     proofs = {i: (t.commitment, t.response) for i, t in zip(hidden, transcripts)}
-    return replace(body, proofs=proofs, challenge=transcripts[0].challenge)
+    return DisclosureToken(cred.r_point, cred.s, cred.h, n, disclosed, hidden_points, proofs,
+                           transcripts[0].challenge, session_id)
 
 
 def verify_disclosure(token: DisclosureToken, params: SystemParams) -> bool:
-    """Check the signature and every hidden-index proof as one equation."""
+    """Check the signature and every hidden-index proof as one equation.
+    The token is well-formed by construction, so only the equation is
+    left to check."""
     curve = params.curve
-    n = token.n_attrs
-    if not 1 <= n <= MAX_ATTRIBUTES:
-        return False
-    hidden = set(token.hidden_points)
-    disclosed = set(token.disclosed)
-    # the partition must be exact and must keep the master secret hidden
-    if 0 not in hidden or hidden & disclosed or hidden | disclosed != set(range(n)):
-        return False
-    if set(token.proofs) != hidden or token.sig_h.v == 0:
-        return False
-    for m in token.disclosed.values():
-        if m.v == 0:
-            return False
-
     revealed = token.disclosed_indices()
     points = dict(zip(revealed, curve.base.multiples([token.disclosed[i] for i in revealed])))
     points.update(token.hidden_points)
-    h = hash_block([points[i] for i in range(n)], token.sig_r).v
+    h = hash_block([points[i] for i in range(token.n_attrs)], token.sig_r).v
     # s*P - h*Ppub - R == O, booked as 3 Ms + 1 Ap: the count of the split
     # form h_hidden*Ppub == h_disc^-1*(s*P - R), which perfbench's
     # disclosure count gate pins

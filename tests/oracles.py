@@ -130,6 +130,39 @@ def reference_verify_disclosure(token, params) -> bool:
         r * curve.base == a + c * token.hidden_points[i] for i, (a, r) in token.proofs.items())
 
 
+# -- disclosure token bytes ----------------------------------------------------
+
+def disclosure_fields(params, sig_r, sig_s, sig_h, n_attrs, disclosed, hidden_points) -> bytes:
+    """A disclosure token's fields from R to the hidden points, written from
+    the layout: R, s, h, n (2 bytes), the hidden bitmap (8 bytes), then the
+    disclosed m_i and the hidden P_i, each by index. Takes values that no
+    DisclosureToken holds, a zero h, a zero m_i or m_0 disclosed."""
+    w = params.curve.coord_bytes
+    bits = sum(1 << i for i in hidden_points)
+    out = [sig_r.encode(), sig_s.to_bytes(w), sig_h.to_bytes(w),
+           n_attrs.to_bytes(2, "big"), bits.to_bytes(8, "big")]
+    out += [disclosed[i].to_bytes(w) for i in sorted(disclosed)]
+    out += [hidden_points[i].encode() for i in sorted(hidden_points)]
+    return b"".join(out)
+
+
+def disclosure_context(params, session_id, fields: bytes) -> bytes:
+    """The challenge context of a token whose disclosure_fields are fields."""
+    return b"DISCLOSE:" + params.digest() + session_id + fields
+
+
+def disclosure_bytes(token, params, **changes) -> bytes:
+    """token's bytes written from the layout, with the fields named in
+    changes replaced: the digest, disclosure_fields, one (A_i, r_i) per
+    hidden index by index, then the challenge."""
+    f = {**vars(token), **changes}
+    w = params.curve.coord_bytes
+    proofs = [a.encode() + r.to_bytes(w) for _, (a, r) in sorted(f["proofs"].items())]
+    fields = disclosure_fields(params, f["sig_r"], f["sig_s"], f["sig_h"], f["n_attrs"],
+                               f["disclosed"], f["hidden_points"])
+    return b"".join([params.digest(), fields, *proofs, f["challenge"].to_bytes(w)])
+
+
 # -- blindness ---------------------------------------------------------------
 
 class IssuerView(NamedTuple):

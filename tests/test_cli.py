@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ from edcred.wire import (
     write_message,
 )
 
-from oracles import simulate_issue
+from oracles import disclosure_bytes, simulate_issue
 
 
 @pytest.fixture
@@ -295,8 +294,8 @@ def test_verify_zero_token_field_is_exit_2(deploy, tmp_path, capsys):
     params = SystemParams.load(out / "params.txt")
     msg = decode_message(token_file.read_bytes())
     token = DisclosureToken.from_bytes(msg.body, params, msg.session_id)
-    bad = replace(token, sig_h=params.curve.scalar(0))
-    token_file.write_bytes(encode_message(WireMessage(msg.msg_type, msg.session_id, bad.to_bytes(params))))
+    bad = disclosure_bytes(token, params, sig_h=params.curve.scalar(0))
+    token_file.write_bytes(encode_message(WireMessage(msg.msg_type, msg.session_id, bad)))
     capsys.readouterr()
     assert main(["verify", "--params", str(out), "--token", str(token_file)]) == 2
     assert "reject" not in capsys.readouterr().out

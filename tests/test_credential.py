@@ -98,9 +98,11 @@ def test_verify_presentation_includes_master_proof(toy_deploy, toy_cred):
 
 
 def test_check_equation_rejects_degenerate(toy_deploy, toy_cred):
+    # no triple with h = 0 can be built, so none reaches the check
     params, _ = toy_deploy
     sig = signature_of(toy_cred)
-    assert not check_equation(PresentationSignature(sig.r_point, sig.s, Scalar(0, params.curve.q)), params)
+    with pytest.raises(ValueError, match="h = 0"):
+        PresentationSignature(sig.r_point, sig.s, Scalar(0, params.curve.q))
     assert not check_equation(PresentationSignature(sig.r_point, sig.s + 1, sig.h), params)
 
 
@@ -242,9 +244,14 @@ def test_presentation_with_zero_h_refused_at_parse(toy_deploy, toy_cred):
     params, _ = toy_deploy
     rng = make_rng("tokzero")
     token = make_presentation(toy_cred, params, rng, fresh=True)
-    bad = replace(token, sig=replace(token.sig, h=params.curve.scalar(0)))
+    with pytest.raises(ValueError, match="h = 0"):
+        replace(token.sig, h=params.curve.scalar(0))
+    # h, the triple's last field, written as zero into the bytes
+    w = params.curve.coord_bytes
+    data = token.to_bytes(params)
+    bad = data[:32 + 3 * w] + bytes(w) + data[32 + 4 * w:]
     with pytest.raises(WireError, match="h = 0"):
-        PresentationToken.from_bytes(bad.to_bytes(params), params, token.session_id)
+        PresentationToken.from_bytes(bad, params, token.session_id)
 
 
 @pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])

@@ -14,7 +14,12 @@ from edcred.issuance import issuer_start, user_blind, user_unblind
 from edcred.params import _COMB_AT, SystemParams
 
 from conftest import make_rng
-from oracles import reference_verify_disclosure
+from oracles import (
+    disclosure_bytes,
+    disclosure_context,
+    disclosure_fields,
+    reference_verify_disclosure,
+)
 
 
 def issue(params, key, n, label, rng=None):
@@ -41,20 +46,21 @@ def signed_token(params, attrs, r_point, s, disclose, rng, first=None):
     curve = params.curve
     points = [m * curve.base for m in attrs]
     hidden = [i for i in range(len(attrs)) if i not in disclose]
-    token = DisclosureToken(
-        r_point, s, hash_block(points, r_point), len(attrs),
-        {i: attrs[i] for i in disclose}, {i: points[i] for i in hidden}, {}, curve.scalar(0),
-        b"S" * 16)
+    h, session_id = hash_block(points, r_point), b"S" * 16
+    disclosed = {i: attrs[i] for i in disclose}
+    hidden_points = {i: points[i] for i in hidden}
     nonces = {i: curve.random_nonzero(rng) for i in hidden}
     commits = {i: nonces[i] * curve.base for i in hidden}
     if first is not None:
         commits[0] = first[0]
+    fields = disclosure_fields(params, r_point, s, h, len(attrs), disclosed, hidden_points)
     c = challenge_scalar([commits[i] for i in hidden], [points[i] for i in hidden],
-                         token.body_prefix(params), curve)
+                         disclosure_context(params, session_id, fields), curve)
     proofs = {i: (commits[i], c * attrs[i] + nonces[i]) for i in hidden}
     if first is not None:
         proofs[0] = (first[0], first[1](c))
-    return replace(token, proofs=proofs, challenge=c)
+    return DisclosureToken(r_point, s, h, len(attrs), disclosed, hidden_points, proofs, c,
+                           session_id)
 
 
 def mutations(token, params, rng):
@@ -201,38 +207,44 @@ def test_bumped_hidden_response_rejected_toy(toy_deploy):
 
 
 def test_partition_audit_rejects_overlap_and_gaps(toy_deploy):
+    """A token whose indices are no partition of range(n), or whose proofs
+    are not one per hidden index, cannot be built."""
     params, key = toy_deploy
     cred, rng = issue(params, key, 3, "audit")
     token = present(cred, [1], params, rng)
 
     # 2 both disclosed and hidden
-    overlap = replace(token, disclosed={**token.disclosed, 2: cred.attrs[2]})
-    assert not verify_disclosure(overlap, params)
+    with pytest.raises(ValueError, match="partition"):
+        replace(token, disclosed={**token.disclosed, 2: cred.attrs[2]})
+
+    # 2 neither disclosed nor hidden
+    with pytest.raises(ValueError, match="partition"):
+        replace(token, hidden_points={0: token.hidden_points[0]}, proofs={0: token.proofs[0]})
 
     # index 0 dropped
-    no_master = replace(token, hidden_points={2: token.hidden_points[2]},
-                        proofs={2: token.proofs[2]})
-    assert not verify_disclosure(no_master, params)
+    with pytest.raises(ValueError, match="partition"):
+        replace(token, hidden_points={2: token.hidden_points[2]}, proofs={2: token.proofs[2]})
 
     # proof for 2 missing
-    orphan_proof = replace(token, proofs={0: token.proofs[0]})
-    assert not verify_disclosure(orphan_proof, params)
+    with pytest.raises(ValueError, match="one per hidden index"):
+        replace(token, proofs={0: token.proofs[0]})
 
 
 def test_degenerate_fields_rejected(toy_deploy):
+    """h = 0 and a zero disclosed attribute cannot be built."""
     params, key = toy_deploy
     cred, rng = issue(params, key, 3, "degen")
     token = present(cred, [1], params, rng)
-    zero_h = replace(token, sig_h=Scalar(0, params.curve.q))
-    assert not verify_disclosure(zero_h, params)
-    zero_attr = replace(token, disclosed={1: Scalar(0, params.curve.q)})
-    assert not verify_disclosure(zero_attr, params)
+    with pytest.raises(ValueError, match="h = 0"):
+        replace(token, sig_h=Scalar(0, params.curve.q))
+    with pytest.raises(ValueError, match="zero disclosed attribute"):
+        replace(token, disclosed={1: Scalar(0, params.curve.q)})
 
 
 def test_attribute_count_over_the_cap_rejected(toy_deploy):
-    # a token of 65 attributes whose signature the key really made, with
-    # index 64 disclosed so the hidden bitmap still fits: only the count
-    # check refuses it
+    """A token of 65 attributes whose signature the key really made, with
+    index 64 disclosed so the hidden bitmap still fits: only the count
+    rule refuses it, in memory and in its bytes. So does a count of 0."""
     params, key = toy_deploy
     curve = params.curve
     rng = make_rng("over-cap")
@@ -240,27 +252,58 @@ def test_attribute_count_over_the_cap_rejected(toy_deploy):
     k = curve.random_nonzero(rng)
     r_point = k * curve.base
     h = hash_block([m * curve.base for m in attrs], r_point)
-    token = signed_token(params, attrs, r_point, k + h * key.x, [64], rng)
-    assert token.n_attrs == 65
-    assert check_equation(PresentationSignature(r_point, token.sig_s, h), params)
-    assert not verify_disclosure(token, params)
+    assert check_equation(PresentationSignature(r_point, k + h * key.x, h), params)
+    with pytest.raises(ValueError, match="attribute count"):
+        signed_token(params, attrs, r_point, k + h * key.x, [64], rng)
+    token = signed_token(params, attrs[:64], r_point, k + h * key.x, [63], rng)
+    over = disclosure_bytes(token, params, n_attrs=65, disclosed={63: attrs[63], 64: attrs[64]})
+    none = disclosure_bytes(token, params, n_attrs=0, disclosed={}, hidden_points={}, proofs={})
+    for data in (over, none):
+        with pytest.raises(WireError, match="attribute count"):
+            DisclosureToken.from_bytes(data, params, token.session_id)
+    with pytest.raises(ValueError, match="attribute count"):
+        replace(token, n_attrs=0)
 
 
 @pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
 def test_zero_fields_refused_at_parse(deploy, request):
     """h = 0 and a zero disclosed attribute are parse errors in a token's
-    bytes, as in a credential's, and verify rejects in a hand-built one."""
+    bytes, as in a credential's; no token holding one can be built."""
     params, key = request.getfixturevalue(deploy)
     cred, rng = issue(params, key, 4, f"zeroparse:{deploy}")
     token = present(cred, [1, 3], params, rng)
     zero = Scalar(0, params.curve.q)
+    assert disclosure_bytes(token, params) == token.to_bytes(params)
     assert DisclosureToken.from_bytes(token.to_bytes(params), params, token.session_id) == token
-    for bad in (replace(token, sig_h=zero),
-                replace(token, disclosed={**token.disclosed, 1: zero}),
-                replace(token, disclosed={**token.disclosed, 3: zero})):
-        assert not verify_disclosure(bad, params)
+    for bad in ({"sig_h": zero},
+                {"disclosed": {**token.disclosed, 1: zero}},
+                {"disclosed": {**token.disclosed, 3: zero}}):
+        with pytest.raises(ValueError, match="zero"):
+            replace(token, **bad)
         with pytest.raises(WireError, match="zero"):
-            DisclosureToken.from_bytes(bad.to_bytes(params), params, token.session_id)
+            DisclosureToken.from_bytes(disclosure_bytes(token, params, **bad), params,
+                                       token.session_id)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_master_secret_revealed_refused(deploy, request):
+    """A token that reveals m_0 cannot be built, and its bytes, whose
+    hidden bitmap leaves bit 0 clear, are a WireError: revealing m_0
+    hands the verifier the secret every later proof rests on."""
+    params, key = request.getfixturevalue(deploy)
+    cred, rng = issue(params, key, 4, f"reveal-m0:{deploy}")
+    m0 = cred.attrs[0]
+    for subset in ([], [2], [1, 2, 3]):
+        token = present(cred, subset, params, rng)
+        hidden = {i: pt for i, pt in token.hidden_points.items() if i}
+        revealed = {"disclosed": {**token.disclosed, 0: m0}, "hidden_points": hidden,
+                    "proofs": {i: token.proofs[i] for i in hidden}}
+        with pytest.raises(ValueError, match="index 0"):
+            replace(token, **revealed)
+        data = disclosure_bytes(token, params, **revealed)
+        assert data[32 + 4 * params.curve.coord_bytes + 9] & 1 == 0
+        with pytest.raises(WireError, match="index 0"):
+            DisclosureToken.from_bytes(data, params, token.session_id)
 
 
 def test_disclosure_needs_issuance_r(toy_deploy):

@@ -20,7 +20,8 @@ from edcred.cli import _rng, main
 from edcred.credential import PresentationToken, make_presentation, verify_credential, verify_presentation
 from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.hashing import attr_to_scalar
-from edcred.issuance import Credential
+from edcred.issuance import Credential, issuer_start, user_blind, user_unblind
+from edcred.params import IssuerKey, SystemParams
 from edcred.protocol import run_issuance
 from edcred.wire import MSG_DISCLOSE, MSG_PRESENT, Transcript, WireMessage, decode_message, encode_message
 
@@ -229,3 +230,51 @@ def test_one_seeded_issuance_gives_no_key(prod_deploy):
     _, transcript = run_issuance(params, key, attrs, _rng(78, "issuer"), _rng(78, "user"))
     x = key_from_a_guessed_seed(transcript, params, range(100))
     assert x * params.curve.base != params.p_pub
+
+
+def deployed(prod_deploy, dest):
+    """prod_deploy written as a deployment directory, as `edcred setup`
+    writes one."""
+    params, key = prod_deploy
+    dest.mkdir()
+    params.save(dest / "params.txt")
+    key.save(dest / "issuer.key", params)
+    return dest
+
+
+def test_a_token_is_a_bearer_token(prod_deploy, tmp_path, capsys):
+    # flips with ROADMAP item 20: a verifier that chooses the session id
+    # as its challenge. Today the holder draws it, so one token file is
+    # accepted by every `edcred verify` run, and by every verifier that
+    # loads the deployment's params.txt
+    deploy = deployed(prod_deploy, tmp_path / "deploy")
+    attrs, cred, token = (tmp_path / name for name in ("attrs.txt", "cred.bin", "disc.tok"))
+    attrs.write_text("master\n" + "\n".join(LABELS) + "\n")
+    assert main(["issue", "--params", str(deploy), "--attrs", str(attrs), "--out", str(cred)]) == 0
+    assert main(["present", "--params", str(deploy), "--cred", str(cred), "--disclose", "1",
+                 "--out", str(token)]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["verify", "--params", str(deploy), "--token", str(token)]) == 0
+        assert capsys.readouterr().out == "accept\n"
+    msg = decode_message(token.read_bytes())
+    for _ in range(2):
+        verifier = SystemParams.load(deploy / "params.txt")
+        parsed = DisclosureToken.from_bytes(msg.body, verifier, msg.session_id)
+        assert verify_disclosure(parsed, verifier)
+
+
+def test_two_key_objects_on_one_key_file_both_sign(prod_deploy, tmp_path):
+    # flips with ROADMAP item 21: one live nonce per key file. Today the
+    # live nonce is per IssuerKey object, so two loads of one issuer.key
+    # each hold a session open at once, and both sessions sign: the
+    # concurrent setting in which ROS needs bits(q) + 1 of them
+    params = prod_deploy[0]
+    deploy = deployed(prod_deploy, tmp_path / "deploy")
+    keys = [IssuerKey.load(deploy / "issuer.key", params) for _ in range(2)]
+    rng = make_rng("ledger:key-file")
+    opened = [issuer_start(key, params, rng) for key in keys]
+    for session, r_bar in opened:
+        attrs = [params.curve.random_nonzero(rng), attr_to_scalar(LABELS[0], params.curve)]
+        state, request = user_blind(r_bar, attrs, params, rng)
+        assert verify_credential(user_unblind(state, session.sign(request), params), params)
