@@ -2,10 +2,12 @@
 
     edcred setup      --curve toy|prod --out DIR
     edcred issue      --params DIR --attrs FILE --out CRED
+                      [--connect SOCK] [--interactive] [--transcript FILE]
+    edcred serve      --params DIR --listen SOCK [--transcript FILE]
     edcred verify     --params DIR --token FILE
     edcred randomize  --params DIR --cred FILE --out TOKEN
     edcred present    --params DIR --cred FILE --disclose 2,3 --out TOKEN
-    edcred bench      --attrs N [--repeat K]
+    edcred bench      --attrs N [--repeat K] [--curve toy|prod]
 
 Exit codes: 0 success or accept, 1 verification reject, 2 malformed input
 or a socket peer silent for SESSION_TIMEOUT seconds.

@@ -31,6 +31,28 @@ from .wire import Reader, new_session_id
 MAX_ATTRIBUTES = 64
 
 
+def check_count(n: int) -> None:
+    """The rule on every attribute count, a credential's or a disclosure
+    token's, stated once: n in [1, MAX_ATTRIBUTES]. Raises ValueError."""
+    if not 1 <= n <= MAX_ATTRIBUTES:
+        raise ValueError(f"attribute count must be in [1, {MAX_ATTRIBUTES}]")
+
+
+def check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
+    """The rules on every attribute list, stated once: a count that
+    check_count allows, and each value a nonzero Scalar mod q. A zero m_i
+    makes P_i the neutral point, which no proof of knowledge hides.
+    Returns the list as a tuple; raises ValueError."""
+    attrs = tuple(attrs)
+    check_count(len(attrs))
+    for i, m in enumerate(attrs):
+        if not isinstance(m, Scalar) or m.q != q:
+            raise ValueError(f"attribute {i} is not a scalar mod q")
+        if m.v == 0:
+            raise ValueError(f"attribute {i} is zero")
+    return attrs
+
+
 def refuse_zero_h(h: Scalar) -> None:
     """The rule on every signature triple's h, stated once: with h = 0 the
     equation s*P == h*Ppub + R no longer involves the key, and any
@@ -60,23 +82,23 @@ class PresentationSignature:
     @classmethod
     def read(cls, reader: Reader) -> "PresentationSignature":
         """The fields encode writes, from a Reader over the enclosing record."""
-        r_point, s, h = reader.point(), reader.scalar(), reader.scalar()
-        try:
-            return cls(r_point, s, h)
-        except ValueError as exc:
-            raise WireError(str(exc)) from None
+        return reader.build(cls, reader.point(), reader.scalar(), reader.scalar())
 
 
 class Credential:
     """What the user walks away with: attribute scalars and the signature
-    triple (R, s, h) satisfying s * P == h * Ppub + R."""
+    triple (R, s, h) satisfying s * P == h * Ppub + R. Well-formed by
+    construction: the constructor raises ValueError, which from_bytes
+    reports as WireError, unless the attributes pass check_attrs under
+    R's curve and h != 0 (refuse_zero_h). attrs is stored as a tuple."""
 
     __slots__ = ("attrs", "r_point", "s", "h")
 
     MAGIC = b"CRD1"
 
-    def __init__(self, attrs: tuple, r_point: Point, s: Scalar, h: Scalar):
-        self.attrs = attrs
+    def __init__(self, attrs, r_point: Point, s: Scalar, h: Scalar):
+        refuse_zero_h(h)
+        self.attrs = check_attrs(attrs, r_point.curve.q)
         self.r_point = r_point
         self.s = s
         self.h = h
@@ -100,15 +122,10 @@ class Credential:
         if r.take(4) != cls.MAGIC:
             raise WireError("not a credential file")
         r.deployment(params)
-        n = r.uint(2)
-        if not 1 <= n <= MAX_ATTRIBUTES:
-            raise WireError("attribute count out of range")
-        attrs = tuple(r.scalar() for _ in range(n))
+        attrs = [r.scalar() for _ in range(r.uint(2))]
         sig = PresentationSignature.read(r)
         r.end()
-        if not all(attrs):
-            raise WireError("credential carries a zero attribute")
-        return cls(attrs=attrs, r_point=sig.r_point, s=sig.s, h=sig.h)
+        return r.build(cls, attrs, sig.r_point, sig.s, sig.h)
 
 
 def signature_of(cred: Credential) -> PresentationSignature:

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .credential import (
-    MAX_ATTRIBUTES,
     Credential,
     PresentationSignature,
+    check_count,
     refuse_zero_h,
     signature_of,
 )
@@ -76,11 +76,11 @@ def _context(params: SystemParams, session_id: bytes, fields: bytes) -> bytes:
 class DisclosureToken:
     """A disclosure token, well-formed by construction and immutable once
     built. The constructor raises ValueError, which from_bytes reports as
-    WireError, unless n_attrs lies in [1, MAX_ATTRIBUTES], the disclosed
-    and hidden indices partition range(n_attrs), index 0 is hidden, no
-    disclosed scalar is zero, proofs holds one pair per hidden index and
-    the signature triple has h != 0. verify_disclosure checks none of
-    these again.
+    WireError, unless credential.check_count allows n_attrs, the
+    disclosed and hidden indices partition range(n_attrs), index 0 is
+    hidden, no disclosed scalar is zero, proofs holds one pair per hidden
+    index and the signature triple has h != 0. verify_disclosure checks
+    none of these again.
 
     Index 0 stays hidden because m_0 is the master secret: revealing it
     hands the verifier the secret that every later proof of the holder
@@ -98,8 +98,7 @@ class DisclosureToken:
 
     def __post_init__(self):
         n = self.n_attrs
-        if not 1 <= n <= MAX_ATTRIBUTES:
-            raise ValueError(f"attribute count must be in [1, {MAX_ATTRIBUTES}]")
+        check_count(n)
         if sorted([*self.hidden_points, *self.disclosed]) != list(range(n)):
             raise ValueError("disclosed and hidden indices do not partition the attributes")
         if 0 in self.disclosed:
@@ -147,11 +146,8 @@ class DisclosureToken:
         proofs = {i: (r.point(), r.scalar()) for i in hidden_points}
         challenge = r.scalar()
         r.end()
-        try:
-            return cls(sig.r_point, sig.s, sig.h, n, disclosed, hidden_points, proofs, challenge,
-                       session_id)
-        except ValueError as exc:
-            raise WireError(str(exc)) from None
+        return r.build(cls, sig.r_point, sig.s, sig.h, n, disclosed, hidden_points, proofs,
+                       challenge, session_id)
 
 
 def present(cred: Credential, disclose, params: SystemParams, rng) -> DisclosureToken:

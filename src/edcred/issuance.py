@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
-from .credential import MAX_ATTRIBUTES, Credential, PresentationSignature, check_equation
+from .credential import Credential, PresentationSignature, check_attrs, check_equation
 from .curve import OpCounter, Point, Scalar, sum_of_multiples
 from .errors import InvalidProofError, IssuerMisbehavior, SessionError
 from .hashing import hash_block, hedged_scalar
@@ -32,21 +32,13 @@ from .params import IssuerKey, SystemParams
 from .schnorr import SchnorrTranscript, fs_prove, fs_verify, pk_commit, pk_respond, pk_verify
 
 
-def _check_attrs(attrs, q: int) -> tuple[Scalar, ...]:
-    if not 1 <= len(attrs) <= MAX_ATTRIBUTES:
-        raise ValueError(f"attribute count must be in [1, {MAX_ATTRIBUTES}]")
-    out = []
-    for i, m in enumerate(attrs):
-        if not isinstance(m, Scalar) or m.q != q:
-            raise ValueError(f"attribute {i} is not a scalar mod q")
-        if m.v == 0:
-            raise ValueError(f"attribute {i} is zero")
-        out.append(m)
-    return tuple(out)
-
-
 class IssuanceRequest:
-    """What the user sends to be signed."""
+    """What the user sends to be signed, well-formed by construction: the
+    constructor raises ValueError, which decode_request reports as
+    WireError, unless commitment0 is a Point, h' a nonzero Scalar mod its
+    curve's q and the proof, if any, is about commitment0. With h' = 0
+    the response s' = h' * x + k is the bare nonce k, which signs nothing;
+    a proof about another point says nothing of the master secret."""
 
     __slots__ = ("h_bar", "commitment0", "proof", "pk_commitment")
 
@@ -57,6 +49,14 @@ class IssuanceRequest:
         proof: SchnorrTranscript | None = None,
         pk_commitment: Point | None = None,
     ):
+        if not isinstance(commitment0, Point):
+            raise ValueError("commitment is not a point")
+        if not isinstance(h_bar, Scalar) or h_bar.q != commitment0.curve.q:
+            raise ValueError("blinded hash is not a scalar mod q")
+        if h_bar.v == 0:
+            raise ValueError("blinded hash is zero")
+        if proof is not None and proof.statement != commitment0:
+            raise ValueError("proof is not about the master commitment")
         self.h_bar = h_bar
         self.commitment0 = commitment0
         self.proof = proof
@@ -73,8 +73,9 @@ class IssuerSession:
     proven secure; from bits(q) sessions open at once a user could make
     one credential more than the issuer signed (ROS). Signing takes the
     nonce, so a session never signs twice. A refused request (sign raising
-    on a bad blinded hash, commitment or proof) leaves the nonce live, so
-    the same session can still sign a valid request.
+    on a missing or failing proof, or on a request of another curve)
+    leaves the nonce live, so the same session can still sign a valid
+    request.
 
     k hashes x and the params digest with its rng draw
     (hashing.hedged_scalar), so a guessed rng stream does not give k, and
@@ -118,15 +119,6 @@ class IssuerSession:
         Takes the key's live nonce, and refuses if the session no longer
         holds it.
         """
-        curve = self._params.curve
-        if not isinstance(request.h_bar, Scalar) or request.h_bar.q != curve.q:
-            raise InvalidProofError("blinded hash is not a scalar mod q")
-        if request.h_bar.v == 0:
-            raise InvalidProofError("blinded hash is zero")
-        p0 = request.commitment0
-        if not isinstance(p0, Point):
-            raise InvalidProofError("commitment is not a point")
-
         with pk_ops if pk_ops is not None else nullcontext():
             if self._challenge is not None:
                 if pk_response is None or request.pk_commitment is None:
@@ -135,23 +127,23 @@ class IssuerSession:
                     commitment=request.pk_commitment,
                     challenge=self._challenge,
                     response=pk_response,
-                    statement=p0,
+                    statement=request.commitment0,
                 )
                 ok = pk_verify(transcript)
             else:
                 if request.proof is None:
                     raise InvalidProofError("request carries no proof")
-                if request.proof.statement != p0:
-                    raise InvalidProofError("proof is not about the master commitment")
                 ok = fs_verify(request.proof, context)
         if not ok:
             raise InvalidProofError("proof of knowledge for the master secret failed")
 
         with self._key._lock:
             self._check_live()
-            k = self._key._nonce[1]
+            # signed before the nonce goes, so a request on another
+            # curve, refused here with ValueError, leaves it live
+            s_bar = sign_response(request.h_bar, self._key.x, self._key._nonce[1])
             self._key._nonce = (None, None)
-        return sign_response(request.h_bar, self._key.x, k)
+        return s_bar
 
 
 def sign_response(h_bar: Scalar, x: Scalar, k: Scalar) -> Scalar:
@@ -217,7 +209,7 @@ def user_blind(
     rng neither links the credential nor learns m_0.
     """
     curve = params.curve
-    attrs = _check_attrs(attrs, curve.q)
+    attrs = check_attrs(attrs, curve.q)
     m0 = attrs[0]
     alpha = hedged_scalar(curve, m0, rng, b"BLIND-ALPHA:" + context)
     beta = hedged_scalar(curve, m0, rng, b"BLIND-BETA:" + context)

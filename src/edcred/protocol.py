@@ -95,11 +95,11 @@ def decode_request(body: bytes, params: SystemParams) -> IssuanceRequest:
         raise WireError(f"{count} commitments, expected 1")
     commitment0 = r.point()
     if flags & _FLAG_INTERACTIVE:
-        request = IssuanceRequest(h_bar, commitment0, pk_commitment=r.point())
+        proof, pk_commitment = None, r.point()
     else:
-        request = IssuanceRequest(h_bar, commitment0, proof=SchnorrTranscript.read(r, commitment0))
+        proof, pk_commitment = SchnorrTranscript.read(r, commitment0), None
     r.end()
-    return request
+    return r.build(IssuanceRequest, h_bar, commitment0, proof, pk_commitment)
 
 
 def _scalar_body(v: Scalar, params: SystemParams) -> bytes:

@@ -41,7 +41,8 @@ class Reader:
     """Reads one record front to back: points and scalars of the curve
     (2w and w bytes), big-endian integers and raw fields. A record that
     ends early, or has bytes left at end(), is a WireError, and so is a
-    point or scalar that Point.decode or Scalar.from_bytes refuses."""
+    point or scalar that Point.decode or Scalar.from_bytes refuses, or a
+    value whose constructor refuses it (build)."""
 
     __slots__ = ("data", "pos", "curve")
 
@@ -74,6 +75,14 @@ class Reader:
     def end(self) -> None:
         if self.pos != len(self.data):
             raise WireError("trailing bytes after record")
+
+    def build(self, cls, *args):
+        """cls(*args), a ValueError it raises reported as WireError: how
+        every parser refuses a value its well-formed type cannot hold."""
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
 
 
 class WireMessage:

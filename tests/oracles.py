@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from edcred.credential import (
+    MAX_ATTRIBUTES,
     PresentationSignature,
     PresentationToken,
     presentation_context,
@@ -42,7 +43,6 @@ from edcred.curve import Point, Scalar, _add, _cache, inv_mod, sum_of_multiples
 from edcred.errors import SessionError
 from edcred.hashing import attr_to_scalar, challenge_scalar, hash_block, hash_points
 from edcred.issuance import (
-    MAX_ATTRIBUTES,
     Credential,
     IssuanceRequest,
     UserBlindState,

@@ -23,7 +23,7 @@ from edcred.disclosure import DisclosureToken, present, verify_disclosure
 from edcred.hashing import hash_block
 from edcred.issuance import Credential
 from edcred.params import IssuerKey, SystemParams
-from edcred.protocol import IssuerEngine
+from edcred.protocol import IssuerEngine, UserEngine
 from edcred.wire import (
     MSG_DISCLOSE,
     MSG_ISS1,
@@ -475,6 +475,38 @@ def test_serve_removes_its_socket_when_the_session_fails(deploy, tmp_path):
     thread.join(timeout=10)
     assert result.get("rc") == 2
     assert not os.path.lexists(sock)
+
+
+def test_serve_exits_2_on_a_malformed_request(deploy, tmp_path, capsys):
+    # an ISS2 whose h' is zero holds no request: a WireError as it is
+    # read, so serve exits 2 (malformed input), not 1 (rejected)
+    out, _ = deploy
+    params = SystemParams.load(out / "params.txt")
+    sock = str(tmp_path / "iss.sock")
+    result = {}
+
+    def serve():
+        result["rc"] = main(["serve", "--params", str(out), "--listen", sock])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        for _ in range(200):
+            try:
+                conn.connect(sock)
+                break
+            except OSError:
+                time.sleep(0.05)
+        rng = random.Random("zero-h-request")
+        user = UserEngine(params, [params.curve.random_nonzero(rng)], rng)
+        w = params.curve.coord_bytes
+        with conn.makefile("rwb") as stream:
+            request = user.handle(read_message(stream))
+            body = request.body[:1] + bytes(w) + request.body[1 + w:]
+            write_message(stream, WireMessage(request.msg_type, request.session_id, body))
+            thread.join(timeout=10)
+    assert not thread.is_alive() and result.get("rc") == 2
+    assert "blinded hash is zero" in capsys.readouterr().err
 
 
 def test_serve_times_out_on_a_silent_peer(deploy, tmp_path, monkeypatch, capsys):

@@ -228,16 +228,17 @@ def test_concurrent_sessions_sign_only_with_their_own_nonce(toy_deploy, monkeypa
     assert signed and not failures
 
 
-def test_sign_rejects_wrong_proof_statement(toy_deploy):
+def test_request_refuses_a_proof_about_another_point(toy_deploy):
+    # a proof about any point but P_0 says nothing of the master secret:
+    # no request can carry one, so no session is ever handed one
     params, key = toy_deploy
     rng = make_rng("wrongstmt")
-    session, r_bar = issuer_start(key, params, rng)
+    _, r_bar = issuer_start(key, params, rng)
     attrs = sample_attrs(params, rng)
     _, request = user_blind(r_bar, attrs, params, rng)
     other = 99 * params.curve.base
-    forged = IssuanceRequest(h_bar=request.h_bar, commitment0=other, proof=request.proof)
-    with pytest.raises(InvalidProofError):
-        session.sign(forged)
+    with pytest.raises(ValueError, match="proof is not about the master commitment"):
+        IssuanceRequest(h_bar=request.h_bar, commitment0=other, proof=request.proof)
 
 
 def test_sign_rejects_proof_for_unknown_secret(toy_deploy):
@@ -262,15 +263,36 @@ def test_sign_rejects_malformed_requests(toy_deploy):
     c = params.curve
     session, r_bar = issuer_start(key, params, rng)
     _, good = user_blind(r_bar, sample_attrs(params, rng), params, rng)
+    # no request holds a zero h', an h' that is no scalar mod q, or a
+    # commitment that is no point
     cases = [
-        IssuanceRequest(h_bar=Scalar(0, c.q), commitment0=good.commitment0, proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitment0=None, proof=good.proof),
-        IssuanceRequest(h_bar=good.h_bar, commitment0=good.commitment0, proof=None),
+        (Scalar(0, c.q), good.commitment0, "blinded hash is zero"),
+        (5, good.commitment0, "blinded hash is not a scalar mod q"),
+        (Scalar(5, c.q + 2), good.commitment0, "blinded hash is not a scalar mod q"),
+        (good.h_bar, None, "commitment is not a point"),
     ]
-    for bad in cases:
-        with pytest.raises(InvalidProofError):
-            session.sign(bad)
+    for h_bar, p0, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            IssuanceRequest(h_bar=h_bar, commitment0=p0, proof=good.proof)
+    # one without a proof is well-formed, and sign refuses it
+    with pytest.raises(InvalidProofError, match="no proof"):
+        session.sign(IssuanceRequest(h_bar=good.h_bar, commitment0=good.commitment0))
     # the session survives rejected requests and still signs a good one
+    assert session.sign(good) is not None
+
+
+def test_sign_refuses_a_request_of_another_curve(toy_deploy, prod_deploy):
+    """A well-formed request whose proof verifies, made on curve1174, is
+    refused by a toy-curve session when it signs (ValueError), and the
+    session's nonce stays live for a good request."""
+    params, key = toy_deploy
+    prod = prod_deploy[0]
+    rng = make_rng("othercurve")
+    session, r_bar = issuer_start(key, params, rng)
+    _, foreign = user_blind(prod.curve.base, sample_attrs(prod, rng), prod, rng)
+    with pytest.raises(ValueError, match="different groups"):
+        session.sign(foreign)
+    _, good = user_blind(r_bar, sample_attrs(params, rng), params, rng)
     assert session.sign(good) is not None
 
 
@@ -375,15 +397,49 @@ def test_credential_with_a_zero_attribute_or_h_refused_at_parse(toy_deploy):
     params, key = toy_deploy
     rng = make_rng("credzero")
     cred = run_full(params, key, sample_attrs(params, rng), rng)
-    zero = params.curve.scalar(0)
     w = params.curve.coord_bytes
-    # no triple with h = 0 can be built: h, the record's last field, is
-    # written as zero into the bytes
-    for data, reason in ((Credential(cred.attrs[:2] + (zero,), cred.r_point, cred.s,
-                                     cred.h).to_bytes(params), "zero attribute"),
-                         (cred.to_bytes(params)[:-w] + bytes(w), "h = 0")):
+    data = cred.to_bytes(params)
+    # no credential with either can be built, so each is written as zero
+    # into the bytes: the third attribute, after the magic, digest and
+    # count, and h, the record's last field
+    at = 4 + 32 + 2 + 2 * w
+    for data, reason in ((data[:at] + bytes(w) + data[at + w:], "attribute 2 is zero"),
+                         (data[:-w] + bytes(w), "h = 0")):
         with pytest.raises(WireError, match=reason):
             Credential.from_bytes(data, params)
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_credential_is_well_formed_by_construction(deploy, request):
+    """A credential holds 1 to 64 attributes, each a nonzero scalar mod q,
+    and h != 0: any other value raises ValueError when built, and the
+    same values read from a credential file raise WireError."""
+    params, key = request.getfixturevalue(deploy)
+    c = params.curve
+    rng = make_rng(f"credrules:{deploy}")
+    cred = run_full(params, key, sample_attrs(params, rng), rng)
+    zero, w = c.scalar(0), c.coord_bytes
+
+    def record(attrs, h):
+        return b"".join([Credential.MAGIC, params.digest(), len(attrs).to_bytes(2, "big"),
+                         *(m.to_bytes(w) for m in attrs), cred.r_point.encode(),
+                         cred.s.to_bytes(w), h.to_bytes(w)])
+
+    assert record(cred.attrs, cred.h) == cred.to_bytes(params)
+    many = tuple(c.random_nonzero(rng) for _ in range(65))
+    for attrs, h, reason in (((), cred.h, "attribute count"),
+                             (many, cred.h, "attribute count"),
+                             (cred.attrs + (zero,), cred.h, "attribute 3 is zero"),
+                             (cred.attrs, zero, "h = 0")):
+        with pytest.raises(ValueError, match=reason):
+            Credential(attrs, cred.r_point, cred.s, h)
+        with pytest.raises(WireError, match=reason):
+            Credential.from_bytes(record(attrs, h), params)
+    # values no credential file can carry: its scalars are all mod q
+    for other in (5, Scalar(5, c.q + 2)):
+        with pytest.raises(ValueError, match="attribute 1 is not a scalar mod q"):
+            Credential((cred.attrs[0], other), cred.r_point, cred.s, cred.h)
+    assert Credential(many[:64], cred.r_point, cred.s, cred.h).attrs == many[:64]
 
 
 def test_credential_equality_is_field_by_field(toy_deploy):

@@ -142,6 +142,23 @@ def test_request_decode_refuses_other_layouts(toy_deploy):
             decode_request(bad, params)
 
 
+@pytest.mark.parametrize("interactive", [False, True])
+def test_request_decode_refuses_a_zero_blinded_hash(toy_deploy, interactive):
+    # h' = 0 would have the issuer answer with its bare nonce k: no
+    # request holds it, so its bytes are malformed, refused as read
+    params, key = toy_deploy
+    rng = make_rng(f"codec-zero-h:{interactive}")
+    from edcred.issuance import issuer_start, user_blind
+
+    _, r_bar = issuer_start(key, params, rng)
+    _, req = user_blind(r_bar, attrs_for(params, rng), params, rng, interactive=interactive)
+    body = encode_request(req, params)
+    w = params.curve.coord_bytes
+    decode_request(body, params)
+    with pytest.raises(WireError, match="blinded hash is zero"):
+        decode_request(body[:1] + bytes(w) + body[1 + w:], params)
+
+
 def test_engines_enforce_session_id(toy_deploy):
     params, key = toy_deploy
     issuer = IssuerEngine(params, key, make_rng("sidi"))

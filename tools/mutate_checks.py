@@ -5,7 +5,7 @@
     python tools/mutate_checks.py NAME ...   # the named ones
 
 MUTATIONS lists one-line mutations (file, text, replacement): each turns
-one guard of a verifier, the issuer or a token constructor off. For each,
+one guard of a verifier, the issuer or a record's constructor off. For each,
 the tool copies this checkout's working tree (without .git) into a
 temporary directory, replaces the text, which must occur exactly once in
 its file, and runs Tier-1 there with -x, all but the test that pins
@@ -15,9 +15,10 @@ when every mutation is killed, 1 otherwise.
 
 A killed mutation stops at its first failing test; a survivor costs a
 whole Tier-1 run, so a full pass takes minutes. Run it when a change
-touches an accept path, and move a guard's entry with the guard: Tier-1
-pins that each listed text occurs exactly once
-(tests/test_mutate_checks.py). Uses only the stdlib and pytest.
+touches an accept path (CI's mutations job runs it on every pull
+request), and move a guard's entry with the guard: Tier-1 pins that
+each listed text occurs exactly once (tests/test_mutate_checks.py).
+Uses only the stdlib and pytest.
 """
 
 from __future__ import annotations
@@ -52,17 +53,25 @@ MUTATIONS = [
     Mutation("credential: exact signature check", "src/edcred/credential.py",
              "cofactored=False)", "cofactored=True)"),
     Mutation("issuer: h' = 0", "src/edcred/issuance.py",
-             "if request.h_bar.v == 0:", "if False:"),
+             "if h_bar.v == 0:", "if False:"),
     Mutation("issuer: proof about P_0", "src/edcred/issuance.py",
-             "if request.proof.statement != p0:", "if False:"),
+             "if proof is not None and proof.statement != commitment0:", "if False:"),
     Mutation("issuer: live nonce", "src/edcred/issuance.py",
              "if self._key._nonce[0] is not self:", "if False:"),
     Mutation("params: small-order Ppub", "src/edcred/params.py",
              "if sum_is_neutral(curve, [(p_pub, 1)], ms=0, ap=0, cofactored=True):", "if False:"),
     Mutation("signature: h = 0", "src/edcred/credential.py",
              "if h.v == 0:", "if False:"),
-    Mutation("token: attribute count", "src/edcred/disclosure.py",
+    Mutation("attributes: count", "src/edcred/credential.py",
              "if not 1 <= n <= MAX_ATTRIBUTES:", "if False:"),
+    Mutation("attributes: zero", "src/edcred/credential.py",
+             "if m.v == 0:", "if False:"),
+    Mutation("credential: attribute rules", "src/edcred/credential.py",
+             "self.attrs = check_attrs(attrs, r_point.curve.q)", "self.attrs = tuple(attrs)"),
+    Mutation("credential: h = 0", "src/edcred/credential.py",
+             "refuse_zero_h(h)", "None"),
+    Mutation("token: attribute count", "src/edcred/disclosure.py",
+             "check_count(n)", "None"),
     Mutation("token: index partition", "src/edcred/disclosure.py",
              "if sorted([*self.hidden_points, *self.disclosed]) != list(range(n)):", "if False:"),
     Mutation("token: m_0 stays hidden", "src/edcred/disclosure.py",
