@@ -90,7 +90,9 @@ class Credential:
     triple (R, s, h) satisfying s * P == h * Ppub + R. Well-formed by
     construction: the constructor raises ValueError, which from_bytes
     reports as WireError, unless the attributes pass check_attrs under
-    R's curve and h != 0 (refuse_zero_h). attrs is stored as a tuple."""
+    R's curve and h != 0 (refuse_zero_h). attrs is stored as a tuple.
+    Immutable once built, as the token types are: setting or deleting a
+    field raises AttributeError, so no field can skip those rules."""
 
     __slots__ = ("attrs", "r_point", "s", "h")
 
@@ -98,10 +100,15 @@ class Credential:
 
     def __init__(self, attrs, r_point: Point, s: Scalar, h: Scalar):
         refuse_zero_h(h)
-        self.attrs = check_attrs(attrs, r_point.curve.q)
-        self.r_point = r_point
-        self.s = s
-        self.h = h
+        attrs = check_attrs(attrs, r_point.curve.q)
+        for name, value in zip(self.__slots__, (attrs, r_point, s, h)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Credential is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Credential is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

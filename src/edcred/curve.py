@@ -66,9 +66,14 @@ caller that wants a short chain passes a small k as it is, negative or
 not. A check needs no multiple in affine form, only whether an equation
 holds: sum_is_neutral compares its one sum with the neutral point in
 projective form, so a whole batch of proofs pays for one chain and no
-inversion. Its required keyword names the policy at each call: cofactored
-(the sum is first multiplied by the cofactor, so a pure-torsion sum
-passes), as the proof checks are, or exact, as the signature checks are.
+inversion. Its required keyword names the policy at each call: cofactored,
+as the proof checks are, or exact, as the signature checks are. A
+cofactored check needs no step of its own: it runs each k_i as its
+representative of k_i mod q nearest zero times the cofactor h, so the sum
+is h times the exact one, and a pure-torsion sum passes (cofactored
+verification, as in Chalkias, Garillot, Nikolaenko, "Taming the many
+EdDSAs", SSR 2020). The nearest representative keeps the chain short: a
+k_i == -5 (mod q) runs a chain of bits(5*h), not one of bits(q).
 
 Only a deployment's two fixed bases get a table. curve1174's generator P
 ships its table in data/curve1174_comb.bin, pinned by hash, as Ed25519
@@ -593,9 +598,6 @@ class CurveParams:
     def __init__(self, name: str, p: int, d: int, gx: int, gy: int, q: int, cofactor: int):
         if p < 3 or q < 2 or cofactor < 1:
             raise ValueError("curve: needs p >= 3, q >= 2 and cofactor >= 1")
-        if cofactor & (cofactor - 1):
-            # proof checks clear torsion by doubling (sum_is_neutral)
-            raise ValueError("curve: cofactor is not a power of two")
         if not hasse_holds(cofactor * q, p):
             raise ValueError("curve: cofactor * q is no group order for p (Hasse bound)")
         if d % p in (0, 1):
@@ -843,8 +845,8 @@ def _sum(curve: CurveParams, terms, ctr):
     the next: k < q < 2^b needs b // _W + 1 digits, one per row, and the
     top digit and its carry stay within 2^(_W-1). A chain term's odd
     multiples stay extended, so they are added with the general Z2 and the
-    sum still inverts at most once; a term builds no multiple beyond k, as
-    a digit never exceeds k.
+    sum still inverts at most once; a term builds no multiple beyond the
+    odd part of k, as no digit exceeds it.
 
     The pass folds instead of reducing, with the curve's (K, c), ck in the
     code: a value that only feeds the next product (A, B, E and F of a
@@ -897,7 +899,8 @@ def _sum(curve: CurveParams, terms, ctr):
     top = -1
     for x, y, k in chain:
         odd = [(x, y, 1, x * y % p)]
-        n_odd = min(1 << (_WNAF - 2), (k + 1) >> 1)
+        # no digit exceeds k's odd part, so k = 4 builds no 3Q
+        n_odd = min(1 << (_WNAF - 2), (k // (k & -k) + 1) >> 1)
         if n_odd > 1:
             two = _cache_ext(p, d, *_dbl(p, True, x, y, 1))
             for _ in range(n_odd - 1):
@@ -1020,28 +1023,29 @@ def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: b
     """sum of k_i*Q_i over terms (Q_i, k_i) == O; with cofactored, up to a
     torsion point.
 
-    Computes the one sum that sum_of_multiples would, exact in its int
-    scalars, and compares it with the neutral point in projective form,
-    X == 0 and Y == Z, with no inversion: with cofactored=False a
-    pure-torsion sum is refused, so the signature checks' terms s*P,
-    -h*Ppub and -R catch a torsion error in R. With cofactored=True the
-    sum is first multiplied by the cofactor, by doubling, so the cofactor
-    must be a power of two (the CurveParams constructor refuses any
-    other); a sum of prime order never vanishes, so the only accepts the
-    exact check would refuse are those whose sum is pure torsion.
+    Computes one sum, exact in its int scalars as sum_of_multiples' is,
+    and compares it with the neutral point in projective form, X == 0 and
+    Y == Z, with no inversion: with cofactored=False a pure-torsion sum is
+    refused, so the signature checks' terms s*P, -h*Ppub and -R catch a
+    torsion error in R. With cofactored=True each k_i is first taken to
+    its representative of k_i mod q nearest zero, then multiplied by the
+    cofactor h, so the sum is [h]*(sum k_i*Q_i): the group order is h*q
+    (the Hasse bound and a base point of order q pin it), so h*q*Q == O
+    for every Q and h*k_i*Q_i == h*(k_i mod q)*Q_i. A sum of prime order
+    never vanishes, so the only accepts the exact check would refuse are
+    those whose sum is pure torsion. The chain is as long as the longest
+    scaled scalar, hence the nearest representative. A term on a comb
+    takes its scaled scalar mod q again, which is exact on a point of
+    order q, as _sum's comb rule assumes of P and Ppub.
 
     Books ms scalar multiplications and ap additions, the operations the
     equation stands for, and its inner steps.
     """
     p = curve.p
-    ctr = _booked(ms, ap)
-    X, Y, Z = (_sum(curve, terms, ctr) or (0, 1, 1))[:3]
     if cofactored:
-        dbls = curve.cofactor.bit_length() - 1
-        for _ in range(dbls):
-            X, Y, Z, _ = _dbl(p, False, X, Y, Z)
-        if ctr is not None:
-            ctr.inner_doubles += dbls
+        half, h = curve.q // 2, curve.cofactor
+        terms = [(pt, h * ((k + half) % curve.q - half)) for pt, k in terms]
+    X, Y, Z = _sum(curve, terms, _booked(ms, ap)) or (0, 1, 1)
     return X % p == 0 and (Y - Z) % p == 0
 
 

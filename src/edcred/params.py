@@ -48,8 +48,9 @@ class SystemParams:
     level k in bits. The constructor refuses a k outside [1, bits(q)] and
     a Ppub that is neutral or of small order ([cofactor]*Ppub == O), under
     which s*P == R passes a signature check for some or, cofactored, for
-    every h. That costs log2(cofactor) doublings and no multiple; the full
-    subgroup check is validate_params'."""
+    every h. That costs a chain as long as the cofactor's bits, about
+    log2(cofactor) doublings, and no multiple; the full subgroup check is
+    validate_params'."""
 
     __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 

@@ -40,10 +40,10 @@ r == c*t (mod q) (euclid_rows, weight_basis), so both z_i and w_i
 have about 190 bits and the chain about 190 doublings. The map from the
 halves to z mod q is one-to-one, so z_i stays uniform over 2^128 residues;
 a c whose lattice is too skewed for that falls back to (z, c*z) itself.
-The chain runs a scalar as it is given, with no reduction mod q
-(curve._sum), so every weight, and P's coefficient, is passed as its
-representative nearest zero: a z_i == -5 (mod q) takes a 3-bit chain,
-not a 249-bit one.
+Every weight, and P's coefficient, is passed as it is computed: the
+cofactored check runs each as its representative nearest zero
+(curve.sum_is_neutral), so a z_i == -5 (mod q) takes a short chain, not
+a 249-bit one.
 
 The first transcript's weight is the short multiplier z_1 = a of the
 challenge (the last row of euclid_rows): a*c == b (mod q) with |a| and |b|
@@ -224,22 +224,13 @@ def _check(transcripts: list[SchnorrTranscript], equation=((), 0, 0)) -> bool:
     each under its pair from check_weights, plus the caller's equation
     (terms, ms, ap) at weight 1."""
     curve = transcripts[0].statement.curve
-    q = curve.q
     terms, ms, ap = equation
     weights = check_weights(curve, transcripts[0].challenge, [k for _, k in terms],
                             [t.response for t in transcripts])
-
-    def near(k):
-        # the representative of k nearest zero: the chain doubles about
-        # bits(|k|) times for it
-        k %= q
-        return k - q if 2 * k > q else k
-
     terms = list(terms)
-    base_k = sum(z * t.response.v for (z, _), t in zip(weights, transcripts))
-    terms.append((curve.base, near(base_k)))
-    terms += [(t.commitment, -near(z)) for (z, _), t in zip(weights, transcripts)]
-    terms += [(t.statement, -near(w)) for (_, w), t in zip(weights, transcripts)]
+    terms.append((curve.base, sum(z * t.response.v for (z, _), t in zip(weights, transcripts))))
+    terms += [(t.commitment, -z) for (z, _), t in zip(weights, transcripts)]
+    terms += [(t.statement, -w) for (_, w), t in zip(weights, transcripts)]
     n = len(transcripts)
     return sum_is_neutral(curve, terms, ms=ms + 2 * n, ap=ap + n, cofactored=True)
 

@@ -1061,6 +1061,60 @@ def test_cofactored_equal_accepts_exactly_torsion(name, request):
     assert not curve_mod.sum_is_neutral(c, [(key, 1), (c.base, 1)], ms=0, ap=0, cofactored=True)
 
 
+def test_cofactored_check_runs_reduced_scalars(prod):
+    """On curve1174 a cofactored check takes each scalar mod q, nearest
+    zero, before it scales it by the cofactor: k + 5q on a fresh point
+    gives k's verdict on a chain of at most bits(q) + 2 doublings, where
+    the unreduced k + 5q alone has more bits than that. A term of +-4,
+    such as R's -1 scaled, builds no 3R."""
+    c, q = prod, prod.q
+    rng = make_rng("cofactored-reduced")
+    two = Point(0, c.p - 1, c)
+    for _ in range(3):
+        pt = rng.randrange(1, q) * c.base
+        k = rng.randrange(1, q)
+        kq = k * pt
+        assert pt._table is None and (k + 5 * q).bit_length() > q.bit_length() + 2
+        for kk, other, ok in ((k, kq, True), (k, kq + two, True), (k + 1, kq, False)):
+            with OpCounter() as ops:
+                got = curve_mod.sum_is_neutral(c, [(pt, kk + 5 * q), (other, -1)], ms=1, ap=1,
+                                               cofactored=True)
+            assert got is ok
+            assert got == curve_mod.sum_is_neutral(c, [(pt, kk), (other, -1)], ms=0, ap=0,
+                                                   cofactored=True)
+            assert ops.inner_doubles <= q.bit_length() + 2
+    for cofactored, k in ((True, -1), (False, 4)):
+        with OpCounter() as ops:
+            curve_mod.sum_is_neutral(c, [(kq, k)], ms=0, ap=0, cofactored=cofactored)
+        assert (ops.inner_adds, ops.inner_doubles) == (0, 2)
+
+
+def test_cofactored_check_is_the_exact_check_of_scaled_scalars(toy):
+    """On every point of the toy curve, torsion included, and a range of
+    scalars, the cofactored check of k*Q + j*P agrees with the exact check
+    of (8k)*Q + (8j)*P, P on its comb: true exactly when k*m + j == 0
+    (mod q) for Q = m*P + T, T a torsion point."""
+    c, q, h = toy, toy.q, toy.cofactor
+    rng = make_rng("cofactored-scaled")
+    torsion = [pt for pt in enumerate_points(c) if (h * pt).is_neutral()]
+    assert len(torsion) == h and c.base._table is not None
+    ks = [1, -1, q - 1, q, -(2 * q + 5), rng.randrange(q)]
+    seen = set()
+    for m in range(q):
+        mp = m * c.base
+        for t in torsion:
+            pt = mp + t
+            seen.add(pt)
+            for k in ks:
+                for j in (-k * m, -k * m + 1, -k * m + 3 * q):
+                    got = curve_mod.sum_is_neutral(c, [(pt, k), (c.base, j)], ms=0, ap=0,
+                                                   cofactored=True)
+                    exact = curve_mod.sum_is_neutral(c, [(pt, h * k), (c.base, h * j)], ms=0,
+                                                     ap=0, cofactored=False)
+                    assert got == exact == ((k * m + j) % q == 0), (m, t, k, j)
+    assert len(seen) == h * q
+
+
 def exact_mul(k, pt):
     """k * pt for any int k, negative included, by the affine reference."""
     return affine_mul(k, pt) if k >= 0 else affine_mul(-k, -pt)

@@ -497,7 +497,7 @@ def test_reduced_weights_shorten_the_chain(prod_deploy):
     books what it did under (z_i, c*z_i) weights, 16 Ms + 6 Ap, and its
     one chain runs about 190 doublings, not about 250: weights of about 190
     bits on every A_i and Q_i, one doubling for each of their ten 3X
-    tables, and the cofactor's three."""
+    tables, and three for the cofactor 4 that scales every scalar."""
     params, key = prod_deploy
     params.p_pub.precompute()
     cred, rng = issue(params, key, 8, "short-chain")

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from edcred.credential import check_equation, signature_of
+from edcred.credential import (
+    check_equation,
+    make_presentation,
+    signature_of,
+    verify_credential,
+    verify_presentation,
+)
 from edcred.curve import OpCounter, Point, Scalar
 from edcred.errors import InvalidProofError, IssuerMisbehavior, SessionError, WireError
 from edcred.hashing import attr_to_scalar, hash_block
@@ -440,6 +446,28 @@ def test_credential_is_well_formed_by_construction(deploy, request):
         with pytest.raises(ValueError, match="attribute 1 is not a scalar mod q"):
             Credential((cred.attrs[0], other), cred.r_point, cred.s, cred.h)
     assert Credential(many[:64], cred.r_point, cred.s, cred.h).attrs == many[:64]
+
+
+@pytest.mark.parametrize("deploy", ["toy_deploy", "prod_deploy"])
+def test_credential_is_immutable_once_built(deploy, request):
+    """Setting or deleting any field of an issued credential raises
+    AttributeError and leaves it as it was: it still verifies and still
+    presents. A credential whose attrs could be set to () afterwards
+    skipped check_attrs, and make_presentation raised IndexError on it."""
+    params, key = request.getfixturevalue(deploy)
+    rng = make_rng(f"frozen:{deploy}")
+    cred = run_full(params, key, sample_attrs(params, rng), rng)
+    fields = (cred.attrs, cred.r_point, cred.s, cred.h)
+    for name, value in (("attrs", ()), ("r_point", params.curve.base), ("s", cred.s + 1),
+                        ("h", params.curve.scalar(0)), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(cred, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(cred, name)
+    assert (cred.attrs, cred.r_point, cred.s, cred.h) == fields
+    assert verify_credential(cred, params)
+    token = make_presentation(cred, params, rng)
+    assert verify_presentation(token, params)
 
 
 def test_credential_equality_is_field_by_field(toy_deploy):

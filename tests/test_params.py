@@ -191,18 +191,20 @@ def test_validate_params_flags_composite_modulus(toy_deploy):
     assert any("p is not prime" in p for p in problems)
 
 
-def test_validate_params_flags_cofactor_not_power_of_two(tmp_path, toy_deploy):
-    # proof checks clear torsion by doubling, which needs a power of two:
-    # the curve's constructor refuses any other cofactor, so such a file
-    # never loads and validate_params never sees it
+def test_load_refuses_a_cofactor_off_the_hasse_bound(tmp_path, toy_deploy):
+    # a cofactored check scales its scalars by the cofactor, so any
+    # cofactor would do, but cofactor * q must be a group order for p:
+    # with the toy q = 131 only 8 lies in the Hasse window, so a file that
+    # states another never loads and validate_params never sees it
     params, _ = toy_deploy
     path = tmp_path / "params.txt"
     params.save(path)
     text = path.read_text()
     assert "cofactor=8\n" in text
-    path.write_text(text.replace("cofactor=8\n", "cofactor=6\n"))
-    with pytest.raises(ValueError, match="cofactor is not a power of two"):
-        SystemParams.load(path)
+    for cofactor in (2, 4, 6, 7, 9, 12, 16):
+        path.write_text(text.replace("cofactor=8\n", f"cofactor={cofactor}\n"))
+        with pytest.raises(ValueError, match="Hasse bound"):
+            SystemParams.load(path)
 
 
 def test_security_level_autofill(toy_deploy, prod_deploy):

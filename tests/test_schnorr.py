@@ -526,7 +526,8 @@ def test_reduced_weights_are_injective_in_small():
 
 def test_one_proof_runs_a_half_length_chain(prod):
     """fs_verify on curve1174: P's comb, a chain of about 125 doublings for
-    A and Q under the short multiplier, and the cofactor's two."""
+    A and Q under the short multiplier, two more for the cofactor 4 that
+    scales their scalars."""
     rng = make_rng("halfchain")
     for _ in range(20):
         mu = prod.random_nonzero(rng)
@@ -534,5 +535,6 @@ def test_one_proof_runs_a_half_length_chain(prod):
         with OpCounter() as ops:
             assert fs_verify(t, b"half")
         # no comb doubling, a chain from a top wNAF digit at bit 125 or
-        # below, one doubling each for the 3A and 3Q tables, cofactor 4
+        # below plus the cofactor 4's two, and one doubling each for the
+        # 3A and 3Q tables
         assert ops.inner_doubles <= 125 + 2 + 2

@@ -67,7 +67,7 @@ MUTATIONS = [
     Mutation("attributes: zero", "src/edcred/credential.py",
              "if m.v == 0:", "if False:"),
     Mutation("credential: attribute rules", "src/edcred/credential.py",
-             "self.attrs = check_attrs(attrs, r_point.curve.q)", "self.attrs = tuple(attrs)"),
+             "attrs = check_attrs(attrs, r_point.curve.q)", "attrs = tuple(attrs)"),
     Mutation("credential: h = 0", "src/edcred/credential.py",
              "refuse_zero_h(h)", "None"),
     Mutation("token: attribute count", "src/edcred/disclosure.py",
