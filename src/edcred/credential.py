@@ -130,9 +130,9 @@ class Credential:
             raise WireError("not a credential file")
         r.deployment(params)
         attrs = [r.scalar() for _ in range(r.uint(2))]
-        sig = PresentationSignature.read(r)
+        r_point, s, h = r.point(), r.scalar(), r.scalar()
         r.end()
-        return r.build(cls, attrs, sig.r_point, sig.s, sig.h)
+        return r.build(cls, attrs, r_point, s, h)
 
 
 def signature_of(cred: Credential) -> PresentationSignature:

@@ -42,23 +42,23 @@ the bound that keeps the folded values from growing.
 
 Every multiple, sum and addition is one _sum, under one rule: a sum of
 terms k*Q is exact in its integer scalars, torsion included. A term on a
-point with a comb table, which only P and Ppub have, both of order q,
-counts k mod q, unless k is +-1, and is multiplied by a signed radix-256
-comb one level deep: row j of the table holds m*2^(8j)*B for
-m = 1..128, so a multiple looks up one entry and makes one mixed addition
-per nonzero digit, about 31 additions and no doubling. Interleaving the
-rows over three levels (Lim and Lee, CRYPTO 1994) would keep a third of
-the entries for doublings on every multiple; the doublings cost more time
-than the entries cost memory. Any other term runs as |k| times +-Q, with
-no reduction mod q, as a width-4 wNAF: about 250 doublings and 50
-additions for a 249-bit k, one addition for k = +-1. Every term of a sum
-drops its points into buckets by position, the comb ones at position 0,
-and one pass walks down the positions, doubling once per position and
-adding each bucket, so all the wNAF terms share one doubling chain
-(Straus's trick; Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve
-Cryptography", 3.3.3). The pass only adds and doubles with the complete
-formulas, so it needs no case for the neutral point, a torsion point or
-an addition whose two operands are equal.
+point with a comb table, which only P and Ppub have, counts k mod the
+group order cofactor*q, which kills every point, unless k is +-1, and is
+multiplied by a signed radix-256 comb one level deep: row j of the table
+holds m*2^(8j)*B for m = 1..128, so a multiple looks up one entry and
+makes one mixed addition per nonzero digit, about 31 additions and no
+doubling. Interleaving the rows over three levels (Lim and Lee, CRYPTO
+1994) would keep a third of the entries for doublings on every multiple;
+the doublings cost more time than the entries cost memory. Any other term
+runs as |k| times +-Q, with no reduction, as a width-4 wNAF: about 250
+doublings and 50 additions for a 249-bit k, one addition for k = +-1.
+Every term of a sum drops its points into buckets by position, the comb
+ones at position 0, and one pass walks down the positions, doubling once
+per position and adding each bucket, so all the wNAF terms share one
+doubling chain (Straus's trick; Hankerson, Menezes, Vanstone, "Guide to
+Elliptic Curve Cryptography", 3.3.3). The pass only adds and doubles with
+the complete formulas, so it needs no case for the neutral point, a
+torsion point or an addition whose two operands are equal.
 
 Point.multiples, and so k*Q, takes k mod q first, as a Scalar holds it, so
 k*Q == (k mod q)*Q exactly for every Q; P + Q is the sum 1*P + 1*Q. A
@@ -490,10 +490,10 @@ class Point:
         """Build the comb table so repeated multiples cost few additions.
 
         Row j maps m to m * 2^(8j) * self for m = 1..128, in the cached
-        form (x, y, d*x*y): one row per digit of a scalar below q, 32 rows
-        and 4096 entries on curve1174. A negative digit uses the negated
-        entry, so each nonzero digit of k costs one 8-multiplication mixed
-        addition. Each row is built from its affine base 2^(8j) * self in
+        form (x, y, d*x*y): one row per digit of a scalar below the group
+        order cofactor*q, 32 rows and 4096 entries on curve1174. A
+        negative digit uses the negated entry, so each nonzero digit of k
+        costs one 8-multiplication mixed addition. Each row is built from its affine base 2^(8j) * self in
         extended coordinates, with mixed additions for m = 2..128 and one
         doubling of 128 * 2^(8j) * self for the next row's base, and comes
         back to affine form, next base included, with one inversion of its
@@ -511,7 +511,7 @@ class Point:
             ctr = _active_counter.get()
             table = []
             x, y = self.x, self.y
-            for _ in range(c.q.bit_length() // _W + 1):
+            for _ in range((c.cofactor * c.q).bit_length() // _W + 1):
                 step = _cache(p, d, x, y)
                 pt = (x, y, 1, x * y % p)
                 ext = [pt]
@@ -598,8 +598,12 @@ class CurveParams:
     def __init__(self, name: str, p: int, d: int, gx: int, gy: int, q: int, cofactor: int):
         if p < 3 or q < 2 or cofactor < 1:
             raise ValueError("curve: needs p >= 3, q >= 2 and cofactor >= 1")
-        if not hasse_holds(cofactor * q, p):
-            raise ValueError("curve: cofactor * q is no group order for p (Hasse bound)")
+        # a point of order q makes the group order a multiple of q in the
+        # Hasse window, and q > 4*sqrt(p) leaves one there: cofactor * q,
+        # which kills every point, as _sum's comb terms and the cofactored
+        # check rely on
+        if q * q <= 16 * p or not hasse_holds(cofactor * q, p):
+            raise ValueError("curve: the Hasse bound does not pin cofactor * q as the group order")
         if d % p in (0, 1):
             raise ValueError("curve: d is 0 or 1")
         self.name = name
@@ -789,7 +793,8 @@ def toy_curve() -> CurveParams:
     """The small curve used by exhaustive tests, frozen in data/toy_curve.txt.
 
     Selected by tools/find_toy_curve.py: p = 1009, d the smallest quadratic
-    non-residue whose curve has a prime-order subgroup of at least 100.
+    non-residue whose curve has a prime-order subgroup of order q with
+    q^2 > 16p (q = 131).
     """
     if "toy" not in _singletons:
         c = CurveParams.parse_file(_read_data("toy_curve.txt").decode())
@@ -807,13 +812,10 @@ def curve_by_name(name: str) -> CurveParams:
 
 
 def in_prime_subgroup(pt: Point) -> bool:
-    """True when pt lies in the order-q subgroup.
-
-    Cannot be written as (q * pt).is_neutral(): multiplication reduces the
-    exponent mod q, which maps q to 0 and calls every point a member. Split
-    the exponent as (q-1)+1 to keep the reduction out of the way.
-    """
-    return ((pt.curve.q - 1) * pt + pt).is_neutral()
+    """True when pt lies in the order-q subgroup: the exact sum q*pt is
+    the neutral point. Booked as one scalar multiplication, with no
+    inversion."""
+    return sum_is_neutral(pt.curve, [(pt, pt.curve.q)], ms=1, ap=0, cofactored=False)
 
 
 def _sum(curve: CurveParams, terms, ctr):
@@ -822,10 +824,11 @@ def _sum(curve: CurveParams, terms, ctr):
     inner steps on ctr.
 
     The module's one rule: terms on equal points are summed first, and
-    then a term on a point with a comb table (P or Ppub, of order q)
-    counts k_i mod q on its comb unless k_i is +-1, which the comb reads
-    as q - 1, and any other term runs as |k_i|*(+-Q_i) on the chain, with
-    no reduction mod q, so the sum is exact in the scalars as given.
+    then a term on a point with a comb table (P or Ppub) counts k_i mod
+    the group order n = cofactor*q on its comb unless k_i is +-1, which
+    the comb reads as n - 1, and any other term runs as |k_i|*(+-Q_i) on
+    the chain, with no reduction. n*Q == O for every Q, so the sum is
+    exact in the scalars as given.
 
     Every term drops cached points into buckets by position, and one pass
     adds them all on one doubling chain (Straus's trick, as interleaving
@@ -842,7 +845,7 @@ def _sum(curve: CurveParams, terms, ctr):
     non-empty bucket, and an addition only when another one follows it.
 
     A comb digit above 2^(_W-1) becomes digit - 2^_W and carries one into
-    the next: k < q < 2^b needs b // _W + 1 digits, one per row, and the
+    the next: k < n < 2^b needs b // _W + 1 digits, one per row, and the
     top digit and its carry stay within 2^(_W-1). A chain term's odd
     multiples stay extended, so they are added with the general Z2 and the
     sum still inverts at most once; a term builds no multiple beyond the
@@ -864,7 +867,7 @@ def _sum(curve: CurveParams, terms, ctr):
     stay below 2R at every step, and the products stay below 2^(2K + 13)
     on curve1174.
     """
-    p, d, q = curve.p, curve.d, curve.q
+    p, d, n = curve.p, curve.d, curve.cofactor * curve.q
     K, ck = curve._fold
     lo = (1 << K) - 1
     merged = {}
@@ -881,7 +884,7 @@ def _sum(curve: CurveParams, terms, ctr):
     zero, chain = [], []
     for pt, k in merged.values():
         if pt._table is not None and k != 1 and k != -1:
-            k %= q
+            k %= n
             for row in pt._table:
                 dgt = k & mask
                 k >>= _W
@@ -1008,10 +1011,9 @@ def sum_of_multiples(curve: CurveParams, sums, ms: int, ap: int) -> list:
     form, with one inversion for the whole batch and none when no sum has
     a term left.
 
-    Each sum is exact in its int scalars (_sum): k_i on a point with a
-    comb table counts mod q, any other k_i as it is, negative or at least
-    q. Books ms scalar multiplications and ap additions, the operations
-    the batch stands for, and the inner steps.
+    Each sum is exact in its int scalars (_sum), negative or at least q
+    alike. Books ms scalar multiplications and ap additions, the
+    operations the batch stands for, and the inner steps.
     """
     ctr = _booked(ms, ap)
     ext = [_sum(curve, terms, ctr) for terms in sums]
@@ -1034,9 +1036,7 @@ def sum_is_neutral(curve: CurveParams, terms, ms: int, ap: int, *, cofactored: b
     for every Q and h*k_i*Q_i == h*(k_i mod q)*Q_i. A sum of prime order
     never vanishes, so the only accepts the exact check would refuse are
     those whose sum is pure torsion. The chain is as long as the longest
-    scaled scalar, hence the nearest representative. A term on a comb
-    takes its scaled scalar mod q again, which is exact on a point of
-    order q, as _sum's comb rule assumes of P and Ppub.
+    scaled scalar, hence the nearest representative.
 
     Books ms scalar multiplications and ap additions, the operations the
     equation stands for, and its inner steps.

@@ -136,7 +136,7 @@ class DisclosureToken:
     def from_bytes(cls, data: bytes, params: SystemParams, session_id: bytes) -> "DisclosureToken":
         r = Reader(data, params.curve)
         r.deployment(params)
-        sig = PresentationSignature.read(r)
+        r_point, s, h = r.point(), r.scalar(), r.scalar()
         n = r.uint(2)
         bits = r.uint(_BITMAP_BYTES)
         if bits >> n:
@@ -146,8 +146,8 @@ class DisclosureToken:
         proofs = {i: (r.point(), r.scalar()) for i in hidden_points}
         challenge = r.scalar()
         r.end()
-        return r.build(cls, sig.r_point, sig.s, sig.h, n, disclosed, hidden_points, proofs,
-                       challenge, session_id)
+        return r.build(cls, r_point, s, h, n, disclosed, hidden_points, proofs, challenge,
+                       session_id)
 
 
 def present(cred: Credential, disclose, params: SystemParams, rng) -> DisclosureToken:

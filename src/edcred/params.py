@@ -50,7 +50,9 @@ class SystemParams:
     which s*P == R passes a signature check for some or, cofactored, for
     every h. That costs a chain as long as the cofactor's bits, about
     log2(cofactor) doublings, and no multiple; the full subgroup check is
-    validate_params'."""
+    validate_params'. A Ppub with a torsion part gets the same verdicts
+    before and after its table is built: a comb term is exact on every
+    point (curve._sum)."""
 
     __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 

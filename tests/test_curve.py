@@ -288,8 +288,8 @@ def test_production_edge_scalars_both_paths(prod):
 
 def comb_rows(c):
     """The rows of a comb table on c: one per radix-256 digit of a scalar
-    below q."""
-    return c.q.bit_length() // curve_mod._W + 1
+    below the group order cofactor*q."""
+    return (c.cofactor * c.q).bit_length() // curve_mod._W + 1
 
 
 def on_comb(ops, c):
@@ -802,14 +802,18 @@ def test_inlined_loops_match_reference_steps(toy, prod):
     unreduced, gives for a comb term and for a wNAF term the extended
     coordinates that one call per step gives, and the points of the affine oracles; for negative digits,
     through built rows and P's shipped rows, and on curve1174 for entries
-    with a coordinate at or near p - 1."""
+    with a coordinate at or near p - 1. A comb term counts k mod the group
+    order cofactor*q, so it is the integer multiple on every point, the
+    near-p points, of order 2 and 4 among them, included."""
     half = 1 << (curve_mod._W - 1)
     toy_pts = enumerate_points(toy)
     for c in (toy, prod):
         p, d, q = c.p, c.d, c.q
+        n = c.cofactor * q
         rng = make_rng(f"inlined:{c.name}")
-        # every digit negative: 129 = 256 - 127, 255 = 256 - 1
-        ks = [1, 2, q - 1, 129, 255, 255 * 257 * 65537 % q, rng.randrange(1, q)]
+        # every digit negative: 129 = 256 - 127, 255 = 256 - 1; and above
+        # q, up to the group order
+        ks = [1, 2, q - 1, 129, 255, 255 * 257 * 65537 % q, rng.randrange(1, q), q + 1, n - 1]
         if c is toy:
             pts = [rng.choice(toy_pts) for _ in range(4)] + near_p_points(c, 2)
             ks += list(range(3, q))
@@ -827,10 +831,10 @@ def test_inlined_loops_match_reference_steps(toy, prod):
             plain = Point(pt.x, pt.y, c)
             for k in ks:
                 expect = oracle_mul(k, pt) if c is toy else affine_mul(k, pt)
-                # a comb counts k mod q, whatever the order of its point
+                # a comb counts k mod the group order, exact on every point
                 got = curve_mod._sum(c, [(comb, k)], None)
-                assert got == reference_comb(p, comb._table, k % q)
-                assert affine(c, got) == (oracle_mul(k % q, pt) if c is toy else expect)
+                assert got == reference_comb(p, comb._table, k % n)
+                assert affine(c, got) == expect
                 got = curve_mod._sum(c, [(plain, k)], None)
                 if k > 7:  # the reference builds all of Q, 3Q, 5Q, 7Q
                     assert got[:3] == reference_chain(p, d, pt.x, pt.y, k)

@@ -7,8 +7,10 @@ import threading
 import pytest
 
 import edcred
-from edcred.credential import PresentationSignature, check_equation
+from edcred.credential import Credential, PresentationSignature, check_equation, signature_of
 from edcred.curve import OpCounter, Point, production_curve
+from edcred.disclosure import present, verify_disclosure
+from edcred.hashing import hash_block
 from edcred.params import _COMB_AT, IssuerKey, ParamsCheck, SystemParams, setup, validate_params
 
 from conftest import make_rng
@@ -86,6 +88,37 @@ def test_table_built_under_threads(toy_deploy):
     assert not any(th.is_alive() for th in threads)
     assert isinstance(verifier.p_pub._table, list)
     assert [results[i] for i in range(len(sigs))] == [ok for _, ok in sigs]
+
+
+def test_table_changes_no_verdict_under_a_torsioned_key(toy_deploy):
+    # Ppub = x*P + (0, p-1), which the constructor accepts: triples and
+    # tokens made with x read the same verdicts before and after the
+    # _COMB_AT-th check builds Ppub's table. The exact check leaves the
+    # error -h*(0, p-1) of each triple, neutral when h is even; the
+    # cofactored one drops it
+    params, key = toy_deploy
+    c = params.curve
+    torsioned = SystemParams(c, key.x * c.base + Point(0, c.p - 1, c), params.k)
+    rng = make_rng("torsioned-ppub")
+    creds = []
+    for _ in range(6):
+        attrs = [c.random_nonzero(rng) for _ in range(3)]
+        rho = c.random_nonzero(rng)
+        h = hash_block(c.base.multiples(attrs), rho * c.base)
+        creds.append(Credential(attrs, rho * c.base, rho + h * key.x, h))
+    tokens = [present(cred, [2], torsioned, rng) for cred in creds]
+
+    def verdicts():
+        return ([check_equation(signature_of(cred), torsioned) for cred in creds],
+                [verify_disclosure(token, torsioned) for token in tokens])
+
+    before = verdicts()
+    assert torsioned.p_pub._table is None
+    while torsioned.p_pub._table is None:
+        check_equation(signature_of(creds[0]), torsioned)
+    expect = [cred.h.v % 2 == 0 for cred in creds]
+    assert True in expect and False in expect
+    assert verdicts() == before == (expect, [True] * 6)
 
 
 def test_digest_distinguishes_deployments(toy_deploy, prod_deploy):
@@ -233,6 +266,7 @@ def test_security_level_autofill(toy_deploy, prod_deploy):
     {"k": 0}, {"k": -1}, {"k": 9},
     {"cofactor": 1}, {"cofactor": 2}, {"cofactor": 3}, {"cofactor": 1000},
     {"q": 1009}, {"q": 2**70},
+    {"q": 2, "cofactor": 504, "k": 1},
     {"Px": 2}, {"Ppubx": 2},
     {"Px": 0, "Py": 1}, {"Ppubx": 0, "Ppuby": 1},
 ], ids=lambda edits: ",".join(f"{k}={v}" for k, v in edits.items()))

@@ -16,8 +16,8 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
   batch of 8 multiples of P, one addition P + Q, the blinding sum
   alpha*R' + beta*P of user_blind (a wNAF term and a comb term in one
   pass) and in_prime_subgroup(Ppub), the subgroup check validate_params
-  makes, on a fresh copy of Ppub with no comb table, as `edcred setup`
-  runs it;
+  makes: q*Ppub == O as one exact sum, a wNAF chain with no inversion,
+  on a fresh copy of Ppub with no comb table, as `edcred setup` runs it;
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
 - protocol, n = 8 attributes, 3 revealed: run_issuance; the same session

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Re-derive every claim made about the shipped production curve constants.
 
-Builds a curve1174 deployment, whose constructors refuse cofactor * q
-outside the Hasse window around p + 1, d = 0 or 1 and a base point off
-the curve or neutral. Runs on it params.validate_params, the audit `edcred
+Builds a curve1174 deployment, whose constructors refuse a cofactor * q
+that the Hasse bound does not pin as the group order (outside the window
+around p + 1, or q*q <= 16p), d = 0 or 1 and a base point off the curve
+or neutral. Runs on it params.validate_params, the audit `edcred
 setup` runs: p and q prime, d a quadratic non-residue (the completeness
 condition), and the base point and public key of exact order q. Also checks that the comb table for
 the base point shipped in data/curve1174_comb.bin equals a fresh build,

@@ -3,8 +3,10 @@
 
 Scans d upward over the quadratic non-residues mod p and keeps the first
 curve x^2+y^2 = 1+d*x^2*y^2 whose point count factors as cofactor * ell with
-ell prime and at least 100. The base point is the cofactor multiple of the
-lexicographically first point that lands on an element of exact order ell.
+ell prime and ell^2 > 16p, the rule under which CurveParams loads a curve
+(the Hasse window then holds one multiple of ell). The base point is the
+cofactor multiple of the lexicographically first point that lands on an
+element of exact order ell.
 
 Running it reprints the content of src/edcred/data/toy_curve.txt:
 
@@ -12,7 +14,6 @@ Running it reprints the content of src/edcred/data/toy_curve.txt:
 """
 
 P = 1009
-MIN_SUBGROUP = 100
 
 
 def legendre_is_nonresidue(a, p):
@@ -77,7 +78,7 @@ def main():
         pts = enumerate_curve(P, d)
         order = len(pts)
         ell = largest_prime_factor(order)
-        if not (is_prime(ell) and ell >= MIN_SUBGROUP and order % ell == 0 and (order // ell) % ell != 0):
+        if not (is_prime(ell) and ell * ell > 16 * P and order % ell == 0 and (order // ell) % ell != 0):
             continue
         cofactor = order // ell
         for q0 in sorted(pts):

@@ -5,7 +5,9 @@
     python tools/mutate_checks.py NAME ...   # the named ones
 
 MUTATIONS lists one-line mutations (file, text, replacement): each turns
-one guard of a verifier, the issuer or a record's constructor off. For each,
+one guard of a verifier, the issuer or a record's constructor off, or
+makes a comb term count its scalar mod q, which flips verdicts under a
+public key with a torsion part once its table is built. For each,
 the tool copies this checkout's working tree (without .git) into a
 temporary directory, replaces the text, which must occur exactly once in
 its file, and runs Tier-1 there with -x, all but the test that pins
@@ -80,6 +82,9 @@ MUTATIONS = [
              "if not all(self.disclosed.values()):", "if False:"),
     Mutation("token: one proof per hidden index", "src/edcred/disclosure.py",
              "if self.proofs.keys() != self.hidden_points.keys():", "if False:"),
+    Mutation("comb: scalar mod the group order", "src/edcred/curve.py",
+             "p, d, n = curve.p, curve.d, curve.cofactor * curve.q",
+             "p, d, n = curve.p, curve.d, curve.q"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info")
