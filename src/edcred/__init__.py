@@ -31,7 +31,7 @@ _EXPORTS = {
     "harness": ("opcount_bench", "render_table"),
     "hashing": ("attr_to_scalar", "hash_block", "hash_points"),
     "issuance": ("issuer_start", "user_blind", "user_unblind"),
-    "params": ("IssuerKey", "SystemParams", "setup", "validate_params"),
+    "params": ("IssuerKey", "SystemParams", "setup"),
     "protocol": ("IssuerEngine", "UserEngine", "request_issuance", "run_issuance",
                  "serve_issuance"),
     "schnorr": ("fs_prove", "fs_verify", "pk_commit", "pk_respond", "pk_verify"),

@@ -122,18 +122,33 @@ def inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _MR_BASES (psi_12)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin. The bases 2 to 37 decide every n below
+    318665857834031151167461, the least strong pseudoprime to all of
+    them. From there on 64 more rounds take their bases from
+    SHA-256(n || i), so that a composite built to pass fixed bases, as a
+    loaded curve file may state, passes with probability at most 4^-64
+    (Albrecht et al., "Prime and Prejudice", CCS 2018)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     r, s = n - 1, 0
     while r % 2 == 0:
         r //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = list(_MR_BASES)
+    if n >= _MR_EXACT_BELOW:
+        nb = n.to_bytes((n.bit_length() + 7) // 8, "big")
+        bases += [2 + int.from_bytes(hashlib.sha256(nb + bytes([i])).digest(), "big") % (n - 3)
+                  for i in range(64)]
+    for a in bases:
         x = pow(a, r, n)
         if x in (1, n - 1):
             continue
@@ -591,7 +606,8 @@ class CurveParams:
     """Static description of one curve plus its chosen base point.
 
     The constructor owns every rule that needs no exponentiation and no
-    multiple; the others are params.validate_params' audit."""
+    multiple. parse_file, where a curve comes in from outside, adds the
+    others: p and q prime, d a non-square and q*P == O."""
 
     __slots__ = ("name", "p", "d", "q", "cofactor", "coord_bytes", "_fold", "_base")
 
@@ -682,8 +698,16 @@ class CurveParams:
         )
         # curve1174 is the built-in curve, with P's shipped table. The name
         # must match too: format_file, and so SystemParams.digest, has it.
+        # tools/check_production_curve.py runs the rules below on its
+        # constants, so a file that states them skips them.
         if curve.name == _CURVE1174["name"] and curve == production_curve():
             return production_curve()
+        if not (is_probable_prime(curve.p) and is_probable_prime(curve.q)):
+            raise ValueError("curve: p and q must be prime")
+        if pow(curve.d, (curve.p - 1) // 2, curve.p) != curve.p - 1:
+            raise ValueError("curve: d is a square, the addition law is not complete")
+        if not in_prime_subgroup(curve.base):
+            raise ValueError("curve: base point outside the prime-order subgroup")
         return curve
 
 
@@ -813,9 +837,10 @@ def curve_by_name(name: str) -> CurveParams:
 
 def in_prime_subgroup(pt: Point) -> bool:
     """True when pt lies in the order-q subgroup: the exact sum q*pt is
-    the neutral point. Booked as one scalar multiplication, with no
-    inversion."""
-    return sum_is_neutral(pt.curve, [(pt, pt.curve.q)], ms=1, ap=0, cofactored=False)
+    the neutral point, with no inversion. A load check, like
+    SystemParams' small-order rule, so it books no Ms and no Ap, only
+    its inner steps."""
+    return sum_is_neutral(pt.curve, [(pt, pt.curve.q)], ms=0, ap=0, cofactored=False)
 
 
 def _sum(curve: CurveParams, terms, ctr):

@@ -19,7 +19,6 @@ from .curve import (
     Scalar,
     curve_by_name,
     in_prime_subgroup,
-    is_probable_prime,
     parse_kv,
     sum_is_neutral,
 )
@@ -49,10 +48,10 @@ class SystemParams:
     a Ppub that is neutral or of small order ([cofactor]*Ppub == O), under
     which s*P == R passes a signature check for some or, cofactored, for
     every h. That costs a chain as long as the cofactor's bits, about
-    log2(cofactor) doublings, and no multiple; the full subgroup check is
-    validate_params'. A Ppub with a torsion part gets the same verdicts
-    before and after its table is built: a comb term is exact on every
-    point (curve._sum)."""
+    log2(cofactor) doublings, and no multiple. parse_file, where a
+    deployment comes in from outside, also refuses a Ppub outside the
+    order-q subgroup: one exact chain q*Ppub with no inversion. setup()
+    makes Ppub as x*P and parses nothing, so it pays for no chain."""
 
     __slots__ = ("curve", "p_pub", "k", "_digest", "_checks")
 
@@ -108,7 +107,10 @@ class SystemParams:
         if fields["hash"] != _HASH:
             raise ValueError(f"params file: unsupported hash {fields['hash']!r}")
         p_pub = Point(int(fields["Ppubx"]), int(fields["Ppuby"]), curve)
-        return cls(curve=curve, p_pub=p_pub, k=int(fields["k"]))
+        params = cls(curve=curve, p_pub=p_pub, k=int(fields["k"]))
+        if not in_prime_subgroup(p_pub):
+            raise ValueError("public key outside the prime-order subgroup")
+        return params
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -190,43 +192,3 @@ def setup(curve, rng) -> tuple[SystemParams, IssuerKey]:
     # k: a generic-group discrete log costs about sqrt(q) work
     params = SystemParams(curve=curve, p_pub=x * curve.base, k=curve.q.bit_length() // 2)
     return params, IssuerKey(x)
-
-
-class ParamsCheck:
-    """Boolean verdict that remembers why it is false."""
-
-    __slots__ = ("problems",)
-
-    def __init__(self):
-        self.problems = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
-
-
-def validate_params(params: SystemParams) -> ParamsCheck:
-    """The rules that cost an exponentiation or a multiple: p and q prime,
-    d a non-square, base point and public key in the prime-order subgroup.
-    The constructors own every cheaper rule. The subgroup checks cost two
-    scalar multiplications, so call this at setup, not per operation.
-    """
-    c = params.curve
-    check = ParamsCheck()
-    if not is_probable_prime(c.p):
-        check.note("p is not prime")
-    if not is_probable_prime(c.q):
-        check.note("q is not prime")
-    if pow(c.d, (c.p - 1) // 2, c.p) != c.p - 1:
-        check.note("d is a square, addition law not complete")
-    if not in_prime_subgroup(c.base):
-        check.note("base point order does not divide q")
-    if not in_prime_subgroup(params.p_pub):
-        check.note("public key outside the prime-order subgroup")
-    return check

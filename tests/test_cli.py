@@ -35,6 +35,7 @@ from edcred.wire import (
     write_message,
 )
 
+from conftest import outside_prime_order
 from oracles import disclosure_bytes, simulate_issue
 
 
@@ -366,22 +367,28 @@ def test_issue_from_a_misbehaving_issuer_is_exit_1(deploy, tmp_path, capsys):
     ("cofactor", 1), ("cofactor", 2), ("cofactor", 3), ("cofactor", 1000),
     ("q", 1009), ("q", 2**70),
     ("Px", 2), ("Ppubx", 2),
+    *(pytest.param(None, bad, id=bad)
+      for bad in ("torsioned-Ppub", "torsioned-base", "composite-p", "square-d")),
 ])
 def test_degenerate_params_file_is_exit_2(deploy, tmp_path, key, value):
     # a size that breaks the arithmetic, a k below 1, a cofactor and q
-    # whose product is no group order for p (the toy curve's is 8 * 131), or
-    # a base point or public key off the curve is malformed input: exit 2
+    # whose product is no group order for p (the toy curve's is 8 * 131),
+    # a base point or public key off the curve, or a group not of prime
+    # order (conftest.py's outside_prime_order) is malformed input: exit 2
     # and a message, not exit 0 or a traceback with exit 1, which means
     # reject. Real processes, so that a crash shows as the interpreter
     # reports it.
     out, attrs = deploy
     cred_file = tmp_path / "c.bin"
     assert issue(deploy, cred_file) == 0
+    edits = ({key: value} if key else
+             outside_prime_order(SystemParams.load(out / "params.txt"), value))
     for name in ("params.txt", "issuer.key"):  # the key file repeats the params
         path = out / name
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
-                                for line in lines))
+        keys = [line.split("=", 1)[0] for line in lines]
+        path.write_text("".join(f"{k}={edits[k]}\n" if k in edits else line
+                                for k, line in zip(keys, lines)))
     commands = (
         ["issue", "--params", str(out), "--attrs", str(attrs), "--out", str(tmp_path / "c2.bin")],
         ["verify", "--params", str(out), "--token", str(cred_file)],

@@ -78,6 +78,24 @@ def test_probable_prime():
     assert is_probable_prime(prod.q)
 
 
+def test_probable_prime_refuses_pseudoprimes_to_its_fixed_bases():
+    # psi_12 and psi_13, the least composites that are strong probable
+    # primes to every prime base up to 37 and up to 41: the bases 2 to 37
+    # alone say prime, the hashed rounds from psi_12 on do not
+    def strong_probable_prime(n, a):
+        r, s = n - 1, 0
+        while r % 2 == 0:
+            r, s = r // 2, s + 1
+        x = pow(a, r, n)
+        return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+    for n, (f, g) in ((318665857834031151167461, (399165290221, 798330580441)),
+                      (3317044064679887385961981, (1287836182261, 2575672364521))):
+        assert n == f * g
+        assert all(strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        assert not is_probable_prime(n)
+
+
 # -- fixture curves ----------------------------------------------------------
 
 def test_toy_constants(toy):

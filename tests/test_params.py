@@ -11,9 +11,9 @@ from edcred.credential import Credential, PresentationSignature, check_equation,
 from edcred.curve import OpCounter, Point, production_curve
 from edcred.disclosure import present, verify_disclosure
 from edcred.hashing import hash_block
-from edcred.params import _COMB_AT, IssuerKey, ParamsCheck, SystemParams, setup, validate_params
+from edcred.params import _COMB_AT, IssuerKey, SystemParams, setup
 
-from conftest import make_rng
+from conftest import make_rng, outside_prime_order
 from oracles import enumerate_points
 
 
@@ -194,41 +194,49 @@ def test_unsupported_hash_rejected(toy_deploy):
         SystemParams.parse_file(text.replace("hash=sha256", "hash=md5"))
 
 
-def test_validate_params_accepts_good(toy_deploy, prod_deploy):
-    assert validate_params(toy_deploy[0]).ok
-    check = validate_params(prod_deploy[0])
-    assert check and not check.problems
+def test_load_accepts_a_deployment_and_books_nothing(tmp_path, toy_deploy, prod_deploy):
+    # loading checks primality, d and both points' subgroup (curve1174's
+    # curve rules excepted: it is the built-in curve), but books no
+    # operation: a traced command counts its whole process under one
+    # OpCounter, the load included
+    path = tmp_path / "params.txt"
+    for params, _ in (toy_deploy, prod_deploy):
+        params.save(path)
+        with OpCounter() as ops:
+            again = SystemParams.load(path)
+        assert again.curve == params.curve and again.p_pub == params.p_pub
+        assert (ops.scalar_mults, ops.point_adds, ops.inversions) == (0, 0, 0)
+    assert again.curve is production_curve()
 
 
-def test_validate_params_flags_bad_subgroup(toy_deploy):
-    params, _ = toy_deploy
-    c = params.curve
-    outside = Point(0, c.p - 1, c)  # order 2, not in the q-subgroup
-    bad = SystemParams.__new__(SystemParams)
-    bad.curve, bad.p_pub, bad.k = c, outside, params.k
-    check = validate_params(bad)
-    assert not check.ok
-    assert any("subgroup" in p for p in check.problems)
+# each file (conftest.py) breaks a rule that costs an exponentiation or
+# a multiple, which loading checks and the constructors do not, and the
+# refusal names that rule
+_REFUSALS = {
+    "torsioned-Ppub": "public key outside the prime-order subgroup",
+    "torsioned-base": "base point outside the prime-order subgroup",
+    "composite-p": "p and q must be prime",
+    "square-d": "d is a square",
+}
 
 
-def test_validate_params_flags_composite_modulus(toy_deploy):
-    params, _ = toy_deploy
-    c = params.curve
-    from edcred.curve import CurveParams
-
-    # (0, p - 1) is on every such curve, whatever p
-    broken = CurveParams("bad", 1007, c.d, 0, 1006, c.q, c.cofactor)
-    bad = SystemParams.__new__(SystemParams)
-    bad.curve, bad.p_pub, bad.k = broken, broken.base, params.k
-    problems = validate_params(bad).problems
-    assert any("p is not prime" in p for p in problems)
+@pytest.mark.parametrize("bad", list(_REFUSALS))
+@pytest.mark.parametrize("name", ["toy", "prod"])
+def test_load_refuses_a_group_not_of_prime_order(tmp_path, request, name, bad):
+    params, _ = request.getfixturevalue(f"{name}_deploy")
+    fields = dict(line.split("=", 1) for line in params.format_file().splitlines())
+    fields.update(outside_prime_order(params, bad))
+    path = tmp_path / "params.txt"
+    path.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+    with pytest.raises(ValueError, match=_REFUSALS[bad]):
+        SystemParams.load(path)
 
 
 def test_load_refuses_a_cofactor_off_the_hasse_bound(tmp_path, toy_deploy):
     # a cofactored check scales its scalars by the cofactor, so any
     # cofactor would do, but cofactor * q must be a group order for p:
     # with the toy q = 131 only 8 lies in the Hasse window, so a file that
-    # states another never loads and validate_params never sees it
+    # states another never loads
     params, _ = toy_deploy
     path = tmp_path / "params.txt"
     params.save(path)
@@ -339,10 +347,3 @@ def test_setup_path_imports_no_dataclasses(tmp_path, prod_deploy):
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 timeout=60, env=env)
         assert result.returncode == 0, (step, result.stderr)
-
-
-def test_params_check_lists_are_not_shared():
-    a, b = ParamsCheck(), ParamsCheck()
-    a.note("p is not prime")
-    assert not a and a.problems == ["p is not prime"]
-    assert b and b.problems == []

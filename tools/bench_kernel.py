@@ -15,9 +15,10 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - scalar mult: k*P on P's comb, k*Q by wNAF (Q never builds a table), a
   batch of 8 multiples of P, one addition P + Q, the blinding sum
   alpha*R' + beta*P of user_blind (a wNAF term and a comb term in one
-  pass) and in_prime_subgroup(Ppub), the subgroup check validate_params
-  makes: q*Ppub == O as one exact sum, a wNAF chain with no inversion,
-  on a fresh copy of Ppub with no comb table, as `edcred setup` runs it;
+  pass) and in_prime_subgroup(Ppub), the subgroup check every params
+  load makes: q*Ppub == O as one exact sum, a wNAF chain with no
+  inversion, on a fresh copy of Ppub with no comb table, as
+  SystemParams.parse_file runs it;
 - comb table build: Point.precompute() for a fresh point Q, the one
   kind of table built at run time;
 - protocol, n = 8 attributes, 3 revealed: run_issuance; the same session
@@ -39,7 +40,7 @@ Each SRC is a directory holding an `edcred` package, such as a checkout's
 - wire: parsing that disclosure token alone, and the n = 8 credential;
 - load: SystemParams.load plus IssuerKey.load of a curve1174 deployment's
   params.txt and issuer.key, written once at start, the step every CLI
-  command pays before its own work;
+  command pays before its own work, Ppub's subgroup check included;
 - one-shot start: import edcred.cli, credential, disclosure and
   protocol, the modules a CLI command loads, then production_curve() and
   the first k*P, which decodes the entries of P's shipped table that it

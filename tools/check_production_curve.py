@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Re-derive every claim made about the shipped production curve constants.
 
-Builds a curve1174 deployment, whose constructors refuse a cofactor * q
-that the Hasse bound does not pin as the group order (outside the window
-around p + 1, or q*q <= 16p), d = 0 or 1 and a base point off the curve
-or neutral. Runs on it params.validate_params, the audit `edcred
-setup` runs: p and q prime, d a quadratic non-residue (the completeness
-condition), and the base point and public key of exact order q. Also checks that the comb table for
-the base point shipped in data/curve1174_comb.bin equals a fresh build,
-entry by entry, each read through the shipped rows' decoding. Exits
-nonzero on any failure.
+Parses a curve1174 deployment's params text under another curve name,
+so that the loader treats it as any curve from outside and runs every
+rule it has: the constructors' (cofactor * q pinned as the group order by
+the Hasse bound, d not 0 or 1, the base point on the curve and not
+neutral, the public key not of small order) and the parse functions' (p
+and q prime, d a quadratic non-residue, which makes the addition law
+complete, and the base point and public key of order q). Checks that the
+same text under its own name parses to the built-in curve, which skips
+the curve rules on the strength of this script. Also checks that the
+comb table for the base point shipped in data/curve1174_comb.bin equals a
+fresh build, entry by entry, each read through the shipped rows'
+decoding. Exits nonzero on any failure.
 """
 
 import os
@@ -19,7 +22,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from edcred.curve import Point, production_curve  # noqa: E402
-from edcred.params import setup, validate_params  # noqa: E402
+from edcred.params import SystemParams, setup  # noqa: E402
 
 
 def same_table(shipped: list, fresh: list) -> bool:
@@ -30,13 +33,19 @@ def same_table(shipped: list, fresh: list) -> bool:
 
 def main():
     c = production_curve()
-    problems = validate_params(setup(c, random.Random("check_production_curve"))[0]).problems
-    for problem in problems:
-        print(f"FAIL  {problem}")
-    print(f"validate_params on a curve1174 deployment  {'FAIL' if problems else 'ok'}")
+    text = setup(c, random.Random("check_production_curve"))[0].format_file()
+    try:
+        renamed = SystemParams.parse_file(text.replace(f"name={c.name}\n", "name=renamed\n"))
+        rules = renamed.curve == c and renamed.curve is not c
+    except ValueError as e:
+        print(f"FAIL  {e}")
+        rules = False
+    print(f"loader's rules on curve1174, renamed           {'ok' if rules else 'FAIL'}")
+    builtin = SystemParams.parse_file(text).curve is c
+    print(f"curve1174 by name parses to the built-in curve {'ok' if builtin else 'FAIL'}")
     fresh = same_table(c.base._table, Point(c.base.x, c.base.y, c).precompute()._table)
-    print(f"shipped comb table is a fresh build         {'ok' if fresh else 'FAIL'}")
-    return 1 if problems or not fresh else 0
+    print(f"shipped comb table is a fresh build            {'ok' if fresh else 'FAIL'}")
+    return 0 if rules and builtin and fresh else 1
 
 
 if __name__ == "__main__":

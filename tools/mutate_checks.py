@@ -5,10 +5,10 @@
     python tools/mutate_checks.py NAME ...   # the named ones
 
 MUTATIONS lists one-line mutations (file, text, replacement): each turns
-one guard of a verifier, the issuer or a record's constructor off, or
-makes a comb term count its scalar mod q, which flips verdicts under a
-public key with a torsion part once its table is built. For each,
-the tool copies this checkout's working tree (without .git) into a
+one guard of a verifier, the issuer, a record's constructor or a
+deployment's load off, or makes a comb term count its scalar mod q, which
+flips verdicts under a public key with a torsion part once its table is
+built. For each, the tool copies this checkout's working tree (without .git) into a
 temporary directory, replaces the text, which must occur exactly once in
 its file, and runs Tier-1 there with -x, all but the test that pins
 this list (below). A run that fails kills the mutation; one that passes
@@ -62,6 +62,10 @@ MUTATIONS = [
              "if self._key._nonce[0] is not self:", "if False:"),
     Mutation("params: small-order Ppub", "src/edcred/params.py",
              "if sum_is_neutral(curve, [(p_pub, 1)], ms=0, ap=0, cofactored=True):", "if False:"),
+    Mutation("load: Ppub of order q", "src/edcred/params.py",
+             "if not in_prime_subgroup(p_pub):", "if False:"),
+    Mutation("load: base point of order q", "src/edcred/curve.py",
+             "if not in_prime_subgroup(curve.base):", "if False:"),
     Mutation("signature: h = 0", "src/edcred/credential.py",
              "if h.v == 0:", "if False:"),
     Mutation("attributes: count", "src/edcred/credential.py",
